@@ -23,7 +23,7 @@ from .carver import (
     carve_strings,
 )
 from .corpus import DEFAULT_CHUNK_SIZE, ImageManifest, MemoryImage, load_manifest
-from .errors import MemsiftError, UnknownLabelError
+from .errors import InvalidOptionError, MemsiftError, UnknownLabelError
 from .fabricator import fabricate, load_plan, table1_preset
 from .procmap import ProcessMap, load_process_map
 from .report import (
@@ -126,6 +126,8 @@ def _add_scan_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_strings(args: argparse.Namespace) -> int:
+    # Reject out-of-range carve options before touching the image.
+    ScanOptions(min_len=args.min_len, chunk_size=args.chunk_size, cap=args.cap)
     image = MemoryImage.from_file(args.image)
     encodings = (
         tuple(dict.fromkeys(Encoding(e) for e in args.encoding))
@@ -146,17 +148,17 @@ def cmd_strings(args: argparse.Namespace) -> int:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    catalog = _load_catalog(args.catalog)
-    pmap = (
-        ProcessMap(load_process_map(args.process_map))
-        if args.process_map
-        else None
-    )
     options = ScanOptions(
         min_len=args.min_len,
         delta=args.delta,
         window=args.window,
         chunk_size=args.chunk_size,
+    )
+    catalog = _load_catalog(args.catalog)
+    pmap = (
+        ProcessMap(load_process_map(args.process_map))
+        if args.process_map
+        else None
     )
     target = Path(args.target)
     manifest = _sniff_manifest(target)
@@ -300,6 +302,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InvalidOptionError as exc:
+        parser.error(str(exc))  # exits 2
     except MemsiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -12,6 +12,11 @@ class MemsiftError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
+class InvalidOptionError(MemsiftError, ValueError):
+    """A scan or carve option is out of range (negative window, zero
+    min_len, cap below min_len, ...).  The CLI reports it as a usage error."""
+
+
 class MissingFileError(MemsiftError):
     """A manifest references an image file that does not exist."""
 

@@ -14,13 +14,20 @@ applications share keywords (IRCTC and SBI both post ``userName`` and
 dominated duplicates are dropped: a candidate loses only to one that
 matched at least as much (username, context confirmation) and strictly
 more of it.  Candidates that tie stay side by side; ambiguity is evidence.
+
+Matching a region costs O(n log n) in its n strings, however crowded it
+is: context URLs, usernames for adjacent passwords and GAUSR cookies are
+each looked up by bisection in an offset-sorted list built once per
+region, never by rescanning the region per candidate.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 from .carver import (
@@ -33,7 +40,7 @@ from .carver import (
 )
 from .corpus import DEFAULT_CHUNK_SIZE, ImageManifest, MemoryImage, open_image
 from .decoding import classify_value
-from .errors import UnknownLabelError
+from .errors import InvalidOptionError, UnknownLabelError
 from .procmap import Attribution, ProcessMap, ProcessMapEntry
 from .signatures import (
     DEFAULT_DELTA,
@@ -41,6 +48,7 @@ from .signatures import (
     AdjacentBinder,
     CredentialSignature,
     MatchMode,
+    NearestOffsets,
     SignatureMatch,
     builtin_catalog,
     combine_bindings,
@@ -52,6 +60,8 @@ from .signatures import (
 
 HIGH = "HIGH"
 LOW = "LOW"
+
+_offset = attrgetter("offset")
 
 # Table-style column layout: one column per application/browser pairing that
 # can actually produce findings (the Firefox Gmail signature is
@@ -99,6 +109,15 @@ class ScanOptions:
     cap: int = DEFAULT_CAP
     case_sensitive: bool = True
 
+    def __post_init__(self) -> None:
+        for name, floor in (
+            ("window", 0), ("delta", 0), ("min_len", 1), ("chunk_size", 1)
+        ):
+            if getattr(self, name) < floor:
+                raise InvalidOptionError(f"{name} must be at least {floor}")
+        if self.cap < self.min_len:
+            raise InvalidOptionError("cap must be >= min_len")
+
 
 @dataclass(frozen=True)
 class CredentialFinding:
@@ -134,10 +153,19 @@ def assign_confidence(
     window: int = DEFAULT_WINDOW,
 ) -> str:
     """HIGH iff one of the signature's context URLs occurs in a carved
-    string whose offset lies within [anchor-window, anchor+window]."""
+    string whose offset lies within [anchor-window, anchor+window].
+
+    ``context`` must be ascending by offset, as carved strings arrive.  The
+    first string inside the window is found by bisection, so when
+    ``context`` holds only strings that carry one of the URLs a call costs
+    O(log n).
+    """
     lo, hi = anchor - window, anchor + window
-    for s in context:
-        if lo <= s.offset <= hi and any(u in s.text for u in sig.context_urls):
+    for i in range(bisect_left(context, lo, key=_offset), len(context)):
+        s = context[i]
+        if s.offset > hi:
+            break
+        if any(u in s.text for u in sig.context_urls):
             return HIGH
     return LOW
 
@@ -180,6 +208,8 @@ def _attach_cookie_usernames(
             cookies.append((off, name, s))
     if not cookies:
         return
+    # Cookie offsets ascend with their strings' offsets.
+    index = NearestOffsets([off for off, _name, _src in cookies])
     claimed: set[int] = set()
     for i, m in enumerate(matches):
         if (
@@ -188,14 +218,7 @@ def _attach_cookie_usernames(
             or m.username_raw is not None
         ):
             continue
-        best = None
-        for j, (coff, _name, _src) in enumerate(cookies):
-            if abs(coff - m.anchor_offset) > window:
-                continue
-            if best is None or abs(coff - m.anchor_offset) < abs(
-                cookies[best][0] - m.anchor_offset
-            ):
-                best = j
+        best = index.nearest(m.anchor_offset, window)
         if best is not None:
             coff, name, src = cookies[best]
             claimed.add(best)
@@ -238,6 +261,9 @@ def _match_region(
     match) triples."""
     sig_order = {sig.app_id: i for i, sig in enumerate(catalog)}
     matches: list[SignatureMatch] = []
+    # Per URL set, the strings that carry one of its URLs, built on first
+    # use; ascending by offset because ``strings`` is.
+    url_strings: dict[tuple[str, ...], list[ExtractedString]] = {}
 
     # Inline: each carved string treated as a form body.
     for s in strings:
@@ -273,7 +299,14 @@ def _match_region(
             key = (m.mode, "pw", m.password_offset)
         else:
             key = (m.mode, "user", m.username_offset)
-        conf = assign_confidence(m.anchor_offset, strings, m.signature, opts.window)
+        urls = m.signature.context_urls
+        if urls not in url_strings:
+            url_strings[urls] = [
+                s for s in strings if any(u in s.text for u in urls)
+            ]
+        conf = assign_confidence(
+            m.anchor_offset, url_strings[urls], m.signature, opts.window
+        )
         score = (m.username_raw is not None, conf == HIGH)
         groups.setdefault(key, []).append(
             (score, sig_order[m.signature.app_id], conf, m)

@@ -15,6 +15,7 @@ mode).  Gmail under Firefox additionally parks the account name in a
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
@@ -359,6 +360,50 @@ class AdjacentBinder:
         self._pending.clear()
 
 
+class NearestOffsets:
+    """Nearest-offset lookup over ascending offsets, with removal.
+
+    ``nearest`` returns the index of the offset closest to a target within
+    ``window``; on equal distance the lower offset wins, and among equal
+    offsets the first index.  ``take`` removes an index from later lookups.
+    Taken runs are skipped through path-compressed links, one per
+    direction, so lookups cost O(log n) amortised however many are taken.
+    """
+
+    def __init__(self, offsets: Sequence[int]):
+        self.offsets = offsets
+        n = len(offsets)
+        self._up = list(range(n + 1))  # first free index >= i; n means none
+        self._down = list(range(n + 1))  # 1 + last free index < i; 0 means none
+
+    @staticmethod
+    def _find(link: list[int], i: int) -> int:
+        root = i
+        while link[root] != root:
+            root = link[root]
+        while link[i] != root:
+            link[i], i = root, link[i]
+        return root
+
+    def take(self, i: int) -> None:
+        self._up[i] = i + 1
+        self._down[i + 1] = i
+
+    def nearest(self, target: int, window: int) -> int | None:
+        offsets = self.offsets
+        pos = bisect_left(offsets, target)
+        best = self._find(self._up, pos)
+        if best == len(offsets) or offsets[best] - target > window:
+            best = None
+        below = self._find(self._down, pos) - 1
+        if below >= 0:
+            gap = target - offsets[below]
+            if gap <= window and (best is None or gap <= offsets[best] - target):
+                # The first free index holding that offset.
+                best = self._find(self._up, bisect_left(offsets, offsets[below]))
+        return best
+
+
 def combine_bindings(
     bindings: Iterable[AdjacentBinding],
     sig: CredentialSignature,
@@ -366,24 +411,26 @@ def combine_bindings(
 ) -> list[SignatureMatch]:
     """Fuse username and password bindings of one signature into matches.
 
-    Each password takes the nearest unconsumed username within the context
-    window; usernames left over surface as username-only matches, passwords
-    as password-only.  Everything is reported, nothing silently dropped.
+    Each password, in binding order, takes the nearest unconsumed username
+    within the context window (the lower offset on a tie); usernames left
+    over surface as username-only matches, passwords as password-only.
+    Everything is reported, nothing silently dropped.  Bindings must be
+    ascending by key offset, as ``AdjacentBinder`` emits them.
     """
     mine = [b for b in bindings if b.sig.app_id == sig.app_id]
     users = [b for b in mine if b.kind == "username"]
+    free = NearestOffsets([u.key_offset for u in users])
+    for i, u in enumerate(users):
+        if u.consumed:
+            free.take(i)
     matches: list[SignatureMatch] = []
     for pw in (b for b in mine if b.kind == "password"):
         best: AdjacentBinding | None = None
-        for u in users:
-            if u.consumed or abs(u.key_offset - pw.key_offset) > window:
-                continue
-            if best is None or abs(u.key_offset - pw.key_offset) < abs(
-                best.key_offset - pw.key_offset
-            ):
-                best = u
-        if best is not None:
+        i = free.nearest(pw.key_offset, window)
+        if i is not None:
+            best = users[i]
             best.consumed = True
+            free.take(i)
         parts = sorted(
             ([best] if best else []) + [pw], key=lambda b: b.key_offset
         )

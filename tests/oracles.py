@@ -4,12 +4,25 @@ Everything here favors obviousness over speed: the byte-at-a-time carvers
 are straight transcriptions of the definition of a maximal printable run,
 and the numpy carver is a separately-derived vectorization.  The two
 agree with each other by construction of the tests, and the production
-carver must agree with both.
+carver must agree with both.  ``match_region_linear`` is the region
+matcher before its lookups were indexed, kept as the scanner's reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from memsift.carver import Encoding
+from memsift.scanner import HIGH, LOW
+from memsift.signatures import (
+    AdjacentBinder,
+    MatchMode,
+    SignatureMatch,
+    cookie_username_offset,
+    extract_cookie_username,
+    match_inline,
+    parse_form_pairs,
+)
 
 ASCII = "ascii"
 UTF16LE = "utf16le"
@@ -174,3 +187,166 @@ def strings_tuples(extracted) -> list[tuple[int, str, str]]:
     going through .value costs a descriptor call per row.
     """
     return [(s.offset, s.text, s.encoding) for s in extracted]
+
+
+# --- Region matching reference -------------------------------------------
+#
+# The region matcher as it was before its lookups went through sorted
+# offset indexes: confidence walks every region string for each candidate,
+# each password scans every username, each cookie-bound match scans every
+# cookie.  Quadratic, but each step is the definition read off directly.
+
+
+def assign_confidence_linear(anchor, context, sig, window):
+
+    lo, hi = anchor - window, anchor + window
+    for s in context:
+        if lo <= s.offset <= hi and any(u in s.text for u in sig.context_urls):
+            return HIGH
+    return LOW
+
+
+def combine_bindings_linear(bindings, sig, window):
+    mine = [b for b in bindings if b.sig.app_id == sig.app_id]
+    users = [b for b in mine if b.kind == "username"]
+    matches = []
+    for pw in (b for b in mine if b.kind == "password"):
+        best = None
+        for u in users:
+            if u.consumed or abs(u.key_offset - pw.key_offset) > window:
+                continue
+            if best is None or abs(u.key_offset - pw.key_offset) < abs(
+                best.key_offset - pw.key_offset
+            ):
+                best = u
+        if best is not None:
+            best.consumed = True
+        parts = sorted(([best] if best else []) + [pw], key=lambda b: b.key_offset)
+        matches.append(
+            SignatureMatch(
+                signature=sig,
+                mode=MatchMode.ADJACENT,
+                username_raw=best.value if best else None,
+                username_offset=best.value_offset if best else None,
+                username_key_offset=best.key_offset if best else None,
+                password_raw=pw.value,
+                password_offset=pw.value_offset,
+                password_key_offset=pw.key_offset,
+                context_text=" ".join(x for b in parts for x in (b.key_text, b.value)),
+            )
+        )
+    for u in users:
+        if not u.consumed:
+            matches.append(
+                SignatureMatch(
+                    signature=sig,
+                    mode=MatchMode.ADJACENT,
+                    username_raw=u.value,
+                    username_offset=u.value_offset,
+                    username_key_offset=u.key_offset,
+                    context_text=f"{u.key_text} {u.value}",
+                )
+            )
+    matches.sort(key=lambda m: m.anchor_offset)
+    return matches
+
+
+def attach_cookie_usernames_linear(matches, strings, sig, window):
+    cookies = []
+    for s in strings:
+        name = extract_cookie_username(s.text, sig.username_marker)
+        if name is not None:
+            cookies.append((cookie_username_offset(s, sig.username_marker), name, s))
+    claimed = set()
+    for i, m in enumerate(matches):
+        if (
+            m.signature.app_id != sig.app_id
+            or m.password_raw is None
+            or m.username_raw is not None
+        ):
+            continue
+        best = None
+        for j, (coff, _name, _src) in enumerate(cookies):
+            if abs(coff - m.anchor_offset) > window:
+                continue
+            if best is None or abs(coff - m.anchor_offset) < abs(
+                cookies[best][0] - m.anchor_offset
+            ):
+                best = j
+        if best is not None:
+            coff, name, src = cookies[best]
+            claimed.add(best)
+            unit = 2 if src.encoding is Encoding.UTF16LE else 1
+            matches[i] = SignatureMatch(
+                signature=m.signature,
+                mode=m.mode,
+                username_raw=name,
+                username_offset=coff + unit * len(sig.username_marker),
+                username_key_offset=coff,
+                password_raw=m.password_raw,
+                password_offset=m.password_offset,
+                password_key_offset=m.password_key_offset,
+                context_text=m.context_text,
+            )
+    for j, (coff, name, src) in enumerate(cookies):
+        if j not in claimed:
+            unit = 2 if src.encoding is Encoding.UTF16LE else 1
+            matches.append(
+                SignatureMatch(
+                    signature=sig,
+                    mode=MatchMode.INLINE,
+                    username_raw=name,
+                    username_offset=coff + unit * len(sig.username_marker),
+                    username_key_offset=coff,
+                    context_text=src.text,
+                )
+            )
+
+
+def match_region_linear(strings, catalog, opts, hit_re):
+    """Drop-in reference for ``memsift.scanner._match_region``."""
+    sig_order = {sig.app_id: i for i, sig in enumerate(catalog)}
+    matches = []
+    for s in strings:
+        if "=" not in s.text or not hit_re.search(s.text):
+            continue
+        pairs = parse_form_pairs(s)
+        if not pairs:
+            continue
+        for sig in catalog:
+            m = match_inline(s, sig, case_sensitive=opts.case_sensitive, pairs=pairs)
+            if m is not None:
+                matches.append(m)
+
+    binder = AdjacentBinder(catalog, opts.delta, opts.case_sensitive)
+    bindings = []
+    for s in strings:
+        bindings.extend(binder.push(s))
+    for sig in catalog:
+        matches.extend(combine_bindings_linear(bindings, sig, opts.window))
+
+    for sig in catalog:
+        if sig.username_marker:
+            attach_cookie_usernames_linear(matches, strings, sig, opts.window)
+
+    groups = {}
+    for m in matches:
+        if m.password_raw is not None:
+            key = (m.mode, "pw", m.password_offset)
+        else:
+            key = (m.mode, "user", m.username_offset)
+        conf = assign_confidence_linear(m.anchor_offset, strings, m.signature, opts.window)
+        score = (m.username_raw is not None, conf == HIGH)
+        groups.setdefault(key, []).append((score, sig_order[m.signature.app_id], conf, m))
+    kept = []
+    for members in groups.values():
+        for score, order, conf, m in members:
+            dominated = any(
+                other[0] != score
+                and other[0][0] >= score[0]
+                and other[0][1] >= score[1]
+                for other in members
+            )
+            if not dominated:
+                kept.append((order, conf, m))
+    return kept

@@ -126,6 +126,21 @@ class TestScan:
         assert "not-a-number" in err or "line 1" in err
 
 
+class TestOptionRanges:
+    @pytest.mark.parametrize("argv, message", [
+        (["scan", "--window", "-5"], "window must be at least 0"),
+        (["scan", "--min-len", "0"], "min_len must be at least 1"),
+        (["strings", "--cap", "0"], "cap must be >= min_len"),
+    ])
+    def test_out_of_range_option_is_a_usage_error(self, capsys, corpus_dir, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], str(corpus_dir / "Img4.img"), *argv[1:]])
+        assert exc.value.code == 2
+        _out, err = capsys.readouterr()
+        assert "usage:" in err
+        assert message in err
+
+
 class TestMatrix:
     def test_rendered_from_report(self, capsys, corpus_dir, tmp_path):
         dest = tmp_path / "report.json"

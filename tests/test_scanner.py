@@ -1,5 +1,7 @@
 """Credential scanning over raw buffers, dedup, confidence, matrix."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,9 @@ from memsift import (
     builtin_catalog,
     scan_image,
 )
-from memsift.errors import UnknownLabelError
+from memsift import scanner
+from memsift.errors import InvalidOptionError, UnknownLabelError
+from oracles import match_region_linear
 
 
 def _sig(app):
@@ -279,6 +283,19 @@ class TestAttributions:
         assert findings[0].attributions == ()
 
 
+class TestScanOptions:
+    @pytest.mark.parametrize("bad", [
+        dict(window=-1), dict(delta=-1), dict(min_len=0), dict(chunk_size=0),
+        dict(min_len=8, cap=7),
+    ])
+    def test_out_of_range_rejected(self, bad):
+        with pytest.raises(InvalidOptionError):
+            ScanOptions(**bad)
+
+    def test_boundary_values_accepted(self):
+        ScanOptions(window=0, delta=0, min_len=1, cap=1, chunk_size=1)
+
+
 class TestFindingInvariants:
     def _kw(self, **over):
         base = dict(
@@ -375,3 +392,125 @@ class TestPresenceMatrix:
         m = build_presence_matrix(["B", "A"], {})
         assert m.rows == ("B", "A")
 
+
+
+# --- Region matching against the linear reference -------------------------
+#
+# Login items sit in fixed-width slots, so key offsets fall on a grid and a
+# password often has two usernames (or two GAUSR cookies) at equal distance:
+# the tie-breaks are exercised, not just the nearest-neighbour path.
+
+_SLOT = 96
+_URLS = (
+    "userLogin.html", "auth1.html", "https://www.facebook.com/login.php",
+    "accounts.google.com", "www.irctc.co.in", "https://www.onlinesbi.com/",
+)
+_INLINE = (
+    "uName={u}&pass={p}", "email={u}&pass={p}", "userName={u}&password={p}",
+    "Email={u}&Passwd={p}", "Passwd={p}&rmShown=1", "pass={p}", "userName={u}",
+    "UNAME={u}&Pass={p}", "EMAIL={u}&PASSWORD={p}",
+)
+_KEYS = (
+    "uName", "pass", "email", "Email", "Passwd", "userName", "password",
+    "PASS", "EMAIL", "Password",
+)
+_value = st.text("0123456789abcdef", min_size=3, max_size=8).map(lambda t: "v" + t)
+_item = st.one_of(
+    st.tuples(st.just("url"), st.sampled_from(_URLS)),
+    st.tuples(st.just("inline"), st.sampled_from(_INLINE), _value, _value),
+    st.tuples(st.just("adjacent"), st.sampled_from(_KEYS), _value),
+    st.tuples(st.just("cookie"), _value),
+    st.tuples(st.just("gap"), st.integers(1, 16)),
+)
+_slot = st.tuples(_item, st.booleans(), st.sampled_from((0, 0, 0, 1)))
+# Three slots in a row whose middle password sits equally far from two
+# usernames (adjacent keys) or two GAUSR cookies (inline Passwd).
+_tie = st.one_of(
+    st.builds(
+        lambda keys, u1, p, u2: [
+            ("adjacent", keys[0], u1), ("adjacent", keys[1], p),
+            ("adjacent", keys[0], u2),
+        ],
+        st.sampled_from((("uName", "pass"), ("Email", "Passwd"), ("userName", "password"))),
+        _value, _value, _value,
+    ),
+    st.builds(
+        lambda u1, p, u2: [
+            ("cookie", u1), ("inline", "Passwd={p}&rmShown=1", "", p), ("cookie", u2),
+        ],
+        _value, _value, _value,
+    ),
+)
+_slots = st.lists(
+    st.one_of(
+        _slot.map(lambda slot: [slot]),
+        st.tuples(_tie, st.booleans()).map(
+            lambda t: [(item, t[1], 0) for item in t[0]]
+        ),
+    ),
+    min_size=1,
+    max_size=30,
+).map(lambda groups: [slot for group in groups for slot in group])
+
+
+def _slot_bytes(item, wide):
+    kind = item[0]
+    if kind == "url":
+        text = item[1]
+    elif kind == "inline":
+        text = item[1].format(u=item[2], p=item[3])
+    elif kind == "adjacent":
+        text = item[1] + "\0\0" + item[2]
+    else:
+        text = f"GAUSR=mail:{item[1]};"
+    return text.encode("utf-16-le" if wide else "ascii")
+
+
+def _slotted_image(slots):
+    planted, at = [], 0
+    for item, wide, shift in slots:
+        if item[0] == "gap":
+            at += item[1] * _SLOT
+            continue
+        planted.append((at + shift, _slot_bytes(item, wide)))
+        at += _SLOT
+    return _image(*planted, size=at + _SLOT)
+
+
+def _reference_scan(image, options):
+    with mock.patch.object(scanner, "_match_region", match_region_linear):
+        return scan_image(image, options=options)
+
+
+class TestRegionMatchingOracle:
+    @pytest.mark.parametrize("case_sensitive", [True, False])
+    @pytest.mark.parametrize("window", [0, 1024])
+    @settings(max_examples=120, deadline=None)
+    @given(slots=_slots)
+    def test_findings_equal_linear_reference(self, slots, window, case_sensitive):
+        image = _slotted_image(slots)
+        opts = ScanOptions(window=window, case_sensitive=case_sensitive)
+        assert scan_image(image, options=opts) == _reference_scan(image, opts)
+
+    def test_context_urls_exactly_at_window_edges(self):
+        body = "userName=ipsita689&password=durga21"
+        w = 200
+        at = 1000
+        anchor = at + body.index("password")
+        inside = _image(
+            (anchor - w, "irctc.co.in"), (at, body), (anchor + w, "onlinesbi.com"),
+        )
+        outside = _image(
+            (anchor - w - 1, "irctc.co.in"), (at, body), (anchor + w + 1, "onlinesbi.com"),
+        )
+        opts = ScanOptions(window=w)
+        got_in = scan_image(inside, options=opts)
+        got_out = scan_image(outside, options=opts)
+        assert [(f.app_id, f.confidence) for f in got_in] == [
+            ("irctc", HIGH), ("sbi", HIGH),
+        ]
+        assert [(f.app_id, f.confidence) for f in got_out] == [
+            ("irctc", LOW), ("sbi", LOW),
+        ]
+        assert got_in == _reference_scan(inside, opts)
+        assert got_out == _reference_scan(outside, opts)
