@@ -1,21 +1,33 @@
 """Carve printable strings, with offsets, out of raw memory images.
 
 Two encodings are recognised: plain ASCII runs (bytes 0x20..0x7e) and
-UTF-16LE runs (printable byte, NUL, repeated).  A run must reach ``min_len``
-characters to be emitted, and runs longer than ``cap`` characters are split
-at the cap, each piece carrying its own offset.
+UTF-16LE runs (printable byte, NUL, repeated, at either byte parity).  A
+run must reach ``min_len`` characters to be emitted, and runs longer than
+``cap`` characters are split at the cap, each piece carrying its own
+offset.
 
-The scanners below are incremental: chunk boundaries never split or merge a
-run, so the emitted stream is byte-for-byte identical whatever chunk size
-the image is read with.  That is the one property everything downstream
-leans on, and it is what the brute-force reference scan in the test suite
-checks the implementation against.
+The image is carved one buffer at a time: the bytes carried over from the
+previous buffer plus the next chunk.  Three streams are found in it by
+mask diffs: ASCII, and UTF-16LE at each absolute byte parity.  A run that
+touches the buffer end may still grow (a trailing printable byte counts
+as a pair whose NUL may still arrive), so its last cap piece is not
+settled yet.  The cut is the start of the earliest unsettled piece.  Every
+piece starting before the cut is emitted, and the bytes from the cut on
+are carried into the next buffer, where the open run is found again.  The
+carry is therefore always under ``2*cap+1`` bytes.  Each stream resumes at
+the end of the last piece it emitted, so a run found again keeps its cap
+grid.
+
+The emitted stream is thus byte-for-byte identical whatever chunk size the
+image is read with.  That is the one property everything downstream leans
+on, and it is what the brute-force reference scan in the test suite checks
+the implementation against.
 """
 
 from __future__ import annotations
 
-import re
 from enum import Enum
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -27,76 +39,7 @@ from .errors import MalformedLineError
 DEFAULT_MIN_LEN = 4
 DEFAULT_CAP = 4096
 
-_PRINTABLE_LO = 0x20
-_PRINTABLE_HI = 0x7E
-
-# Run discovery is vectorized per chunk (the regex engine's per-byte scan
-# was the profiler's top entry); these anchored patterns only extend an
-# open run across a chunk boundary.
-_ASCII_CONT = re.compile(rb"[\x20-\x7e]+")
-_UTF16_CONT = re.compile(rb"(?:[\x20-\x7e]\x00)+")
-
 _ZERO8 = np.zeros(1, np.int8)
-
-
-def _printable_spans(chunk: bytes, pos: int, min_len: int) -> list[tuple[int, int]]:
-    """(start, end) byte spans of the maximal printable runs of at least
-    min_len characters at or after pos, ascending."""
-    a = np.frombuffer(chunk, dtype=np.uint8)[pos:]
-    mask = ((a >= _PRINTABLE_LO) & (a <= _PRINTABLE_HI)).view(np.int8)
-    edges = np.diff(mask, prepend=_ZERO8, append=_ZERO8)
-    starts = np.flatnonzero(edges == 1)
-    ends = np.flatnonzero(edges == -1)
-    if min_len > 1:
-        keep = ends - starts >= min_len
-        starts, ends = starts[keep], ends[keep]
-    if pos:
-        starts = starts + pos
-        ends = ends + pos
-    return list(zip(starts.tolist(), ends.tolist()))
-
-
-def _pair_spans(chunk: bytes, pos: int, min_len: int) -> list[tuple[int, int]]:
-    """(start, end) byte spans of the maximal (printable, NUL) chains of
-    at least min_len pairs at or after pos, ascending; end covers the
-    final NUL.  The two byte parities host disjoint chains and are
-    detected separately, then merged."""
-    a = np.frombuffer(chunk, dtype=np.uint8)[pos:]
-    if a.size < 2:
-        return []
-    head = a[:-1]
-    pair = ((head >= _PRINTABLE_LO) & (head <= _PRINTABLE_HI) & (a[1:] == 0)).view(
-        np.int8
-    )
-    found = []
-    for parity in (0, 1):
-        edges = np.diff(pair[parity::2], prepend=_ZERO8, append=_ZERO8)
-        starts = np.flatnonzero(edges == 1)
-        ends = np.flatnonzero(edges == -1)
-        if min_len > 1:
-            keep = ends - starts >= min_len
-            starts, ends = starts[keep], ends[keep]
-        base = pos + parity
-        found.append(
-            list(zip((2 * starts + base).tolist(), (2 * ends + base).tolist()))
-        )
-    fa, fb = found
-    if not fb:
-        return fa
-    if not fa:
-        return fb
-    out = []
-    i = j = 0
-    while i < len(fa) and j < len(fb):
-        if fa[i][0] < fb[j][0]:
-            out.append(fa[i])
-            i += 1
-        else:
-            out.append(fb[j])
-            j += 1
-    out += fa[i:]
-    out += fb[j:]
-    return out
 
 
 class Encoding(str, Enum):
@@ -108,6 +51,9 @@ class Encoding(str, Enum):
 
 
 BOTH_ENCODINGS = (Encoding.ASCII, Encoding.UTF16LE)
+
+# Indexed by a piece's bytes per character.
+_BY_UNIT = (None, Encoding.ASCII, Encoding.UTF16LE)
 
 
 # NamedTuple rather than a dataclass: tens of thousands of these come out
@@ -122,214 +68,98 @@ class ExtractedString(NamedTuple):
     byte_length: int
 
 
-def _is_printable(b: int) -> bool:
-    return _PRINTABLE_LO <= b <= _PRINTABLE_HI
+def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end indices of the maximal True runs of a boolean mask."""
+    edges = np.diff(mask.view(np.int8), prepend=_ZERO8, append=_ZERO8)
+    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
 
 
-class _AsciiScanner:
-    """Incremental ASCII run scanner.
+def _cap_pieces(
+    starts: np.ndarray, ends: np.ndarray, span: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Split each run into pieces of at most span bytes, laid from its start."""
+    count = (ends - starts + span - 1) // span
+    first = np.repeat(np.cumsum(count) - count, count)
+    piece_starts = np.repeat(starts, count) + (np.arange(first.size) - first) * span
+    return piece_starts, np.minimum(piece_starts + span, np.repeat(ends, count))
 
-    Carries the open run tail (always < cap bytes) across feed() calls;
-    cap-sized pieces of a still-open run are emitted as soon as they are
-    determined, so memory stays bounded on arbitrarily long runs.
+
+def _carve_buffer(
+    buf: bytes,
+    base: int,
+    wanted: list[Encoding],
+    resume: list[int],
+    min_len: int,
+    cap: int,
+    final: bool,
+) -> tuple[list[ExtractedString], int]:
+    """Carve a buffer that starts at absolute offset ``base``.
+
+    Returns the settled pieces, ordered by (offset, ASCII first), and the
+    cut, the buffer index the next buffer starts at.  ``resume`` holds,
+    per stream (ASCII, then UTF-16LE at absolute parity 0 and 1), the
+    absolute end of the last piece it emitted; it is updated in place.
     """
+    n = len(buf)
+    a = np.frombuffer(buf, np.uint8)
+    printable = (a >= 0x20) & (a <= 0x7E)
+    streams = []  # (stream, bytes per char, run starts, run ends)
+    if Encoding.ASCII in wanted:
+        streams.append((0, 1, *_runs(printable)))
+    if Encoding.UTF16LE in wanted and n:
+        pair = printable.copy()
+        pair[:-1] &= a[1:] == 0
+        if final:
+            pair[-1] = False
+        for q in (0, 1):
+            starts, ends = _runs(pair[q::2])
+            streams.append((1 + (base + q) % 2, 2, 2 * starts + q, 2 * ends + q))
 
-    encoding = Encoding.ASCII
-    rank = 0
+    cut = n
+    if not final:
+        for k, unit, starts, ends in streams:
+            if ends.size and ends[-1] >= n:
+                span = unit * cap
+                start = max(int(starts[-1]), resume[k] - base)
+                cut = min(cut, start + (n - start) // span * span)
 
-    def __init__(self, min_len: int, cap: int):
-        self.min_len = min_len
-        self.cap = cap
-        self.open_start: int | None = None
-        self._carry = b""
-
-    def _emit(self, out: list[ExtractedString], start: int, data: bytes) -> None:
-        out.append(
-            ExtractedString(start, data.decode("ascii"), Encoding.ASCII, len(data))
-        )
-
-    def _extend(self, data: bytes, out: list[ExtractedString]) -> None:
-        assert self.open_start is not None
-        self._carry += data
-        while len(self._carry) >= self.cap:
-            self._emit(out, self.open_start, self._carry[: self.cap])
-            self.open_start += self.cap
-            self._carry = self._carry[self.cap :]
-
-    def _close(self, tail: bytes, out: list[ExtractedString]) -> None:
-        self._extend(tail, out)
-        if len(self._carry) >= self.min_len:
-            self._emit(out, self.open_start, self._carry)  # type: ignore[arg-type]
-        self.open_start = None
-        self._carry = b""
-
-    def feed(self, chunk: bytes, base: int) -> list[ExtractedString]:
-        out: list[ExtractedString] = []
-        pos = 0
-        if self.open_start is not None:
-            m = _ASCII_CONT.match(chunk)
-            end = m.end() if m else 0
-            if end == len(chunk):
-                self._extend(chunk, out)
-                return out
-            self._close(chunk[:end], out)
-            pos = end
-        last_end = pos
-        n = len(chunk)
-        cap = self.cap
-        emit = out.append
-        make = ExtractedString
-        ascii_enc = Encoding.ASCII
-        for s, e in _printable_spans(chunk, pos, self.min_len):
-            if e == n:
-                self.open_start = base + s
-                self._carry = b""
-                self._extend(chunk[s:e], out)
-                return out
-            last_end = e
-            # Interior match: emit directly, no scanner state involved.
-            if e - s <= cap:
-                emit(make(base + s, chunk[s:e].decode("ascii"), ascii_enc, e - s))
-                continue
-            for k in range(s, e, cap):
-                piece_end = min(k + cap, e)
-                if piece_end - k >= self.min_len:
-                    self._emit(out, base + k, chunk[k:piece_end])
-        # A trailing printable fragment shorter than min_len may still grow
-        # into a run in the next chunk; hold it open.
-        floor = max(last_end, len(chunk) - self.min_len + 1)
-        i = len(chunk)
-        while i > floor and _is_printable(chunk[i - 1]):
-            i -= 1
-        if i < len(chunk):
-            self.open_start = base + i
-            self._carry = b""
-            self._extend(chunk[i:], out)
-        return out
-
-    def finish(self) -> list[ExtractedString]:
-        out: list[ExtractedString] = []
-        if self.open_start is not None:
-            self._close(b"", out)
-        return out
-
-
-class _Utf16Scanner:
-    """Incremental UTF-16LE run scanner.
-
-    A run is (printable, NUL) pairs at any byte alignment.  State carries
-    both completed pairs of the open piece and an optional half pair (a
-    trailing printable byte waiting for its NUL in the next chunk).
-    """
-
-    encoding = Encoding.UTF16LE
-    rank = 1
-
-    def __init__(self, min_len: int, cap: int):
-        self.min_len = min_len
-        self.cap = cap
-        self.open_start: int | None = None
-        self._pairs = b""
-        self._half: int | None = None
-
-    def _emit(self, out: list[ExtractedString], start: int, data: bytes) -> None:
-        out.append(
-            ExtractedString(
-                start, data[0::2].decode("ascii"), Encoding.UTF16LE, len(data)
-            )
-        )
-
-    def _extend(self, data: bytes, out: list[ExtractedString]) -> None:
-        assert self.open_start is not None
-        self._pairs += data
-        limit = 2 * self.cap
-        while len(self._pairs) >= limit:
-            self._emit(out, self.open_start, self._pairs[:limit])
-            self.open_start += limit
-            self._pairs = self._pairs[limit:]
-
-    def _close(self, out: list[ExtractedString]) -> None:
-        if len(self._pairs) // 2 >= self.min_len:
-            self._emit(out, self.open_start, self._pairs)  # type: ignore[arg-type]
-        self.open_start = None
-        self._pairs = b""
-        self._half = None
-
-    def feed(self, chunk: bytes, base: int) -> list[ExtractedString]:
-        out: list[ExtractedString] = []
-        pos = 0
-        if self.open_start is not None:
-            if self._half is not None:
-                if chunk[0] == 0:
-                    self._pairs += bytes((self._half, 0))
-                    self._half = None
-                    pos = 1
-                else:
-                    # The pending printable byte never got its NUL: the run
-                    # ended at the last complete pair.
-                    self._close(out)
-            if self.open_start is not None:
-                m = _UTF16_CONT.match(chunk, pos)
-                end = m.end() if m else pos
-                if end == len(chunk):
-                    self._extend(chunk[pos:end], out)
-                    return out
-                if end == len(chunk) - 1 and _is_printable(chunk[end]):
-                    self._extend(chunk[pos:end], out)
-                    self._half = chunk[end]
-                    return out
-                self._extend(chunk[pos:end], out)
-                self._close(out)
-                pos = end
-        last_end = pos
-        n = len(chunk)
-        limit = 2 * self.cap
-        for s, e in _pair_spans(chunk, pos, self.min_len):
-            if e == n:
-                self.open_start = base + s
-                self._pairs = b""
-                self._extend(chunk[s:e], out)
-                return out
-            if e == n - 1 and _is_printable(chunk[e]):
-                self.open_start = base + s
-                self._pairs = b""
-                self._extend(chunk[s:e], out)
-                self._half = chunk[e]
-                return out
-            last_end = e
-            # Interior match: emit directly, no scanner state involved.
-            if e - s <= limit:
-                out.append(
-                    ExtractedString(
-                        base + s,
-                        chunk[s:e:2].decode("ascii"),
-                        Encoding.UTF16LE,
-                        e - s,
-                    )
-                )
-                continue
-            for k in range(s, e, limit):
-                piece_end = min(k + limit, e)
-                if piece_end - k >= 2 * self.min_len:
-                    self._emit(out, base + k, chunk[k:piece_end])
-        # Walk back over a sub-threshold pair suffix (plus optional half);
-        # it may complete into a full run across the boundary.
-        floor = max(last_end, n - (2 * self.min_len - 1))
-        half = n > floor and _is_printable(chunk[n - 1])
-        j = n - 1 if half else n
-        while j - 2 >= floor and _is_printable(chunk[j - 2]) and chunk[j - 1] == 0:
-            j -= 2
-        if j < n:
-            self.open_start = base + j
-            self._pairs = bytes(chunk[j : n - 1] if half else chunk[j:n])
-            self._half = chunk[n - 1] if half else None
-        return out
-
-    def finish(self) -> list[ExtractedString]:
-        out: list[ExtractedString] = []
-        if self.open_start is not None:
-            self._close(out)
-        return out
+    offsets, stops, units = [], [], []
+    for k, unit, starts, ends in streams:
+        if not starts.size:
+            continue
+        starts = np.maximum(starts, resume[k] - base)
+        keep = (ends - starts >= unit * min_len) & (starts < cut)
+        starts, ends = starts[keep], ends[keep]
+        if not starts.size:
+            continue
+        if (ends - starts).max() > unit * cap:
+            starts, ends = _cap_pieces(starts, ends, unit * cap)
+            keep = (ends - starts >= unit * min_len) & (starts < cut)
+            starts, ends = starts[keep], ends[keep]
+        resume[k] = base + int(ends[-1])
+        offsets.append(starts)
+        stops.append(ends)
+        units.append(np.full(starts.size, unit, np.int8))
+    if not offsets:
+        return [], cut
+    offset, stop, unit = (np.concatenate(x) for x in (offsets, stops, units))
+    if len(offsets) > 1:
+        order = np.lexsort((unit, offset))
+        offset, stop, unit = offset[order], stop[order], unit[order]
+    steps = unit.tolist()
+    texts = [
+        buf[s:e:u].decode("ascii")
+        for s, e, u in zip(offset.tolist(), stop.tolist(), steps)
+    ]
+    # tuple.__new__ over ready rows skips ExtractedString's Python-level
+    # __new__, a third of the cost of building each string.
+    rows = zip(
+        (offset + base).tolist(),
+        texts,
+        map(_BY_UNIT.__getitem__, steps),
+        (stop - offset).tolist(),
+    )
+    return list(map(tuple.__new__, repeat(ExtractedString), rows)), cut
 
 
 def carve_strings(
@@ -344,8 +174,8 @@ def carve_strings(
 
     Offsets within one encoding are strictly increasing; across encodings the
     stream is merged by offset (ASCII first on the rare exact tie).  The
-    generator holds only the current chunk plus open-run tails, so peak
-    memory does not depend on image size.
+    generator holds only the current chunk plus a carry of under
+    ``2*cap+1`` bytes, so peak memory does not depend on image size.
     """
     if min_len < 1:
         raise ValueError("min_len must be at least 1")
@@ -354,65 +184,19 @@ def carve_strings(
     wanted = list(dict.fromkeys(Encoding(e) for e in encodings))
     if not wanted:
         raise ValueError("at least one encoding is required")
-    scanners = []
-    for enc in wanted:
-        cls = _AsciiScanner if enc is Encoding.ASCII else _Utf16Scanner
-        scanners.append(cls(min_len, cap))
-    # Rank order so the merge below puts ASCII first on exact offset ties.
-    scanners.sort(key=lambda sc: sc.rank)
-
     if isinstance(image, (bytes, bytearray)):
         image = MemoryImage.from_bytes(bytes(image))
 
-    pending: list[list[ExtractedString]] = [[] for _ in scanners]
-    base = 0
+    resume = [0, 0, 0]
+    carry, base = b"", 0
     for chunk in image.chunks(chunk_size):
-        for sc, pend in zip(scanners, pending):
-            pend.extend(sc.feed(chunk, base))
-        base += len(chunk)
-        barrier = min(
-            [sc.open_start for sc in scanners if sc.open_start is not None] + [base]
+        buf = carry + chunk
+        pieces, cut = _carve_buffer(
+            buf, base, wanted, resume, min_len, cap, final=False
         )
-        ready = []
-        for pend in pending:
-            # Offsets are strictly increasing within one scanner, so the
-            # part that may be released is a prefix; the held-back suffix
-            # is at most a couple of cap pieces long.
-            cut = len(pend)
-            while cut > 0 and pend[cut - 1].offset >= barrier:
-                cut -= 1
-            ready.append(pend[:cut])
-            del pend[:cut]
-        yield from _merge_by_offset(ready)
-    for sc, pend in zip(scanners, pending):
-        pend.extend(sc.finish())
-    yield from _merge_by_offset(pending)
-
-
-def _merge_by_offset(streams: list[list[ExtractedString]]) -> list[ExtractedString]:
-    """Merge per-scanner batches, each already offset-sorted; earlier list
-    wins exact-offset ties (the ASCII stream comes first).  Field 0 is the
-    offset."""
-    if len(streams) == 1:
-        return streams[0]
-    a, b = streams
-    if not b:
-        return a
-    if not a:
-        return b
-    out = []
-    i = j = 0
-    na, nb = len(a), len(b)
-    while i < na and j < nb:
-        if a[i][0] <= b[j][0]:
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out += a[i:]
-    out += b[j:]
-    return out
+        yield from pieces
+        carry, base = buf[cut:], base + cut
+    yield from _carve_buffer(carry, base, wanted, resume, min_len, cap, final=True)[0]
 
 
 def write_strings_file(

@@ -21,6 +21,7 @@ from .carver import (
     DEFAULT_MIN_LEN,
     Encoding,
     carve_strings,
+    write_strings_file,
 )
 from .corpus import DEFAULT_CHUNK_SIZE, ImageManifest, MemoryImage, load_manifest
 from .errors import InvalidOptionError, MemsiftError, UnknownLabelError
@@ -134,16 +135,10 @@ def cmd_strings(args: argparse.Namespace) -> int:
         if args.encoding
         else BOTH_ENCODINGS
     )
-    it = carve_strings(
+    strings = carve_strings(
         image, args.min_len, encodings, chunk_size=args.chunk_size, cap=args.cap
     )
-    if args.out is None or args.out == "-":
-        for s in it:
-            sys.stdout.write(f"{s.offset}:{s.text}\n")
-    else:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            for s in it:
-                fh.write(f"{s.offset}:{s.text}\n")
+    write_strings_file(strings, sys.stdout if args.out in (None, "-") else args.out)
     return 0
 
 
@@ -294,6 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="preset printable byte density (default %(default)s)")
     p.set_defaults(func=cmd_fabricate)
 
+    # Lets main report an out-of-range option with the subcommand's usage.
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -303,7 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except InvalidOptionError as exc:
-        parser.error(str(exc))  # exits 2
+        args.parser.error(str(exc))  # exits 2
     except MemsiftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

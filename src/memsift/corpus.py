@@ -22,10 +22,11 @@ from __future__ import annotations
 import io
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import IO, BinaryIO, Iterator
 
 from .errors import (
     DuplicateLabelError,
+    LineError,
     MalformedLineError,
     MissingFileError,
     NonMonotonicStepError,
@@ -117,6 +118,27 @@ class MemoryImage:
         with self.open() as handle:
             handle.seek(offset)
             return handle.read(length)
+
+
+def _tsv_rows(
+    source: str | Path | IO[str], nfields: int, error: type[LineError]
+) -> Iterator[tuple[int, str, list[str]]]:
+    """(line number, line, fields) for each data line of a TSV file or
+    handle.  Blank and ``#`` lines are skipped; a line without exactly
+    ``nfields`` tab-separated fields raises ``error``.  Shared by the
+    process-map and catalog loaders."""
+    if isinstance(source, (str, Path)):
+        with open(source, "r", encoding="utf-8") as fh:
+            yield from _tsv_rows(fh, nfields, error)
+        return
+    for lineno, raw in enumerate(source, 1):
+        line = raw.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != nfields:
+            raise error(lineno, line, f"expected {nfields} fields, got {len(parts)}")
+        yield lineno, line, parts
 
 
 def load_manifest(path: str | Path) -> ImageManifest:

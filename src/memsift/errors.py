@@ -33,24 +33,24 @@ class ZeroSizeError(MemsiftError):
     """An image file is empty; an empty acquisition is never valid evidence."""
 
 
-class MalformedLineError(MemsiftError):
+class LineError(MemsiftError):
+    """A line of a line-oriented input does not parse.  Carries the 1-based
+    line number, the line itself and the reason."""
+
+    def __init__(self, lineno: int, line: str, reason: str = ""):
+        self.lineno = lineno
+        self.line = line
+        self.reason = reason
+        detail = f": {reason}" if reason else ""
+        super().__init__(f"line {lineno}: cannot parse {line!r}{detail}")
+
+
+class MalformedLineError(LineError):
     """A line-oriented input (strings file, manifest) has an unparseable line."""
 
-    def __init__(self, lineno: int, line: str, reason: str = ""):
-        self.lineno = lineno
-        self.line = line
-        detail = f": {reason}" if reason else ""
-        super().__init__(f"line {lineno}: cannot parse {line!r}{detail}")
 
-
-class MalformedEntryError(MemsiftError):
+class MalformedEntryError(LineError):
     """A process map line does not parse into a map entry."""
-
-    def __init__(self, lineno: int, line: str, reason: str = ""):
-        self.lineno = lineno
-        self.line = line
-        detail = f": {reason}" if reason else ""
-        super().__init__(f"line {lineno}: cannot parse {line!r}{detail}")
 
 
 class InvertedRangeError(MemsiftError):
@@ -69,11 +69,5 @@ class PlacementOutOfBoundsError(MemsiftError):
     """A fabrication placement does not fit inside the image."""
 
 
-class CatalogError(MemsiftError):
+class CatalogError(LineError):
     """A signature catalog file line is malformed."""
-
-    def __init__(self, lineno: int, line: str, reason: str = ""):
-        self.lineno = lineno
-        self.line = line
-        detail = f": {reason}" if reason else ""
-        super().__init__(f"line {lineno}: cannot parse {line!r}{detail}")

@@ -29,7 +29,7 @@ from .decoding import classify_value
 from .errors import OverlapError, PlacementOutOfBoundsError
 from .procmap import ProcessMap, ProcessMapEntry, write_process_map
 from .report import finding_to_doc
-from .scanner import HIGH, LOW, CredentialFinding
+from .scanner import _SNIPPET_LIMIT, HIGH, LOW, CredentialFinding
 from .signatures import GAUSR_MARKER, MatchMode, builtin_catalog
 
 BLOCK_SIZE = 4 << 20
@@ -37,8 +37,6 @@ BLOCK_SIZE = 4 << 20
 MIN_PLACEMENT_GAP = 2048
 _SEAM = 64
 _MAX_ATTEMPTS = 100
-
-_SNIPPET_LIMIT = 256
 
 
 @dataclass(frozen=True)

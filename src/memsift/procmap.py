@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
+from .corpus import _tsv_rows
 from .errors import InvertedRangeError, MalformedEntryError
 
 
@@ -45,17 +46,8 @@ def load_process_map(source: str | Path | IO[str]) -> list[ProcessMapEntry]:
     The sort is stable, so entries sharing a start keep their file order;
     that order is what attribute() reports multiple owners in.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_process_map(fh)
     entries: list[ProcessMapEntry] = []
-    for lineno, raw in enumerate(source, 1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise MalformedEntryError(lineno, line, f"expected 5 fields, got {len(parts)}")
+    for lineno, line, parts in _tsv_rows(source, 5, MalformedEntryError):
         pid_text, name, start_text, end_text, virt_text = parts
         try:
             pid = int(pid_text)

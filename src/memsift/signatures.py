@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 from .carver import Encoding, ExtractedString
+from .corpus import _tsv_rows
 from .decoding import ValueEncoding
 from .errors import CatalogError
 
@@ -154,17 +155,8 @@ def builtin_catalog() -> list[CredentialSignature]:
 def load_catalog_file(source: str | Path | IO[str]) -> list[CredentialSignature]:
     """Parse user signatures from TSV: app_id, username_keys, password_keys,
     context_urls (comma-separated lists), value_encoding."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_catalog_file(fh)
     sigs: list[CredentialSignature] = []
-    for lineno, raw in enumerate(source, 1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise CatalogError(lineno, line, f"expected 5 fields, got {len(parts)}")
+    for lineno, line, parts in _tsv_rows(source, 5, CatalogError):
         app_id, ukeys, pkeys, urls, enc = parts
         try:
             encoding = ValueEncoding(enc)

@@ -2,6 +2,7 @@
 
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,9 +20,22 @@ from memsift.errors import MalformedLineError
 
 from oracles import carve_bruteforce, carve_numpy, random_buffer, strings_tuples
 
-# byte soup with enough printable mass to form runs
-_blobs = st.binary(min_size=0, max_size=2048)
+# byte soup with enough printable mass to form runs, plus soup dense in
+# (printable, NUL) pairs so UTF-16LE chains cross chunk seams too
+_blobs = st.binary(min_size=0, max_size=2048) | st.lists(
+    st.sampled_from(b"aZ~ \x00\x00\x01"), max_size=2048
+).map(bytes)
 _chunky = st.integers(min_value=1, max_value=257)
+_encoding_sets = st.sampled_from(
+    [(Encoding.ASCII,), (Encoding.UTF16LE,), BOTH_ENCODINGS]
+)
+
+
+@st.composite
+def _len_and_cap(draw):
+    """min_len, and a cap small enough that cap pieces meet chunk seams."""
+    min_len = draw(st.integers(min_value=1, max_value=6))
+    return min_len, draw(st.integers(min_value=min_len, max_value=min_len + 30))
 
 
 def test_simple_ascii_run():
@@ -86,17 +100,68 @@ def test_utf16_run_crossing_chunk_boundary():
 
 
 @settings(max_examples=150)
-@given(_blobs)
-def test_matches_bruteforce(data):
+@given(_blobs, _len_and_cap(), _chunky, _encoding_sets)
+def test_matches_bruteforce(data, len_and_cap, chunk_size, encodings):
     assert strings_tuples(carve_strings(data)) == carve_bruteforce(data)
+    min_len, cap = len_and_cap
+    got = carve_strings(data, min_len, encodings, chunk_size=chunk_size, cap=cap)
+    want = [row for row in carve_bruteforce(data, min_len, cap) if row[2] in encodings]
+    assert strings_tuples(got) == want
 
 
 @settings(max_examples=150)
-@given(_blobs, _chunky)
-def test_chunk_size_independence(data, chunk_size):
+@given(_blobs, _chunky, _len_and_cap(), _encoding_sets)
+def test_chunk_size_independence(data, chunk_size, len_and_cap, encodings):
     whole = strings_tuples(carve_strings(data))
     chunked = strings_tuples(carve_strings(data, chunk_size=chunk_size))
     assert whole == chunked
+    min_len, cap = len_and_cap
+    whole = strings_tuples(carve_strings(data, min_len, encodings, cap=cap))
+    chunked = carve_strings(data, min_len, encodings, chunk_size=chunk_size, cap=cap)
+    assert strings_tuples(chunked) == whole
+
+
+class _CountingImage:
+    """Wraps an image's chunks() to record how many bytes were read."""
+
+    def __init__(self, data: bytes):
+        self.image = MemoryImage.from_bytes(data)
+        self.read = 0
+
+    def chunks(self, chunk_size):
+        for chunk in self.image.chunks(chunk_size):
+            self.read += len(chunk)
+            yield chunk
+
+
+def _interleaved(size: int) -> bytes:
+    rng = np.random.default_rng(5)
+    out = bytearray()
+    while len(out) < size:
+        text = bytes(rng.integers(0x20, 0x7F, int(rng.integers(1, 12000)), np.uint8))
+        out += text if rng.random() < 0.5 else text.decode().encode("utf-16-le")
+    return bytes(out[:size])
+
+
+_LAG_IMAGES = {
+    "ascii": lambda: b"x" * (3 << 20),
+    "utf16le": lambda: "x".encode("utf-16-le") * (3 << 19),
+    "interleaved": lambda: _interleaved(3 << 20),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LAG_IMAGES))
+def test_streaming_lag_is_bounded(kind):
+    """Each string is yielded before the reader gets more than one chunk
+    plus the carry bound past its end, however long the runs are."""
+    data = _LAG_IMAGES[kind]()
+    chunk_size, cap = 64 * 1024, 4096
+    image = _CountingImage(data)
+    count = 0
+    for s in carve_strings(image, chunk_size=chunk_size, cap=cap):
+        assert image.read - (s.offset + s.byte_length) <= chunk_size + 2 * cap + 1
+        count += 1
+    assert count >= len(data) // (2 * cap)
 
 
 @settings(max_examples=100)

@@ -137,7 +137,7 @@ class TestOptionRanges:
             main([argv[0], str(corpus_dir / "Img4.img"), *argv[1:]])
         assert exc.value.code == 2
         _out, err = capsys.readouterr()
-        assert "usage:" in err
+        assert f"usage: memsift {argv[0]}" in err
         assert message in err
 
 
