@@ -26,24 +26,26 @@ from memsift import (
 )
 from memsift.report import render_matrix_table
 
-out = Path(tempfile.mkdtemp(prefix="memsift-demo-"))
+# the corpus lives in a temporary directory, removed once it is scanned
+with tempfile.TemporaryDirectory(prefix="memsift-demo-") as tmp:
+    out = Path(tmp)
 
-# 13 images: logins happen around Img3-6, logout before Img7, browser
-# close before Img10, reboot before Img12
-plan = table1_preset(image_size=2 * 1024 * 1024)
-result = fabricate(plan, out)
-print(f"fabricated {len(result.image_paths)} images under {out}")
+    # 13 images: logins happen around Img3-6, logout before Img7, browser
+    # close before Img10, reboot before Img12
+    plan = table1_preset(image_size=2 * 1024 * 1024)
+    result = fabricate(plan, out)
+    print(f"fabricated {len(result.image_paths)} images under {out}")
 
-manifest = load_manifest(result.manifest_path)
-for entry in manifest.entries[:4]:
-    print(f"  step {entry.step_index:2d}  {entry.label:6s} {entry.step_description}")
-print("  ...")
+    manifest = load_manifest(result.manifest_path)
+    for entry in manifest.entries[:4]:
+        print(f"  step {entry.step_index:2d}  {entry.label:6s} {entry.step_description}")
+    print("  ...")
 
-# scan the whole corpus with process attribution
-pmap = ProcessMap(load_process_map(result.process_map_path))
-findings = scan_manifest(manifest, process_map=pmap)
-total = sum(len(v) for v in findings.values())
-print(f"\n{total} findings across the timeline")
+    # scan the whole corpus with process attribution
+    pmap = ProcessMap(load_process_map(result.process_map_path))
+    findings = scan_manifest(manifest, process_map=pmap)
+    total = sum(len(v) for v in findings.values())
+    print(f"\n{total} findings across the timeline")
 
 # the matrix answers "was app X's credential still in memory at step N,
 # under browser Y"; MF is Firefox, GC is Chrome

@@ -19,7 +19,6 @@ from .carver import (
     BOTH_ENCODINGS,
     DEFAULT_CAP,
     DEFAULT_MIN_LEN,
-    Encoding,
     carve_strings,
     write_strings_file,
 )
@@ -68,6 +67,17 @@ def _parse_size(text: str) -> int:
     if value <= 0:
         raise argparse.ArgumentTypeError(f"size must be positive: {text!r}")
     return value * factor
+
+
+def _parse_offset(text: str) -> int:
+    """Non-negative offsets, decimal or 0x-prefixed hex."""
+    try:
+        value = int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an offset: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"offset must be non-negative: {text!r}")
+    return value
 
 
 def _sniff_manifest(path: Path) -> ImageManifest | None:
@@ -130,13 +140,12 @@ def cmd_strings(args: argparse.Namespace) -> int:
     # Reject out-of-range carve options before touching the image.
     ScanOptions(min_len=args.min_len, chunk_size=args.chunk_size, cap=args.cap)
     image = MemoryImage.from_file(args.image)
-    encodings = (
-        tuple(dict.fromkeys(Encoding(e) for e in args.encoding))
-        if args.encoding
-        else BOTH_ENCODINGS
-    )
     strings = carve_strings(
-        image, args.min_len, encodings, chunk_size=args.chunk_size, cap=args.cap
+        image,
+        args.min_len,
+        args.encoding or BOTH_ENCODINGS,
+        chunk_size=args.chunk_size,
+        cap=args.cap,
     )
     write_strings_file(strings, sys.stdout if args.out in (None, "-") else args.out)
     return 0
@@ -206,8 +215,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 def cmd_attribute(args: argparse.Namespace) -> int:
     pmap = ProcessMap(load_process_map(args.map))
-    for text in args.offset:
-        offset = int(text, 0)
+    for offset in args.offset:
         owners = pmap.lookup(offset)
         if not owners:
             print(f"0x{offset:08x}: no owner")
@@ -273,7 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attribute", help="look up offsets in a process map")
     p.add_argument("map", help="process map TSV")
-    p.add_argument("offset", nargs="+", help="physical offsets (decimal or 0x hex)")
+    p.add_argument("offset", nargs="+", type=_parse_offset,
+                   help="physical offsets (decimal or 0x hex)")
     p.set_defaults(func=cmd_attribute)
 
     p = sub.add_parser("fabricate", help="build a synthetic corpus with ground truth")
@@ -302,13 +311,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except InvalidOptionError as exc:
         args.parser.error(str(exc))  # exits 2
-    except MemsiftError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (MemsiftError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -44,7 +44,7 @@ def load_process_map(source: str | Path | IO[str]) -> list[ProcessMapEntry]:
     """Parse and validate a process map, returned sorted by phys_start.
 
     The sort is stable, so entries sharing a start keep their file order;
-    that order is what attribute() reports multiple owners in.
+    that order is what ``ProcessMap.lookup`` reports multiple owners in.
     """
     entries: list[ProcessMapEntry] = []
     for lineno, line, parts in _tsv_rows(source, 5, MalformedEntryError):
@@ -85,10 +85,6 @@ class ProcessMap:
             (e.phys_end - e.phys_start for e in self.entries), default=0
         )
 
-    @classmethod
-    def load(cls, source: str | Path | IO[str]) -> "ProcessMap":
-        return cls(load_process_map(source))
-
     def lookup(self, offset: int) -> list[Attribution]:
         hits: list[Attribution] = []
         i = bisect_right(self._starts, offset) - 1
@@ -106,19 +102,6 @@ class ProcessMap:
             i -= 1
         hits.reverse()
         return hits
-
-
-def attribute(
-    offset: int, entries: Sequence[ProcessMapEntry] | ProcessMap
-) -> list[Attribution]:
-    """All attributions whose range contains the offset, in map order.
-
-    An unmapped offset legitimately returns [] (free pages, pool memory).
-    """
-    if offset < 0:
-        raise ValueError("offset must be non-negative")
-    pm = entries if isinstance(entries, ProcessMap) else ProcessMap(entries)
-    return pm.lookup(offset)
 
 
 def write_process_map(

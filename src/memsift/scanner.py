@@ -1,12 +1,13 @@
 """End-to-end credential scan over carved strings.
 
-The scan streams the carver output once.  Signature keywords are rare, so
-the engine only materialises work around them: a keyword hit opens a region
-spanning the context window either side of the hit, overlapping regions
-merge, and a region is matched as a unit once the stream has safely passed
-it.  Strings outside any region are dropped as soon as they fall behind the
-window, which keeps peak memory proportional to the densest keyword
-neighbourhood rather than to image size.
+The scan reads the carver output once.  Signature keywords are rare, so
+only the strings near them are matched.  Each keyword hit claims the bytes
+within reach of it (the context window, the adjacency gap and some slack
+for the key itself); claims that overlap or touch merge, and the strings
+whose offsets lie inside one merged claim form a region.  A region is
+matched as a unit as soon as no later hit can extend it.  Any other string
+is kept only while it is within reach of the newest one, so peak memory
+follows the largest region rather than the image size.
 
 Within a region every signature is tried in both modes.  Where two
 applications share keywords (IRCTC and SBI both post ``userName`` and
@@ -26,9 +27,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .carver import (
     BOTH_ENCODINGS,
@@ -170,14 +171,6 @@ def assign_confidence(
     return LOW
 
 
-class _Region:
-    __slots__ = ("start", "end")
-
-    def __init__(self, start: int, end: int):
-        self.start = start
-        self.end = end
-
-
 def _prefilter(catalog: Sequence[CredentialSignature], case_sensitive: bool) -> re.Pattern:
     tokens: set[str] = set()
     for sig in catalog:
@@ -199,17 +192,20 @@ def _attach_cookie_usernames(
     """Bind marker-style usernames (the GAUSR cookie) to this signature's
     password matches; a cookie nothing claimed becomes username evidence of
     its own."""
-    cookies: list[tuple[int, str, ExtractedString]] = []
+    marker = sig.username_marker
+    # (marker offset, name offset, name, cookie string text)
+    cookies: list[tuple[int, int, str, str]] = []
     for s in strings:
-        name = extract_cookie_username(s.text, sig.username_marker)
+        name = extract_cookie_username(s.text, marker)
         if name is not None:
-            off = cookie_username_offset(s, sig.username_marker)
+            off = cookie_username_offset(s, marker)
             assert off is not None
-            cookies.append((off, name, s))
+            unit = 2 if s.encoding is Encoding.UTF16LE else 1
+            cookies.append((off, off + unit * len(marker), name, s.text))
     if not cookies:
         return
     # Cookie offsets ascend with their strings' offsets.
-    index = NearestOffsets([off for off, _name, _src in cookies])
+    index = NearestOffsets([cookie[0] for cookie in cookies])
     claimed: set[int] = set()
     for i, m in enumerate(matches):
         if (
@@ -220,34 +216,26 @@ def _attach_cookie_usernames(
             continue
         best = index.nearest(m.anchor_offset, window)
         if best is not None:
-            coff, name, src = cookies[best]
             claimed.add(best)
-            unit = 2 if src.encoding is Encoding.UTF16LE else 1
-            matches[i] = SignatureMatch(
-                signature=m.signature,
-                mode=m.mode,
+            coff, name_off, name, _text = cookies[best]
+            matches[i] = replace(
+                m,
                 username_raw=name,
-                username_offset=coff + unit * len(sig.username_marker),
+                username_offset=name_off,
                 username_key_offset=coff,
-                password_raw=m.password_raw,
-                password_offset=m.password_offset,
-                password_key_offset=m.password_key_offset,
-                context_text=m.context_text,
             )
-    for j, (coff, name, src) in enumerate(cookies):
-        if j in claimed:
-            continue
-        unit = 2 if src.encoding is Encoding.UTF16LE else 1
-        matches.append(
-            SignatureMatch(
-                signature=sig,
-                mode=MatchMode.INLINE,
-                username_raw=name,
-                username_offset=coff + unit * len(sig.username_marker),
-                username_key_offset=coff,
-                context_text=src.text,
+    for j, (coff, name_off, name, text) in enumerate(cookies):
+        if j not in claimed:
+            matches.append(
+                SignatureMatch(
+                    signature=sig,
+                    mode=MatchMode.INLINE,
+                    username_raw=name,
+                    username_offset=name_off,
+                    username_key_offset=coff,
+                    context_text=text,
+                )
             )
-        )
 
 
 def _match_region(
@@ -325,56 +313,47 @@ def _match_region(
     return kept
 
 
-class _StreamScanner:
-    """Carve-order consumer that opens, merges and closes hit regions."""
+def _regions(
+    strings: Iterable[ExtractedString], hit_re: re.Pattern, reach: int
+) -> Iterator[list[ExtractedString]]:
+    """Group carved strings into hit regions, yielded in offset order.
 
-    def __init__(self, catalog: Sequence[CredentialSignature], opts: ScanOptions):
-        self.catalog = catalog
-        self.opts = opts
-        self.hit_re = _prefilter(catalog, opts.case_sensitive)
-        # Reach past a hit that can still interact with it: context window
-        # plus adjacency gap plus a little for key text itself.
-        self.reach = opts.window + opts.delta + 256
-        self.buffer: deque[ExtractedString] = deque()
-        self.region: _Region | None = None
-        self.results: list[tuple[int, str, SignatureMatch]] = []
-
-    def _close_region(self) -> None:
-        region = self.region
-        assert region is not None
-        batch = [s for s in self.buffer if region.start <= s.offset <= region.end]
-        self.results.extend(_match_region(batch, self.catalog, self.opts, self.hit_re))
-        self.region = None
-
-    def _evict(self, frontier: int) -> None:
-        floor = frontier - self.reach
-        if self.region is not None:
-            floor = min(floor, self.region.start)
-        while self.buffer and (
-            self.buffer[0].offset + self.buffer[0].byte_length < floor
-        ):
-            self.buffer.popleft()
-
-    def push(self, s: ExtractedString) -> None:
-        hit = self.hit_re.search(s.text) is not None
-        if self.region is not None:
-            if hit and s.offset - self.reach <= self.region.end:
-                self.region.end = max(
-                    self.region.end, s.offset + s.byte_length + self.reach
-                )
-            elif s.offset > self.region.end:
-                self._close_region()
-        if self.region is None and hit:
-            self.region = _Region(
-                s.offset - self.reach, s.offset + s.byte_length + self.reach
-            )
-        self.buffer.append(s)
-        self._evict(s.offset)
-
-    def finish(self) -> list[tuple[int, str, SignatureMatch]]:
-        if self.region is not None:
-            self._close_region()
-        return self.results
+    A hit string claims [offset - reach, offset + byte_length + reach];
+    claims that overlap or touch merge, and a region is every string whose
+    offset lies inside its merged claim.  Strings must arrive ascending by
+    offset, as the carver emits them.
+    """
+    # Outside a region only the look-behind is kept: the strings within
+    # reach of the frontier (the newest offset).  An older string can fall
+    # into no later region, because any later hit sits at or past the
+    # frontier, so its region starts at or after frontier - reach.  For the
+    # same reason a region is final once the frontier is more than reach
+    # past its end; strings in between wait in the look-behind.  A hit
+    # drops the look-behind strings its claim misses, then moves the rest,
+    # all inside the claim, into its region.
+    behind: deque[ExtractedString] = deque()
+    region: list[ExtractedString] = []
+    end = -1
+    for s in strings:
+        at = s.offset
+        if region and at - reach > end:
+            yield region
+            region = []
+        if hit_re.search(s.text) is not None:
+            while behind and behind[0].offset < at - reach:
+                behind.popleft()
+            region.extend(behind)
+            behind.clear()
+            region.append(s)
+            end = max(end, at + s.byte_length + reach)
+        elif region and at <= end:
+            region.append(s)
+        else:
+            behind.append(s)
+            while behind[0].offset < at - reach:
+                behind.popleft()
+    if region:
+        yield region
 
 
 def scan_image(
@@ -391,30 +370,24 @@ def scan_image(
     """
     catalog = list(catalog) if catalog is not None else builtin_catalog()
     opts = options or ScanOptions()
-    pmap: ProcessMap | None = None
-    if process_map is not None:
-        pmap = (
-            process_map
-            if isinstance(process_map, ProcessMap)
-            else ProcessMap(process_map)
-        )
+    pmap = process_map
+    if pmap is not None and not isinstance(pmap, ProcessMap):
+        pmap = ProcessMap(pmap)
 
-    engine = _StreamScanner(catalog, opts)
-    for s in carve_strings(
-        image,
-        opts.min_len,
-        opts.encodings,
-        chunk_size=opts.chunk_size,
-        cap=opts.cap,
-    ):
-        engine.push(s)
-
-    return [
-        _to_finding(m, conf, image.label, pmap)
-        for _order, conf, m in sorted(
-            engine.finish(), key=lambda t: (t[2].anchor_offset, t[0])
-        )
+    hit_re = _prefilter(catalog, opts.case_sensitive)
+    # Reach past a hit that can still interact with it: context window
+    # plus adjacency gap plus a little for key text itself.
+    reach = opts.window + opts.delta + 256
+    strings = carve_strings(
+        image, opts.min_len, opts.encodings, chunk_size=opts.chunk_size, cap=opts.cap
+    )
+    matches = [
+        match
+        for region in _regions(strings, hit_re, reach)
+        for match in _match_region(region, catalog, opts, hit_re)
     ]
+    matches.sort(key=lambda t: (t[2].anchor_offset, t[0]))
+    return [_to_finding(m, conf, image.label, pmap) for _order, conf, m in matches]
 
 
 def _to_finding(

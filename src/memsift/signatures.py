@@ -284,23 +284,13 @@ class AdjacentBinding:
     consumed: bool = False
 
 
-@dataclass(slots=True)
-class _PendingKey:
-    sig: CredentialSignature
-    kind: str
-    text: str
-    offset: int
-    end: int
-
-
 class AdjacentBinder:
     """Incremental key/value pairing over a stream of carved strings.
 
     Feed strings in offset order; every string first settles any key seen
     immediately before it (bound if it starts within ``delta`` bytes of the
     key's end and is not itself a key of the same signature), then may
-    register as a pending key itself.  Both the batch ``match_adjacent`` and
-    the streaming scanner run on this one implementation.
+    register as a pending key itself.
     """
 
     def __init__(
@@ -317,23 +307,24 @@ class AdjacentBinder:
                 self._keys.setdefault(self._fold(k), []).append((sig, "username"))
             for k in sig.password_keys:
                 self._keys.setdefault(self._fold(k), []).append((sig, "password"))
-        self._pending: list[_PendingKey] = []
+        # (sig, kind, key text, key offset, key end) of the last key string
+        self._pending: list[tuple[CredentialSignature, str, str, int, int]] = []
 
     def _fold(self, text: str) -> str:
         return text if self.case_sensitive else text.lower()
 
     def push(self, string: ExtractedString) -> list[AdjacentBinding]:
         out: list[AdjacentBinding] = []
-        for p in self._pending:
-            if string.offset <= p.end + self.delta and not p.sig.is_key(
+        for sig, kind, text, offset, end in self._pending:
+            if string.offset <= end + self.delta and not sig.is_key(
                 string.text, self.case_sensitive
             ):
                 out.append(
                     AdjacentBinding(
-                        sig=p.sig,
-                        kind=p.kind,
-                        key_text=p.text,
-                        key_offset=p.offset,
+                        sig=sig,
+                        kind=kind,
+                        key_text=text,
+                        key_offset=offset,
                         value=string.text,
                         value_offset=string.offset,
                     )
@@ -343,13 +334,8 @@ class AdjacentBinder:
         if hits:
             end = string.offset + string.byte_length
             for sig, kind in hits:
-                self._pending.append(
-                    _PendingKey(sig, kind, string.text, string.offset, end)
-                )
+                self._pending.append((sig, kind, string.text, string.offset, end))
         return out
-
-    def flush(self) -> None:
-        self._pending.clear()
 
 
 class NearestOffsets:

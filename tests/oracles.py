@@ -4,8 +4,10 @@ Everything here favors obviousness over speed: the byte-at-a-time carvers
 are straight transcriptions of the definition of a maximal printable run,
 and the numpy carver is a separately-derived vectorization.  The two
 agree with each other by construction of the tests, and the production
-carver must agree with both.  ``match_region_linear`` is the region
-matcher before its lookups were indexed, kept as the scanner's reference.
+carver must agree with both.  ``regions_linear`` groups strings into hit
+regions with every string in hand, and ``match_region_linear`` is the
+region matcher before its lookups were indexed; both are the scanner's
+references.
 """
 
 from __future__ import annotations
@@ -189,8 +191,25 @@ def strings_tuples(extracted) -> list[tuple[int, str, str]]:
     return [(s.offset, s.text, s.encoding) for s in extracted]
 
 
-# --- Region matching reference -------------------------------------------
-#
+# --- Region references ------------------------------------------------------
+
+
+def regions_linear(strings, hit_re, reach):
+    """Reference for ``memsift.scanner._regions``: collect every string,
+    merge the hit claims [offset - reach, offset + byte_length + reach]
+    that overlap or touch, and slice the strings by offset."""
+    strings = list(strings)
+    claims = []
+    for s in strings:
+        if hit_re.search(s.text):
+            start, end = s.offset - reach, s.offset + s.byte_length + reach
+            if claims and start <= claims[-1][1]:
+                claims[-1][1] = max(claims[-1][1], end)
+            else:
+                claims.append([start, end])
+    return [[s for s in strings if start <= s.offset <= end] for start, end in claims]
+
+
 # The region matcher as it was before its lookups went through sorted
 # offset indexes: confidence walks every region string for each candidate,
 # each password scans every username, each cookie-bound match scans every

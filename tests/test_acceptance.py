@@ -3,8 +3,9 @@
 Each test prints `ACCEPTANCE <n>: PASS ...` on success (visible with -s or
 -rA); with -v the test name itself is the per-criterion line.  Tolerances:
 value checks are exact; runtime ceilings are the stated targets (criterion
-2: 1 s per fixture, criterion 3: 60 s, criterion 4: 30 s, criterion 5:
-60 s); criterion 7 asserts peak traced memory < 128 MiB and only reports
+2: 1 s per fixture, criterion 3: 60 s, criterion 4: 30 s of process CPU
+time, so load from other processes cannot fail it, criterion 5: 60 s);
+criterion 7 asserts peak traced memory < 128 MiB and only reports
 wall-clock.
 """
 
@@ -154,7 +155,7 @@ def test_criterion_3_table1_reproduction(tmp_path):
 
 
 def test_criterion_4_carver_oracle_equivalence():
-    t0 = time.perf_counter()
+    t0 = time.process_time()
     densities = (0.1, 0.3, 0.7)
     chunk_sizes = (4 * 1024, 64 * 1024, 1024 * 1024)
     for i in range(1000):
@@ -167,9 +168,12 @@ def test_criterion_4_carver_oracle_equivalence():
         for cs in chunk_sizes:
             got = strings_tuples(carve_strings(data, chunk_size=cs))
             assert got == reference, (i, density, cs)
-    dt = time.perf_counter() - t0
-    assert dt < 30.0, f"{dt:.1f}s"
-    print(f"ACCEPTANCE 4: PASS - 1000 buffers x 3 chunk sizes equal reference, {dt:.1f} s")
+    dt = time.process_time() - t0
+    assert dt < 30.0, f"{dt:.1f}s CPU"
+    print(
+        f"ACCEPTANCE 4: PASS - 1000 buffers x 3 chunk sizes equal reference,"
+        f" {dt:.1f} s CPU"
+    )
 
 
 _ALL_TEMPLATES = (

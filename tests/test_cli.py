@@ -166,6 +166,30 @@ class TestAttribute:
         assert "firefox.exe[1532]" in lines[0]
         assert lines[1].endswith("no owner")
 
+    @pytest.mark.parametrize("offset, message", [
+        ("-16", "offset must be non-negative: '-16'"),
+        ("-0x10", "offset must be non-negative: '-0x10'"),
+        ("zz", "not an offset: 'zz'"),
+        ("1.5", "not an offset: '1.5'"),
+    ])
+    def test_bad_offset_is_a_usage_error(self, capsys, corpus_dir, offset, message):
+        pmap = corpus_dir / "process_map.tsv"
+        with pytest.raises(SystemExit) as exc:
+            main(["attribute", str(pmap), "0x30000", "--", offset])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "usage: memsift attribute" in err
+        assert message in err
+
+    def test_decimal_and_zero_offsets(self, capsys, corpus_dir):
+        pmap = corpus_dir / "process_map.tsv"
+        code, out, _ = run(capsys, "attribute", str(pmap), str(0x30000), "0")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("0x00030000: firefox.exe[1532]")
+        assert lines[-1].startswith("0x00000000: ")
+
 
 class TestFabricate:
     def test_preset_writes_everything(self, corpus_dir):

@@ -24,3 +24,5 @@ def test_demo_runs(demo, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    # Demo 05 removes the corpus it fabricated.
+    assert not list(tmp_path.glob("memsift-demo-*"))

@@ -22,11 +22,12 @@ from memsift import (
     browser_tag,
     build_presence_matrix,
     builtin_catalog,
+    carve_strings,
     scan_image,
 )
 from memsift import scanner
 from memsift.errors import InvalidOptionError, UnknownLabelError
-from oracles import match_region_linear
+from oracles import match_region_linear, regions_linear
 
 
 def _sig(app):
@@ -514,3 +515,61 @@ class TestRegionMatchingOracle:
         ]
         assert got_in == _reference_scan(inside, opts)
         assert got_out == _reference_scan(outside, opts)
+
+
+def _hit_re(case_sensitive=True):
+    return scanner._prefilter(builtin_catalog(), case_sensitive)
+
+
+class TestRegionsOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(slots=_slots, case_sensitive=st.booleans(), data=st.data())
+    def test_regions_equal_linear_reference(self, slots, case_sensitive, data):
+        strings = list(carve_strings(_slotted_image(slots)))
+        # Give some strings a partner of the other encoding at the same
+        # offset, a keyword or not; the stream puts ASCII first on a tie.
+        twins = data.draw(
+            st.lists(
+                st.sampled_from((None, "pass", "zzzz")),
+                min_size=len(strings),
+                max_size=len(strings),
+            )
+        )
+        other = {Encoding.ASCII: Encoding.UTF16LE, Encoding.UTF16LE: Encoding.ASCII}
+        for s, text in zip(list(strings), twins):
+            if text is not None:
+                strings.append(_s(s.offset, text, other[s.encoding]))
+        strings.sort(key=lambda s: (s.offset, s.encoding is not Encoding.ASCII))
+        hit_re = _hit_re(case_sensitive)
+        # Reaches at which two neighbouring hits' claims touch (even gap) or
+        # miss by one byte (odd gap), besides arbitrary ones.
+        hits = [s for s in strings if hit_re.search(s.text)]
+        edges = sorted({
+            (b.offset - a.offset - a.byte_length) // 2
+            for a, b in zip(hits, hits[1:])
+            if b.offset >= a.offset + a.byte_length
+        })
+        any_reach = st.integers(0, 400)
+        reach = data.draw(
+            st.sampled_from(edges) | any_reach if edges else any_reach
+        )
+        assert list(scanner._regions(iter(strings), hit_re, reach)) == regions_linear(
+            strings, hit_re, reach
+        )
+
+    @pytest.mark.parametrize("apart, expected", [
+        (0, [["yyyy", "uName", "xxxx", "wwww", "pass", "vvvv"]]),
+        (1, [["yyyy", "uName", "xxxx"], ["wwww", "pass", "vvvv"]]),
+    ])
+    def test_touching_claims_merge(self, apart, expected):
+        reach = 40
+        # uName at 100 claims [60, 145]; pass claims from 145 + apart.
+        image = _image(
+            (40, "zzzz"), (60, "yyyy"), (100, "uName"), (145, "xxxx"),
+            (150, "wwww"), (185 + apart, "pass"), (229 + apart, "vvvv"),
+            (240 + apart, "tttt"),
+        )
+        strings = list(carve_strings(image))
+        got = list(scanner._regions(iter(strings), _hit_re(), reach))
+        assert got == regions_linear(strings, _hit_re(), reach)
+        assert [[s.text for s in region] for region in got] == expected
