@@ -228,16 +228,18 @@ def cmd_attribute(args: argparse.Namespace) -> int:
 
 
 def cmd_fabricate(args: argparse.Namespace) -> int:
-    if args.preset:
-        if args.preset != "table1":
-            raise MemsiftError(f"unknown preset {args.preset!r}")
-        plan = table1_preset(
-            image_size=args.image_size,
-            seed=args.seed,
-            printable_density=args.density,
-        )
-    else:
+    preset = {
+        "image_size": args.image_size,
+        "seed": args.seed,
+        "printable_density": args.density,
+    }
+    preset = {k: v for k, v in preset.items() if v is not None}
+    if args.plan is not None:
+        if preset:
+            raise InvalidOptionError("--image-size, --seed and --density apply only to --preset")
         plan = load_plan(args.plan)
+    else:
+        plan = table1_preset(**preset)
     result = fabricate(plan, args.out)
     n = len(result.image_paths)
     print(f"wrote {n} image{'s' if n != 1 else ''} under {result.out_dir}")
@@ -291,11 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--preset", choices=("table1",),
                        help="use a built-in corpus layout")
     p.add_argument("--out", required=True, metavar="DIR", help="output directory")
-    p.add_argument("--image-size", type=_parse_size, default=16 << 20,
-                   metavar="SIZE", help="preset image size (default 16M)")
-    p.add_argument("--seed", type=int, default=2011, help="preset RNG seed")
-    p.add_argument("--density", type=float, default=0.3,
-                   help="preset printable byte density (default %(default)s)")
+    # The preset's own defaults apply to what is left out.
+    p.add_argument("--image-size", type=_parse_size, metavar="SIZE",
+                   help="preset image size (default 16M)")
+    p.add_argument("--seed", type=int, help="preset RNG seed (default 2011)")
+    p.add_argument("--density", type=float,
+                   help="preset printable byte density in [0, 1) (default 0.3)")
     p.set_defaults(func=cmd_fabricate)
 
     # Lets main report an out-of-range option with the subcommand's usage.

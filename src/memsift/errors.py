@@ -13,8 +13,9 @@ class MemsiftError(Exception):
 
 
 class InvalidOptionError(MemsiftError, ValueError):
-    """A scan or carve option is out of range (negative window, zero
-    min_len, cap below min_len, ...).  The CLI reports it as a usage error."""
+    """A scan, carve or fabrication option is out of range (negative
+    window, zero min_len, cap below min_len, density of 1, ...).  The CLI
+    reports it as a usage error."""
 
 
 class MissingFileError(MemsiftError):

@@ -8,25 +8,33 @@ deterministic function of (plan, seed), and each fabrication emits the
 ground truth findings a correct scanner must report, which makes whole
 corpora usable as end-to-end oracles.
 
-Filler is rejection-sampled so that no catalog keyword, context URL or
-cookie marker ever appears in it by chance, in either ASCII or UTF-16LE
-reading, including across block seams and against the NUL guards at
-template edges.  Placements must keep a clear gap between each other so
-their context windows cannot interact; ground truth is then simply the
-union of per-template expectations.
+No catalog keyword, context URL or cookie marker can appear in filler by
+chance, so none is searched for: each of them, in ASCII and in UTF-16LE,
+holds an ``a``, ``A`` or ``.`` byte, and filler never draws those three.
+With the templates blanked to NULs, such a byte could only come from
+filler, so no token can form in filler, across a block seam, or where
+filler meets the NUL guards at template edges.  Placements must keep a
+clear gap between each other so their context windows cannot interact;
+ground truth is then simply the union of per-template expectations.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import ManifestEntry, write_manifest
 from .decoding import classify_value
-from .errors import OverlapError, PlacementOutOfBoundsError
+from .errors import (
+    DuplicateLabelError,
+    InvalidOptionError,
+    NonMonotonicStepError,
+    OverlapError,
+    PlacementOutOfBoundsError,
+)
 from .procmap import ProcessMap, ProcessMapEntry, write_process_map
 from .report import finding_to_doc
 from .scanner import _SNIPPET_LIMIT, HIGH, LOW, CredentialFinding
@@ -35,8 +43,6 @@ from .signatures import GAUSR_MARKER, MatchMode, builtin_catalog
 BLOCK_SIZE = 4 << 20
 # Separation placements must keep so context windows never overlap.
 MIN_PLACEMENT_GAP = 2048
-_SEAM = 64
-_MAX_ATTEMPTS = 100
 
 
 @dataclass(frozen=True)
@@ -66,10 +72,7 @@ class ArtifactTemplate:
 
     template_id: str
     app_id: str
-    layout: str  # "inline" | "adjacent" | "cookie"
     text_blocks: tuple[tuple[int, str], ...]
-    planted_username: str | None
-    planted_password_raw: str | None
     expected: tuple[ExpectedFinding, ...]
 
     def __post_init__(self) -> None:
@@ -145,42 +148,29 @@ _SBI_FF_STRING = "userName=ipsitasbi"
 
 
 def _inline_expected(
-    app_id: str,
-    body: str,
-    body_rel: int,
-    user_key: str | None,
-    pw_key: str | None,
-    confidence: str,
+    app_id: str, body: str, body_rel: int, user_key: str, pw_key: str, confidence: str
 ) -> ExpectedFinding:
     """Derive the finding an inline form body produces, by locating the
     keys inside the body text the same way the parser will."""
-    username = password = None
-    rel_uoff = rel_poff = None
-    anchor = None
-    if pw_key is not None:
-        at = body.index(f"{pw_key}=")
-        end = body.find("&", at)
-        password = body[at + len(pw_key) + 1 : end if end != -1 else len(body)]
-        rel_poff = body_rel + at + len(pw_key) + 1
-        anchor = body_rel + at
-    if user_key is not None:
-        at = body.index(f"{user_key}=")
-        end = body.find("&", at)
-        username = body[at + len(user_key) + 1 : end if end != -1 else len(body)]
-        rel_uoff = body_rel + at + len(user_key) + 1
-        if anchor is None:
-            anchor = body_rel + at
-    assert anchor is not None
+
+    def field(key: str) -> tuple[int, str]:
+        # (offset of the value in the body, the value up to the next '&')
+        start = body.index(f"{key}=") + len(key) + 1
+        end = body.find("&", start)
+        return start, body[start : end if end != -1 else len(body)]
+
+    user_at, username = field(user_key)
+    pw_at, password = field(pw_key)
     return ExpectedFinding(
         app_id=app_id,
         username=username,
         password_raw=password,
         match_mode=MatchMode.INLINE,
-        rel_offset=anchor,
+        rel_offset=body_rel + pw_at - len(pw_key) - 1,
         confidence=confidence,
         context_snippet=body[:_SNIPPET_LIMIT],
-        rel_username_offset=rel_uoff,
-        rel_password_offset=rel_poff,
+        rel_username_offset=body_rel + user_at,
+        rel_password_offset=body_rel + pw_at,
     )
 
 
@@ -206,10 +196,7 @@ def _sonicwall_template() -> ArtifactTemplate:
     return ArtifactTemplate(
         template_id="sonicwall-inline",
         app_id="sonicwall",
-        layout="inline",
         text_blocks=blocks,
-        planted_username="306110003",
-        planted_password_raw="Nitt500",
         expected=(
             _inline_expected("sonicwall", _SONICWALL_BODY, 527, "uName", "pass", HIGH),
         ),
@@ -226,10 +213,7 @@ def _facebook_ff_template() -> ArtifactTemplate:
     return ArtifactTemplate(
         template_id="facebook-ff-inline",
         app_id="facebook",
-        layout="inline",
         text_blocks=blocks,
-        planted_username="ipsita.chinky@gmail.com",
-        planted_password_raw="who678%2C%3B",
         expected=(
             _inline_expected("facebook", _FACEBOOK_FF_BODY, 100, "email", "pass", HIGH),
         ),
@@ -265,10 +249,7 @@ def _facebook_gc_template() -> ArtifactTemplate:
     return ArtifactTemplate(
         template_id="facebook-gc-adjacent",
         app_id="facebook",
-        layout="adjacent",
         text_blocks=blocks,
-        planted_username="ipsita.chinky@gmail.com",
-        planted_password_raw="berham!19",
         expected=(
             ExpectedFinding(
                 app_id="facebook",
@@ -310,10 +291,7 @@ def _gmail_ff_template() -> ArtifactTemplate:
     return ArtifactTemplate(
         template_id="gmail-ff-cookie-inline",
         app_id="gmail-ff",
-        layout="cookie",
         text_blocks=blocks,
-        planted_username="ipsita.chinky@gmail.com",
-        planted_password_raw="abc*%21123",
         expected=(
             ExpectedFinding(
                 app_id="gmail-ff",
@@ -343,10 +321,7 @@ def _gmail_gc_template() -> ArtifactTemplate:
     return ArtifactTemplate(
         template_id="gmail-gc-adjacent",
         app_id="gmail-gc",
-        layout="adjacent",
         text_blocks=blocks,
-        planted_username="ipsita.chinky@gmail.com",
-        planted_password_raw="awesome^&28",
         expected=(
             ExpectedFinding(
                 app_id="gmail-gc",
@@ -383,10 +358,7 @@ def _irctc_template() -> ArtifactTemplate:
     return ArtifactTemplate(
         template_id="irctc-inline",
         app_id="irctc",
-        layout="inline",
         text_blocks=blocks,
-        planted_username="ipsita689",
-        planted_password_raw="durga21",
         expected=(
             _inline_expected("irctc", _IRCTC_BODY, 980, "userName", "password", HIGH),
         ),
@@ -403,10 +375,7 @@ def _sbi_gc_template() -> ArtifactTemplate:
     return ArtifactTemplate(
         template_id="sbi-gc-inline",
         app_id="sbi",
-        layout="inline",
         text_blocks=blocks,
-        planted_username="ipsitasbi",
-        planted_password_raw="37f08c5d00de89cb3c26e50200ee7242",
         expected=(
             _inline_expected("sbi", _SBI_BODY, 110, "userName", "password", HIGH),
         ),
@@ -434,10 +403,7 @@ def _sbi_ff_template() -> ArtifactTemplate:
     return ArtifactTemplate(
         template_id="sbi-ff-isolated",
         app_id="sbi",
-        layout="inline",
         text_blocks=blocks,
-        planted_username=user,
-        planted_password_raw=None,
         expected=(
             ExpectedFinding(app_id="irctc", **common),
             ExpectedFinding(app_id="sbi", **common),
@@ -482,6 +448,11 @@ class PlannedImage:
     placements: tuple[tuple[str, int], ...]  # (template_id, absolute offset)
 
 
+def _fits_tsv_field(text: str) -> bool:
+    """True if ``text`` can be one field of a manifest line."""
+    return "\t" not in text and "".join(text.splitlines()) == text
+
+
 @dataclass(frozen=True)
 class FabricationPlan:
     image_size: int
@@ -493,13 +464,36 @@ class FabricationPlan:
 
     def __post_init__(self) -> None:
         if self.image_size < 1:
-            raise ValueError("image_size must be positive")
+            raise InvalidOptionError("image_size must be positive")
         if not (0.0 <= self.printable_density < 1.0):
-            raise ValueError("printable_density must be in [0, 1)")
+            raise InvalidOptionError("printable_density must be in [0, 1)")
 
     def validate(self) -> None:
-        """Check every placement fits and placements stay independent."""
+        """Check the corpus stays inside its output directory and reads
+        back as a manifest, every placement fits, and placements stay
+        independent."""
+        if self.session_meta and not all(map(_fits_tsv_field, self.session_meta)):
+            raise ValueError("session_meta holds a tab or line break")
+        seen: set[str] = set()
+        last_step: int | None = None
         for img in self.images:
+            label = img.label
+            # The label names a file in the output directory and starts a
+            # manifest row that it must neither split nor comment out.
+            bad = label in ("", ".", "..") or label != Path(label).name
+            bad = bad or "\0" in label or label.lstrip().startswith("#")
+            if bad or not _fits_tsv_field(label):
+                raise ValueError(f"label {label!r} cannot name an image file")
+            if not _fits_tsv_field(img.step_description):
+                raise ValueError(f"{label}: step description holds a tab or line break")
+            if label in seen:
+                raise DuplicateLabelError(f"duplicate label {label!r}")
+            seen.add(label)
+            if last_step is not None and img.step_index <= last_step:
+                raise NonMonotonicStepError(
+                    f"{label}: step {img.step_index} does not increase past {last_step}"
+                )
+            last_step = img.step_index
             spans: list[tuple[int, int, str]] = []
             for template_id, offset in img.placements:
                 t = template_by_id(template_id)
@@ -526,10 +520,7 @@ def save_plan(plan: FabricationPlan, path: str | Path) -> None:
         "printable_density": plan.printable_density,
         "session_meta": list(plan.session_meta) if plan.session_meta else None,
         "process_map": (
-            [
-                [e.pid, e.name, e.phys_start, e.phys_end, e.virt_base]
-                for e in plan.process_map
-            ]
+            [list(astuple(e)) for e in plan.process_map]
             if plan.process_map is not None
             else None
         ),
@@ -547,68 +538,68 @@ def save_plan(plan: FabricationPlan, path: str | Path) -> None:
 
 
 def load_plan(path: str | Path) -> FabricationPlan:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    pmap = doc.get("process_map")
-    session = doc.get("session_meta")
-    return FabricationPlan(
-        image_size=int(doc["image_size"]),
-        seed=int(doc["seed"]),
-        printable_density=float(doc.get("printable_density", 0.3)),
-        process_map=(
-            tuple(
-                ProcessMapEntry(int(p), str(n), int(s), int(e), int(v))
-                for p, n, s, e, v in pmap
-            )
-            if pmap is not None
-            else None
-        ),
-        session_meta=tuple(session) if session else None,
-        images=tuple(
-            PlannedImage(
-                label=str(img["label"]),
-                step_index=int(img["step_index"]),
-                step_description=str(img.get("step_description", "")),
-                placements=tuple((str(t), int(o)) for t, o in img["placements"]),
-            )
-            for img in doc["images"]
-        ),
-    )
+    """Read a plan saved by ``save_plan``.  A missing key or a wrongly
+    shaped value raises ``ValueError`` naming the file."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        pmap = doc.get("process_map")
+        session = doc.get("session_meta")
+        return FabricationPlan(
+            image_size=int(doc["image_size"]),
+            seed=int(doc["seed"]),
+            printable_density=float(doc.get("printable_density", 0.3)),
+            process_map=(
+                tuple(
+                    ProcessMapEntry(int(p), str(n), int(s), int(e), int(v))
+                    for p, n, s, e, v in pmap
+                )
+                if pmap is not None
+                else None
+            ),
+            session_meta=tuple(session) if session else None,
+            images=tuple(
+                PlannedImage(
+                    label=str(img["label"]),
+                    step_index=int(img["step_index"]),
+                    step_description=str(img.get("step_description", "")),
+                    placements=tuple((str(t), int(o)) for t, o in img["placements"]),
+                )
+                for img in doc["images"]
+            ),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: plan lacks key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed plan: {exc}") from None
 
 
 # --- filler ---------------------------------------------------------------
 
 
-def _forbidden_tokens() -> tuple[bytes, ...]:
-    texts: set[str] = {GAUSR_MARKER}
-    for sig in builtin_catalog():
-        texts.update(sig.username_keys)
-        texts.update(sig.password_keys)
-        texts.update(sig.context_urls)
-    out: list[bytes] = []
-    for t in sorted(texts):
-        out.append(t.encode("ascii"))
-        out.append(t.encode("utf-16-le"))
-    return tuple(out)
-
-
-_FORBIDDEN = _forbidden_tokens()
-
-
-def _has_token(data: bytes) -> bool:
-    return any(tok in data for tok in _FORBIDDEN)
+# Every catalog keyword, context URL and the GAUSR cookie marker holds one
+# of these bytes, in ASCII and UTF-16LE alike, and filler never draws them.
+_EXCLUDED = b"aA."
+_PRINTABLE = np.frombuffer(
+    bytes(b for b in range(0x20, 0x7F) if b not in _EXCLUDED), dtype=np.uint8
+)
+_NON_PRINTABLE = np.frombuffer(
+    bytes(b for b in range(256) if not 0x20 <= b <= 0x7E), dtype=np.uint8
+)
 
 
 def _filler_block(
-    seed: int, image_index: int, block_key: int, size: int, density: float
+    seed: int, image_index: int, block_index: int, size: int, density: float
 ) -> bytes:
-    """One deterministic filler block.  Printable bytes land with the given
-    density; the rest come from the non-printable byte values."""
-    rng = np.random.default_rng([seed, image_index, block_key])
-    mask = rng.random(size) < density
-    printable = rng.integers(0x20, 0x7F, size, dtype=np.uint8)
-    other = rng.integers(0, 0xA1, size, dtype=np.uint8)
-    other = np.where(other < 0x20, other, other + 0x5F).astype(np.uint8)
-    return np.where(mask, printable, other).tobytes()
+    """One deterministic filler block: one uint16 draw per byte, mapped
+    through a table whose first ``round(density * 65536)`` entries cycle
+    through the printable bytes and the rest through the non-printable
+    ones."""
+    rng = np.random.default_rng([seed, image_index, block_index])
+    n = round(density * 65536)
+    table = np.concatenate(
+        (np.resize(_PRINTABLE, n), np.resize(_NON_PRINTABLE, 65536 - n))
+    )
+    return table[rng.integers(0, 65536, size, dtype=np.uint16)].tobytes()
 
 
 # --- fabrication ----------------------------------------------------------
@@ -622,6 +613,10 @@ class FabricationResult:
     process_map_path: Path | None
     ground_truth_path: Path
     ground_truth: dict[str, tuple[CredentialFinding, ...]]
+
+
+def _shift(rel: int | None, offset: int) -> int | None:
+    return None if rel is None else offset + rel
 
 
 def _ground_truth_findings(
@@ -657,16 +652,8 @@ def _ground_truth_findings(
                 confidence=exp.confidence,
                 context_snippet=exp.context_snippet,
                 attributions=tuple(pmap.lookup(anchor)) if pmap is not None else (),
-                username_offset=(
-                    offset + exp.rel_username_offset
-                    if exp.rel_username_offset is not None
-                    else None
-                ),
-                password_offset=(
-                    offset + exp.rel_password_offset
-                    if exp.rel_password_offset is not None
-                    else None
-                ),
+                username_offset=_shift(exp.rel_username_offset, offset),
+                password_offset=_shift(exp.rel_password_offset, offset),
             )
             rows.append((anchor, order[exp.app_id], finding))
     rows.sort(key=lambda r: (r[0], r[1]))
@@ -676,51 +663,20 @@ def _ground_truth_findings(
 def _write_image(
     path: Path, plan: FabricationPlan, img: PlannedImage, image_index: int
 ) -> None:
-    """Stream one image to disk in fixed-size blocks.
-
-    Token freedom is checked on a masked view of each block: planted
-    template ranges are blanked to NULs so only filler bytes (plus the NUL
-    guards they sit against) are inspected.  The previous block's masked
-    tail is prepended so no token can hide across a seam, and a NUL is
-    appended so none can be completed by whatever follows.  A block that
-    fails is regenerated from a shifted substream; everything stays a pure
-    function of the plan.
-    """
-    rendered = [
-        (off, template_by_id(tid).render())
-        for tid, off in sorted(img.placements, key=lambda p: p[1])
-    ]
-    size = plan.image_size
+    """Stream one image to disk in fixed-size blocks: filler, with every
+    template that overlaps the block copied over it."""
+    rendered = [(off, template_by_id(tid).render()) for tid, off in img.placements]
+    size, seed, density = plan.image_size, plan.seed, plan.printable_density
     with open(path, "wb") as fh:
-        prev_tail = b""
-        n_blocks = (size + BLOCK_SIZE - 1) // BLOCK_SIZE
-        for bi in range(n_blocks):
-            start = bi * BLOCK_SIZE
+        for bi, start in enumerate(range(0, size, BLOCK_SIZE)):
             length = min(BLOCK_SIZE, size - start)
-            for attempt in range(_MAX_ATTEMPTS):
-                block = _filler_block(
-                    plan.seed,
-                    image_index,
-                    bi + (attempt << 32),
-                    length,
-                    plan.printable_density,
-                )
-                buf = bytearray(block)
-                masked = bytearray(block)
-                for off, data in rendered:
-                    lo = max(off, start)
-                    hi = min(off + len(data), start + length)
-                    if lo < hi:
-                        buf[lo - start : hi - start] = data[lo - off : hi - off]
-                        masked[lo - start : hi - start] = bytes(hi - lo)
-                if not _has_token(prev_tail + bytes(masked) + b"\x00"):
-                    break
-            else:
-                raise RuntimeError(
-                    f"could not generate token-free filler after {_MAX_ATTEMPTS} attempts"
-                )
+            buf = bytearray(_filler_block(seed, image_index, bi, length, density))
+            for off, data in rendered:
+                lo = max(off, start)
+                hi = min(off + len(data), start + length)
+                if lo < hi:
+                    buf[lo - start : hi - start] = data[lo - off : hi - off]
             fh.write(buf)
-            prev_tail = bytes(masked[-_SEAM:])
 
 
 def fabricate(plan: FabricationPlan, out_dir: str | Path) -> FabricationResult:
@@ -731,13 +687,11 @@ def fabricate(plan: FabricationPlan, out_dir: str | Path) -> FabricationResult:
     out.mkdir(parents=True, exist_ok=True)
     pmap = ProcessMap(plan.process_map) if plan.process_map is not None else None
 
-    image_paths: list[Path] = []
     entries: list[ManifestEntry] = []
     truth: dict[str, tuple[CredentialFinding, ...]] = {}
     for idx, img in enumerate(plan.images):
         path = out / f"{img.label}.img"
         _write_image(path, plan, img, idx)
-        image_paths.append(path)
         entries.append(
             ManifestEntry(img.label, img.step_index, img.step_description, path)
         )
@@ -763,7 +717,7 @@ def fabricate(plan: FabricationPlan, out_dir: str | Path) -> FabricationResult:
     return FabricationResult(
         out_dir=out,
         manifest_path=manifest_path,
-        image_paths=tuple(image_paths),
+        image_paths=tuple(e.path for e in entries),
         process_map_path=map_path,
         ground_truth_path=truth_path,
         ground_truth=truth,
@@ -828,7 +782,7 @@ def table1_preset(
     """The reference timeline: 13 images, both browsers, five
     applications appearing and decaying in the standard pattern."""
     if image_size < 1 << 20:
-        raise ValueError("preset needs at least a 1 MiB image")
+        raise InvalidOptionError("preset needs at least a 1 MiB image")
     scale = image_size / _PRESET_BASE_SIZE
 
     def sc(v: int) -> int:

@@ -7,7 +7,8 @@ agree with each other by construction of the tests, and the production
 carver must agree with both.  ``regions_linear`` groups strings into hit
 regions with every string in hand, and ``match_region_linear`` is the
 region matcher before its lookups were indexed; both are the scanner's
-references.
+references.  ``has_token`` is the fabricator's reference: it checks by
+search what the filler's byte table guarantees by construction.
 """
 
 from __future__ import annotations
@@ -17,9 +18,11 @@ import numpy as np
 from memsift.carver import Encoding
 from memsift.scanner import HIGH, LOW
 from memsift.signatures import (
+    GAUSR_MARKER,
     AdjacentBinder,
     MatchMode,
     SignatureMatch,
+    builtin_catalog,
     cookie_username_offset,
     extract_cookie_username,
     match_inline,
@@ -179,6 +182,26 @@ def random_buffer(seed_parts, size: int, density: float) -> bytes:
     other = rng.integers(0, 0xA1, size, dtype=np.uint8)
     other = np.where(other < 0x20, other, other + 0x5F).astype(np.uint8)
     return np.where(mask, printable, other).tobytes()
+
+
+def _forbidden_tokens() -> tuple[bytes, ...]:
+    texts: set[str] = {GAUSR_MARKER}
+    for sig in builtin_catalog():
+        texts.update(sig.username_keys)
+        texts.update(sig.password_keys)
+        texts.update(sig.context_urls)
+    return tuple(
+        t.encode(codec) for t in sorted(texts) for codec in ("ascii", "utf-16-le")
+    )
+
+
+# Every text whose chance appearance in filler could make a finding: catalog
+# keywords, context URLs and the GAUSR cookie marker, in both encodings.
+FORBIDDEN_TOKENS = _forbidden_tokens()
+
+
+def has_token(data: bytes) -> bool:
+    return any(tok in data for tok in FORBIDDEN_TOKENS)
 
 
 def strings_tuples(extracted) -> list[tuple[int, str, str]]:

@@ -140,6 +140,29 @@ class TestOptionRanges:
         assert f"usage: memsift {argv[0]}" in err
         assert message in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--preset", "table1", "--density", "1.0"], "printable_density must be in [0, 1)"),
+        (["--preset", "table1", "--density", "-0.2"], "printable_density must be in [0, 1)"),
+        (["--preset", "table1", "--image-size", "512K"], "at least a 1 MiB image"),
+        (["--plan", "PLAN", "--image-size", "1M"], "apply only to --preset"),
+        (["--plan", "PLAN", "--seed", "3"], "apply only to --preset"),
+        (["--plan", "PLAN", "--density", "0.3"], "apply only to --preset"),
+    ])
+    def test_fabricate_option_is_a_usage_error(self, capsys, tmp_path, argv, message):
+        from memsift import FabricationPlan, save_plan
+
+        plan = tmp_path / "plan.json"
+        save_plan(FabricationPlan(image_size=64 * 1024, seed=1, images=()), plan)
+        out = tmp_path / "out"
+        argv = [str(plan) if a == "PLAN" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(["fabricate", *argv, "--out", str(out)])
+        assert exc.value.code == 2
+        _out, err = capsys.readouterr()
+        assert "usage: memsift fabricate" in err
+        assert message in err
+        assert not out.exists()
+
 
 class TestMatrix:
     def test_rendered_from_report(self, capsys, corpus_dir, tmp_path):
@@ -213,6 +236,46 @@ class TestFabricate:
                            "--out", str(tmp_path / "out"))
         assert code == 1
         assert "sonicwall-inline" in err and "irctc-inline" in err
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"image_size": 65536, "seed": 1}, "lacks key 'images'"),
+        ({"image_size": 65536, "seed": 1, "images": [{"label": "A"}]}, "lacks key"),
+        ({"image_size": 65536, "seed": 1, "images": 3}, "malformed plan"),
+        ({"image_size": "big", "seed": 1, "images": []}, "malformed plan"),
+        ([], "malformed plan"),
+        # a bad value inside a plan file is the file's fault, not a usage error
+        ({"image_size": 65536, "seed": 1, "printable_density": 1.5, "images": []},
+         "printable_density must be in [0, 1)"),
+    ])
+    def test_malformed_plan_is_an_error_naming_the_file(self, capsys, tmp_path, doc, message):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "fabricate", "--plan", str(path),
+                           "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith(f"error: {path}: ")
+        assert message in err
+
+    @pytest.mark.parametrize("labels, message", [
+        (("../evil",), "label '../evil'"),
+        (("A", "A"), "duplicate label 'A'"),
+        (("a\tb",), "label 'a\\tb'"),
+        (("",), "label ''"),
+    ])
+    def test_plan_that_breaks_the_corpus_writes_nothing(self, capsys, tmp_path, labels, message):
+        from memsift import FabricationPlan, PlannedImage, save_plan
+
+        plan = FabricationPlan(
+            image_size=64 * 1024, seed=1,
+            images=tuple(PlannedImage(lb, 2 * (i + 1), "", ()) for i, lb in enumerate(labels)),
+        )
+        path = tmp_path / "plan.json"
+        save_plan(plan, path)
+        out = tmp_path / "sub" / "out"
+        code, _, err = run(capsys, "fabricate", "--plan", str(path), "--out", str(out))
+        assert code == 1
+        assert message in err
+        assert not (tmp_path / "sub").exists()
 
 
 def test_version_flag(capsys):

@@ -18,10 +18,20 @@ from memsift import (
     table1_preset,
     template_by_id,
 )
-from memsift.errors import OverlapError, PlacementOutOfBoundsError
-from memsift.fabricator import MIN_PLACEMENT_GAP, _filler_block, _has_token
+from memsift.errors import (
+    DuplicateLabelError,
+    NonMonotonicStepError,
+    OverlapError,
+    PlacementOutOfBoundsError,
+)
+from memsift.fabricator import BLOCK_SIZE, MIN_PLACEMENT_GAP, _EXCLUDED, _filler_block
 
 from conftest import SMALL_PMAP, small_plan
+from oracles import FORBIDDEN_TOKENS, has_token
+
+
+def _plan_of(*images: PlannedImage) -> FabricationPlan:
+    return FabricationPlan(image_size=64 * 1024, seed=1, images=images)
 
 
 class TestTemplates:
@@ -104,6 +114,50 @@ class TestPlanValidation:
         with pytest.raises(ValueError):
             FabricationPlan(image_size=4096, seed=1, images=(), printable_density=1.0)
 
+    @pytest.mark.parametrize("label", [
+        "", ".", "..", "../evil", "sub/A", "/abs/A",
+        "a\tb", "a\nb", "a\rb", "# A", "a\0b",
+    ])
+    def test_label_must_be_a_plain_file_name(self, label):
+        # each would write outside the output directory, or leave a
+        # manifest that does not load back with the same rows
+        plan = _plan_of(PlannedImage(label, 2, "", ()))
+        with pytest.raises(ValueError, match="label"):
+            plan.validate()
+
+    @pytest.mark.parametrize("description", ["a\tb", "a\nb", "a\r\nb", "end\n"])
+    def test_step_description_must_fit_one_field(self, description):
+        plan = _plan_of(PlannedImage("A", 2, description, ()))
+        with pytest.raises(ValueError, match="step description"):
+            plan.validate()
+
+    @pytest.mark.parametrize("session", [("Mozilla\nFirefox", "Gmail"), ("Chrome", "a\tb")])
+    def test_session_meta_must_fit_the_directive_line(self, session):
+        plan = FabricationPlan(image_size=4096, seed=1, images=(), session_meta=session)
+        with pytest.raises(ValueError, match="session_meta"):
+            plan.validate()
+
+    def test_repeated_label_rejected(self):
+        plan = _plan_of(
+            PlannedImage("A", 2, "", ()), PlannedImage("A", 4, "", ())
+        )
+        with pytest.raises(DuplicateLabelError):
+            plan.validate()
+
+    @pytest.mark.parametrize("second_step", [2, 1])
+    def test_step_index_must_increase(self, second_step):
+        plan = _plan_of(
+            PlannedImage("A", 2, "", ()), PlannedImage("B", second_step, "", ())
+        )
+        with pytest.raises(NonMonotonicStepError):
+            plan.validate()
+
+    def test_plain_labels_and_free_text_accepted(self):
+        _plan_of(
+            PlannedImage("Img 1", -3, "", ()),
+            PlannedImage("a.b-c_#", 0, "step two: # not a comment", ()),
+        ).validate()
+
 
 def test_plan_save_load_round_trip(tmp_path):
     plan = small_plan()
@@ -126,9 +180,20 @@ class TestFiller:
             assert abs(frac - density) < 0.02
 
     def test_token_check_both_encodings(self):
-        assert _has_token(b"xx irctc.co.in yy")
-        assert _has_token(b"\x00" + "pass".encode("utf-16-le"))
-        assert not _has_token(b"nothing of note")
+        assert has_token(b"xx irctc.co.in yy")
+        assert has_token(b"\x00" + "pass".encode("utf-16-le"))
+        assert not has_token(b"nothing of note")
+
+    def test_every_token_holds_an_excluded_byte(self):
+        # why filler needs no screen: a token anywhere outside the
+        # templates would need a byte that only filler could supply
+        assert FORBIDDEN_TOKENS
+        for token in FORBIDDEN_TOKENS:
+            assert set(token) & set(_EXCLUDED), token
+
+    def test_filler_never_draws_an_excluded_byte(self):
+        block = _filler_block(9, 0, 0, 1 << 20, 0.7)
+        assert not set(block) & set(_EXCLUDED)
 
 
 class TestFabricate(object):
@@ -179,7 +244,7 @@ class TestFabricate(object):
             for tid, off in img.placements:
                 t = template_by_id(tid)
                 data[off : off + t.byte_length] = bytes(t.byte_length)
-            assert not _has_token(bytes(data) + b"\x00")
+            assert not has_token(bytes(data) + b"\x00")
 
     def test_scan_equals_ground_truth(self, small_corpus):
         plan, result = small_corpus
@@ -187,6 +252,26 @@ class TestFabricate(object):
         for path in result.image_paths:
             img = MemoryImage.from_file(path, label=path.stem)
             assert tuple(scan_image(img, process_map=pmap)) == result.ground_truth[path.stem]
+
+    def test_template_across_block_seam(self, tmp_path):
+        # The first block seam falls inside "pass" of the form body, so the
+        # template is written half by one block and half by the next.
+        t = template_by_id("sonicwall-inline")
+        data = t.render()
+        off = BLOCK_SIZE - data.index(b"&pass=") - 3
+        plan = FabricationPlan(
+            image_size=2 * BLOCK_SIZE + 4096, seed=5, printable_density=0.7,
+            images=(PlannedImage("S", 2, "seam", (("sonicwall-inline", off),)),),
+        )
+        result = fabricate(plan, tmp_path)
+        path = result.image_paths[0]
+        image = bytearray(path.read_bytes())
+        assert image[off : off + len(data)] == data
+        findings = scan_image(MemoryImage.from_file(path, label="S"))
+        assert tuple(findings) == result.ground_truth["S"]
+        assert len(findings) == 1
+        image[off : off + len(data)] = bytes(len(data))
+        assert not has_token(bytes(image) + b"\x00")
 
 
 class TestPreset:
