@@ -34,7 +34,7 @@ from typing import IO, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .corpus import DEFAULT_CHUNK_SIZE, MemoryImage
-from .errors import MalformedLineError
+from .errors import InvalidOptionError, MalformedLineError
 
 DEFAULT_MIN_LEN = 4
 DEFAULT_CAP = 4096
@@ -174,19 +174,27 @@ def carve_strings(
 
     Offsets within one encoding are strictly increasing; across encodings the
     stream is merged by offset (ASCII first on the rare exact tie).  The
-    generator holds only the current chunk plus a carry of under
+    options are checked when this is called, not when the stream is first
+    read.  The stream holds only the current chunk plus a carry of under
     ``2*cap+1`` bytes, so peak memory does not depend on image size.
     """
     if min_len < 1:
-        raise ValueError("min_len must be at least 1")
+        raise InvalidOptionError("min_len must be at least 1")
     if cap < min_len:
-        raise ValueError("cap must be >= min_len")
+        raise InvalidOptionError("cap must be >= min_len")
+    if chunk_size < 1:
+        raise InvalidOptionError("chunk_size must be at least 1")
     wanted = list(dict.fromkeys(Encoding(e) for e in encodings))
     if not wanted:
-        raise ValueError("at least one encoding is required")
+        raise InvalidOptionError("at least one encoding is required")
     if isinstance(image, (bytes, bytearray)):
         image = MemoryImage.from_bytes(bytes(image))
+    return _carve(image, wanted, min_len, cap, chunk_size)
 
+
+def _carve(
+    image: MemoryImage, wanted: list[Encoding], min_len: int, cap: int, chunk_size: int
+) -> Iterator[ExtractedString]:
     resume = [0, 0, 0]
     carry, base = b"", 0
     for chunk in image.chunks(chunk_size):

@@ -137,11 +137,9 @@ def _add_scan_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_strings(args: argparse.Namespace) -> int:
-    # Reject out-of-range carve options before touching the image.
-    ScanOptions(min_len=args.min_len, chunk_size=args.chunk_size, cap=args.cap)
-    image = MemoryImage.from_file(args.image)
+    # carve_strings rejects out-of-range options before the output opens.
     strings = carve_strings(
-        image,
+        MemoryImage.from_file(args.image),
         args.min_len,
         args.encoding or BOTH_ENCODINGS,
         chunk_size=args.chunk_size,

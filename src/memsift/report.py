@@ -11,6 +11,7 @@ import datetime as _dt
 import json
 from typing import Mapping, Sequence
 
+from .carver import BOTH_ENCODINGS, DEFAULT_CAP
 from .corpus import ImageManifest
 from .procmap import Attribution
 from .scanner import CredentialFinding, PresenceMatrix, ScanOptions
@@ -42,14 +43,16 @@ def finding_to_doc(f: CredentialFinding) -> dict:
 
 
 def _options_doc(options: ScanOptions) -> dict:
+    # encodings, cap and case_sensitive are fixed; the keys stay so that
+    # reports keep their layout.
     return {
         "min_len": options.min_len,
-        "encodings": [e.value for e in options.encodings],
+        "encodings": [e.value for e in BOTH_ENCODINGS],
         "delta": options.delta,
         "window": options.window,
         "chunk_size": options.chunk_size,
-        "cap": options.cap,
-        "case_sensitive": options.case_sensitive,
+        "cap": DEFAULT_CAP,
+        "case_sensitive": True,
     }
 
 

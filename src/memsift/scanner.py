@@ -32,7 +32,6 @@ from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .carver import (
-    BOTH_ENCODINGS,
     DEFAULT_CAP,
     DEFAULT_MIN_LEN,
     Encoding,
@@ -102,13 +101,13 @@ _SNIPPET_LIMIT = 256
 
 @dataclass(frozen=True)
 class ScanOptions:
+    """The scan always matches exact-case keys, in both encodings, on
+    strings carved at ``DEFAULT_CAP``."""
+
     min_len: int = DEFAULT_MIN_LEN
-    encodings: tuple[Encoding, ...] = BOTH_ENCODINGS
     delta: int = DEFAULT_DELTA
     window: int = DEFAULT_WINDOW
     chunk_size: int = DEFAULT_CHUNK_SIZE
-    cap: int = DEFAULT_CAP
-    case_sensitive: bool = True
 
     def __post_init__(self) -> None:
         for name, floor in (
@@ -116,8 +115,8 @@ class ScanOptions:
         ):
             if getattr(self, name) < floor:
                 raise InvalidOptionError(f"{name} must be at least {floor}")
-        if self.cap < self.min_len:
-            raise InvalidOptionError("cap must be >= min_len")
+        if self.min_len > DEFAULT_CAP:
+            raise InvalidOptionError(f"min_len must be at most {DEFAULT_CAP}")
 
 
 @dataclass(frozen=True)
@@ -171,7 +170,7 @@ def assign_confidence(
     return LOW
 
 
-def _prefilter(catalog: Sequence[CredentialSignature], case_sensitive: bool) -> re.Pattern:
+def _prefilter(catalog: Sequence[CredentialSignature]) -> re.Pattern:
     tokens: set[str] = set()
     for sig in catalog:
         tokens.update(sig.username_keys)
@@ -179,8 +178,7 @@ def _prefilter(catalog: Sequence[CredentialSignature], case_sensitive: bool) -> 
         if sig.username_marker:
             tokens.add(sig.username_marker)
     ordered = sorted(tokens, key=len, reverse=True)
-    flags = 0 if case_sensitive else re.IGNORECASE
-    return re.compile("|".join(re.escape(t) for t in ordered), flags)
+    return re.compile("|".join(re.escape(t) for t in ordered))
 
 
 def _attach_cookie_usernames(
@@ -261,12 +259,12 @@ def _match_region(
         if not pairs:
             continue
         for sig in catalog:
-            m = match_inline(s, sig, case_sensitive=opts.case_sensitive, pairs=pairs)
+            m = match_inline(s, sig, pairs=pairs)
             if m is not None:
                 matches.append(m)
 
     # Adjacent: key and value carved as separate neighbouring strings.
-    binder = AdjacentBinder(catalog, opts.delta, opts.case_sensitive)
+    binder = AdjacentBinder(catalog, opts.delta)
     bindings = []
     for s in strings:
         bindings.extend(binder.push(s))
@@ -374,13 +372,11 @@ def scan_image(
     if pmap is not None and not isinstance(pmap, ProcessMap):
         pmap = ProcessMap(pmap)
 
-    hit_re = _prefilter(catalog, opts.case_sensitive)
+    hit_re = _prefilter(catalog)
     # Reach past a hit that can still interact with it: context window
     # plus adjacency gap plus a little for key text itself.
     reach = opts.window + opts.delta + 256
-    strings = carve_strings(
-        image, opts.min_len, opts.encodings, chunk_size=opts.chunk_size, cap=opts.cap
-    )
+    strings = carve_strings(image, opts.min_len, chunk_size=opts.chunk_size)
     matches = [
         match
         for region in _regions(strings, hit_re, reach)

@@ -2,8 +2,8 @@
 
 A signature names the exact form-field keywords an application uses for its
 login, the URL fragments that identify its login context, and what shape
-its stored values take.  Matching is exact-case by default because the
-keywords really are case-sensitive on the wire: ``pass`` must never match a
+its stored values take.  Matching is exact-case because the keywords
+really are case-sensitive on the wire: ``pass`` must never match a
 ``Passwd`` pair.
 
 Two layouts occur in practice.  Firefox tends to leave the whole
@@ -54,11 +54,8 @@ class CredentialSignature:
         if not self.username_keys or not self.password_keys:
             raise ValueError(f"{self.app_id}: key lists must be non-empty")
 
-    def is_key(self, text: str, case_sensitive: bool = True) -> bool:
-        keys = self.username_keys + self.password_keys
-        if case_sensitive:
-            return text in keys
-        return text.lower() in tuple(k.lower() for k in keys)
+    def is_key(self, text: str) -> bool:
+        return text in self.username_keys or text in self.password_keys
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,18 +219,11 @@ def parse_form_pairs(string: ExtractedString) -> list[KeyValuePair]:
 
 
 def _first_pair(
-    pairs: Iterable[KeyValuePair], keys: tuple[str, ...], case_sensitive: bool
+    pairs: Iterable[KeyValuePair], keys: tuple[str, ...]
 ) -> KeyValuePair | None:
-    if case_sensitive:
-        wanted = set(keys)
-        for p in pairs:
-            if p.key in wanted and p.value:
-                return p
-    else:
-        wanted = {k.lower() for k in keys}
-        for p in pairs:
-            if p.key.lower() in wanted and p.value:
-                return p
+    for p in pairs:
+        if p.key in keys and p.value:
+            return p
     return None
 
 
@@ -241,7 +231,6 @@ def match_inline(
     string: ExtractedString,
     sig: CredentialSignature,
     *,
-    case_sensitive: bool = True,
     pairs: list[KeyValuePair] | None = None,
 ) -> SignatureMatch | None:
     """Match a signature against one carved string treated as a form body.
@@ -254,8 +243,8 @@ def match_inline(
         pairs = parse_form_pairs(string)
     if not pairs:
         return None
-    upair = _first_pair(pairs, sig.username_keys, case_sensitive)
-    ppair = _first_pair(pairs, sig.password_keys, case_sensitive)
+    upair = _first_pair(pairs, sig.username_keys)
+    ppair = _first_pair(pairs, sig.password_keys)
     if upair is None and ppair is None:
         return None
     return SignatureMatch(
@@ -281,7 +270,6 @@ class AdjacentBinding:
     key_offset: int
     value: str
     value_offset: int
-    consumed: bool = False
 
 
 class AdjacentBinder:
@@ -294,31 +282,22 @@ class AdjacentBinder:
     """
 
     def __init__(
-        self,
-        catalog: Sequence[CredentialSignature],
-        delta: int = DEFAULT_DELTA,
-        case_sensitive: bool = True,
+        self, catalog: Sequence[CredentialSignature], delta: int = DEFAULT_DELTA
     ):
         self.delta = delta
-        self.case_sensitive = case_sensitive
         self._keys: dict[str, list[tuple[CredentialSignature, str]]] = {}
         for sig in catalog:
             for k in sig.username_keys:
-                self._keys.setdefault(self._fold(k), []).append((sig, "username"))
+                self._keys.setdefault(k, []).append((sig, "username"))
             for k in sig.password_keys:
-                self._keys.setdefault(self._fold(k), []).append((sig, "password"))
+                self._keys.setdefault(k, []).append((sig, "password"))
         # (sig, kind, key text, key offset, key end) of the last key string
         self._pending: list[tuple[CredentialSignature, str, str, int, int]] = []
-
-    def _fold(self, text: str) -> str:
-        return text if self.case_sensitive else text.lower()
 
     def push(self, string: ExtractedString) -> list[AdjacentBinding]:
         out: list[AdjacentBinding] = []
         for sig, kind, text, offset, end in self._pending:
-            if string.offset <= end + self.delta and not sig.is_key(
-                string.text, self.case_sensitive
-            ):
+            if string.offset <= end + self.delta and not sig.is_key(string.text):
                 out.append(
                     AdjacentBinding(
                         sig=sig,
@@ -330,7 +309,7 @@ class AdjacentBinder:
                     )
                 )
         self._pending.clear()
-        hits = self._keys.get(self._fold(string.text))
+        hits = self._keys.get(string.text)
         if hits:
             end = string.offset + string.byte_length
             for sig, kind in hits:
@@ -343,7 +322,8 @@ class NearestOffsets:
 
     ``nearest`` returns the index of the offset closest to a target within
     ``window``; on equal distance the lower offset wins, and among equal
-    offsets the first index.  ``take`` removes an index from later lookups.
+    offsets the first index.  ``take`` removes an index from later lookups,
+    and ``taken`` tells whether it was removed.
     Taken runs are skipped through path-compressed links, one per
     direction, so lookups cost O(log n) amortised however many are taken.
     """
@@ -367,6 +347,9 @@ class NearestOffsets:
         self._up[i] = i + 1
         self._down[i + 1] = i
 
+    def taken(self, i: int) -> bool:
+        return self._up[i] != i
+
     def nearest(self, target: int, window: int) -> int | None:
         offsets = self.offsets
         pos = bisect_left(offsets, target)
@@ -389,7 +372,7 @@ def combine_bindings(
 ) -> list[SignatureMatch]:
     """Fuse username and password bindings of one signature into matches.
 
-    Each password, in binding order, takes the nearest unconsumed username
+    Each password, in binding order, takes the nearest untaken username
     within the context window (the lower offset on a tie); usernames left
     over surface as username-only matches, passwords as password-only.
     Everything is reported, nothing silently dropped.  Bindings must be
@@ -398,16 +381,12 @@ def combine_bindings(
     mine = [b for b in bindings if b.sig.app_id == sig.app_id]
     users = [b for b in mine if b.kind == "username"]
     free = NearestOffsets([u.key_offset for u in users])
-    for i, u in enumerate(users):
-        if u.consumed:
-            free.take(i)
     matches: list[SignatureMatch] = []
     for pw in (b for b in mine if b.kind == "password"):
         best: AdjacentBinding | None = None
         i = free.nearest(pw.key_offset, window)
         if i is not None:
             best = users[i]
-            best.consumed = True
             free.take(i)
         parts = sorted(
             ([best] if best else []) + [pw], key=lambda b: b.key_offset
@@ -426,8 +405,8 @@ def combine_bindings(
                 context_text=text,
             )
         )
-    for u in users:
-        if u.consumed:
+    for i, u in enumerate(users):
+        if free.taken(i):
             continue
         matches.append(
             SignatureMatch(
@@ -448,11 +427,9 @@ def match_adjacent(
     sig: CredentialSignature,
     delta: int = DEFAULT_DELTA,
     window: int = DEFAULT_WINDOW,
-    *,
-    case_sensitive: bool = True,
 ) -> list[SignatureMatch]:
     """Batch adjacent-mode matching over an in-order string sequence."""
-    binder = AdjacentBinder([sig], delta, case_sensitive)
+    binder = AdjacentBinder([sig], delta)
     bindings: list[AdjacentBinding] = []
     for s in strings:
         bindings.extend(binder.push(s))

@@ -251,18 +251,21 @@ def assign_confidence_linear(anchor, context, sig, window):
 def combine_bindings_linear(bindings, sig, window):
     mine = [b for b in bindings if b.sig.app_id == sig.app_id]
     users = [b for b in mine if b.kind == "username"]
+    consumed = set()
     matches = []
     for pw in (b for b in mine if b.kind == "password"):
-        best = None
-        for u in users:
-            if u.consumed or abs(u.key_offset - pw.key_offset) > window:
+        nearest = None
+        for i, u in enumerate(users):
+            if i in consumed or abs(u.key_offset - pw.key_offset) > window:
                 continue
-            if best is None or abs(u.key_offset - pw.key_offset) < abs(
-                best.key_offset - pw.key_offset
+            if nearest is None or abs(u.key_offset - pw.key_offset) < abs(
+                users[nearest].key_offset - pw.key_offset
             ):
-                best = u
-        if best is not None:
-            best.consumed = True
+                nearest = i
+        best = None
+        if nearest is not None:
+            consumed.add(nearest)
+            best = users[nearest]
         parts = sorted(([best] if best else []) + [pw], key=lambda b: b.key_offset)
         matches.append(
             SignatureMatch(
@@ -277,8 +280,8 @@ def combine_bindings_linear(bindings, sig, window):
                 context_text=" ".join(x for b in parts for x in (b.key_text, b.value)),
             )
         )
-    for u in users:
-        if not u.consumed:
+    for i, u in enumerate(users):
+        if i not in consumed:
             matches.append(
                 SignatureMatch(
                     signature=sig,
@@ -356,11 +359,11 @@ def match_region_linear(strings, catalog, opts, hit_re):
         if not pairs:
             continue
         for sig in catalog:
-            m = match_inline(s, sig, case_sensitive=opts.case_sensitive, pairs=pairs)
+            m = match_inline(s, sig, pairs=pairs)
             if m is not None:
                 matches.append(m)
 
-    binder = AdjacentBinder(catalog, opts.delta, opts.case_sensitive)
+    binder = AdjacentBinder(catalog, opts.delta)
     bindings = []
     for s in strings:
         bindings.extend(binder.push(s))

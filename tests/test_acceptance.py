@@ -157,7 +157,8 @@ def test_criterion_3_table1_reproduction(tmp_path):
 def test_criterion_4_carver_oracle_equivalence():
     t0 = time.process_time()
     densities = (0.1, 0.3, 0.7)
-    chunk_sizes = (4 * 1024, 64 * 1024, 1024 * 1024)
+    # 65535 cuts each 64 KiB buffer one byte short, then a 1-byte chunk.
+    chunk_sizes = (4 * 1024, 64 * 1024, 65535)
     for i in range(1000):
         density = densities[i % 3]
         data = random_buffer([8801, i], 64 * 1024, density)

@@ -16,7 +16,7 @@ from memsift import (
     parse_strings_file,
     write_strings_file,
 )
-from memsift.errors import MalformedLineError
+from memsift.errors import InvalidOptionError, MalformedLineError
 
 from oracles import carve_bruteforce, carve_numpy, random_buffer, strings_tuples
 
@@ -67,6 +67,18 @@ def test_encoding_restriction():
     assert [s.text for s in only_ascii] == ["plain"]
     only_wide = carve_strings(data, encodings=(Encoding.UTF16LE,))
     assert [s.text for s in only_wide] == ["wide"]
+
+
+@pytest.mark.parametrize("bad, message", [
+    (dict(min_len=0), "min_len must be at least 1"),
+    (dict(cap=0), "cap must be >= min_len"),
+    (dict(chunk_size=0), "chunk_size must be at least 1"),
+    (dict(encodings=()), "at least one encoding is required"),
+])
+def test_bad_options_raise_on_call(bad, message):
+    # Raised by the call itself, before any string is pulled.
+    with pytest.raises(InvalidOptionError, match=message):
+        carve_strings(b"abcdabcd", **bad)
 
 
 def test_cap_splits_long_runs():

@@ -131,14 +131,20 @@ class TestOptionRanges:
         (["scan", "--window", "-5"], "window must be at least 0"),
         (["scan", "--min-len", "0"], "min_len must be at least 1"),
         (["strings", "--cap", "0"], "cap must be >= min_len"),
+        (["scan", "--min-len", "5000"], "min_len must be at most 4096"),
+        (["strings", "--min-len", "0"], "min_len must be at least 1"),
     ])
-    def test_out_of_range_option_is_a_usage_error(self, capsys, corpus_dir, argv, message):
+    def test_out_of_range_option_is_a_usage_error(
+        self, capsys, corpus_dir, tmp_path, argv, message
+    ):
+        out = tmp_path / "out"
         with pytest.raises(SystemExit) as exc:
-            main([argv[0], str(corpus_dir / "Img4.img"), *argv[1:]])
+            main([argv[0], str(corpus_dir / "Img4.img"), *argv[1:], "--out", str(out)])
         assert exc.value.code == 2
         _out, err = capsys.readouterr()
         assert f"usage: memsift {argv[0]}" in err
         assert message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
         (["--preset", "table1", "--density", "1.0"], "printable_density must be in [0, 1)"),

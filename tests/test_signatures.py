@@ -172,12 +172,8 @@ class TestMatchInline:
         assert m is not None and m.password_raw is None
         assert match_inline(_s(0, "Passwd=nope"), _sig("facebook")) is None
 
-    def test_case_sensitivity_toggle(self):
-        s = _s(0, "USERNAME=A&PASSWORD=B")
-        assert match_inline(s, _sig("irctc")) is None
-        relaxed = match_inline(s, _sig("irctc"), case_sensitive=False)
-        assert relaxed is not None
-        assert relaxed.password_raw == "B"
+    def test_keys_match_exact_case(self):
+        assert match_inline(_s(0, "USERNAME=A&PASSWORD=B"), _sig("irctc")) is None
 
     def test_anchor_prefers_password_key(self):
         s = _s(10, "userName=u&password=p")
@@ -260,6 +256,14 @@ class TestAdjacentMatching:
         incremental = combine_bindings(gc, _sig("gmail-gc"))
         batch = match_adjacent(strings, _sig("gmail-gc"))
         assert incremental == batch
+
+    def test_combining_leaves_bindings_reusable(self):
+        strings = [_s(0, "Email"), _s(8, "a@b.c"), _s(60, "Passwd"), _s(70, "s3cret")]
+        binder = AdjacentBinder([_sig("gmail-gc")])
+        bindings = [b for s in strings for b in binder.push(s)]
+        first = combine_bindings(bindings, _sig("gmail-gc"))
+        assert [(m.username_raw, m.password_raw) for m in first] == [("a@b.c", "s3cret")]
+        assert combine_bindings(bindings, _sig("gmail-gc")) == first
 
     def test_trailing_bare_key_yields_nothing(self):
         # a keyword with no following string can't bind a value
