@@ -22,25 +22,19 @@ from .carver import (
     carve_strings,
     write_strings_file,
 )
-from .corpus import DEFAULT_CHUNK_SIZE, ImageManifest, MemoryImage, load_manifest
-from .errors import InvalidOptionError, MemsiftError, UnknownLabelError
+from .corpus import DEFAULT_CHUNK_SIZE, MemoryImage, load_manifest
+from .errors import InvalidOptionError, MemsiftError
 from .fabricator import fabricate, load_plan, table1_preset
 from .procmap import ProcessMap, load_process_map
 from .report import (
     build_report,
-    doc_to_finding,
     load_report,
     render_json,
     render_matrix_table,
     render_text,
+    report_matrix,
 )
-from .scanner import (
-    ScanOptions,
-    browser_tag,
-    build_presence_matrix,
-    scan_image,
-    scan_manifest,
-)
+from .scanner import ScanOptions, build_presence_matrix, scan_image, scan_manifest
 from .signatures import (
     DEFAULT_DELTA,
     DEFAULT_WINDOW,
@@ -48,10 +42,6 @@ from .signatures import (
     load_catalog_file,
     merge_catalogs,
 )
-
-# Manifests are small text files; anything bigger is assumed to be an image.
-_MANIFEST_SNIFF_LIMIT = 4 << 20
-
 
 def _parse_size(text: str) -> int:
     """Sizes like 512, 64K, 16M, 1G."""
@@ -78,31 +68,6 @@ def _parse_offset(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"offset must be non-negative: {text!r}")
     return value
-
-
-def _sniff_manifest(path: Path) -> ImageManifest | None:
-    """Decide whether the scan target is a manifest or a raw image.
-
-    Files with a manifest-style suffix are parsed strictly so defects
-    surface instead of being mistaken for image bytes.  Anything else is
-    treated as a manifest only when it is small, decodes as text and has
-    tab-separated data lines.
-    """
-    if path.suffix.lower() in (".tsv", ".manifest"):
-        return load_manifest(path)
-    if path.stat().st_size > _MANIFEST_SNIFF_LIMIT:
-        return None
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (UnicodeDecodeError, OSError):
-        return None
-    for line in text.splitlines():
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        if "\t" not in line:
-            return None
-        return load_manifest(path)
-    return None
 
 
 def _load_catalog(path: str | None):
@@ -163,7 +128,9 @@ def cmd_scan(args: argparse.Namespace) -> int:
         else None
     )
     target = Path(args.target)
-    manifest = _sniff_manifest(target)
+    # The name alone tells a manifest from an image, whatever the content.
+    is_manifest = target.suffix.lower() in (".tsv", ".manifest")
+    manifest = load_manifest(target) if is_manifest else None
     if manifest is not None:
         findings = scan_manifest(manifest, catalog, options, pmap)
         labels = manifest.labels()
@@ -189,23 +156,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
 def cmd_matrix(args: argparse.Namespace) -> int:
     blocks: list[str] = []
     for path in args.report:
-        doc = load_report(Path(path).read_text(encoding="utf-8"))
-        labels: list[str] = []
-        findings: dict[str, list] = {}
-        for image in doc.get("images", ()):
-            label = image["label"]
-            if label in findings:
-                raise UnknownLabelError(f"label {label!r} appears twice in {path}")
-            labels.append(label)
-            findings[label] = [
-                doc_to_finding(fd, label) for fd in image["findings"]
-            ]
-        session = doc.get("session")
-        matrix = build_presence_matrix(
-            labels,
-            findings,
-            session_browser=browser_tag(session[0]) if session else None,
-        )
+        try:
+            matrix = report_matrix(load_report(Path(path).read_text(encoding="utf-8")))
+        except ValueError as exc:  # malformed JSON is a ValueError too
+            raise ValueError(f"{path}: {exc}") from None
         blocks.append(render_matrix_table(matrix))
     _write_output("\n\n".join(blocks) + "\n", args.out)
     return 0
@@ -270,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_strings)
 
     p = sub.add_parser("scan", help="scan a manifest or single image for credentials")
-    p.add_argument("target", help="manifest TSV or raw image file")
+    p.add_argument("target", help="manifest (.tsv or .manifest) or raw image file")
     _add_scan_flags(p)
     p.set_defaults(func=cmd_scan)
 

@@ -49,7 +49,6 @@ class ImageManifest:
     """Ordered acquisition timeline. Entry order follows the file."""
 
     entries: tuple[ManifestEntry, ...]
-    source: Path | None = None
     # (browser name, application name) when the whole session used one pair.
     session_meta: tuple[str, str] | None = None
 
@@ -193,7 +192,7 @@ def load_manifest(path: str | Path) -> ImageManifest:
         if img_path.stat().st_size == 0:
             raise ZeroSizeError(f"{src}:{lineno}: image file is empty: {img_path}")
         entries.append(ManifestEntry(label, step, description, img_path))
-    return ImageManifest(entries=tuple(entries), source=src, session_meta=session_meta)
+    return ImageManifest(entries=tuple(entries), session_meta=session_meta)
 
 
 def open_image(entry: ManifestEntry) -> MemoryImage:

@@ -88,13 +88,13 @@ def classify_value(
 
     Opaque-signature values and bare 32-char lowercase hex strings are
     reported suspected-encrypted with decoded == raw: decoding a digest
-    would only destroy evidence.  Otherwise the presence of a valid %XX
-    escape decides percent-encoded vs plaintext; plaintext always keeps
-    decoded == raw.
+    would only destroy evidence.  Otherwise a valid %XX escape, or with
+    ``plus_as_space`` any ``+``, makes the value percent-encoded; plaintext
+    always keeps decoded == raw.
     """
     if expected is ValueEncoding.OPAQUE or _MD5_LIKE.match(raw):
         return DecodedValue(raw, raw, Classification.SUSPECTED_ENCRYPTED)
-    if has_percent_escape(raw):
+    if has_percent_escape(raw) or (plus_as_space and "+" in raw):
         return DecodedValue(
             raw, percent_decode(raw, plus_as_space), Classification.PERCENT_ENCODED
         )

@@ -13,7 +13,6 @@ from typing import Mapping, Sequence
 
 from .carver import BOTH_ENCODINGS, DEFAULT_CAP
 from .corpus import ImageManifest
-from .procmap import Attribution
 from .scanner import CredentialFinding, PresenceMatrix, ScanOptions
 
 
@@ -65,28 +64,6 @@ def matrix_to_doc(matrix: PresenceMatrix) -> dict:
             for row in matrix.rows
         },
     }
-
-
-def doc_to_finding(fd: dict, image_label: str) -> CredentialFinding:
-    """Rebuild a finding from its report dict form."""
-    return CredentialFinding(
-        app_id=fd["app_id"],
-        image_label=image_label,
-        username=fd["username"],
-        password_raw=fd["password_raw"],
-        password_decoded=fd["password_decoded"],
-        encrypted=fd["encrypted"],
-        match_mode=fd["match_mode"],
-        offset=fd["offset"],
-        confidence=fd["confidence"],
-        context_snippet=fd["context_snippet"],
-        attributions=tuple(
-            Attribution(a["pid"], a["process_name"], a["virtual_address"])
-            for a in fd.get("attributions", ())
-        ),
-        username_offset=fd.get("username_offset"),
-        password_offset=fd.get("password_offset"),
-    )
 
 
 def build_report(
@@ -193,3 +170,28 @@ def render_matrix_table(matrix: PresenceMatrix | dict) -> str:
 
 def load_report(text: str) -> dict:
     return json.loads(text)
+
+
+def report_matrix(doc: object) -> dict:
+    """The matrix a ``scan`` report carries, checked for the shape
+    ``matrix_to_doc`` writes.  Anything else raises ``ValueError``."""
+    matrix = doc.get("matrix") if isinstance(doc, dict) else None
+    if not isinstance(matrix, dict):
+        raise ValueError("not a scan report: no matrix object")
+    rows, columns, cells = (matrix.get(k) for k in ("rows", "columns", "cells"))
+    if not _strings(rows):
+        raise ValueError("matrix rows must be a list of strings")
+    if not (isinstance(columns, list) and all(_strings(c) and len(c) == 2 for c in columns)):
+        raise ValueError("matrix columns must be [app, browser] string pairs")
+    if not isinstance(cells, dict):
+        raise ValueError("matrix cells must be an object keyed by row")
+    for row in rows:
+        values = cells.get(row)
+        if not (_strings(values) and len(values) == len(columns)
+                and set(values) <= {"Yes", "No"}):
+            raise ValueError(f"matrix cells for {row!r} must be one Yes or No per column")
+    return matrix
+
+
+def _strings(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)

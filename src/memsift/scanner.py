@@ -81,6 +81,8 @@ STANDARD_COLUMNS: tuple[tuple[str, str], ...] = (
     ("sbi", GC),
 )
 
+_ALL_TAGS = frozenset(tag for _, tag in STANDARD_COLUMNS)
+
 # Which OS process implies which browser column.
 BROWSER_PROCESSES: Mapping[str, str] = {"firefox.exe": MF, "chrome.exe": GC}
 
@@ -449,32 +451,22 @@ class PresenceMatrix:
         return self.cells[r][c]
 
 
-def _finding_browsers(
-    f: CredentialFinding,
-    session_browser: str | None,
-    browser_processes: Mapping[str, str],
-    all_tags: frozenset[str],
-) -> frozenset[str]:
-    if f.attributions:
-        tags = {
-            browser_processes[a.process_name.lower()]
-            for a in f.attributions
-            if a.process_name.lower() in browser_processes
-        }
-        if tags:
-            return frozenset(tags)
+def _finding_browsers(f: CredentialFinding, session_browser: str | None) -> frozenset[str]:
+    tags = frozenset(
+        BROWSER_PROCESSES[name]
+        for a in f.attributions
+        if (name := a.process_name.lower()) in BROWSER_PROCESSES
+    )
+    if tags:
+        return tags
     if session_browser:
         return frozenset({session_browser})
-    return all_tags
+    return _ALL_TAGS
 
 
 def build_presence_matrix(
     rows: ImageManifest | Sequence[str],
     findings_by_image: Mapping[str, Sequence[CredentialFinding]],
-    columns: Sequence[tuple[str, str]] = STANDARD_COLUMNS,
-    *,
-    session_browser: str | None = None,
-    browser_processes: Mapping[str, str] = BROWSER_PROCESSES,
 ) -> PresenceMatrix:
     """Reduce findings to the password-presence grid.
 
@@ -482,12 +474,13 @@ def build_presence_matrix(
     image still carries the password bytes; encrypted counts, the password
     was present even if unreadable.  Which browser column a finding feeds
     comes from its process attribution when one names a known browser, else
-    from the session metadata, else it counts for every column of its
-    application (the conservative reading).
+    from the manifest's session metadata, else it counts for every column
+    of its application (the conservative reading).
     """
+    session_browser = None
     if isinstance(rows, ImageManifest):
         labels = tuple(rows.labels())
-        if session_browser is None and rows.session_meta is not None:
+        if rows.session_meta is not None:
             session_browser = browser_tag(rows.session_meta[0])
     else:
         labels = tuple(rows)
@@ -495,19 +488,17 @@ def build_presence_matrix(
     for label in findings_by_image:
         if label not in known:
             raise UnknownLabelError(f"findings reference unknown image label {label!r}")
-    all_tags = frozenset(tag for _, tag in columns)
     grid: list[tuple[str, ...]] = []
     for label in labels:
         row: list[str] = []
         per_image = findings_by_image.get(label, ())
-        for app_id, tag in columns:
+        for app_id, tag in STANDARD_COLUMNS:
             yes = any(
                 f.app_id == app_id
                 and f.password_raw is not None
-                and tag
-                in _finding_browsers(f, session_browser, browser_processes, all_tags)
+                and tag in _finding_browsers(f, session_browser)
                 for f in per_image
             )
             row.append("Yes" if yes else "No")
         grid.append(tuple(row))
-    return PresenceMatrix(rows=labels, columns=tuple(columns), cells=tuple(grid))
+    return PresenceMatrix(rows=labels, columns=STANDARD_COLUMNS, cells=tuple(grid))

@@ -195,7 +195,10 @@ def merge_catalogs(
 def parse_form_pairs(string: ExtractedString) -> list[KeyValuePair]:
     """Split a carved string as a form body: fragments on ``&``, then key
     from value at the first ``=``.  Fragments without ``=`` are dropped.
-    Offsets are absolute byte positions (UTF-16LE characters count double).
+    So that a request line (``GET /p?k=v&k2=v2 HTTP/1.1``) reads as its
+    query, a key starts after the last ``?`` before its ``=`` and a value
+    ends at its first space; a URL-encoded body holds neither.  Offsets are
+    absolute byte positions (UTF-16LE characters count double).
     """
     unit = 2 if string.encoding is Encoding.UTF16LE else 1
     pairs: list[KeyValuePair] = []
@@ -204,13 +207,12 @@ def parse_form_pairs(string: ExtractedString) -> list[KeyValuePair]:
     for fragment in text.split("&"):
         eq = fragment.find("=")
         if eq >= 0:
-            key = fragment[:eq]
-            value = fragment[eq + 1 :]
+            start = fragment.rfind("?", 0, eq) + 1
             pairs.append(
                 KeyValuePair(
-                    key=key,
-                    value=value,
-                    key_offset=string.offset + unit * pos,
+                    key=fragment[start:eq],
+                    value=fragment[eq + 1 :].partition(" ")[0],
+                    key_offset=string.offset + unit * (pos + start),
                     value_offset=string.offset + unit * (pos + eq + 1),
                 )
             )

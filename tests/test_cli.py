@@ -118,6 +118,20 @@ class TestScan:
         assert code == 1
         assert "nope.tsv" in err
 
+    @pytest.mark.parametrize("name, data", [
+        ("text.img", b"uName=u1&pass=p1\tjunk\n" + b"\x00" * 64),
+        # a manifest is told by its name, never by its content
+        ("corpus.txt", b"Img4\t4\tlogged in\tImg4.img\n"),
+    ], ids=["text-image", "manifest-named-txt"])
+    def test_any_other_name_scans_as_an_image(self, capsys, tmp_path, name, data):
+        target = tmp_path / name
+        target.write_bytes(data)
+        code, out, err = run(capsys, "scan", str(target), "--deterministic")
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert "manifest" not in doc
+        assert [img["label"] for img in doc["images"]] == [target.stem]
+
     def test_broken_manifest_reports_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "broken.tsv"
         bad.write_text("A\tnot-a-number\tx\tmissing.raw\n")
@@ -184,6 +198,25 @@ class TestMatrix:
         assert lines[0].startswith("image")
         img3 = next(ln for ln in lines if ln.startswith("Img3 "))
         assert img3.split()[1:] == ["Yes", "Yes"] + ["No"] * 8
+
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], "no matrix"),
+        ({"images": [{"label": "A"}]}, "no matrix"),
+        ({"matrix": {"rows": ["A"], "columns": [["irctc", "MF"], ["irctc", "GC"]],
+                     "cells": {"A": ["Yes"]}}},
+         "matrix cells for 'A' must be one Yes or No per column"),
+        ({"matrix": {"rows": ["A"], "columns": [["irctc"]], "cells": {"A": ["No"]}}},
+         "matrix columns must be [app, browser] string pairs"),
+    ])
+    def test_malformed_report_is_an_error_naming_the_file(
+        self, capsys, tmp_path, doc, message
+    ):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "matrix", str(path))
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: ")
+        assert message in err
 
 
 class TestAttribute:

@@ -96,6 +96,13 @@ class TestClassify:
         dv = classify_value("Sign+in%21", ValueEncoding.PERCENT, plus_as_space=True)
         assert dv.decoded == "Sign in!"
 
+    def test_plus_alone_decodes_to_space(self):
+        # a + needs no %XX escape beside it to be read as a space
+        dv = classify_value("my+pass", ValueEncoding.PERCENT, plus_as_space=True)
+        assert dv.classification is Classification.PERCENT_ENCODED
+        assert dv.decoded == "my pass"
+        assert classify_value("my+pass", ValueEncoding.PERCENT).decoded == "my+pass"
+
 
 @given(st.text(alphabet="0123456789abcdef", min_size=32, max_size=32))
 def test_every_32_lowercase_hex_string_flags(value):

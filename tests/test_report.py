@@ -10,7 +10,6 @@ from memsift import (
     ScanOptions,
     build_presence_matrix,
     build_report,
-    doc_to_finding,
     finding_to_doc,
     render_json,
     render_matrix_table,
@@ -31,9 +30,12 @@ def _finding(**over):
     return CredentialFinding(**base)
 
 
-def test_finding_doc_round_trip():
-    f = _finding()
-    assert doc_to_finding(finding_to_doc(f), "I1") == f
+def test_finding_doc_values():
+    fd = finding_to_doc(_finding())
+    assert fd["attributions"] == [
+        {"pid": 1532, "process_name": "firefox.exe", "virtual_address": 0x00401234},
+    ]
+    assert (fd["username_offset"], fd["password_offset"]) == (0x1210, 0x1240)
 
 
 def test_finding_doc_key_order():

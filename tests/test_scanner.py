@@ -1,5 +1,6 @@
 """Credential scanning over raw buffers, dedup, confidence, matrix."""
 
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -13,6 +14,8 @@ from memsift import (
     CredentialFinding,
     Encoding,
     ExtractedString,
+    ImageManifest,
+    ManifestEntry,
     MatchMode,
     MemoryImage,
     ProcessMap,
@@ -125,6 +128,26 @@ class TestScanInline:
         assert f.password_raw == "who678%2C%3B"
         assert f.password_decoded == "who678,;"
         assert not f.encrypted
+
+    def test_plus_decodes_to_space_without_other_escapes(self):
+        for body, decoded in (("uName=306110003&pass=my+pass", "my pass"),
+                              ("uName=306110003&pass=my+pass%21", "my pass!")):
+            (f,) = scan((400, body))
+            assert (f.app_id, f.password_raw, f.password_decoded) == (
+                "sonicwall", body[body.index("my"):], decoded,
+            )
+
+    @pytest.mark.parametrize("line", [
+        "GET /userLogin.html?pass=Nitt500&uName=306110003 HTTP/1.1",
+        "GET /userLogin.html?uName=306110003&pass=Nitt500 HTTP/1.1",
+    ])
+    def test_request_line_gives_query_values(self, line):
+        (f,) = scan((400, line))
+        assert (f.app_id, f.username, f.password_raw) == ("sonicwall", "306110003", "Nitt500")
+        assert f.confidence == HIGH  # userLogin.html sits in the same string
+        assert f.offset == 400 + line.index("pass=")
+        assert f.username_offset == 400 + line.index("306110003")
+        assert f.password_offset == 400 + line.index("Nitt500")
 
     def test_opaque_value_flagged_not_decoded(self):
         body = "userName=ipsitasbi&password=37f08c5d00de89cb3c26e50200ee7242&x=1"
@@ -364,9 +387,11 @@ class TestPresenceMatrix:
         assert m.cell("I1", "irctc", "GC") == "No"
 
     def test_session_meta_fallback(self):
-        m = build_presence_matrix(
-            ["I1"], {"I1": [_finding("I1", "irctc")]}, session_browser="GC"
+        manifest = ImageManifest(
+            entries=(ManifestEntry("I1", 1, "", Path("I1.img")),),
+            session_meta=("Google Chrome", "irctc"),
         )
+        m = build_presence_matrix(manifest, {"I1": [_finding("I1", "irctc")]})
         assert m.cell("I1", "irctc", "GC") == "Yes"
         assert m.cell("I1", "irctc", "MF") == "No"
 

@@ -122,6 +122,26 @@ class TestParseFormPairs:
         assert pairs[0].key == "k"
         assert pairs[0].value == "a=b"
 
+    @pytest.mark.parametrize("line, expected", [
+        ("GET /userLogin.html?pass=Nitt500&uName=306110003 HTTP/1.1",
+         [("pass", 20, 25, "Nitt500"), ("uName", 33, 39, "306110003")]),
+        ("GET /userLogin.html?uName=306110003&pass=Nitt500 HTTP/1.1",
+         [("uName", 20, 26, "306110003"), ("pass", 36, 41, "Nitt500")]),
+    ])
+    def test_request_line_reads_as_its_query(self, line, expected):
+        # the first key starts after the "?", the last value ends at the space
+        pairs = parse_form_pairs(_s(100, line))
+        assert [(p.key, p.key_offset, p.value_offset, p.value) for p in pairs] == [
+            (k, 100 + ko, 100 + vo, v) for k, ko, vo, v in expected
+        ]
+        for p in pairs:
+            assert line[p.key_offset - 100 :].startswith(p.key + "=" + p.value)
+
+    def test_request_line_offsets_in_utf16(self):
+        s = _s(100, "GET /a?k=v HTTP/1.1", Encoding.UTF16LE)
+        assert [(p.key, p.key_offset, p.value_offset, p.value)
+                for p in parse_form_pairs(s)] == [("k", 114, 118, "v")]
+
     def test_segments_without_equals_skipped(self):
         s = _s(0, "justtext&k=v&&more")
         assert [(p.key, p.value) for p in parse_form_pairs(s)] == [("k", "v")]
