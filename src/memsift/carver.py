@@ -33,8 +33,8 @@ from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .corpus import DEFAULT_CHUNK_SIZE, MemoryImage
-from .errors import InvalidOptionError, MalformedLineError
+from .corpus import DEFAULT_CHUNK_SIZE, MemoryImage, _parse_lines
+from .errors import InvalidOptionError
 
 DEFAULT_MIN_LEN = 4
 DEFAULT_CAP = 4096
@@ -222,26 +222,24 @@ def write_strings_file(
     return count
 
 
+def _strings_row(line: str) -> tuple[int, str] | None:
+    if not line:
+        return None
+    head, sep, text = line.partition(":")
+    if not sep:
+        raise ValueError("no ':' separator")
+    if not head.isdigit():
+        raise ValueError("offset is not a decimal integer")
+    return int(head), text
+
+
 def parse_strings_file(
     source: str | Path | IO[str] | Iterable[str],
 ) -> Iterator[tuple[int, str]]:
     """Parse an ``offset:text`` file back into (offset, text) tuples.
 
     The first colon splits the line; text keeps any further colons.  A line
-    with no colon or a non-decimal offset raises MalformedLineError carrying
-    the 1-based line number.
+    with no colon or a non-decimal offset raises LineError naming the file
+    and the 1-based line number.
     """
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            yield from parse_strings_file(fh)
-        return
-    for lineno, raw in enumerate(source, 1):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        head, sep, text = line.partition(":")
-        if not sep:
-            raise MalformedLineError(lineno, line, "no ':' separator")
-        if not head.isdigit():
-            raise MalformedLineError(lineno, line, "offset is not a decimal integer")
-        yield int(head), text
+    return _parse_lines(source, _strings_row)

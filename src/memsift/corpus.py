@@ -9,7 +9,9 @@ files on disk:
 Columns are label, step_index, step_description, path.  Paths are resolved
 relative to the manifest's own directory.  Labels must be unique and step
 indices strictly increasing, because the whole point of a timeline is that
-later rows really are later.
+later rows really are later.  A label is non-empty and must not read as a
+comment, and no label or description holds a tab or line break, so every
+row a writer accepts reads back as itself.
 
 A session captured with one fixed browser and application can say so in a
 directive comment, which downstream reporting uses to tag its columns:
@@ -20,20 +22,28 @@ directive comment, which downstream reporting uses to tag its columns:
 from __future__ import annotations
 
 import io
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, BinaryIO, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator, TypeVar
 
 from .errors import (
     DuplicateLabelError,
     LineError,
-    MalformedLineError,
+    MemsiftError,
     MissingFileError,
     NonMonotonicStepError,
     ZeroSizeError,
 )
 
+T = TypeVar("T")
+
 DEFAULT_CHUNK_SIZE = 1 << 20
+
+
+def _fits_field(text: str) -> bool:
+    """True if ``text`` reads back as one field of a TSV line."""
+    return "\t" not in text and "".join(text.splitlines()) == text
 
 
 @dataclass(frozen=True)
@@ -43,6 +53,34 @@ class ManifestEntry:
     step_description: str
     path: Path
 
+    def __post_init__(self) -> None:
+        if not self.label:
+            raise ValueError("empty label")
+        if self.label.lstrip().startswith("#"):
+            raise ValueError(f"label {self.label!r} reads as a comment")
+        for name, text in (("label", self.label), ("step description", self.step_description)):
+            if not _fits_field(text):
+                raise ValueError(f"{name} {text!r} holds a tab or line break")
+
+
+def _append(timeline: dict[str, ManifestEntry], entry: ManifestEntry) -> None:
+    """Add ``entry`` to ``timeline`` (label to entry, in order), keeping
+    labels unique and step indices strictly increasing."""
+    last = next(reversed(timeline.values()), None)
+    if entry.label in timeline:
+        raise DuplicateLabelError(f"duplicate label {entry.label!r}")
+    if last is not None and entry.step_index <= last.step_index:
+        raise NonMonotonicStepError(
+            f"step {entry.step_index} does not increase past {last.step_index}"
+        )
+    timeline[entry.label] = entry
+
+
+def _check_session(meta: tuple[str, str]) -> tuple[str, str]:
+    if not all(map(_fits_field, meta)):
+        raise ValueError("session_meta holds a tab or line break")
+    return meta
+
 
 @dataclass(frozen=True)
 class ImageManifest:
@@ -51,6 +89,13 @@ class ImageManifest:
     entries: tuple[ManifestEntry, ...]
     # (browser name, application name) when the whole session used one pair.
     session_meta: tuple[str, str] | None = None
+
+    def __post_init__(self) -> None:
+        timeline: dict[str, ManifestEntry] = {}
+        for e in self.entries:
+            _append(timeline, e)
+        if self.session_meta is not None:
+            _check_session(self.session_meta)
 
     def labels(self) -> list[str]:
         return [e.label for e in self.entries]
@@ -119,25 +164,45 @@ class MemoryImage:
             return handle.read(length)
 
 
+def _parse_lines(
+    source: str | Path | Iterable[str], parse: Callable[[str], T | None]
+) -> Iterator[T]:
+    """``parse`` of each line, end removed, of a UTF-8 file or text lines;
+    ``None`` results are dropped.  A ``ValueError`` from ``parse`` or from
+    decoding becomes a ``LineError``, and a ``MemsiftError`` keeps its type
+    with ``FILE:LINE:`` put before its message."""
+    named = isinstance(source, (str, Path))
+    name = str(source) if named else getattr(source, "name", "<stream>")
+    with open(source, "rb") if named else nullcontext(source) as lines:
+        for lineno, raw in enumerate(lines, 1):
+            try:
+                parsed = parse((raw.decode("utf-8") if named else raw).rstrip("\r\n"))
+            except MemsiftError as exc:
+                raise type(exc)(f"{name}:{lineno}: {exc}") from None
+            except ValueError as exc:
+                raise LineError(name, lineno, str(exc)) from None
+            if parsed is not None:
+                yield parsed
+
+
 def _tsv_rows(
-    source: str | Path | IO[str], nfields: int, error: type[LineError]
-) -> Iterator[tuple[int, str, list[str]]]:
-    """(line number, line, fields) for each data line of a TSV file or
-    handle.  Blank and ``#`` lines are skipped; a line without exactly
-    ``nfields`` tab-separated fields raises ``error``.  Shared by the
-    process-map and catalog loaders."""
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
-            yield from _tsv_rows(fh, nfields, error)
-        return
-    for lineno, raw in enumerate(source, 1):
-        line = raw.rstrip("\n")
+    source: str | Path | Iterable[str], nfields: int, parse: Callable[[list[str]], T],
+    comment: Callable[[str], None] = lambda line: None,
+) -> Iterator[T]:
+    """``parse`` of the fields of each data line, through ``_parse_lines``.
+    Blank lines are skipped and ``#`` lines go to ``comment``; a line
+    without exactly ``nfields`` tab-separated fields is a ``LineError``.
+    The one reader of the manifest, process-map and catalog formats."""
+
+    def row(line: str) -> T | None:
         if not line.strip() or line.lstrip().startswith("#"):
-            continue
+            return comment(line)
         parts = line.split("\t")
         if len(parts) != nfields:
-            raise error(lineno, line, f"expected {nfields} fields, got {len(parts)}")
-        yield lineno, line, parts
+            raise ValueError(f"expected {nfields} fields, got {len(parts)}")
+        return parse(parts)
+
+    return _parse_lines(source, row)
 
 
 def load_manifest(path: str | Path) -> ImageManifest:
@@ -145,54 +210,34 @@ def load_manifest(path: str | Path) -> ImageManifest:
 
     Identical file bytes always produce a structurally identical manifest.
     Raises MissingFileError / ZeroSizeError / DuplicateLabelError /
-    NonMonotonicStepError on the matching defect.
+    NonMonotonicStepError on the matching defect and LineError on a row
+    that does not parse, each naming the file and line.
     """
     src = Path(path)
     if not src.is_file():
         raise MissingFileError(f"manifest not found: {src}")
-    base = src.parent
-    entries: list[ManifestEntry] = []
-    seen: set[str] = set()
-    last_step: int | None = None
-    session_meta: tuple[str, str] | None = None
-    for lineno, raw in enumerate(src.read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            stripped = line.strip()
-            if stripped.startswith("# session:"):
-                meta = stripped[len("# session:") :].strip()
-                browser, _, application = meta.partition("\t")
-                session_meta = (browser.strip(), application.strip())
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise MalformedLineError(
-                lineno, line, f"expected 4 tab-separated fields, got {len(parts)}"
-            )
+    timeline: dict[str, ManifestEntry] = {}
+    session: list[tuple[str, str]] = []
+
+    def directive(line: str) -> None:
+        stripped = line.strip()
+        if stripped.startswith("# session:"):
+            browser, _, application = stripped[len("# session:") :].partition("\t")
+            session.append(_check_session((browser.strip(), application.strip())))
+
+    def entry(parts: list[str]) -> ManifestEntry:
         label, step_text, description, rel = parts
-        if not label:
-            raise MalformedLineError(lineno, line, "empty label")
         try:
             step = int(step_text)
         except ValueError:
-            raise MalformedLineError(
-                lineno, line, f"step index {step_text!r} is not an integer"
-            ) from None
-        if label in seen:
-            raise DuplicateLabelError(f"{src}:{lineno}: duplicate label {label!r}")
-        seen.add(label)
-        if last_step is not None and step <= last_step:
-            raise NonMonotonicStepError(
-                f"{src}:{lineno}: step {step} does not increase past {last_step}"
-            )
-        last_step = step
-        img_path = (base / rel).resolve() if not Path(rel).is_absolute() else Path(rel)
-        if not img_path.is_file():
-            raise MissingFileError(f"{src}:{lineno}: image file not found: {img_path}")
-        if img_path.stat().st_size == 0:
-            raise ZeroSizeError(f"{src}:{lineno}: image file is empty: {img_path}")
-        entries.append(ManifestEntry(label, step, description, img_path))
-    return ImageManifest(entries=tuple(entries), session_meta=session_meta)
+            raise ValueError(f"step index {step_text!r} is not an integer") from None
+        img_path = (src.parent / rel).resolve() if not Path(rel).is_absolute() else Path(rel)
+        _append(timeline, ManifestEntry(label, step, description, img_path))
+        MemoryImage.from_file(img_path)  # the image exists and is not empty
+        return timeline[label]
+
+    entries = tuple(_tsv_rows(src, 4, entry, directive))
+    return ImageManifest(entries, session[-1] if session else None)
 
 
 def open_image(entry: ManifestEntry) -> MemoryImage:
@@ -205,22 +250,24 @@ def write_manifest(
     path: str | Path,
     session_meta: tuple[str, str] | None = None,
 ) -> None:
-    """Write entries back out in the manifest TSV format (paths made relative)."""
+    """Write entries back out in the manifest TSV format (paths made
+    relative).  Rows ``load_manifest`` would reject raise before anything
+    is written."""
     dest = Path(path)
     if isinstance(entries, ImageManifest):
-        rows = entries.entries
         session_meta = session_meta or entries.session_meta
-    else:
-        rows = tuple(entries)
+    manifest = ImageManifest(tuple(entries), session_meta)
     lines = ["# label\tstep_index\tstep_description\tpath"]
     if session_meta is not None:
         lines.append(f"# session: {session_meta[0]}\t{session_meta[1]}")
     base = dest.resolve().parent
-    for e in rows:
+    for e in manifest:
         p = Path(e.path).resolve()
         try:
             p = p.relative_to(base)
         except ValueError:
             pass
+        if not _fits_field(str(p)):
+            raise ValueError(f"path {str(p)!r} holds a tab or line break")
         lines.append(f"{e.label}\t{e.step_index}\t{e.step_description}\t{p}")
-    dest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    dest.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))

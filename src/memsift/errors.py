@@ -35,27 +35,15 @@ class ZeroSizeError(MemsiftError):
 
 
 class LineError(MemsiftError):
-    """A line of a line-oriented input does not parse.  Carries the 1-based
-    line number, the line itself and the reason."""
+    """A line of a line-oriented input (manifest, process map, catalog,
+    strings file) breaks a rule of its format.  Carries the file name, the
+    1-based line number and the reason, and reads ``FILE:LINE: reason``."""
 
-    def __init__(self, lineno: int, line: str, reason: str = ""):
+    def __init__(self, path: str, lineno: int, reason: str):
+        self.path = path
         self.lineno = lineno
-        self.line = line
         self.reason = reason
-        detail = f": {reason}" if reason else ""
-        super().__init__(f"line {lineno}: cannot parse {line!r}{detail}")
-
-
-class MalformedLineError(LineError):
-    """A line-oriented input (strings file, manifest) has an unparseable line."""
-
-
-class MalformedEntryError(LineError):
-    """A process map line does not parse into a map entry."""
-
-
-class InvertedRangeError(MemsiftError):
-    """A process map entry has phys_start >= phys_end."""
+        super().__init__(f"{path}:{lineno}: {reason}")
 
 
 class UnknownLabelError(MemsiftError):
@@ -68,7 +56,3 @@ class OverlapError(MemsiftError):
 
 class PlacementOutOfBoundsError(MemsiftError):
     """A fabrication placement does not fit inside the image."""
-
-
-class CatalogError(LineError):
-    """A signature catalog file line is malformed."""

@@ -26,15 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ManifestEntry, write_manifest
+from .corpus import ImageManifest, ManifestEntry, write_manifest
 from .decoding import classify_value
-from .errors import (
-    DuplicateLabelError,
-    InvalidOptionError,
-    NonMonotonicStepError,
-    OverlapError,
-    PlacementOutOfBoundsError,
-)
+from .errors import InvalidOptionError, OverlapError, PlacementOutOfBoundsError
 from .procmap import ProcessMap, ProcessMapEntry, write_process_map
 from .report import finding_to_doc
 from .scanner import _SNIPPET_LIMIT, HIGH, LOW, CredentialFinding
@@ -448,11 +442,6 @@ class PlannedImage:
     placements: tuple[tuple[str, int], ...]  # (template_id, absolute offset)
 
 
-def _fits_tsv_field(text: str) -> bool:
-    """True if ``text`` can be one field of a manifest line."""
-    return "\t" not in text and "".join(text.splitlines()) == text
-
-
 @dataclass(frozen=True)
 class FabricationPlan:
     image_size: int
@@ -465,6 +454,8 @@ class FabricationPlan:
     def __post_init__(self) -> None:
         if self.image_size < 1:
             raise InvalidOptionError("image_size must be positive")
+        if self.seed < 0:
+            raise InvalidOptionError("seed must be non-negative")
         if not (0.0 <= self.printable_density < 1.0):
             raise InvalidOptionError("printable_density must be in [0, 1)")
 
@@ -472,28 +463,11 @@ class FabricationPlan:
         """Check the corpus stays inside its output directory and reads
         back as a manifest, every placement fits, and placements stay
         independent."""
-        if self.session_meta and not all(map(_fits_tsv_field, self.session_meta)):
-            raise ValueError("session_meta holds a tab or line break")
-        seen: set[str] = set()
-        last_step: int | None = None
         for img in self.images:
             label = img.label
-            # The label names a file in the output directory and starts a
-            # manifest row that it must neither split nor comment out.
-            bad = label in ("", ".", "..") or label != Path(label).name
-            bad = bad or "\0" in label or label.lstrip().startswith("#")
-            if bad or not _fits_tsv_field(label):
+            # The label names a file in the output directory.
+            if label in ("", ".", "..") or label != Path(label).name or "\0" in label:
                 raise ValueError(f"label {label!r} cannot name an image file")
-            if not _fits_tsv_field(img.step_description):
-                raise ValueError(f"{label}: step description holds a tab or line break")
-            if label in seen:
-                raise DuplicateLabelError(f"duplicate label {label!r}")
-            seen.add(label)
-            if last_step is not None and img.step_index <= last_step:
-                raise NonMonotonicStepError(
-                    f"{label}: step {img.step_index} does not increase past {last_step}"
-                )
-            last_step = img.step_index
             spans: list[tuple[int, int, str]] = []
             for template_id, offset in img.placements:
                 t = template_by_id(template_id)
@@ -511,6 +485,10 @@ class FabricationPlan:
                         f"close to stay independent): gap {s2 - e1} < "
                         f"{MIN_PLACEMENT_GAP}"
                     )
+        # The rows must keep the manifest's own rules too.
+        rows = [ManifestEntry(i.label, i.step_index, i.step_description, Path(f"{i.label}.img"))
+                for i in self.images]
+        ImageManifest(tuple(rows), self.session_meta)
 
 
 def save_plan(plan: FabricationPlan, path: str | Path) -> None:

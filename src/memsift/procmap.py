@@ -14,17 +14,34 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-from .corpus import _tsv_rows
-from .errors import InvertedRangeError, MalformedEntryError
+from .corpus import _fits_field, _tsv_rows
 
 
 @dataclass(frozen=True, slots=True)
 class ProcessMapEntry:
+    """One map row.  Every entry writes a row that loads back as itself:
+    pid >= 0, a non-empty name that fits one TSV field, and
+    0 <= phys_start < phys_end and virt_base >= 0."""
+
     pid: int
     name: str
     phys_start: int
     phys_end: int
     virt_base: int
+
+    def __post_init__(self) -> None:
+        if self.pid < 0:
+            raise ValueError(f"negative pid {self.pid}")
+        if not self.name:
+            raise ValueError("empty process name")
+        if not _fits_field(self.name):
+            raise ValueError(f"process name {self.name!r} holds a tab or line break")
+        if self.phys_start < 0 or self.virt_base < 0:
+            raise ValueError("addresses must be non-negative")
+        if self.phys_start >= self.phys_end:
+            raise ValueError(
+                f"range 0x{self.phys_start:x}..0x{self.phys_end:x} is inverted or empty"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -40,33 +57,18 @@ def _parse_hex(cell: str) -> int:
     return int(cell, 16)
 
 
+def _entry(parts: list[str]) -> ProcessMapEntry:
+    pid, name, start, end, virt = parts
+    return ProcessMapEntry(int(pid), name, _parse_hex(start), _parse_hex(end), _parse_hex(virt))
+
+
 def load_process_map(source: str | Path | IO[str]) -> list[ProcessMapEntry]:
     """Parse and validate a process map, returned sorted by phys_start.
 
     The sort is stable, so entries sharing a start keep their file order;
     that order is what ``ProcessMap.lookup`` reports multiple owners in.
     """
-    entries: list[ProcessMapEntry] = []
-    for lineno, line, parts in _tsv_rows(source, 5, MalformedEntryError):
-        pid_text, name, start_text, end_text, virt_text = parts
-        try:
-            pid = int(pid_text)
-            start = _parse_hex(start_text)
-            end = _parse_hex(end_text)
-            virt = _parse_hex(virt_text)
-        except ValueError as exc:
-            raise MalformedEntryError(lineno, line, str(exc)) from None
-        if pid < 0:
-            raise MalformedEntryError(lineno, line, f"negative pid {pid}")
-        if not name:
-            raise MalformedEntryError(lineno, line, "empty process name")
-        if start >= end:
-            raise InvertedRangeError(
-                f"line {lineno}: range 0x{start:x}..0x{end:x} is inverted or empty"
-            )
-        entries.append(ProcessMapEntry(pid, name, start, end, virt))
-    entries.sort(key=lambda e: e.phys_start)
-    return entries
+    return sorted(_tsv_rows(source, 5, _entry), key=lambda e: e.phys_start)
 
 
 class ProcessMap:

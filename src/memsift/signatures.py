@@ -23,7 +23,6 @@ from typing import IO, Iterable, Sequence
 from .carver import Encoding, ExtractedString
 from .corpus import _tsv_rows
 from .decoding import ValueEncoding
-from .errors import CatalogError
 
 DEFAULT_DELTA = 64
 DEFAULT_WINDOW = 1024
@@ -149,31 +148,27 @@ def builtin_catalog() -> list[CredentialSignature]:
     ]
 
 
+def _signature(parts: list[str]) -> CredentialSignature:
+    app_id, ukeys, pkeys, urls, enc = parts
+    try:
+        encoding = ValueEncoding(enc)
+    except ValueError:
+        raise ValueError(f"unknown value encoding {enc!r}") from None
+    split = lambda cell: tuple(x for x in cell.split(",") if x)
+    return CredentialSignature(
+        app_id=app_id,
+        display_name=app_id,
+        username_keys=split(ukeys),
+        password_keys=split(pkeys),
+        context_urls=split(urls),
+        value_encoding=encoding,
+    )
+
+
 def load_catalog_file(source: str | Path | IO[str]) -> list[CredentialSignature]:
     """Parse user signatures from TSV: app_id, username_keys, password_keys,
     context_urls (comma-separated lists), value_encoding."""
-    sigs: list[CredentialSignature] = []
-    for lineno, line, parts in _tsv_rows(source, 5, CatalogError):
-        app_id, ukeys, pkeys, urls, enc = parts
-        try:
-            encoding = ValueEncoding(enc)
-        except ValueError:
-            raise CatalogError(lineno, line, f"unknown value encoding {enc!r}") from None
-        split = lambda cell: tuple(x for x in cell.split(",") if x)
-        try:
-            sigs.append(
-                CredentialSignature(
-                    app_id=app_id,
-                    display_name=app_id,
-                    username_keys=split(ukeys),
-                    password_keys=split(pkeys),
-                    context_urls=split(urls),
-                    value_encoding=encoding,
-                )
-            )
-        except ValueError as exc:
-            raise CatalogError(lineno, line, str(exc)) from None
-    return sigs
+    return list(_tsv_rows(source, 5, _signature))
 
 
 def merge_catalogs(

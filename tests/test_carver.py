@@ -16,7 +16,7 @@ from memsift import (
     parse_strings_file,
     write_strings_file,
 )
-from memsift.errors import InvalidOptionError, MalformedLineError
+from memsift.errors import InvalidOptionError, LineError
 
 from oracles import carve_bruteforce, carve_numpy, random_buffer, strings_tuples
 
@@ -239,7 +239,7 @@ def test_strings_file_text_may_contain_colons(tmp_path):
 
 
 def test_strings_file_rejects_garbage():
-    with pytest.raises(MalformedLineError) as err:
+    with pytest.raises(LineError) as err:
         list(parse_strings_file(io.StringIO("oops no colon\n")))
     assert err.value.lineno == 1
 

@@ -140,6 +140,26 @@ class TestScan:
         assert "not-a-number" in err or "line 1" in err
 
 
+    @pytest.mark.parametrize("flag", [None, "--process-map", "--catalog"])
+    def test_input_that_is_not_utf8_is_named(self, capsys, corpus_dir, tmp_path, flag):
+        bad = tmp_path / "X.tsv"
+        bad.write_bytes(b"abc\xff\xfe\0def")
+        argv = [str(bad)] if flag is None else [str(corpus_dir / "Img4.img"), flag, str(bad)]
+        code, out, err = run(capsys, "scan", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {bad}:1: ")
+
+    @pytest.mark.parametrize("flag", ["--process-map", "--catalog"])
+    def test_malformed_line_names_its_own_file(self, capsys, corpus_dir, tmp_path, flag):
+        good_map = corpus_dir / "process_map.tsv"
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("# header\n1\tx\t0x10\n")
+        code, out, err = run(capsys, "scan", str(corpus_dir / "Img4.img"),
+                             "--process-map", str(good_map), flag, str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"error: {bad}:2: expected 5 fields, got 3\n"
+
+
 class TestOptionRanges:
     @pytest.mark.parametrize("argv, message", [
         (["scan", "--window", "-5"], "window must be at least 0"),
@@ -167,6 +187,8 @@ class TestOptionRanges:
         (["--plan", "PLAN", "--image-size", "1M"], "apply only to --preset"),
         (["--plan", "PLAN", "--seed", "3"], "apply only to --preset"),
         (["--plan", "PLAN", "--density", "0.3"], "apply only to --preset"),
+        (["--preset", "table1", "--image-size", "1M", "--seed", "-1"],
+         "seed must be non-negative"),
     ])
     def test_fabricate_option_is_a_usage_error(self, capsys, tmp_path, argv, message):
         from memsift import FabricationPlan, save_plan
@@ -294,6 +316,25 @@ class TestFabricate:
         assert code == 1
         assert err.startswith(f"error: {path}: ")
         assert message in err
+
+    @pytest.mark.parametrize("change, message", [
+        ({"seed": -5}, "seed must be non-negative"),
+        ({"process_map": [[1, "a\tb", 0, 0x100, 0]]}, "process name 'a\\tb' holds a tab"),
+        ({"process_map": [[1, "a", 0x200, 0x100, 0]]}, "range 0x200..0x100 is inverted"),
+        ({"process_map": [[-1, "a", 0, 0x100, 0]]}, "negative pid -1"),
+    ], ids=["negative-seed", "tab-in-name", "inverted-range", "negative-pid"])
+    def test_bad_plan_value_writes_nothing(self, capsys, tmp_path, change, message):
+        doc = {"image_size": 65536, "seed": 1,
+               "images": [{"label": "A", "step_index": 2,
+                           "placements": [["irctc-inline", 4096]]}]}
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({**doc, **change}))
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "fabricate", "--plan", str(path), "--out", str(out))
+        assert code == 1
+        assert err.startswith(f"error: {path}: ")
+        assert message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("labels, message", [
         (("../evil",), "label '../evil'"),

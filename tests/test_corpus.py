@@ -1,6 +1,8 @@
 """Manifest parsing, image access and their failure modes."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from memsift import (
     ImageManifest,
@@ -12,7 +14,8 @@ from memsift import (
 )
 from memsift.errors import (
     DuplicateLabelError,
-    MalformedLineError,
+    LineError,
+    MemsiftError,
     MissingFileError,
     NonMonotonicStepError,
     ZeroSizeError,
@@ -96,7 +99,7 @@ class TestLoadManifest:
     ])
     def test_malformed_lines(self, tmp_path, bad):
         _img(tmp_path, "a.raw")
-        with pytest.raises(MalformedLineError) as err:
+        with pytest.raises(LineError) as err:
             load_manifest(_manifest(tmp_path, bad + "\n"))
         assert err.value.lineno == 1
 
@@ -121,6 +124,34 @@ def test_write_then_load_round_trip(tmp_path):
     assert man.entry("Two").step_description == "second"
     # written paths are relative so the directory can be moved wholesale
     assert "\t" + str(tmp_path) not in dest.read_text().splitlines()[-1]
+
+
+# Tab, both line breaks, the comment mark and leading spaces: everything
+# that could split a manifest row or hide it as a comment.
+_FIELD = st.text(alphabet="ab #\t\n\r", max_size=6)
+
+
+@given(st.lists(st.tuples(_FIELD, _FIELD), max_size=3))
+@example([("#x", "")])
+@example([(" #x", "")])
+@example([("a\tb", "")])
+@example([("a", "b\tc")])
+@example([("a", "b\rc")])
+@example([("a", " b# ")])
+def test_write_manifest_writes_only_what_loads_back(tmp_path_factory, rows):
+    base = tmp_path_factory.mktemp("rt")
+    _img(base, "a.raw")
+    dest = base / "manifest.tsv"
+    try:
+        entries = [
+            ManifestEntry(label, 2 * i, description, base / "a.raw")
+            for i, (label, description) in enumerate(rows)
+        ]
+        write_manifest(entries, dest)
+    except (ValueError, MemsiftError):
+        assert not dest.exists()
+        return
+    assert load_manifest(dest).entries == tuple(entries)
 
 
 class TestMemoryImage:

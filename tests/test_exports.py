@@ -1,0 +1,14 @@
+"""The public names each module exports."""
+
+import pytest
+
+import memsift
+import memsift.signatures
+
+
+@pytest.mark.parametrize("module", [memsift, memsift.signatures], ids=lambda m: m.__name__)
+def test_every_export_resolves_once(module):
+    names = module.__all__
+    assert len(names) == len(set(names))
+    missing = [n for n in names if not hasattr(module, n)]
+    assert missing == []

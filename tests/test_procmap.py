@@ -13,7 +13,7 @@ from memsift import (
     load_process_map,
     write_process_map,
 )
-from memsift.errors import InvertedRangeError, MalformedEntryError
+from memsift.errors import LineError
 
 ENTRIES = (
     ProcessMapEntry(0, "System", 0x00000000, 0x00010000, 0x80000000),
@@ -106,13 +106,13 @@ def test_load_sorts_by_phys_start():
     "1\tx.exe\tzz\t0x20\t0x30",                 # bad hex
 ])
 def test_malformed_entries(bad):
-    with pytest.raises(MalformedEntryError):
+    with pytest.raises(LineError):
         load_process_map(io.StringIO(bad + "\n"))
 
 
 def test_inverted_range_rejected():
     body = "1\tx.exe\t0x2000\t0x1000\t0x0\n"
-    with pytest.raises(InvertedRangeError):
+    with pytest.raises(LineError):
         load_process_map(io.StringIO(body))
 
 

@@ -19,7 +19,7 @@ from memsift import (
     merge_catalogs,
     parse_form_pairs,
 )
-from memsift.errors import CatalogError
+from memsift.errors import LineError
 from memsift.signatures import (
     AdjacentBinder,
     combine_bindings,
@@ -71,7 +71,7 @@ class TestCatalog:
         assert sigs[0].password_keys == ("login_pw",)
 
     def test_load_catalog_rejects_bad_lines(self):
-        with pytest.raises(CatalogError) as err:
+        with pytest.raises(LineError) as err:
             load_catalog_file(io.StringIO("only\tthree\tfields\n"))
         assert err.value.lineno == 1
 
