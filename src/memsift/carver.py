@@ -22,10 +22,18 @@ The emitted stream is thus byte-for-byte identical whatever chunk size the
 image is read with.  That is the one property everything downstream leans
 on, and it is what the brute-force reference scan in the test suite checks
 the implementation against.
+
+Pieces are found as numpy arrays (offset, stop, bytes per character) and
+only then built as strings.  ``memsift strings`` builds every piece.  The
+scan is keyword-first: it asks for the pieces within reach of a keyword,
+the carver tests all of a buffer's pieces with one pattern search over
+their gathered characters, and only the pieces near a match are built.
+Printable text far from any keyword never becomes a Python object.
 """
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
@@ -40,6 +48,8 @@ DEFAULT_MIN_LEN = 4
 DEFAULT_CAP = 4096
 
 _ZERO8 = np.zeros(1, np.int8)
+_NO_INDEX = np.zeros(0, np.intp)
+_FAR = np.iinfo(np.intp).max
 
 
 class Encoding(str, Enum):
@@ -84,7 +94,7 @@ def _cap_pieces(
     return piece_starts, np.minimum(piece_starts + span, np.repeat(ends, count))
 
 
-def _carve_buffer(
+def _spans(
     buf: bytes,
     base: int,
     wanted: list[Encoding],
@@ -92,13 +102,15 @@ def _carve_buffer(
     min_len: int,
     cap: int,
     final: bool,
-) -> tuple[list[ExtractedString], int]:
-    """Carve a buffer that starts at absolute offset ``base``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Find the settled pieces of a buffer that starts at absolute offset
+    ``base``.
 
-    Returns the settled pieces, ordered by (offset, ASCII first), and the
-    cut, the buffer index the next buffer starts at.  ``resume`` holds,
-    per stream (ASCII, then UTF-16LE at absolute parity 0 and 1), the
-    absolute end of the last piece it emitted; it is updated in place.
+    Returns the pieces' buffer indices ``offset`` and ``stop`` and their
+    bytes per character ``unit``, ordered by (offset, ASCII first), and the
+    cut, the buffer index the next buffer starts at.  ``resume`` holds, per
+    stream (ASCII, then UTF-16LE at absolute parity 0 and 1), the absolute
+    end of the last piece it emitted; it is updated in place.
     """
     n = len(buf)
     a = np.frombuffer(buf, np.uint8)
@@ -141,11 +153,18 @@ def _carve_buffer(
         stops.append(ends)
         units.append(np.full(starts.size, unit, np.int8))
     if not offsets:
-        return [], cut
+        return _NO_INDEX, _NO_INDEX, _NO_INDEX.astype(np.int8), cut
     offset, stop, unit = (np.concatenate(x) for x in (offsets, stops, units))
     if len(offsets) > 1:
         order = np.lexsort((unit, offset))
         offset, stop, unit = offset[order], stop[order], unit[order]
+    return offset, stop, unit, cut
+
+
+def _strings(
+    buf: bytes, base: int, offset: np.ndarray, stop: np.ndarray, unit: np.ndarray
+) -> list[ExtractedString]:
+    """Build the given pieces of a buffer that starts at absolute ``base``."""
     steps = unit.tolist()
     texts = [
         buf[s:e:u].decode("ascii")
@@ -159,7 +178,95 @@ def _carve_buffer(
         map(_BY_UNIT.__getitem__, steps),
         (stop - offset).tolist(),
     )
-    return list(map(tuple.__new__, repeat(ExtractedString), rows)), cut
+    return list(map(tuple.__new__, repeat(ExtractedString), rows))
+
+
+class _Near:
+    """Picks, across buffers, the pieces within ``reach`` of a hit: a piece
+    whose text ``pattern`` matches.  A hit claims [offset - reach, offset +
+    byte_length + reach], and a piece is picked iff its offset lies in some
+    claim.
+
+    A piece is decided by the hits before it (the running ``claim_end`` of
+    earlier buffers, and a prefix maximum within this one) and the hits
+    after it (a suffix minimum of hit offsets).  Later buffers hold only
+    hits at or past the horizon, the absolute cut, so a piece more than
+    ``reach`` before the horizon is decided.  The pieces after it wait,
+    built as strings, and are decided again with the next buffer; with a
+    ``chunk_size`` below ``reach`` they may wait across several.  What
+    waits lies within ``reach`` of the horizon, so it is bounded by
+    ``reach`` and ``cap``, not by the image.
+    """
+
+    def __init__(self, pattern: re.Pattern, reach: int) -> None:
+        self.finditer = re.compile(
+            pattern.pattern.encode("ascii"), pattern.flags & ~re.UNICODE
+        ).finditer
+        self.reach = reach
+        self.claim_end = -1  # the furthest claim end of the decided hits
+        self.waiting: list[ExtractedString] = []
+        self.waiting_at = _NO_INDEX  # their offsets
+        self.waiting_claim = _NO_INDEX  # a hit's claim end, else -1
+
+    def _hits(
+        self, buf: bytes, offset: np.ndarray, stop: np.ndarray, unit: np.ndarray
+    ) -> np.ndarray:
+        """Which pieces ``pattern`` matches, without decoding one: gather
+        every piece's characters with one index, a NUL after each, search
+        the result once and map each match back to its piece."""
+        hit = np.zeros(offset.size, bool)
+        if not offset.size:
+            return hit
+        width = (stop - offset) // unit + 1  # characters plus the NUL
+        first = np.cumsum(width) - width  # where each piece starts in the text
+        # Gather indices as running sums: each piece steps by its unit from
+        # its offset, and its NUL slot reads its stop.
+        index = np.repeat(unit, width).astype(np.intp)
+        index[first] = offset - np.concatenate(([0], stop[:-1]))
+        np.cumsum(index, out=index)
+        text = np.frombuffer(buf, np.uint8).take(index, mode="clip")
+        text[first + width - 1] = 0
+        starts = [m.start() for m in self.finditer(text)]
+        hit[np.searchsorted(first, starts, "right") - 1] = True
+        return hit
+
+    def pick(
+        self,
+        buf: bytes,
+        base: int,
+        offset: np.ndarray,
+        stop: np.ndarray,
+        unit: np.ndarray,
+        horizon: int | None,
+    ) -> list[ExtractedString]:
+        """The decided picks among the waiting pieces and this buffer's,
+        ascending by offset; ``horizon`` is None for the last buffer."""
+        reach = self.reach
+        hit = self._hits(buf, offset, stop, unit)
+        at = np.concatenate((self.waiting_at, offset + base))
+        claim = np.concatenate(
+            (self.waiting_claim, np.where(hit, stop + base + reach, -1))
+        )
+        behind = np.maximum(np.maximum.accumulate(claim), self.claim_end)
+        ahead = np.where(claim >= 0, at, _FAR)
+        ahead = np.minimum.accumulate(ahead[::-1])[::-1]
+        picked = (at <= behind) | (ahead - reach <= at)
+        decided = at.size
+        if horizon is not None:
+            decided = int(np.searchsorted(at, horizon - reach))
+        if decided:
+            self.claim_end = int(behind[decided - 1])
+        # Waiting pieces come first and all precede this buffer's.
+        w = len(self.waiting)
+        mine = np.flatnonzero(picked[w:decided])
+        out = [s for s, p in zip(self.waiting[:decided], picked) if p]
+        out += _strings(buf, base, offset[mine], stop[mine], unit[mine])
+        rest = slice(max(decided - w, 0), None)
+        self.waiting = self.waiting[decided:] + _strings(
+            buf, base, offset[rest], stop[rest], unit[rest]
+        )
+        self.waiting_at, self.waiting_claim = at[decided:], claim[decided:]
+        return out
 
 
 def carve_strings(
@@ -169,6 +276,7 @@ def carve_strings(
     *,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     cap: int = DEFAULT_CAP,
+    near: tuple[re.Pattern, int] | None = None,
 ) -> Iterator[ExtractedString]:
     """Stream every maximal printable run in the image, ascending by offset.
 
@@ -177,6 +285,13 @@ def carve_strings(
     options are checked when this is called, not when the stream is first
     read.  The stream holds only the current chunk plus a carry of under
     ``2*cap+1`` bytes, so peak memory does not depend on image size.
+
+    ``near=(pattern, reach)`` keeps only the pieces within ``reach`` bytes
+    of a hit, a piece whose text ``pattern`` matches: those whose offset
+    lies in some hit's [offset - reach, offset + byte_length + reach].  The
+    pattern must be ASCII and match only printable text, as a literal
+    alternation does; it is searched as bytes over the pieces' characters.
+    Only the kept pieces are built as strings.
     """
     if min_len < 1:
         raise InvalidOptionError("min_len must be at least 1")
@@ -187,24 +302,37 @@ def carve_strings(
     wanted = list(dict.fromkeys(Encoding(e) for e in encodings))
     if not wanted:
         raise InvalidOptionError("at least one encoding is required")
+    if near is not None and near[1] < 0:
+        raise InvalidOptionError("reach must be at least 0")
     if isinstance(image, (bytes, bytearray)):
         image = MemoryImage.from_bytes(bytes(image))
-    return _carve(image, wanted, min_len, cap, chunk_size)
+    return _carve(image, wanted, min_len, cap, chunk_size, near)
 
 
 def _carve(
-    image: MemoryImage, wanted: list[Encoding], min_len: int, cap: int, chunk_size: int
+    image: MemoryImage,
+    wanted: list[Encoding],
+    min_len: int,
+    cap: int,
+    chunk_size: int,
+    near: tuple[re.Pattern, int] | None,
 ) -> Iterator[ExtractedString]:
     resume = [0, 0, 0]
     carry, base = b"", 0
+    if near is None:
+        def pick(buf, base, offset, stop, unit, horizon):
+            return _strings(buf, base, offset, stop, unit)
+    else:
+        pick = _Near(*near).pick
     for chunk in image.chunks(chunk_size):
         buf = carry + chunk
-        pieces, cut = _carve_buffer(
+        offset, stop, unit, cut = _spans(
             buf, base, wanted, resume, min_len, cap, final=False
         )
-        yield from pieces
+        yield from pick(buf, base, offset, stop, unit, base + cut)
         carry, base = buf[cut:], base + cut
-    yield from _carve_buffer(carry, base, wanted, resume, min_len, cap, final=True)[0]
+    offset, stop, unit, _ = _spans(carry, base, wanted, resume, min_len, cap, final=True)
+    yield from pick(carry, base, offset, stop, unit, None)
 
 
 def write_strings_file(

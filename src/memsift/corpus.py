@@ -77,8 +77,18 @@ def _append(timeline: dict[str, ManifestEntry], entry: ManifestEntry) -> None:
 
 
 def _check_session(meta: tuple[str, str]) -> tuple[str, str]:
+    """Check a (browser, application) pair reads back from its ``# session:``
+    line as written: two text fields, each free of tab and line breaks and
+    of the space at either end that the reader strips."""
+    if not (
+        isinstance(meta, tuple) and len(meta) == 2 and all(isinstance(f, str) for f in meta)
+    ):
+        raise ValueError(f"session_meta {meta!r} is not a (browser, application) pair")
     if not all(map(_fits_field, meta)):
         raise ValueError("session_meta holds a tab or line break")
+    for field in meta:
+        if field != field.strip():
+            raise ValueError(f"session_meta field {field!r} has space at an end")
     return meta
 
 

@@ -2,9 +2,11 @@
 
 Browsers sit credentials in memory the way the wire saw them: form bodies
 carry percent escapes (and ``+`` for space), some banking frontends store
-only an encrypted digest.  ``percent_decode`` is deliberately not
-urllib.unquote: escapes are single-byte, there is no charset layer, and a
-malformed escape passes through untouched so the function is total.
+only an encrypted digest.  ``percent_decode`` reads escapes the way a
+browser wrote a UTF-8 form: each maximal run of ``%XX`` escapes is decoded
+as UTF-8 bytes.  Unlike urllib.unquote it never substitutes: a run that is
+not valid UTF-8 keeps one character per escape, and a malformed escape
+passes through untouched, so the function is total.
 """
 
 from __future__ import annotations
@@ -13,9 +15,9 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 
-_HEX = set("0123456789abcdefABCDEF")
 _MD5_LIKE = re.compile(r"[0-9a-f]{32}\Z")
-_ESCAPE = re.compile(r"%[0-9A-Fa-f]{2}")
+_ESCAPES = re.compile(r"(?:%[0-9A-Fa-f]{2})+")
+_ESCAPES_OR_PLUS = re.compile(r"(?:%[0-9A-Fa-f]{2})+|\+")
 
 
 class ValueEncoding(str, Enum):
@@ -49,33 +51,31 @@ class DecodedValue:
         return self.classification is Classification.SUSPECTED_ENCRYPTED
 
 
-def percent_decode(raw: str, plus_as_space: bool = False) -> str:
-    """Decode ``%XX`` escapes (either hex case) to single characters.
+def _unescape(m: re.Match) -> str:
+    text = m.group()
+    if text == "+":
+        return " "
+    raw = bytes.fromhex(text.replace("%", ""))
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return raw.decode("latin-1")
 
-    A ``%`` not followed by two hex digits is kept literally, so the
-    function is total over arbitrary input.  With ``plus_as_space``, ``+``
-    becomes a space (form-body convention).
+
+def percent_decode(raw: str, plus_as_space: bool = False) -> str:
+    """Decode ``%XX`` escapes (either hex case).
+
+    Each maximal run of escapes is decoded as UTF-8 when it is valid UTF-8,
+    else one character per escape.  A ``%`` not followed by two hex digits
+    is kept literally, so the function is total over arbitrary input.  With
+    ``plus_as_space``, ``+`` becomes a space (form-body convention).
     """
-    out: list[str] = []
-    i = 0
-    n = len(raw)
-    while i < n:
-        ch = raw[i]
-        if ch == "%" and i + 2 < n and raw[i + 1] in _HEX and raw[i + 2] in _HEX:
-            out.append(chr(int(raw[i + 1 : i + 3], 16)))
-            i += 3
-        elif ch == "+" and plus_as_space:
-            out.append(" ")
-            i += 1
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
+    return (_ESCAPES_OR_PLUS if plus_as_space else _ESCAPES).sub(_unescape, raw)
 
 
 def has_percent_escape(raw: str) -> bool:
     """True when raw contains at least one well-formed %XX escape."""
-    return _ESCAPE.search(raw) is not None
+    return _ESCAPES.search(raw) is not None
 
 
 def classify_value(

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import ImageManifest, ManifestEntry, write_manifest
+from .corpus import ImageManifest, ManifestEntry, _check_session, write_manifest
 from .decoding import classify_value
 from .errors import InvalidOptionError, OverlapError, PlacementOutOfBoundsError
 from .procmap import ProcessMap, ProcessMapEntry, write_process_map
@@ -522,6 +522,8 @@ def load_plan(path: str | Path) -> FabricationPlan:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         pmap = doc.get("process_map")
         session = doc.get("session_meta")
+        if isinstance(session, list):
+            session = tuple(session)
         return FabricationPlan(
             image_size=int(doc["image_size"]),
             seed=int(doc["seed"]),
@@ -534,7 +536,7 @@ def load_plan(path: str | Path) -> FabricationPlan:
                 if pmap is not None
                 else None
             ),
-            session_meta=tuple(session) if session else None,
+            session_meta=None if session is None else _check_session(session),
             images=tuple(
                 PlannedImage(
                     label=str(img["label"]),

@@ -1,13 +1,15 @@
 """End-to-end credential scan over carved strings.
 
-The scan reads the carver output once.  Signature keywords are rare, so
-only the strings near them are matched.  Each keyword hit claims the bytes
-within reach of it (the context window, the adjacency gap and some slack
-for the key itself); claims that overlap or touch merge, and the strings
-whose offsets lie inside one merged claim form a region.  A region is
-matched as a unit as soon as no later hit can extend it.  Any other string
-is kept only while it is within reach of the newest one, so peak memory
-follows the largest region rather than the image size.
+The scan is keyword-first.  Signature keywords are rare, so only the
+strings near them are built and matched.  A keyword hit is a carved
+string the keyword pattern matches, and it claims the bytes within reach
+of it (the context window, the adjacency gap and some slack for the key
+itself).  The carver tests every piece for a hit on its arrays and builds
+only the strings whose offsets lie in some claim.  Claims that overlap or
+touch merge, and the strings inside one merged claim form a region.  A
+region is matched as a unit as soon as no later hit can extend it.  Peak
+memory follows the largest region rather than the image size, and
+printable text far from any keyword costs no strings at all.
 
 Within a region every signature is tried in both modes.  Where two
 applications share keywords (IRCTC and SBI both post ``userName`` and
@@ -322,6 +324,14 @@ def _regions(
     claims that overlap or touch merge, and a region is every string whose
     offset lies inside its merged claim.  Strings must arrive ascending by
     offset, as the carver emits them.
+
+    The scan feeds only the strings whose offset lies in some hit's claim
+    (``carve_strings(near=...)``), and the regions are the same as from
+    every string.  Hits are the same strings either way, since a hit lies
+    in its own claim, so the claims and their merges are the same.  A
+    merged claim is the union of its members, so every string inside it
+    lies in some single claim and is fed.  And a string in no claim falls
+    in no region.
     """
     # Outside a region only the look-behind is kept: the strings within
     # reach of the frontier (the newest offset).  An older string can fall
@@ -378,7 +388,9 @@ def scan_image(
     # Reach past a hit that can still interact with it: context window
     # plus adjacency gap plus a little for key text itself.
     reach = opts.window + opts.delta + 256
-    strings = carve_strings(image, opts.min_len, chunk_size=opts.chunk_size)
+    strings = carve_strings(
+        image, opts.min_len, chunk_size=opts.chunk_size, near=(hit_re, reach)
+    )
     matches = [
         match
         for region in _regions(strings, hit_re, reach)

@@ -7,16 +7,19 @@ agree with each other by construction of the tests, and the production
 carver must agree with both.  ``regions_linear`` groups strings into hit
 regions with every string in hand, and ``match_region_linear`` is the
 region matcher before its lookups were indexed; both are the scanner's
-references.  ``has_token`` is the fabricator's reference: it checks by
-search what the filler's byte table guarantees by construction.
+references.  ``scan_full_carve`` is ``scan_image``'s reference: it feeds
+every carved string, not just those near a keyword, to the region engine.
+``has_token`` is the fabricator's reference: it checks by search what the
+filler's byte table guarantees by construction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from memsift.carver import Encoding
-from memsift.scanner import HIGH, LOW
+from memsift import scanner
+from memsift.carver import Encoding, carve_strings
+from memsift.scanner import HIGH, LOW, ScanOptions
 from memsift.signatures import (
     GAUSR_MARKER,
     AdjacentBinder,
@@ -157,8 +160,8 @@ def carve_numpy(data: bytes, min_len: int = 4, cap: int = 4096):
 
 
 def percent_encode(text: str, plus_for_space: bool = False) -> str:
-    """Escape every character outside the safe set; ordinal must fit one
-    byte.  Inverse of the decoder over that domain."""
+    """Escape every character outside the safe set as its UTF-8 bytes.
+    Inverse of the decoder."""
     out = []
     for ch in text:
         if ch in _SAFE:
@@ -166,10 +169,7 @@ def percent_encode(text: str, plus_for_space: bool = False) -> str:
         elif ch == " " and plus_for_space:
             out.append("+")
         else:
-            o = ord(ch)
-            if o > 0xFF:
-                raise ValueError(f"cannot single-byte encode {ch!r}")
-            out.append(f"%{o:02X}")
+            out.extend(f"%{b:02X}" for b in ch.encode("utf-8"))
     return "".join(out)
 
 
@@ -231,6 +231,23 @@ def regions_linear(strings, hit_re, reach):
             else:
                 claims.append([start, end])
     return [[s for s in strings if start <= s.offset <= end] for start, end in claims]
+
+
+def scan_full_carve(image, options=None):
+    """Reference for ``memsift.scanner.scan_image`` with the built-in
+    catalog: carve every string, then group and match the regions."""
+    catalog = builtin_catalog()
+    opts = options or ScanOptions()
+    hit_re = scanner._prefilter(catalog)
+    reach = opts.window + opts.delta + 256
+    strings = carve_strings(image, opts.min_len, chunk_size=opts.chunk_size)
+    matches = [
+        match
+        for region in scanner._regions(strings, hit_re, reach)
+        for match in scanner._match_region(region, catalog, opts, hit_re)
+    ]
+    matches.sort(key=lambda t: (t[2].anchor_offset, t[0]))
+    return [scanner._to_finding(m, conf, image.label, None) for _, conf, m in matches]
 
 
 # The region matcher as it was before its lookups went through sorted

@@ -1,6 +1,7 @@
 """String carving against brute-force and vectorized references."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,7 @@ def test_encoding_restriction():
     (dict(cap=0), "cap must be >= min_len"),
     (dict(chunk_size=0), "chunk_size must be at least 1"),
     (dict(encodings=()), "at least one encoding is required"),
+    (dict(near=(re.compile("pass"), -1)), "reach must be at least 0"),
 ])
 def test_bad_options_raise_on_call(bad, message):
     # Raised by the call itself, before any string is pulled.
@@ -174,6 +176,85 @@ def test_streaming_lag_is_bounded(kind):
         assert image.read - (s.offset + s.byte_length) <= chunk_size + 2 * cap + 1
         count += 1
     assert count >= len(data) // (2 * cap)
+
+
+_HIT_RE = re.compile("GAUSR=mail:|password|pass|uName")
+
+
+@pytest.mark.parametrize("kind", sorted(_LAG_IMAGES))
+def test_streaming_lag_near_hits_is_bounded(kind):
+    """Picking pieces near hits delays each by at most ``reach`` more."""
+    data = _LAG_IMAGES[kind]()
+    data = b"\0pass\0".join(data[i : i + 1500] for i in range(0, 1 << 20, 1500))
+    chunk_size, cap, reach = 64 * 1024, 4096, 1000
+    image = _CountingImage(data)
+    count = 0
+    for s in carve_strings(image, chunk_size=chunk_size, cap=cap, near=(_HIT_RE, reach)):
+        assert image.read - (s.offset + s.byte_length) <= chunk_size + 2 * cap + 1 + reach
+        count += 1
+    assert count >= (1 << 20) // 1500
+
+
+# Hits are rare among the parts, so some pieces are picked only by a claim
+# that started buffers before them.
+_HIT_PARTS = st.sampled_from(
+    ("pass", "uName", "password", "GAUSR=mail:")
+    + ("pas", "s", "xyz", "=&", "word " * 8, "\0", "\0" * 40, "\x01") * 3
+)
+
+
+def _encode(parts):
+    return b"".join(
+        text.encode("utf-16-le" if wide else "latin-1") for text, wide in parts
+    )
+
+
+def _near_reference(data, min_len, cap, reach):
+    """The numpy reference carve, kept where a brute-force claim reaches."""
+    rows = carve_numpy(data, min_len, cap)
+    claims = [
+        (at - reach, at + (2 if enc == "utf16le" else 1) * len(text) + reach)
+        for at, text, enc in rows
+        if _HIT_RE.search(text)
+    ]
+    return [row for row in rows if any(lo <= row[0] <= hi for lo, hi in claims)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(st.tuples(_HIT_PARTS, st.booleans()), max_size=120).map(_encode),
+    _len_and_cap(),
+    _chunky,
+    st.integers(0, 200),
+)
+def test_near_picks_pieces_in_hit_claims(data, len_and_cap, chunk_size, reach):
+    min_len, cap = len_and_cap
+    got = carve_strings(
+        data, min_len, chunk_size=chunk_size, cap=cap, near=(_HIT_RE, reach)
+    )
+    assert strings_tuples(got) == _near_reference(data, min_len, cap, reach)
+
+
+@pytest.mark.parametrize("chunk_size", [1, 7, 64, 4096])
+@pytest.mark.parametrize("outside", [0, 1])
+def test_near_claim_edges(chunk_size, outside):
+    """A hit at 200 with reach 30 claims [170, 234], both ends included."""
+    data = bytearray(300)
+    data[170 - outside : 174 - outside] = b"wxyz"
+    data[200:204] = b"pass"
+    data[234 + outside : 238 + outside] = b"stuv"
+    got = [s.text for s in carve_strings(bytes(data), chunk_size=chunk_size, near=(_HIT_RE, 30))]
+    assert got == (["pass"] if outside else ["wxyz", "pass", "stuv"])
+
+
+@pytest.mark.parametrize("lead", range(0, 9))
+def test_keyword_cut_by_cap_seam_is_no_hit(lead):
+    """``pass`` is a hit only inside one cap piece, as the full scan sees it."""
+    for wide in (False, True):
+        data = _encode([("\0" + "x" * lead + "pass" + "y" * 12 + "\0", wide)])
+        got = strings_tuples(carve_strings(data, cap=8, near=(_HIT_RE, 0)))
+        assert got == _near_reference(data, 4, 8, 0)
+        assert bool(got) == (lead % 8 <= 4)
 
 
 @settings(max_examples=100)

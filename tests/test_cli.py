@@ -322,7 +322,11 @@ class TestFabricate:
         ({"process_map": [[1, "a\tb", 0, 0x100, 0]]}, "process name 'a\\tb' holds a tab"),
         ({"process_map": [[1, "a", 0x200, 0x100, 0]]}, "range 0x200..0x100 is inverted"),
         ({"process_map": [[-1, "a", 0, 0x100, 0]]}, "negative pid -1"),
-    ], ids=["negative-seed", "tab-in-name", "inverted-range", "negative-pid"])
+        ({"session_meta": ["Firefox", "Gmail", "extra"]}, "not a (browser, application) pair"),
+        ({"session_meta": "FG"}, "'FG' is not a (browser, application) pair"),
+        ({"session_meta": [" Firefox ", "Gmail "]}, "' Firefox ' has space at an end"),
+    ], ids=["negative-seed", "tab-in-name", "inverted-range", "negative-pid",
+            "three-session-fields", "session-string", "session-padded"])
     def test_bad_plan_value_writes_nothing(self, capsys, tmp_path, change, message):
         doc = {"image_size": 65536, "seed": 1,
                "images": [{"label": "A", "step_index": 2,

@@ -154,6 +154,33 @@ def test_write_manifest_writes_only_what_loads_back(tmp_path_factory, rows):
     assert load_manifest(dest).entries == tuple(entries)
 
 
+@given(st.tuples(_FIELD, _FIELD))
+@example(("a", " b"))
+def test_write_manifest_writes_only_the_session_it_loads_back(tmp_path_factory, session):
+    base = tmp_path_factory.mktemp("rt")
+    _img(base, "a.raw")
+    dest = base / "manifest.tsv"
+    try:
+        write_manifest([ManifestEntry("A", 2, "", base / "a.raw")], dest, session_meta=session)
+    except ValueError:
+        assert not dest.exists()
+        return
+    assert load_manifest(dest).session_meta == session
+
+
+@pytest.mark.parametrize(
+    "session",
+    [("Firefox", "Gmail", "extra"), "FG", (" Firefox ", "Gmail ")],
+    ids=["three-fields", "string", "padded"],
+)
+def test_write_manifest_refuses_a_session_it_cannot_read_back(tmp_path, session):
+    _img(tmp_path, "a.raw")
+    dest = tmp_path / "manifest.tsv"
+    with pytest.raises(ValueError, match="session_meta"):
+        write_manifest([ManifestEntry("A", 2, "", tmp_path / "a.raw")], dest, session_meta=session)
+    assert not dest.exists()
+
+
 class TestMemoryImage:
     def test_size_matches_file_length(self, tmp_path):
         p = _img(tmp_path, "a.raw", b"x" * 1234)

@@ -1,5 +1,7 @@
 """Percent decoding and value classification."""
 
+from urllib.parse import quote_plus
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,10 +11,8 @@ from memsift.decoding import has_percent_escape
 
 from oracles import percent_encode
 
-# characters the single-byte decoder can round-trip
-_one_byte_text = st.text(
-    alphabet=st.characters(min_codepoint=0, max_codepoint=255), max_size=64
-)
+# every character UTF-8 can encode
+_text = st.text(alphabet=st.characters(exclude_categories=("Cs",)), max_size=64)
 
 
 class TestPercentDecode:
@@ -36,19 +36,44 @@ class TestPercentDecode:
     def test_mixed_literal_and_escape(self):
         assert percent_decode("a%2Gb%2Fc") == "a%2Gb/c"
 
-    @given(_one_byte_text)
+    @given(_text)
     def test_round_trip(self, text):
         assert percent_decode(percent_encode(text)) == text
 
-    @given(_one_byte_text)
+    @given(_text)
     def test_round_trip_with_plus(self, text):
         assert percent_decode(percent_encode(text, True), plus_as_space=True) == text
+
+    @given(_text)
+    def test_round_trip_through_quote_plus(self, text):
+        assert percent_decode(quote_plus(text), plus_as_space=True) == text
+
+    def test_utf8_escapes_decode_as_one_character(self):
+        assert percent_decode("p%C3%A9ss") == "péss"
+        assert classify_value("p%C3%A9ss").decoded == "péss"
+
+    @pytest.mark.parametrize("raw, decoded", [
+        ("%E9t%E9", "été"),  # a lone Latin-1 byte is no UTF-8 sequence
+        ("%C3%A9%FF", "Ã©ÿ"),  # the whole run must be valid UTF-8
+        ("%C3", "Ã"),  # a cut sequence
+        ("%C3%A9x%E9", "éxé"),  # each run is decoded alone
+    ])
+    def test_run_that_is_not_utf8_keeps_one_character_per_escape(self, raw, decoded):
+        assert percent_decode(raw) == decoded
+
+    @given(st.binary(max_size=16))
+    def test_every_escaped_byte_string_decodes(self, data):
+        try:
+            expected = data.decode("utf-8")
+        except UnicodeDecodeError:
+            expected = data.decode("latin-1")
+        assert percent_decode("".join(f"%{b:02x}" for b in data)) == expected
 
     @given(st.text(max_size=64).filter(lambda s: "%" not in s and "+" not in s))
     def test_identity_without_escapes(self, text):
         assert percent_decode(text) == text
 
-    @given(_one_byte_text)
+    @given(_text)
     def test_decode_is_idempotent_on_escape_free_output(self, text):
         once = percent_decode(text)
         if "%" not in once:

@@ -30,7 +30,7 @@ from memsift import (
 )
 from memsift import scanner
 from memsift.errors import InvalidOptionError, UnknownLabelError
-from oracles import match_region_linear, regions_linear
+from oracles import match_region_linear, regions_linear, scan_full_carve
 
 
 def _sig(app):
@@ -598,3 +598,35 @@ class TestRegionsOracle:
         got = list(scanner._regions(iter(strings), _hit_re(), reach))
         assert got == regions_linear(strings, _hit_re(), reach)
         assert [[s.text for s in region] for region in got] == expected
+
+
+_text = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=30)
+_part = st.one_of(
+    st.sampled_from(_KEYS + ("GAUSR=mail:", "=", "&")),
+    st.sampled_from(_URLS),
+    st.builds(
+        lambda form, u, p: form.format(u=u, p=p), st.sampled_from(_INLINE), _value, _value
+    ),
+    _text,
+    st.integers(1, 1500).map(lambda n: "\0" * n),
+)
+
+
+class TestKeywordFirstScan:
+    """The scan builds strings only near keyword hits; its findings must be
+    those of the scan that carves every string."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        parts=st.lists(st.tuples(_part, st.booleans()), max_size=40),
+        chunk_size=st.integers(16, 4096),
+        delta=st.integers(0, 200),
+        window=st.integers(0, 1000),
+    )
+    def test_scan_equals_full_carve_reference(self, parts, chunk_size, delta, window):
+        data = b"".join(
+            text.encode("utf-16-le" if wide else "ascii") for text, wide in parts
+        )
+        image = MemoryImage.from_bytes(data, label="t")
+        opts = ScanOptions(delta=delta, window=window, chunk_size=chunk_size)
+        assert scan_image(image, options=opts) == scan_full_carve(image, opts)
