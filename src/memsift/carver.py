@@ -25,10 +25,14 @@ the implementation against.
 
 Pieces are found as numpy arrays (offset, stop, bytes per character) and
 only then built as strings.  ``memsift strings`` builds every piece.  The
-scan is keyword-first: it asks for the pieces within reach of a keyword,
-the carver tests all of a buffer's pieces with one pattern search over
-their gathered characters, and only the pieces near a match are built.
-Printable text far from any keyword never becomes a Python object.
+scan is keyword-first: it asks for the pieces near a keyword, and the
+carver tests all of a buffer's pieces with one pattern search over their
+gathered characters.  What it builds is a superset: every piece in a
+claim, plus pieces within reach of a buffer seam, where a hit in another
+buffer may claim them.  The scan's region rule drops the extra ones.
+Each buffer is decided on its own, so nothing waits across buffers, and
+printable text far from any keyword and from any seam never becomes a
+Python object.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .corpus import DEFAULT_CHUNK_SIZE, MemoryImage, _parse_lines
+from .corpus import DEFAULT_CHUNK_SIZE, MemoryImage, _parse_digits, _parse_lines
 from .errors import InvalidOptionError
 
 DEFAULT_MIN_LEN = 4
@@ -49,7 +53,6 @@ DEFAULT_CAP = 4096
 
 _ZERO8 = np.zeros(1, np.int8)
 _NO_INDEX = np.zeros(0, np.intp)
-_FAR = np.iinfo(np.intp).max
 
 
 class Encoding(str, Enum):
@@ -181,92 +184,45 @@ def _strings(
     return list(map(tuple.__new__, repeat(ExtractedString), rows))
 
 
-class _Near:
-    """Picks, across buffers, the pieces within ``reach`` of a hit: a piece
-    whose text ``pattern`` matches.  A hit claims [offset - reach, offset +
-    byte_length + reach], and a piece is picked iff its offset lies in some
-    claim.
+def _near(
+    finditer, reach: int, buf: bytes, offset: np.ndarray, stop: np.ndarray,
+    unit: np.ndarray, carried: int, cut: int,
+) -> np.ndarray:
+    """A mask of the pieces a hit may claim in a buffer that holds
+    ``carried`` bytes of carry, then a chunk, and is cut at ``cut``.  A hit
+    is a piece whose text ``finditer`` matches, and it claims [offset -
+    reach, offset + byte_length + reach].
 
-    A piece is decided by the hits before it (the running ``claim_end`` of
-    earlier buffers, and a prefix maximum within this one) and the hits
-    after it (a suffix minimum of hit offsets).  Later buffers hold only
-    hits at or past the horizon, the absolute cut, so a piece more than
-    ``reach`` before the horizon is decided.  The pieces after it wait,
-    built as strings, and are decided again with the next buffer; with a
-    ``chunk_size`` below ``reach`` they may wait across several.  What
-    waits lies within ``reach`` of the horizon, so it is bounded by
-    ``reach`` and ``cap``, not by the image.
+    A piece is kept if it lies in the claim of a hit in this buffer, or
+    within ``reach`` of a seam, where a hit in another buffer may claim
+    it: an earlier buffer's hit ends by the end of the previous buffer,
+    ``carried``, and a later buffer's hit starts at or past ``cut``.  Every
+    claimed piece is thus kept, plus some near seams that no claim holds.
     """
-
-    def __init__(self, pattern: re.Pattern, reach: int) -> None:
-        self.finditer = re.compile(
-            pattern.pattern.encode("ascii"), pattern.flags & ~re.UNICODE
-        ).finditer
-        self.reach = reach
-        self.claim_end = -1  # the furthest claim end of the decided hits
-        self.waiting: list[ExtractedString] = []
-        self.waiting_at = _NO_INDEX  # their offsets
-        self.waiting_claim = _NO_INDEX  # a hit's claim end, else -1
-
-    def _hits(
-        self, buf: bytes, offset: np.ndarray, stop: np.ndarray, unit: np.ndarray
-    ) -> np.ndarray:
-        """Which pieces ``pattern`` matches, without decoding one: gather
-        every piece's characters with one index, a NUL after each, search
-        the result once and map each match back to its piece."""
-        hit = np.zeros(offset.size, bool)
-        if not offset.size:
-            return hit
-        width = (stop - offset) // unit + 1  # characters plus the NUL
-        first = np.cumsum(width) - width  # where each piece starts in the text
-        # Gather indices as running sums: each piece steps by its unit from
-        # its offset, and its NUL slot reads its stop.
-        index = np.repeat(unit, width).astype(np.intp)
-        index[first] = offset - np.concatenate(([0], stop[:-1]))
-        np.cumsum(index, out=index)
-        text = np.frombuffer(buf, np.uint8).take(index, mode="clip")
-        text[first + width - 1] = 0
-        starts = [m.start() for m in self.finditer(text)]
-        hit[np.searchsorted(first, starts, "right") - 1] = True
-        return hit
-
-    def pick(
-        self,
-        buf: bytes,
-        base: int,
-        offset: np.ndarray,
-        stop: np.ndarray,
-        unit: np.ndarray,
-        horizon: int | None,
-    ) -> list[ExtractedString]:
-        """The decided picks among the waiting pieces and this buffer's,
-        ascending by offset; ``horizon`` is None for the last buffer."""
-        reach = self.reach
-        hit = self._hits(buf, offset, stop, unit)
-        at = np.concatenate((self.waiting_at, offset + base))
-        claim = np.concatenate(
-            (self.waiting_claim, np.where(hit, stop + base + reach, -1))
-        )
-        behind = np.maximum(np.maximum.accumulate(claim), self.claim_end)
-        ahead = np.where(claim >= 0, at, _FAR)
-        ahead = np.minimum.accumulate(ahead[::-1])[::-1]
-        picked = (at <= behind) | (ahead - reach <= at)
-        decided = at.size
-        if horizon is not None:
-            decided = int(np.searchsorted(at, horizon - reach))
-        if decided:
-            self.claim_end = int(behind[decided - 1])
-        # Waiting pieces come first and all precede this buffer's.
-        w = len(self.waiting)
-        mine = np.flatnonzero(picked[w:decided])
-        out = [s for s, p in zip(self.waiting[:decided], picked) if p]
-        out += _strings(buf, base, offset[mine], stop[mine], unit[mine])
-        rest = slice(max(decided - w, 0), None)
-        self.waiting = self.waiting[decided:] + _strings(
-            buf, base, offset[rest], stop[rest], unit[rest]
-        )
-        self.waiting_at, self.waiting_claim = at[decided:], claim[decided:]
-        return out
+    keep = (offset <= carried + reach) | (offset >= cut - reach)
+    if not offset.size:
+        return keep
+    # Gather every piece's characters with one index, a NUL after each,
+    # search the result once and map each match back to its piece.
+    width = (stop - offset) // unit + 1  # characters plus the NUL
+    first = np.cumsum(width) - width  # where each piece starts in the text
+    # Gather indices as running sums: each piece steps by its unit from its
+    # offset, and its NUL slot reads its stop.
+    index = np.repeat(unit, width).astype(np.intp)
+    index[first] = offset - np.concatenate(([0], stop[:-1]))
+    np.cumsum(index, out=index)
+    text = np.frombuffer(buf, np.uint8).take(index, mode="clip")
+    text[first + width - 1] = 0
+    starts = [m.start() for m in finditer(text)]
+    if starts:
+        hit = np.unique(np.searchsorted(first, starts, "right") - 1)
+        # The hits that start within reach before a piece are a prefix of
+        # them; the piece is claimed iff the furthest claim end among that
+        # prefix reaches it.
+        claim_end = np.maximum.accumulate(stop[hit] + reach)
+        k = np.searchsorted(offset[hit], offset + reach, "right") - 1
+        keep |= (k >= 0) & (claim_end[k] >= offset)
+    return keep
 
 
 def carve_strings(
@@ -286,12 +242,14 @@ def carve_strings(
     read.  The stream holds only the current chunk plus a carry of under
     ``2*cap+1`` bytes, so peak memory does not depend on image size.
 
-    ``near=(pattern, reach)`` keeps only the pieces within ``reach`` bytes
-    of a hit, a piece whose text ``pattern`` matches: those whose offset
-    lies in some hit's [offset - reach, offset + byte_length + reach].  The
-    pattern must be ASCII and match only printable text, as a literal
+    ``near=(pattern, reach)`` keeps a superset of the pieces a hit claims:
+    every piece in a claim, plus pieces within reach of a buffer seam.  A
+    hit is a piece whose text ``pattern`` matches, and it claims the pieces
+    whose offset lies in [offset - reach, offset + byte_length + reach].
+    The pattern must be ASCII and match only printable text, as a literal
     alternation does; it is searched as bytes over the pieces' characters.
-    Only the kept pieces are built as strings.
+    Only the kept pieces are built as strings, and each buffer's are
+    yielded before the next chunk is read.
     """
     if min_len < 1:
         raise InvalidOptionError("min_len must be at least 1")
@@ -317,22 +275,32 @@ def _carve(
     chunk_size: int,
     near: tuple[re.Pattern, int] | None,
 ) -> Iterator[ExtractedString]:
+    if near is None:
+        def pick(buf, offset, stop, unit, carried, cut):
+            return offset, stop, unit
+    else:
+        pattern, reach = near
+        finditer = re.compile(
+            pattern.pattern.encode("ascii"), pattern.flags & ~re.UNICODE
+        ).finditer
+
+        def pick(buf, offset, stop, unit, carried, cut):
+            keep = _near(finditer, reach, buf, offset, stop, unit, carried, cut)
+            return offset[keep], stop[keep], unit[keep]
+
     resume = [0, 0, 0]
     carry, base = b"", 0
-    if near is None:
-        def pick(buf, base, offset, stop, unit, horizon):
-            return _strings(buf, base, offset, stop, unit)
-    else:
-        pick = _Near(*near).pick
     for chunk in image.chunks(chunk_size):
         buf = carry + chunk
         offset, stop, unit, cut = _spans(
             buf, base, wanted, resume, min_len, cap, final=False
         )
-        yield from pick(buf, base, offset, stop, unit, base + cut)
+        yield from _strings(buf, base, *pick(buf, offset, stop, unit, len(carry), cut))
         carry, base = buf[cut:], base + cut
-    offset, stop, unit, _ = _spans(carry, base, wanted, resume, min_len, cap, final=True)
-    yield from pick(carry, base, offset, stop, unit, None)
+    # The last buffer is all carry: every piece in it lies before the end
+    # of the previous buffer.
+    offset, stop, unit, cut = _spans(carry, base, wanted, resume, min_len, cap, final=True)
+    yield from _strings(carry, base, *pick(carry, offset, stop, unit, len(carry), cut))
 
 
 def write_strings_file(
@@ -356,9 +324,7 @@ def _strings_row(line: str) -> tuple[int, str] | None:
     head, sep, text = line.partition(":")
     if not sep:
         raise ValueError("no ':' separator")
-    if not head.isdigit():
-        raise ValueError("offset is not a decimal integer")
-    return int(head), text
+    return _parse_digits(head, "offset"), text
 
 
 def parse_strings_file(

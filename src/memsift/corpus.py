@@ -22,6 +22,7 @@ directive comment, which downstream reporting uses to tag its columns:
 from __future__ import annotations
 
 import io
+import re
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,6 +40,21 @@ from .errors import (
 T = TypeVar("T")
 
 DEFAULT_CHUNK_SIZE = 1 << 20
+
+
+_DIGITS = {10: re.compile("[0-9]+"), 16: re.compile("[0-9a-fA-F]+")}
+
+
+def _parse_digits(text: str, what: str, base: int = 10, signed: bool = False) -> int:
+    """``text`` as the writers write an integer field: ASCII digits of
+    ``base`` alone, after a ``-`` if the field is ``signed``.  ``int``
+    would also take a ``+``, surrounding space, underscores and the digits
+    of other scripts; here each is a ``ValueError`` naming ``what``."""
+    digits = text[1:] if signed and text[:1] == "-" else text
+    if _DIGITS[base].fullmatch(digits) is None:
+        kind = "decimal" if base == 10 else "hex"
+        raise ValueError(f"{what} {text!r} is not a {kind} integer")
+    return int(text, base)
 
 
 def _fits_field(text: str) -> bool:
@@ -237,10 +253,7 @@ def load_manifest(path: str | Path) -> ImageManifest:
 
     def entry(parts: list[str]) -> ManifestEntry:
         label, step_text, description, rel = parts
-        try:
-            step = int(step_text)
-        except ValueError:
-            raise ValueError(f"step index {step_text!r} is not an integer") from None
+        step = _parse_digits(step_text, "step index", signed=True)
         img_path = (src.parent / rel).resolve() if not Path(rel).is_absolute() else Path(rel)
         _append(timeline, ManifestEntry(label, step, description, img_path))
         MemoryImage.from_file(img_path)  # the image exists and is not empty

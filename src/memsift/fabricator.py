@@ -515,9 +515,18 @@ def save_plan(plan: FabricationPlan, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
+def _json_int(value: object) -> int:
+    """A JSON integer as ``save_plan`` writes one; ``int`` would also take
+    a float, a bool or a string."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
 def load_plan(path: str | Path) -> FabricationPlan:
     """Read a plan saved by ``save_plan``.  A missing key or a wrongly
-    shaped value raises ``ValueError`` naming the file."""
+    shaped value, such as a number that is not a JSON integer, raises
+    ``ValueError`` naming the file."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         pmap = doc.get("process_map")
@@ -525,12 +534,12 @@ def load_plan(path: str | Path) -> FabricationPlan:
         if isinstance(session, list):
             session = tuple(session)
         return FabricationPlan(
-            image_size=int(doc["image_size"]),
-            seed=int(doc["seed"]),
+            image_size=_json_int(doc["image_size"]),
+            seed=_json_int(doc["seed"]),
             printable_density=float(doc.get("printable_density", 0.3)),
             process_map=(
                 tuple(
-                    ProcessMapEntry(int(p), str(n), int(s), int(e), int(v))
+                    ProcessMapEntry(_json_int(p), str(n), *map(_json_int, (s, e, v)))
                     for p, n, s, e, v in pmap
                 )
                 if pmap is not None
@@ -540,9 +549,9 @@ def load_plan(path: str | Path) -> FabricationPlan:
             images=tuple(
                 PlannedImage(
                     label=str(img["label"]),
-                    step_index=int(img["step_index"]),
+                    step_index=_json_int(img["step_index"]),
                     step_description=str(img.get("step_description", "")),
-                    placements=tuple((str(t), int(o)) for t, o in img["placements"]),
+                    placements=tuple((str(t), _json_int(o)) for t, o in img["placements"]),
                 )
                 for img in doc["images"]
             ),

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
-from .corpus import _fits_field, _tsv_rows
+from .corpus import _fits_field, _parse_digits, _tsv_rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -54,12 +54,14 @@ class Attribution:
 def _parse_hex(cell: str) -> int:
     if not cell.lower().startswith("0x"):
         raise ValueError(f"address {cell!r} lacks 0x prefix")
-    return int(cell, 16)
+    return _parse_digits(cell[2:], "address", 16)
 
 
 def _entry(parts: list[str]) -> ProcessMapEntry:
     pid, name, start, end, virt = parts
-    return ProcessMapEntry(int(pid), name, _parse_hex(start), _parse_hex(end), _parse_hex(virt))
+    return ProcessMapEntry(
+        _parse_digits(pid, "pid"), name, _parse_hex(start), _parse_hex(end), _parse_hex(virt)
+    )
 
 
 def load_process_map(source: str | Path | IO[str]) -> list[ProcessMapEntry]:

@@ -5,11 +5,13 @@ strings near them are built and matched.  A keyword hit is a carved
 string the keyword pattern matches, and it claims the bytes within reach
 of it (the context window, the adjacency gap and some slack for the key
 itself).  The carver tests every piece for a hit on its arrays and builds
-only the strings whose offsets lie in some claim.  Claims that overlap or
-touch merge, and the strings inside one merged claim form a region.  A
-region is matched as a unit as soon as no later hit can extend it.  Peak
-memory follows the largest region rather than the image size, and
-printable text far from any keyword costs no strings at all.
+only the strings a claim may hold: those in a claim, plus those near a
+buffer seam.  Claims that overlap or touch merge, and the strings inside
+one merged claim form a region; ``_regions`` drops the rest.  A region is
+matched as a unit as soon as no later hit can extend it.  Peak memory
+follows the largest region rather than the image size, and printable
+text far from any keyword and from any buffer seam costs no strings at
+all.
 
 Within a region every signature is tried in both modes.  Where two
 applications share keywords (IRCTC and SBI both post ``userName`` and
@@ -325,13 +327,15 @@ def _regions(
     offset lies inside its merged claim.  Strings must arrive ascending by
     offset, as the carver emits them.
 
-    The scan feeds only the strings whose offset lies in some hit's claim
-    (``carve_strings(near=...)``), and the regions are the same as from
-    every string.  Hits are the same strings either way, since a hit lies
-    in its own claim, so the claims and their merges are the same.  A
-    merged claim is the union of its members, so every string inside it
-    lies in some single claim and is fed.  And a string in no claim falls
-    in no region.
+    This is the one place the claim rule is decided.  The scan feeds a
+    superset of the claimed strings (``carve_strings(near=...)``: every
+    string in a claim, plus some near buffer seams that no claim holds),
+    and the regions are the same as from every string.  Hits are the same
+    strings either way, since a hit lies in its own claim, so the claims
+    and their merges are the same.  A merged claim is the union of its
+    members, so every string inside it lies in some single claim and is
+    fed.  And a string in no claim falls in no region, so the extra
+    strings are dropped here.
     """
     # Outside a region only the look-behind is kept: the strings within
     # reach of the frontier (the newest offset).  An older string can fall

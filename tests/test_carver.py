@@ -183,14 +183,15 @@ _HIT_RE = re.compile("GAUSR=mail:|password|pass|uName")
 
 @pytest.mark.parametrize("kind", sorted(_LAG_IMAGES))
 def test_streaming_lag_near_hits_is_bounded(kind):
-    """Picking pieces near hits delays each by at most ``reach`` more."""
+    """Picking pieces near hits delays none: each buffer's picks are
+    yielded before the next chunk is read."""
     data = _LAG_IMAGES[kind]()
     data = b"\0pass\0".join(data[i : i + 1500] for i in range(0, 1 << 20, 1500))
     chunk_size, cap, reach = 64 * 1024, 4096, 1000
     image = _CountingImage(data)
     count = 0
     for s in carve_strings(image, chunk_size=chunk_size, cap=cap, near=(_HIT_RE, reach)):
-        assert image.read - (s.offset + s.byte_length) <= chunk_size + 2 * cap + 1 + reach
+        assert image.read - (s.offset + s.byte_length) <= chunk_size + 2 * cap + 1
         count += 1
     assert count >= (1 << 20) // 1500
 
@@ -220,6 +221,12 @@ def _near_reference(data, min_len, cap, reach):
     return [row for row in rows if any(lo <= row[0] <= hi for lo, hi in claims)]
 
 
+def _in_order_within(rows, full):
+    """True if ``rows`` is ``full`` with some rows left out."""
+    remaining = iter(full)
+    return all(row in remaining for row in rows)
+
+
 @settings(max_examples=120, deadline=None)
 @given(
     st.lists(st.tuples(_HIT_PARTS, st.booleans()), max_size=120).map(_encode),
@@ -228,23 +235,51 @@ def _near_reference(data, min_len, cap, reach):
     st.integers(0, 200),
 )
 def test_near_picks_pieces_in_hit_claims(data, len_and_cap, chunk_size, reach):
+    """Every claimed piece is kept; extra pieces are allowed, in stream
+    order, because the scan's region rule drops them."""
     min_len, cap = len_and_cap
-    got = carve_strings(
+    got = strings_tuples(carve_strings(
         data, min_len, chunk_size=chunk_size, cap=cap, near=(_HIT_RE, reach)
-    )
-    assert strings_tuples(got) == _near_reference(data, min_len, cap, reach)
+    ))
+    assert set(got) >= set(_near_reference(data, min_len, cap, reach))
+    assert _in_order_within(got, carve_numpy(data, min_len, cap))
+
+
+@pytest.mark.parametrize("chunk_size", [50, 777, 4096])
+def test_near_keeps_only_seam_pieces_without_hits(chunk_size):
+    """With no keyword in the image, a piece is kept only within ``reach``
+    of a buffer seam, which lies within the carry bound of a chunk
+    boundary or of the image end."""
+    min_len, cap, reach = 4, 16, 100
+    data = random_buffer([5151, chunk_size], 64 * 1024, 0.7)
+    # Every keyword holds an s, N or G, in either encoding.
+    data = data.replace(b"s", b"t").replace(b"N", b"t").replace(b"G", b"t")
+    got = list(carve_strings(
+        data, min_len, chunk_size=chunk_size, cap=cap, near=(_HIT_RE, reach)
+    ))
+    assert got
+    bound = reach + 2 * cap + 1
+    for s in got:
+        seam = min(s.offset % chunk_size, -s.offset % chunk_size, len(data) - s.offset)
+        assert seam <= bound
+    if chunk_size > 2 * bound:
+        assert len(got) < len(carve_numpy(data, min_len, cap)) // 2
+    assert _in_order_within(strings_tuples(got), carve_numpy(data, min_len, cap))
 
 
 @pytest.mark.parametrize("chunk_size", [1, 7, 64, 4096])
 @pytest.mark.parametrize("outside", [0, 1])
 def test_near_claim_edges(chunk_size, outside):
-    """A hit at 200 with reach 30 claims [170, 234], both ends included."""
+    """A hit at 200 with reach 30 claims [170, 234], both ends included.
+    The pieces just outside are dropped only when no seam lies within
+    reach of them, that is when one chunk holds the whole image."""
     data = bytearray(300)
     data[170 - outside : 174 - outside] = b"wxyz"
     data[200:204] = b"pass"
     data[234 + outside : 238 + outside] = b"stuv"
     got = [s.text for s in carve_strings(bytes(data), chunk_size=chunk_size, near=(_HIT_RE, 30))]
-    assert got == (["pass"] if outside else ["wxyz", "pass", "stuv"])
+    dropped = outside and chunk_size >= len(data)
+    assert got == (["pass"] if dropped else ["wxyz", "pass", "stuv"])
 
 
 @pytest.mark.parametrize("lead", range(0, 9))
@@ -323,6 +358,12 @@ def test_strings_file_rejects_garbage():
     with pytest.raises(LineError) as err:
         list(parse_strings_file(io.StringIO("oops no colon\n")))
     assert err.value.lineno == 1
+
+
+@pytest.mark.parametrize("offset", ["١٢", "1_2", "+12", " 12", "-12"])
+def test_strings_file_offset_is_ascii_digits(offset):
+    with pytest.raises(LineError, match="offset .* is not a decimal integer"):
+        list(parse_strings_file(io.StringIO(f"{offset}:x\n")))
 
 
 def test_extracted_string_is_frozen():

@@ -304,6 +304,19 @@ class TestFabricate:
         ({"image_size": 65536, "seed": 1, "images": 3}, "malformed plan"),
         ({"image_size": "big", "seed": 1, "images": []}, "malformed plan"),
         ([], "malformed plan"),
+        # numbers must be JSON integers, as save_plan writes them
+        ({"image_size": 65536.9, "seed": 1, "images": []},
+         "malformed plan: 65536.9 is not an integer"),
+        ({"image_size": 65536, "seed": True, "images": []},
+         "malformed plan: True is not an integer"),
+        ({"image_size": 65536, "seed": 1,
+          "images": [{"label": "A", "step_index": "2", "placements": []}]},
+         "malformed plan: '2' is not an integer"),
+        ({"image_size": 65536, "seed": 1, "images": [
+            {"label": "A", "step_index": 2, "placements": [["sonicwall-inline", 4096.5]]}]},
+         "malformed plan: 4096.5 is not an integer"),
+        ({"image_size": 65536, "seed": 1, "process_map": [[1, "a", 0, 256.0, 0]], "images": []},
+         "malformed plan: 256.0 is not an integer"),
         # a bad value inside a plan file is the file's fault, not a usage error
         ({"image_size": 65536, "seed": 1, "printable_density": 1.5, "images": []},
          "printable_density must be in [0, 1)"),

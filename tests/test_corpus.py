@@ -95,6 +95,9 @@ class TestLoadManifest:
         "A\t2\tx",                    # three fields
         "A\t2\tx\ta.raw\textra",      # five fields
         "A\ttwo\tx\ta.raw",           # step not an integer
+        "A\t٢\tx\ta.raw",             # step in another script's digits
+        "A\t1_0\tx\ta.raw",           # step with an underscore
+        "A\t+2\tx\ta.raw",            # step with a plus sign
         "\t2\tx\ta.raw",              # empty label
     ])
     def test_malformed_lines(self, tmp_path, bad):
@@ -124,6 +127,14 @@ def test_write_then_load_round_trip(tmp_path):
     assert man.entry("Two").step_description == "second"
     # written paths are relative so the directory can be moved wholesale
     assert "\t" + str(tmp_path) not in dest.read_text().splitlines()[-1]
+
+
+def test_negative_step_index_round_trips(tmp_path):
+    _img(tmp_path, "a.raw")
+    dest = tmp_path / "manifest.tsv"
+    entries = (ManifestEntry("A", -3, "", tmp_path / "a.raw"),)
+    write_manifest(list(entries), dest)
+    assert load_manifest(dest).entries == entries
 
 
 # Tab, both line breaks, the comment mark and leading spaces: everything

@@ -110,6 +110,17 @@ def test_malformed_entries(bad):
         load_process_map(io.StringIO(bad + "\n"))
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("1_0\tx.exe\t0x10\t0x20\t0x30", "pid '1_0' is not a decimal integer"),
+    (" +7 \tx.exe\t0x10\t0x20\t0x30", "pid ' \\+7 ' is not a decimal integer"),
+    ("1\tx.exe\t0x٢0\t0x40\t0x30", "address '٢0' is not a hex integer"),
+    ("1\tx.exe\t0x_10\t0x40\t0x30", "address '_10' is not a hex integer"),
+])
+def test_integer_fields_are_ascii_digits(bad, message):
+    with pytest.raises(LineError, match=message):
+        load_process_map(io.StringIO(bad + "\n"))
+
+
 def test_inverted_range_rejected():
     body = "1\tx.exe\t0x2000\t0x1000\t0x0\n"
     with pytest.raises(LineError):

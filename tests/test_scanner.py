@@ -3,6 +3,7 @@
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +31,8 @@ from memsift import (
 )
 from memsift import scanner
 from memsift.errors import InvalidOptionError, UnknownLabelError
-from oracles import match_region_linear, regions_linear, scan_full_carve
+from memsift.signatures import DEFAULT_DELTA, DEFAULT_WINDOW
+from oracles import match_region_linear, random_buffer, regions_linear, scan_full_carve
 
 
 def _sig(app):
@@ -630,3 +632,32 @@ class TestKeywordFirstScan:
         image = MemoryImage.from_bytes(data, label="t")
         opts = ScanOptions(delta=delta, window=window, chunk_size=chunk_size)
         assert scan_image(image, options=opts) == scan_full_carve(image, opts)
+
+    @pytest.mark.parametrize("density", [0.1, 0.3, 0.7])
+    def test_scan_equals_full_carve_with_hits_at_seams(self, density):
+        """Forms, keys, cookies and URLs planted in random filler, half of
+        them within reach of a 4096-byte chunk boundary: the findings equal
+        the full carve's at chunk sizes below reach, above it and at the
+        default."""
+        seed = [5152, round(density * 10)]
+        rng = np.random.default_rng(seed)
+        size = 64 * 1024
+        buf = bytearray(random_buffer(seed, size, density))
+        texts = [form.format(u="v1a2", p="vb3c4") for form in _INLINE]
+        texts += [f"{key}\0vq5r6" for key in _KEYS] + list(_URLS) + ["GAUSR=mail:vs7t8"]
+        for i in range(48):
+            text = texts[rng.integers(len(texts))]
+            codec = "utf-16-le" if rng.random() < 0.3 else "ascii"
+            data = ("\0" + text + "\0").encode(codec)
+            if i % 2:
+                at = int(rng.integers(1, size // 4096)) * 4096 + int(rng.integers(-1500, 1500))
+            else:
+                at = int(rng.integers(0, size - len(data)))
+            buf[at : at + len(data)] = data
+        image = MemoryImage.from_bytes(bytes(buf), label="t")
+        reach = DEFAULT_WINDOW + DEFAULT_DELTA + 256
+        for chunk_size in (reach // 3, 4096, 1 << 20):
+            opts = ScanOptions(chunk_size=chunk_size)
+            want = scan_full_carve(image, opts)
+            assert len(want) >= 10
+            assert scan_image(image, options=opts) == want
