@@ -304,6 +304,9 @@ class TestFabricate:
         ({"image_size": 65536, "seed": 1, "images": 3}, "malformed plan"),
         ({"image_size": "big", "seed": 1, "images": []}, "malformed plan"),
         ([], "malformed plan"),
+        # a bad value inside a plan file is the file's fault, not a usage error
+        ({"image_size": 65536, "seed": 1, "printable_density": 1.5, "images": []},
+         "printable_density must be in [0, 1)"),
         # numbers must be JSON integers, as save_plan writes them
         ({"image_size": 65536.9, "seed": 1, "images": []},
          "malformed plan: 65536.9 is not an integer"),
@@ -317,9 +320,6 @@ class TestFabricate:
          "malformed plan: 4096.5 is not an integer"),
         ({"image_size": 65536, "seed": 1, "process_map": [[1, "a", 0, 256.0, 0]], "images": []},
          "malformed plan: 256.0 is not an integer"),
-        # a bad value inside a plan file is the file's fault, not a usage error
-        ({"image_size": 65536, "seed": 1, "printable_density": 1.5, "images": []},
-         "printable_density must be in [0, 1)"),
     ])
     def test_malformed_plan_is_an_error_naming_the_file(self, capsys, tmp_path, doc, message):
         path = tmp_path / "plan.json"
