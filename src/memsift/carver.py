@@ -215,7 +215,10 @@ def _near(
     text[first + width - 1] = 0
     starts = [m.start() for m in finditer(text)]
     if starts:
-        hit = np.unique(np.searchsorted(first, starts, "right") - 1)
+        # Ascending, and a piece with several matches repeats, which
+        # neither step below minds.  (np.unique would import numpy.ma, a
+        # cost of its own in every scan process.)
+        hit = np.searchsorted(first, starts, "right") - 1
         # The hits that start within reach before a piece are a prefix of
         # them; the piece is claimed iff the furthest claim end among that
         # prefix reaches it.
