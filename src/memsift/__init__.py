@@ -5,184 +5,51 @@ memory dumps, matches them against a catalog of web application login
 signatures, decodes what it finds, maps hits back to owning processes and
 tracks credential presence across acquisition timelines.  A fabricator
 builds synthetic images with known planted artifacts for validation.
+
+Each exported name is imported from its module on first use, so a
+process that needs only the carver never loads the scanner.
 """
 
-from .carver import (
-    BOTH_ENCODINGS,
-    DEFAULT_CAP,
-    DEFAULT_MIN_LEN,
-    Encoding,
-    ExtractedString,
-    carve_strings,
-    parse_strings_file,
-    write_strings_file,
-)
-from .corpus import (
-    DEFAULT_CHUNK_SIZE,
-    ImageManifest,
-    ManifestEntry,
-    MemoryImage,
-    load_manifest,
-    open_image,
-    write_manifest,
-)
-from .decoding import (
-    Classification,
-    DecodedValue,
-    ValueEncoding,
-    classify_value,
-    percent_decode,
-)
-from .errors import (
-    DuplicateLabelError,
-    InvalidOptionError,
-    LineError,
-    MemsiftError,
-    MissingFileError,
-    NonMonotonicStepError,
-    OverlapError,
-    PlacementOutOfBoundsError,
-    UnknownLabelError,
-    ZeroSizeError,
-)
-from .fabricator import (
-    ArtifactTemplate,
-    ExpectedFinding,
-    FabricationPlan,
-    FabricationResult,
-    PlannedImage,
-    builtin_templates,
-    fabricate,
-    load_plan,
-    save_plan,
-    table1_preset,
-    template_by_id,
-)
-from .procmap import (
-    Attribution,
-    ProcessMap,
-    ProcessMapEntry,
-    load_process_map,
-    write_process_map,
-)
-from .report import (
-    build_report,
-    finding_to_doc,
-    load_report,
-    matrix_to_doc,
-    render_json,
-    render_matrix_table,
-    render_text,
-)
-from .scanner import (
-    GC,
-    HIGH,
-    LOW,
-    MF,
-    STANDARD_COLUMNS,
-    CredentialFinding,
-    PresenceMatrix,
-    ScanOptions,
-    assign_confidence,
-    browser_tag,
-    build_presence_matrix,
-    scan_image,
-    scan_manifest,
-)
-from .signatures import (
-    DEFAULT_DELTA,
-    DEFAULT_WINDOW,
-    GAUSR_MARKER,
-    CredentialSignature,
-    MatchMode,
-    SignatureMatch,
-    builtin_catalog,
-    load_catalog_file,
-    match_adjacent,
-    match_inline,
-    merge_catalogs,
-    parse_form_pairs,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BOTH_ENCODINGS",
-    "DEFAULT_CAP",
-    "DEFAULT_CHUNK_SIZE",
-    "DEFAULT_DELTA",
-    "DEFAULT_MIN_LEN",
-    "DEFAULT_WINDOW",
-    "GAUSR_MARKER",
-    "GC",
-    "HIGH",
-    "LOW",
-    "MF",
-    "STANDARD_COLUMNS",
-    "ArtifactTemplate",
-    "Attribution",
-    "Classification",
-    "CredentialFinding",
-    "CredentialSignature",
-    "DecodedValue",
-    "DuplicateLabelError",
-    "Encoding",
-    "ExpectedFinding",
-    "ExtractedString",
-    "FabricationPlan",
-    "FabricationResult",
-    "ImageManifest",
-    "InvalidOptionError",
-    "LineError",
-    "ManifestEntry",
-    "MatchMode",
-    "MemoryImage",
-    "MemsiftError",
-    "MissingFileError",
-    "NonMonotonicStepError",
-    "OverlapError",
-    "PlacementOutOfBoundsError",
-    "PlannedImage",
-    "PresenceMatrix",
-    "ProcessMap",
-    "ProcessMapEntry",
-    "ScanOptions",
-    "SignatureMatch",
-    "UnknownLabelError",
-    "ValueEncoding",
-    "ZeroSizeError",
-    "assign_confidence",
-    "browser_tag",
-    "build_presence_matrix",
-    "build_report",
-    "builtin_catalog",
-    "builtin_templates",
-    "carve_strings",
-    "classify_value",
-    "fabricate",
-    "finding_to_doc",
-    "load_catalog_file",
-    "load_manifest",
-    "load_plan",
-    "load_process_map",
-    "load_report",
-    "match_adjacent",
-    "match_inline",
-    "matrix_to_doc",
-    "merge_catalogs",
-    "open_image",
-    "parse_form_pairs",
-    "parse_strings_file",
-    "percent_decode",
-    "render_json",
-    "render_matrix_table",
-    "render_text",
-    "save_plan",
-    "scan_image",
-    "scan_manifest",
-    "table1_preset",
-    "template_by_id",
-    "write_manifest",
-    "write_process_map",
-    "write_strings_file",
-]
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "carver": """BOTH_ENCODINGS DEFAULT_CAP DEFAULT_MIN_LEN Encoding
+            ExtractedString carve_strings dump_strings parse_strings_file""",
+        "corpus": """DEFAULT_CHUNK_SIZE ImageManifest ManifestEntry MemoryImage
+            load_manifest open_image write_manifest""",
+        "decoding": """Classification DecodedValue ValueEncoding classify_value
+            percent_decode""",
+        "errors": """DuplicateLabelError InvalidOptionError LineError MemsiftError
+            MissingFileError NonMonotonicStepError OverlapError
+            PlacementOutOfBoundsError UnknownLabelError ZeroSizeError""",
+        "fabricator": """ArtifactTemplate ExpectedFinding FabricationPlan
+            FabricationResult PlannedImage builtin_templates fabricate load_plan
+            save_plan table1_preset template_by_id""",
+        "procmap": """Attribution ProcessMap ProcessMapEntry load_process_map
+            write_process_map""",
+        "report": """build_report finding_to_doc load_report matrix_to_doc
+            render_json render_matrix_table render_text""",
+        "scanner": """GC HIGH LOW MF STANDARD_COLUMNS CredentialFinding
+            PresenceMatrix ScanOptions assign_confidence browser_tag
+            build_presence_matrix scan_image scan_manifest""",
+        "signatures": """DEFAULT_DELTA DEFAULT_WINDOW GAUSR_MARKER
+            CredentialSignature MatchMode SignatureMatch builtin_catalog
+            load_catalog_file match_adjacent match_inline merge_catalogs
+            parse_form_pairs""",
+    }.items()
+    for name in names.split()
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value

@@ -23,11 +23,15 @@ image is read with.  That is the one property everything downstream leans
 on, and it is what the brute-force reference scan in the test suite checks
 the implementation against.
 
-Pieces are found as numpy arrays (offset, stop, bytes per character) and
-only then built as strings.  ``memsift strings`` builds every piece.  The
-scan is keyword-first: it asks for the pieces near a keyword, and the
-carver tests all of a buffer's pieces with one pattern search over their
-gathered characters.  What it builds is a superset: every piece in a
+Each buffer's pieces are found as numpy arrays (offset, stop, bytes per
+character), and both consumers work from those arrays.  ``memsift
+strings`` (``dump_strings``) never builds a string: it lays a buffer's
+``offset:text`` lines out as one byte array, the decimal digits computed
+by vectorised division and the characters gathered by index, and writes
+it at once.  The scan is keyword-first: it asks
+``carve_strings`` for the pieces near a keyword, and the carver tests all
+of a buffer's pieces with one pattern search over their characters,
+gathered the same way.  What it builds is a superset: every piece in a
 claim, plus pieces within reach of a buffer seam, where a hit in another
 buffer may claim them.  The scan's region rule drops the extra ones.
 Each buffer is decided on its own, so nothing waits across buffers, and
@@ -39,9 +43,9 @@ from __future__ import annotations
 
 import re
 from enum import Enum
-from itertools import repeat
+from itertools import chain, repeat, starmap
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, BinaryIO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -53,6 +57,10 @@ DEFAULT_CAP = 4096
 
 _ZERO8 = np.zeros(1, np.int8)
 _NO_INDEX = np.zeros(0, np.intp)
+# 10, 100, ..., 10**18: a non-negative int64 has one digit more than the
+# number of these it reaches.
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+_GATHER_SLOTS = 1 << 18
 
 
 class Encoding(str, Enum):
@@ -164,6 +172,55 @@ def _spans(
     return offset, stop, unit, cut
 
 
+def _buffers(
+    image: MemoryImage, wanted: list[Encoding], min_len: int, cap: int, chunk_size: int
+) -> Iterator[tuple[bytes, int, np.ndarray, np.ndarray, np.ndarray, int, int]]:
+    """Yield ``(buf, base, offset, stop, unit, carried, cut)`` per buffer:
+    the buffer, its absolute offset, its settled pieces (see ``_spans``),
+    the bytes carried into it and its cut.  The last buffer is all carry,
+    and every piece in it lies before the end of the previous buffer."""
+    resume = [0, 0, 0]
+    carry, base = b"", 0
+    for chunk in chain(image.chunks(chunk_size), [None]):
+        final = chunk is None
+        buf = carry if final else carry + chunk
+        offset, stop, unit, cut = _spans(buf, base, wanted, resume, min_len, cap, final)
+        yield buf, base, offset, stop, unit, len(carry), cut
+        carry, base = buf[cut:], base + cut
+
+
+def _gather(
+    buf: bytes, offset: np.ndarray, stop: np.ndarray, unit: np.ndarray, lead=0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every piece's characters read out of ``buf``, each after ``lead``
+    free slots (a count, or one per piece) and before one more.  Returns
+    the bytes, where each piece's slots start and how many it has.  The
+    free slots hold arbitrary bytes for the caller to set."""
+    width = lead + (stop - offset) // unit + 1
+    end = np.cumsum(width)
+    text = np.empty(int(end[-1]), np.uint8)
+    source = np.frombuffer(buf, np.uint8)
+    lead = np.broadcast_to(lead, offset.shape)
+    # The index, 8 bytes a slot, is built for about _GATHER_SLOTS slots of
+    # pieces at a time, so it stays small beside the buffer.
+    cuts = np.searchsorted(end, range(_GATHER_SLOTS, int(end[-1]), _GATHER_SLOTS))
+    bounds = list(dict.fromkeys([0, *cuts.tolist(), offset.size]))
+    for lo, hi in zip(bounds, bounds[1:]):
+        w = width[lo:hi]
+        first = np.cumsum(w) - w
+        # Running sums: every slot steps by its piece's unit, and a piece's
+        # first character jumps to its offset from the previous piece's
+        # last slot, which reads that piece's stop.
+        index = np.repeat(unit[lo:hi].astype(np.intp), w)
+        index[first + lead[lo:hi]] = (
+            offset[lo:hi] - np.concatenate(([0], stop[lo : hi - 1]))
+            - lead[lo:hi] * unit[lo:hi]
+        )
+        np.cumsum(index, out=index)
+        source.take(index, out=text[end[lo] - w[0] : end[hi - 1]], mode="clip")
+    return text, end - width, width
+
+
 def _strings(
     buf: bytes, base: int, offset: np.ndarray, stop: np.ndarray, unit: np.ndarray
 ) -> list[ExtractedString]:
@@ -184,6 +241,27 @@ def _strings(
     return list(map(tuple.__new__, repeat(ExtractedString), rows))
 
 
+def _lines(
+    buf: bytes, base: int, offset: np.ndarray, stop: np.ndarray, unit: np.ndarray
+) -> np.ndarray:
+    """The ``offset:text`` lines (decimal absolute offset, LF) of the given
+    pieces of a buffer that starts at ``base``, as one byte array."""
+    value = offset.astype(np.int64) + base
+    digits = np.searchsorted(_POWERS_OF_TEN, value, "right") + 1
+    lines, first, width = _gather(buf, offset, stop, unit, lead=digits + 1)
+    at = first + digits  # the colon, then each digit leftwards
+    lines[at] = ord(":")
+    lines[first + width - 1] = ord("\n")
+    for k in range(int(digits.max())):
+        if k >= digits.min():  # drop the offsets with no digit left
+            more = digits > k
+            at, value, digits = at[more], value[more], digits[more]
+        at = at - 1
+        value, digit = np.divmod(value, 10)
+        lines[at] = digit + ord("0")
+    return lines
+
+
 def _near(
     finditer, reach: int, buf: bytes, offset: np.ndarray, stop: np.ndarray,
     unit: np.ndarray, carried: int, cut: int,
@@ -202,16 +280,9 @@ def _near(
     keep = (offset <= carried + reach) | (offset >= cut - reach)
     if not offset.size:
         return keep
-    # Gather every piece's characters with one index, a NUL after each,
-    # search the result once and map each match back to its piece.
-    width = (stop - offset) // unit + 1  # characters plus the NUL
-    first = np.cumsum(width) - width  # where each piece starts in the text
-    # Gather indices as running sums: each piece steps by its unit from its
-    # offset, and its NUL slot reads its stop.
-    index = np.repeat(unit, width).astype(np.intp)
-    index[first] = offset - np.concatenate(([0], stop[:-1]))
-    np.cumsum(index, out=index)
-    text = np.frombuffer(buf, np.uint8).take(index, mode="clip")
+    # Search every piece's characters at once, a NUL after each, and map
+    # each match back to its piece.
+    text, first, width = _gather(buf, offset, stop, unit)
     text[first + width - 1] = 0
     starts = [m.start() for m in finditer(text)]
     if starts:
@@ -226,6 +297,29 @@ def _near(
         k = np.searchsorted(offset[hit], offset + reach, "right") - 1
         keep |= (k >= 0) & (claim_end[k] >= offset)
     return keep
+
+
+def _checked(
+    image: MemoryImage | bytes,
+    min_len: int,
+    encodings: Iterable[Encoding],
+    chunk_size: int,
+    cap: int,
+) -> tuple[MemoryImage, list[Encoding]]:
+    """The image as a MemoryImage and the wanted encodings, once the
+    options are checked."""
+    if min_len < 1:
+        raise InvalidOptionError("min_len must be at least 1")
+    if cap < min_len:
+        raise InvalidOptionError("cap must be >= min_len")
+    if chunk_size < 1:
+        raise InvalidOptionError("chunk_size must be at least 1")
+    wanted = list(dict.fromkeys(Encoding(e) for e in encodings))
+    if not wanted:
+        raise InvalidOptionError("at least one encoding is required")
+    if isinstance(image, (bytes, bytearray)):
+        image = MemoryImage.from_bytes(bytes(image))
+    return image, wanted
 
 
 def carve_strings(
@@ -254,71 +348,54 @@ def carve_strings(
     Only the kept pieces are built as strings, and each buffer's are
     yielded before the next chunk is read.
     """
-    if min_len < 1:
-        raise InvalidOptionError("min_len must be at least 1")
-    if cap < min_len:
-        raise InvalidOptionError("cap must be >= min_len")
-    if chunk_size < 1:
-        raise InvalidOptionError("chunk_size must be at least 1")
-    wanted = list(dict.fromkeys(Encoding(e) for e in encodings))
-    if not wanted:
-        raise InvalidOptionError("at least one encoding is required")
-    if near is not None and near[1] < 0:
-        raise InvalidOptionError("reach must be at least 0")
-    if isinstance(image, (bytes, bytearray)):
-        image = MemoryImage.from_bytes(bytes(image))
-    return _carve(image, wanted, min_len, cap, chunk_size, near)
-
-
-def _carve(
-    image: MemoryImage,
-    wanted: list[Encoding],
-    min_len: int,
-    cap: int,
-    chunk_size: int,
-    near: tuple[re.Pattern, int] | None,
-) -> Iterator[ExtractedString]:
+    image, wanted = _checked(image, min_len, encodings, chunk_size, cap)
     if near is None:
-        def pick(buf, offset, stop, unit, carried, cut):
-            return offset, stop, unit
+        def pick(buf, base, offset, stop, unit, carried, cut):
+            return _strings(buf, base, offset, stop, unit)
     else:
         pattern, reach = near
+        if reach < 0:
+            raise InvalidOptionError("reach must be at least 0")
         finditer = re.compile(
             pattern.pattern.encode("ascii"), pattern.flags & ~re.UNICODE
         ).finditer
 
-        def pick(buf, offset, stop, unit, carried, cut):
+        def pick(buf, base, offset, stop, unit, carried, cut):
             keep = _near(finditer, reach, buf, offset, stop, unit, carried, cut)
-            return offset[keep], stop[keep], unit[keep]
+            return _strings(buf, base, offset[keep], stop[keep], unit[keep])
 
-    resume = [0, 0, 0]
-    carry, base = b"", 0
-    for chunk in image.chunks(chunk_size):
-        buf = carry + chunk
-        offset, stop, unit, cut = _spans(
-            buf, base, wanted, resume, min_len, cap, final=False
-        )
-        yield from _strings(buf, base, *pick(buf, offset, stop, unit, len(carry), cut))
-        carry, base = buf[cut:], base + cut
-    # The last buffer is all carry: every piece in it lies before the end
-    # of the previous buffer.
-    offset, stop, unit, cut = _spans(carry, base, wanted, resume, min_len, cap, final=True)
-    yield from _strings(carry, base, *pick(carry, offset, stop, unit, len(carry), cut))
+    # starmap lets go of each buffer once its pieces are picked, and chain
+    # of its strings once they are read, so neither is held while the next
+    # buffer is carved.
+    return chain.from_iterable(starmap(pick, _buffers(image, wanted, min_len, cap, chunk_size)))
 
 
-def write_strings_file(
-    strings: Iterable[ExtractedString], sink: str | Path | IO[str]
+def dump_strings(
+    image: MemoryImage | bytes,
+    sink: str | Path | BinaryIO,
+    min_len: int = DEFAULT_MIN_LEN,
+    encodings: Iterable[Encoding] = BOTH_ENCODINGS,
+    *,
+    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    cap: int = DEFAULT_CAP,
 ) -> int:
-    """Write ``offset:text`` lines (decimal offset, UTF-8, LF).  Returns the
-    number of lines written."""
+    """Write every piece ``carve_strings`` would yield as an ``offset:text``
+    line (decimal offset, LF) to a path or a binary file, one write per
+    buffer.  Returns the number of lines written.  The options are checked
+    before the path is opened."""
+    image, wanted = _checked(image, min_len, encodings, chunk_size, cap)
     if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="\n") as fh:
-            return write_strings_file(strings, fh)
-    count = 0
-    for s in strings:
-        sink.write(f"{s.offset}:{s.text}\n")
-        count += 1
-    return count
+        with open(sink, "wb") as fh:
+            return dump_strings(image, fh, min_len, wanted, chunk_size=chunk_size, cap=cap)
+
+    def write(buf, base, offset, stop, unit, carried, cut):
+        if offset.size:
+            sink.write(_lines(buf, base, offset, stop, unit))
+        return offset.size
+
+    # starmap lets go of each buffer once it is written, so it is not held
+    # while the next buffer is carved.
+    return sum(starmap(write, _buffers(image, wanted, min_len, cap, chunk_size)))
 
 
 def _strings_row(line: str) -> tuple[int, str] | None:

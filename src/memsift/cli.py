@@ -12,46 +12,48 @@ from __future__ import annotations
 
 import argparse
 import sys
+from importlib import import_module
 from pathlib import Path
 
 from . import __version__
-from .carver import (
-    BOTH_ENCODINGS,
-    DEFAULT_CAP,
-    DEFAULT_MIN_LEN,
-    carve_strings,
-    write_strings_file,
-)
-from .corpus import DEFAULT_CHUNK_SIZE, MemoryImage, load_manifest
+from .carver import BOTH_ENCODINGS, DEFAULT_CAP, DEFAULT_MIN_LEN, dump_strings
+from .corpus import DEFAULT_CHUNK_SIZE, MemoryImage, _parse_digits, load_manifest
 from .errors import InvalidOptionError, MemsiftError
-from .fabricator import fabricate, load_plan, table1_preset
-from .procmap import ProcessMap, load_process_map
-from .report import (
-    build_report,
-    load_report,
-    render_json,
-    render_matrix_table,
-    render_text,
-    report_matrix,
-)
-from .scanner import ScanOptions, build_presence_matrix, scan_image, scan_manifest
-from .signatures import (
-    DEFAULT_DELTA,
-    DEFAULT_WINDOW,
-    builtin_catalog,
-    load_catalog_file,
-    merge_catalogs,
-)
+
+# The other commands' functions are imported on first use (PEP 562), so
+# `memsift strings` loads none of the scan, report or fabricate modules.
+# Handlers take them through this module (``from .cli import ...``), so a
+# wrapper set on it, as bench/tracing.py sets, is the one called.
+_LAZY = {
+    name: module
+    for module, names in {
+        "fabricator": "fabricate load_plan table1_preset",
+        "procmap": "ProcessMap load_process_map",
+        "report": """build_report load_report render_json render_matrix_table
+            render_text report_matrix""",
+        "scanner": "ScanOptions build_presence_matrix scan_image scan_manifest",
+        "signatures": "builtin_catalog load_catalog_file merge_catalogs",
+    }.items()
+    for name in names.split()
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{module}", __package__), name)
+    return value
+
+
+_SIZE_FACTORS = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}
+
 
 def _parse_size(text: str) -> int:
-    """Sizes like 512, 64K, 16M, 1G."""
-    s = text.strip().upper()
-    factor = 1
-    if s and s[-1] in "KMG":
-        factor = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}[s[-1]]
-        s = s[:-1]
+    """Sizes like 512, 64K, 16M, 1G: ASCII digits, then an optional unit."""
+    factor = _SIZE_FACTORS.get(text[-1:].upper(), 1)
     try:
-        value = int(s)
+        value = _parse_digits(text[:-1] if factor > 1 else text, "size")
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a size: {text!r}") from None
     if value <= 0:
@@ -60,17 +62,31 @@ def _parse_size(text: str) -> int:
 
 
 def _parse_offset(text: str) -> int:
-    """Non-negative offsets, decimal or 0x-prefixed hex."""
+    """Non-negative offsets: ASCII decimal digits, or 0x and hex digits."""
+    digits = text.removeprefix("-")
+    hexadecimal = digits[:2] in ("0x", "0X")
     try:
-        value = int(text, 0)
+        value = _parse_digits(digits[2:] if hexadecimal else digits, "offset",
+                              16 if hexadecimal else 10)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an offset: {text!r}") from None
-    if value < 0:
+    if digits != text:
         raise argparse.ArgumentTypeError(f"offset must be non-negative: {text!r}")
     return value
 
 
+def _parse_int(text: str) -> int:
+    """An integer option: ASCII decimal digits, after an optional ``-`` so
+    that the option's own range check names a negative value."""
+    try:
+        return _parse_digits(text, "value", signed=True)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
 def _load_catalog(path: str | None):
+    from .cli import builtin_catalog, load_catalog_file, merge_catalogs
+
     if path is None:
         return builtin_catalog()
     return merge_catalogs(builtin_catalog(), load_catalog_file(path))
@@ -86,12 +102,14 @@ def _write_output(text: str, out: str | None) -> None:
 def _add_scan_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--catalog", metavar="TSV", help="extra signature catalog file")
     p.add_argument("--process-map", metavar="TSV", help="physical-to-process map file")
-    p.add_argument("--min-len", type=int, default=DEFAULT_MIN_LEN,
+    p.add_argument("--min-len", type=_parse_int, default=DEFAULT_MIN_LEN,
                    help="minimum carved string length (default %(default)s)")
-    p.add_argument("--delta", type=int, default=DEFAULT_DELTA,
-                   help="adjacent key-to-value reach in bytes (default %(default)s)")
-    p.add_argument("--window", type=int, default=DEFAULT_WINDOW,
-                   help="context/combination window in bytes (default %(default)s)")
+    # Left out, these take ScanOptions' defaults, which live with the
+    # matcher; naming them here would load it for every command.
+    p.add_argument("--delta", type=_parse_int,
+                   help="adjacent key-to-value reach in bytes (default 64)")
+    p.add_argument("--window", type=_parse_int,
+                   help="context/combination window in bytes (default 1024)")
     p.add_argument("--chunk-size", type=_parse_size, default=DEFAULT_CHUNK_SIZE,
                    metavar="SIZE", help="read granularity (default 1M)")
     p.add_argument("--deterministic", action="store_true",
@@ -102,24 +120,41 @@ def _add_scan_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_strings(args: argparse.Namespace) -> int:
-    # carve_strings rejects out-of-range options before the output opens.
-    strings = carve_strings(
+    if args.out in (None, "-"):
+        sys.stdout.flush()
+        sink = sys.stdout.buffer
+    else:
+        sink = args.out
+    # dump_strings rejects out-of-range options before the output opens.
+    dump_strings(
         MemoryImage.from_file(args.image),
+        sink,
         args.min_len,
         args.encoding or BOTH_ENCODINGS,
         chunk_size=args.chunk_size,
         cap=args.cap,
     )
-    write_strings_file(strings, sys.stdout if args.out in (None, "-") else args.out)
     return 0
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
+    from .cli import (
+        ProcessMap,
+        ScanOptions,
+        build_presence_matrix,
+        build_report,
+        load_process_map,
+        render_json,
+        render_text,
+        scan_image,
+        scan_manifest,
+    )
+
+    given = {"delta": args.delta, "window": args.window}
     options = ScanOptions(
         min_len=args.min_len,
-        delta=args.delta,
-        window=args.window,
         chunk_size=args.chunk_size,
+        **{name: value for name, value in given.items() if value is not None},
     )
     catalog = _load_catalog(args.catalog)
     pmap = (
@@ -154,6 +189,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
+    from .cli import load_report, render_matrix_table, report_matrix
+
     blocks: list[str] = []
     for path in args.report:
         try:
@@ -166,6 +203,8 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def cmd_attribute(args: argparse.Namespace) -> int:
+    from .cli import ProcessMap, load_process_map
+
     pmap = ProcessMap(load_process_map(args.map))
     for offset in args.offset:
         owners = pmap.lookup(offset)
@@ -180,6 +219,8 @@ def cmd_attribute(args: argparse.Namespace) -> int:
 
 
 def cmd_fabricate(args: argparse.Namespace) -> int:
+    from .cli import fabricate, load_plan, table1_preset
+
     preset = {
         "image_size": args.image_size,
         "seed": args.seed,
@@ -212,13 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("strings", help="carve printable strings from an image")
     p.add_argument("image", help="raw memory image file")
-    p.add_argument("--min-len", type=int, default=DEFAULT_MIN_LEN,
+    p.add_argument("--min-len", type=_parse_int, default=DEFAULT_MIN_LEN,
                    help="minimum run length (default %(default)s)")
     p.add_argument("--encoding", action="append", choices=("ascii", "utf16le"),
                    help="restrict to one encoding (repeatable; default both)")
     p.add_argument("--chunk-size", type=_parse_size, default=DEFAULT_CHUNK_SIZE,
                    metavar="SIZE", help="read granularity (default 1M)")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+    p.add_argument("--cap", type=_parse_int, default=DEFAULT_CAP,
                    help="split runs longer than this (default %(default)s)")
     p.add_argument("--out", metavar="FILE", help="write strings here instead of stdout")
     p.set_defaults(func=cmd_strings)
@@ -248,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     # The preset's own defaults apply to what is left out.
     p.add_argument("--image-size", type=_parse_size, metavar="SIZE",
                    help="preset image size (default 16M)")
-    p.add_argument("--seed", type=int, help="preset RNG seed (default 2011)")
+    p.add_argument("--seed", type=_parse_int, help="preset RNG seed (default 2011)")
     p.add_argument("--density", type=float,
                    help="preset printable byte density in [0, 1) (default 0.3)")
     p.set_defaults(func=cmd_fabricate)

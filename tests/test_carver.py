@@ -14,12 +14,15 @@ from memsift import (
     ExtractedString,
     MemoryImage,
     carve_strings,
+    dump_strings,
     parse_strings_file,
-    write_strings_file,
 )
+from memsift import carver
+from memsift.carver import _lines, _spans
 from memsift.errors import InvalidOptionError, LineError
 
 from oracles import carve_bruteforce, carve_numpy, random_buffer, strings_tuples
+from seams import at_seams
 
 # byte soup with enough printable mass to form runs, plus soup dense in
 # (printable, NUL) pairs so UTF-16LE chains cross chunk seams too
@@ -81,6 +84,9 @@ def test_bad_options_raise_on_call(bad, message):
     # Raised by the call itself, before any string is pulled.
     with pytest.raises(InvalidOptionError, match=message):
         carve_strings(b"abcdabcd", **bad)
+    if "near" not in bad:  # and by the writer before it opens its path
+        with pytest.raises(InvalidOptionError, match=message):
+            dump_strings(b"abcdabcd", "/nonexistent/dir/out", **bad)
 
 
 def test_cap_splits_long_runs():
@@ -227,17 +233,38 @@ def _in_order_within(rows, full):
     return all(row in remaining for row in rows)
 
 
+def _seam_unit(hit, filler, wide, after):
+    """A hit between two other pieces, and where the hit meets the piece
+    before it, or the piece after it."""
+    text = f"\0{filler}\0{hit}\0{filler}\0"
+    at = len(filler) + 2 + (len(hit) + 1 if after else 0)
+    return _encode([(text, wide)]), at * (1 + wide)
+
+
+_SEAM_HITS = st.builds(
+    _seam_unit,
+    st.sampled_from(("pass", "uName", "password", "GAUSR=mail:")),
+    st.sampled_from(("wordy", "x=1&y=2", "word " * 6)),
+    st.booleans(),
+    st.booleans(),
+)
+
+
 @settings(max_examples=120, deadline=None)
 @given(
+    st.data(),
     st.lists(st.tuples(_HIT_PARTS, st.booleans()), max_size=120).map(_encode),
     _len_and_cap(),
     _chunky,
     st.integers(0, 200),
 )
-def test_near_picks_pieces_in_hit_claims(data, len_and_cap, chunk_size, reach):
+def test_near_picks_pieces_in_hit_claims(draw, parts, len_and_cap, chunk_size, reach):
     """Every claimed piece is kept; extra pieces are allowed, in stream
-    order, because the scan's region rule drops them."""
+    order, because the scan's region rule drops them.  Hits are planted
+    near chunk seams, where pieces on one side are claimed by a hit on the
+    other."""
     min_len, cap = len_and_cap
+    data = draw.draw(at_seams(parts, chunk_size, reach + cap, _SEAM_HITS))
     got = strings_tuples(carve_strings(
         data, min_len, chunk_size=chunk_size, cap=cap, near=(_HIT_RE, reach)
     ))
@@ -341,12 +368,68 @@ def test_carve_accepts_image_objects():
     assert strings_tuples(carve_strings(img)) == strings_tuples(carve_strings(data))
 
 
+def _lines_of(rows) -> bytes:
+    return "".join(f"{offset}:{text}\n" for offset, text, _ in rows).encode()
+
+
+@settings(max_examples=150, deadline=None)
+@given(_blobs, _len_and_cap(), _chunky, _encoding_sets)
+def test_dump_writes_reference_lines(data, len_and_cap, chunk_size, encodings):
+    """The writer's bytes are the reference carve's ``offset:text`` lines."""
+    min_len, cap = len_and_cap
+    sink = io.BytesIO()
+    count = dump_strings(data, sink, min_len, encodings, chunk_size=chunk_size, cap=cap)
+    want = [row for row in carve_numpy(data, min_len, cap) if row[2] in encodings]
+    assert sink.getvalue() == _lines_of(want)
+    assert count == len(want)
+    if len(data) <= 512:
+        brute = [row for row in carve_bruteforce(data, min_len, cap) if row[2] in encodings]
+        assert sink.getvalue() == _lines_of(brute)
+
+
+@pytest.mark.parametrize("base", [
+    0, 9, 10, 99, 100,
+    *(10**k + d for k in (3, 6, 10, 18) for d in (-1, 0)),
+    2**32, 2**40,
+])
+def test_dump_digits_at_any_base(base):
+    """A buffer at ``base`` writes absolute offsets: the digit count may
+    change between its lines, and offsets past int32 keep every digit."""
+    buf = b"abcd\x00efgh\x01" + "wxyz".encode("utf-16-le") + b"\x02" + b"k" * 9
+    offset, stop, unit, _ = _spans(buf, base, list(BOTH_ENCODINGS), [0, 0, 0], 4, 4096, True)
+    want = "".join(
+        f"{base + s}:{buf[s:e:u].decode()}\n"
+        for s, e, u in zip(offset.tolist(), stop.tolist(), unit.tolist())
+    )
+    assert want.count("\n") == 4
+    assert _lines(buf, base, offset, stop, unit).tobytes() == want.encode()
+
+
+@pytest.mark.parametrize("slots", [1, 7, 1000])
+def test_gather_slices_change_nothing(monkeypatch, slots):
+    """The gather index is built a slice of pieces at a time; lines and
+    keyword picks are the same whatever the slice holds."""
+    data = bytearray(random_buffer([5153], 256 * 1024, 0.7))
+    for at in range(0, len(data), 5000):
+        data[at : at + 6] = b"\0pass\0" if at % 2 else "\0uName".encode("utf-16-le")[:6]
+    data = bytes(data)
+    whole = io.BytesIO()
+    dump_strings(data, whole, chunk_size=65536)
+    near = strings_tuples(carve_strings(data, chunk_size=65536, near=(_HIT_RE, 300)))
+    monkeypatch.setattr(carver, "_GATHER_SLOTS", slots)
+    sliced = io.BytesIO()
+    dump_strings(data, sliced, chunk_size=65536)
+    assert sliced.getvalue() == whole.getvalue() == _lines_of(carve_numpy(data))
+    assert strings_tuples(carve_strings(data, chunk_size=65536, near=(_HIT_RE, 300))) == near
+    assert len(near) < len(carve_numpy(data))
+
+
 def test_strings_file_round_trip(tmp_path):
-    rows = list(carve_strings(b"\x00one:two\x00three\x00" + "wide".encode("utf-16-le")))
+    data = b"\x00one:two\x00three\x00" + "wide".encode("utf-16-le")
     path = tmp_path / "out.strings"
-    write_strings_file(rows, path)
+    assert dump_strings(data, path) == 3
     back = list(parse_strings_file(path))
-    assert [(o, t) for o, t in back] == [(s.offset, s.text) for s in rows]
+    assert back == [(s.offset, s.text) for s in carve_strings(data)]
 
 
 def test_strings_file_text_may_contain_colons(tmp_path):

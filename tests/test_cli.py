@@ -1,11 +1,25 @@
 """Command line behavior, argument by argument."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from memsift import load_report
+from memsift import ScanOptions, load_report
 from memsift.cli import main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def memsift_child(*argv, **kwargs):
+    """Run ``python -m memsift`` on the sources under src/."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, timeout=120, **kwargs
+    )
 
 
 def run(capsys, *argv):
@@ -55,6 +69,41 @@ class TestStrings:
         assert code == 0
         assert out == ""
         assert dest.read_text() == "1:stashed\n"
+
+    def test_stdout_and_file_get_the_same_bytes(self, capsys, tmp_path):
+        p = tmp_path / "img.raw"
+        p.write_bytes(b"\x00" * 9 + b"first\x00" + "wide=1".encode("utf-16-le") + b"x" * 300)
+        dest = tmp_path / "strings.txt"
+        argv = ["strings", str(p), "--chunk-size", "64", "--cap", "100"]
+        assert run(capsys, *argv, "--out", str(dest)) == (0, "", "")
+        want = dest.read_bytes()
+        assert want.count(b"\n") == 5
+        assert run(capsys, *argv, "--out", "-") == (0, want.decode(), "")
+        child = memsift_child("-m", "memsift", *argv, "--out", "-")
+        assert (child.returncode, child.stdout) == (0, want)
+
+    def test_loads_only_the_carver(self, tmp_path):
+        """`python -m memsift strings` imports none of the scan, report or
+        fabricate modules."""
+        p = tmp_path / "img.raw"
+        p.write_bytes(b"\x00uName=a&pass=b\x00")
+        run_then_list_modules = (
+            "import runpy, sys\n"
+            "try:\n"
+            "    runpy.run_module('memsift', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as done:\n"
+            "    assert not done.code, done.code\n"
+            "print(*sys.modules)\n"
+        )
+        child = memsift_child(
+            "-c", run_then_list_modules, "strings", str(p), "--out", str(tmp_path / "s")
+        )
+        assert child.returncode == 0, child.stderr
+        assert (tmp_path / "s").read_bytes() == b"1:uName=a&pass=b\n"
+        loaded = set(child.stdout.decode().split())
+        assert {"memsift.cli", "memsift.carver"} <= loaded
+        heavy = {"scanner", "signatures", "report", "fabricator", "procmap", "decoding"}
+        assert loaded.isdisjoint(f"memsift.{name}" for name in heavy)
 
 
 class TestScan:
@@ -158,6 +207,47 @@ class TestScan:
                              "--process-map", str(good_map), flag, str(bad))
         assert (code, out) == (1, "")
         assert err == f"error: {bad}:2: expected 5 fields, got 3\n"
+
+
+class TestNumbers:
+    """Numbers on the command line are ASCII digits: no underscore, no
+    sign but a leading minus, no space, no other script's digits."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["attribute", "MAP", "0x1_000"], "offset"),
+        (["attribute", "MAP", "\u0664\u0660\u0669\u0666"], "offset"),
+        (["strings", "IMG", "--chunk-size", "1_0K"], "--chunk-size"),
+        (["scan", "IMG", "--chunk-size", "\u0661M"], "--chunk-size"),
+        (["fabricate", "--preset", "table1", "--image-size", " 2M"], "--image-size"),
+        (["strings", "IMG", "--min-len", "\u0664"], "--min-len"),
+        (["scan", "IMG", "--min-len", "+4"], "--min-len"),
+        (["strings", "IMG", "--cap", "4_096"], "--cap"),
+        (["scan", "IMG", "--delta", " 64"], "--delta"),
+        (["scan", "IMG", "--window", "1_000"], "--window"),
+        (["fabricate", "--preset", "table1", "--seed", "\uff11"], "--seed"),
+    ])
+    def test_is_a_usage_error_naming_the_flag(self, capsys, corpus_dir, tmp_path, argv, flag):
+        paths = {"MAP": corpus_dir / "process_map.tsv", "IMG": corpus_dir / "Img4.img"}
+        argv = [str(paths.get(a, a)) for a in argv]
+        out = tmp_path / "out"
+        if argv[0] != "attribute":
+            argv += ["--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert f"usage: memsift {argv[0]}" in err
+        assert f"argument {flag}: " in err
+        assert not out.exists()
+
+    def test_scan_help_states_the_scan_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["scan", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        options = ScanOptions()
+        assert f"bytes (default {options.delta})" in help_text
+        assert f"window in bytes (default {options.window})" in help_text
 
 
 class TestOptionRanges:

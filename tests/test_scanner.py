@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memsift import (
+    DEFAULT_CAP,
     HIGH,
     LOW,
     Attribution,
@@ -33,6 +34,7 @@ from memsift import scanner
 from memsift.errors import InvalidOptionError, UnknownLabelError
 from memsift.signatures import DEFAULT_DELTA, DEFAULT_WINDOW
 from oracles import match_region_linear, random_buffer, regions_linear, scan_full_carve
+from seams import at_seams
 
 
 def _sig(app):
@@ -614,21 +616,47 @@ _part = st.one_of(
 )
 
 
+def _seam_login(login, wide):
+    """Every context URL, then a login; and where its last two strings
+    meet: the URLs and an inline form, or a key and its value."""
+    urls = "\0".join(_URLS)
+    text = f"\0{urls}\0{login}\0"
+    at = text.rindex("\0", 0, -1) + 1
+    return text.encode("utf-16-le" if wide else "ascii"), at * (1 + wide)
+
+
+_SEAM_LOGINS = st.builds(
+    _seam_login,
+    st.one_of(
+        st.builds(lambda form, u, p: form.format(u=u, p=p), st.sampled_from(_INLINE), _value, _value),
+        st.builds(lambda key, value: f"{key}\0{value}", st.sampled_from(_KEYS), _value),
+    ),
+    st.booleans(),
+)
+
+
 class TestKeywordFirstScan:
     """The scan builds strings only near keyword hits; its findings must be
     those of the scan that carves every string."""
 
     @settings(max_examples=60, deadline=None)
     @given(
+        draw=st.data(),
         parts=st.lists(st.tuples(_part, st.booleans()), max_size=40),
-        chunk_size=st.integers(16, 4096),
+        # Half the chunks are longer than any reach, so that a piece near
+        # one seam is out of reach of the next.
+        chunk_size=st.integers(16, 4096) | st.integers(1000 + 200 + 256 + 1, 4096),
         delta=st.integers(0, 200),
         window=st.integers(0, 1000),
     )
-    def test_scan_equals_full_carve_reference(self, parts, chunk_size, delta, window):
+    def test_scan_equals_full_carve_reference(self, draw, parts, chunk_size, delta, window):
+        """Logins are planted near chunk seams too, where a context URL or
+        a value on one side is claimed by a keyword on the other."""
         data = b"".join(
             text.encode("utf-16-le" if wide else "ascii") for text, wide in parts
         )
+        reach = window + delta + 256
+        data = draw.draw(at_seams(data, chunk_size, reach + DEFAULT_CAP, _SEAM_LOGINS))
         image = MemoryImage.from_bytes(data, label="t")
         opts = ScanOptions(delta=delta, window=window, chunk_size=chunk_size)
         assert scan_image(image, options=opts) == scan_full_carve(image, opts)
