@@ -26,7 +26,7 @@ _EXPORTS = {
         "errors": """DuplicateLabelError InvalidOptionError LineError MemsiftError
             MissingFileError NonMonotonicStepError OverlapError
             PlacementOutOfBoundsError UnknownLabelError ZeroSizeError""",
-        "fabricator": """ArtifactTemplate ExpectedFinding FabricationPlan
+        "fabricator": """ArtifactTemplate FabricationPlan
             FabricationResult PlannedImage builtin_templates fabricate load_plan
             save_plan table1_preset template_by_id""",
         "procmap": """Attribution ProcessMap ProcessMapEntry load_process_map

@@ -4,13 +4,15 @@ Subcommands cover the whole workflow: carve strings from an image, scan a
 corpus for credentials, render presence matrices from saved reports, look
 offsets up in a process map, and fabricate synthetic test corpora.
 
-Exit codes: 0 on success (a scan with zero findings is a successful scan),
-1 on operational failure with a diagnostic on stderr, 2 on usage errors.
+Exit codes: 0 on success (a scan with zero findings is a successful scan,
+and so is output cut short by a reader that closed the pipe), 1 on
+operational failure with a diagnostic on stderr, 2 on usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from importlib import import_module
 from pathlib import Path
@@ -304,9 +306,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except InvalidOptionError as exc:
         args.parser.error(str(exc))  # exits 2
+    except BrokenPipeError:
+        # The reader stopped early (`| head`), which is no failure.  What is
+        # still buffered goes to the null device, so the flush at exit
+        # cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (MemsiftError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -21,38 +21,21 @@ ground truth is then simply the union of per-template expectations.
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import ImageManifest, ManifestEntry, _check_session, write_manifest
-from .decoding import classify_value
 from .errors import InvalidOptionError, OverlapError, PlacementOutOfBoundsError
 from .procmap import ProcessMap, ProcessMapEntry, write_process_map
 from .report import finding_to_doc
-from .scanner import _SNIPPET_LIMIT, HIGH, LOW, CredentialFinding
-from .signatures import GAUSR_MARKER, MatchMode, builtin_catalog
+from .scanner import HIGH, LOW, CredentialFinding, _findings
+from .signatures import GAUSR_MARKER, MatchMode, SignatureMatch, builtin_catalog
 
 BLOCK_SIZE = 4 << 20
 # Separation placements must keep so context windows never overlap.
 MIN_PLACEMENT_GAP = 2048
-
-
-@dataclass(frozen=True)
-class ExpectedFinding:
-    """What one template placement must produce, offsets relative to the
-    placement point."""
-
-    app_id: str
-    username: str | None
-    password_raw: str | None
-    match_mode: str
-    rel_offset: int
-    confidence: str
-    context_snippet: str
-    rel_username_offset: int | None = None
-    rel_password_offset: int | None = None
 
 
 @dataclass(frozen=True)
@@ -61,13 +44,14 @@ class ArtifactTemplate:
 
     Relative offsets start at 1 so the rendered bytes begin and end with a
     NUL guard; without the guards a template could fuse with neighbouring
-    filler into one longer carved string.
+    filler into one longer carved string.  ``expected`` holds the
+    (confidence, match) pairs a correct scan must make of the rendered
+    bytes, at offsets relative to the placement point.
     """
 
     template_id: str
-    app_id: str
     text_blocks: tuple[tuple[int, str], ...]
-    expected: tuple[ExpectedFinding, ...]
+    expected: tuple[tuple[str, SignatureMatch], ...]
 
     def __post_init__(self) -> None:
         last_end = 0
@@ -141,30 +125,58 @@ _SBI_BODY = "userName=ipsitasbi&password=37f08c5d00de89cb3c26e50200ee7242&subBtn
 _SBI_FF_STRING = "userName=ipsitasbi"
 
 
+_SIGNATURES = {sig.app_id: sig for sig in builtin_catalog()}
+
+_NONE = (None, None, None)
+
+
+def _expected(
+    confidence: str, app_id: str, mode: str, context: str,
+    user: tuple = _NONE, pw: tuple = _NONE,
+) -> tuple[str, SignatureMatch]:
+    """One expected (confidence, match) pair; ``user`` and ``pw`` are
+    (key offset, value offset, value) triples."""
+    (user_key_at, user_at, username), (pw_key_at, pw_at, password) = user, pw
+    return confidence, SignatureMatch(
+        signature=_SIGNATURES[app_id],
+        mode=mode,
+        username_raw=username,
+        username_offset=user_at,
+        username_key_offset=user_key_at,
+        password_raw=password,
+        password_offset=pw_at,
+        password_key_offset=pw_key_at,
+        context_text=context,
+    )
+
+
 def _inline_expected(
-    app_id: str, body: str, body_rel: int, user_key: str, pw_key: str, confidence: str
-) -> ExpectedFinding:
-    """Derive the finding an inline form body produces, by locating the
+    app_id: str, body: str, body_rel: int, user_key: str, pw_key: str
+) -> tuple[str, SignatureMatch]:
+    """Derive the HIGH match an inline form body produces, by locating the
     keys inside the body text the same way the parser will."""
 
-    def field(key: str) -> tuple[int, str]:
-        # (offset of the value in the body, the value up to the next '&')
-        start = body.index(f"{key}=") + len(key) + 1
+    def field(key: str) -> tuple[int, int, str]:
+        # (offsets of the key and of the value, the value up to the next '&')
+        at = body.index(f"{key}=")
+        start = at + len(key) + 1
         end = body.find("&", start)
-        return start, body[start : end if end != -1 else len(body)]
+        return body_rel + at, body_rel + start, body[start : end if end != -1 else len(body)]
 
-    user_at, username = field(user_key)
-    pw_at, password = field(pw_key)
-    return ExpectedFinding(
-        app_id=app_id,
-        username=username,
-        password_raw=password,
-        match_mode=MatchMode.INLINE,
-        rel_offset=body_rel + pw_at - len(pw_key) - 1,
-        confidence=confidence,
-        context_snippet=body[:_SNIPPET_LIMIT],
-        rel_username_offset=body_rel + user_at,
-        rel_password_offset=body_rel + pw_at,
+    return _expected(HIGH, app_id, MatchMode.INLINE, body, field(user_key), field(pw_key))
+
+
+def _adjacent_expected(
+    app_id: str, user: tuple[tuple[int, str], ...], pw: tuple[tuple[int, str], ...]
+) -> tuple[str, SignatureMatch]:
+    """Derive the HIGH match of a username key block and a password key
+    block, each followed by its value block."""
+    (user_key_at, user_key), (user_at, username) = user
+    (pw_key_at, pw_key), (pw_at, password) = pw
+    return _expected(
+        HIGH, app_id, MatchMode.ADJACENT,
+        f"{user_key} {username} {pw_key} {password}",
+        (user_key_at, user_at, username), (pw_key_at, pw_at, password),
     )
 
 
@@ -189,10 +201,9 @@ def _sonicwall_template() -> ArtifactTemplate:
     )
     return ArtifactTemplate(
         template_id="sonicwall-inline",
-        app_id="sonicwall",
         text_blocks=blocks,
         expected=(
-            _inline_expected("sonicwall", _SONICWALL_BODY, 527, "uName", "pass", HIGH),
+            _inline_expected("sonicwall", _SONICWALL_BODY, 527, "uName", "pass"),
         ),
     )
 
@@ -206,15 +217,16 @@ def _facebook_ff_template() -> ArtifactTemplate:
     )
     return ArtifactTemplate(
         template_id="facebook-ff-inline",
-        app_id="facebook",
         text_blocks=blocks,
         expected=(
-            _inline_expected("facebook", _FACEBOOK_FF_BODY, 100, "email", "pass", HIGH),
+            _inline_expected("facebook", _FACEBOOK_FF_BODY, 100, "email", "pass"),
         ),
     )
 
 
 def _facebook_gc_template() -> ArtifactTemplate:
+    user = ((481, "email"), (497, "ipsita.chinky@gmail.com"))
+    pw = ((549, "pass"), (561, "berham!19"))
     blocks = (
         (1, "8@@"),
         (5, "@@@@@@"),
@@ -224,10 +236,8 @@ def _facebook_gc_template() -> ArtifactTemplate:
         (381, "http://www.facebook.com/"),
         (409, 'http://www.facebook.com/"'),
         (437, "https://www.facebook.com/login.php"),
-        (481, "email"),
-        (497, "ipsita.chinky@gmail.com"),
-        (549, "pass"),
-        (561, "berham!19"),
+        *user,
+        *pw,
         (605, "text/html"),
         (621, "69.171.229.74"),
         (717, "https://www.facebook.com/checkpoint/d"),
@@ -242,21 +252,8 @@ def _facebook_gc_template() -> ArtifactTemplate:
     )
     return ArtifactTemplate(
         template_id="facebook-gc-adjacent",
-        app_id="facebook",
         text_blocks=blocks,
-        expected=(
-            ExpectedFinding(
-                app_id="facebook",
-                username="ipsita.chinky@gmail.com",
-                password_raw="berham!19",
-                match_mode=MatchMode.ADJACENT,
-                rel_offset=549,
-                confidence=HIGH,
-                context_snippet="email ipsita.chinky@gmail.com pass berham!19",
-                rel_username_offset=497,
-                rel_password_offset=561,
-            ),
-        ),
+        expected=(_adjacent_expected("facebook", user, pw),),
     )
 
 
@@ -284,51 +281,31 @@ def _gmail_ff_template() -> ArtifactTemplate:
     anchor_rel = 795 + _GMAIL_LOCATION_LINE.index("Passwd=")
     return ArtifactTemplate(
         template_id="gmail-ff-cookie-inline",
-        app_id="gmail-ff",
         text_blocks=blocks,
         expected=(
-            ExpectedFinding(
-                app_id="gmail-ff",
-                username="ipsita.chinky@gmail.com",
-                password_raw="abc*%21123",
-                match_mode=MatchMode.INLINE,
-                rel_offset=anchor_rel,
-                confidence=HIGH,
-                context_snippet=_GMAIL_LOCATION_LINE[:_SNIPPET_LIMIT],
-                rel_username_offset=marker_rel + len(GAUSR_MARKER),
-                rel_password_offset=anchor_rel + len("Passwd="),
+            _expected(
+                HIGH, "gmail-ff", MatchMode.INLINE, _GMAIL_LOCATION_LINE,
+                (marker_rel, marker_rel + len(GAUSR_MARKER), "ipsita.chinky@gmail.com"),
+                (anchor_rel, anchor_rel + len("Passwd="), "abc*%21123"),
             ),
         ),
     )
 
 
 def _gmail_gc_template() -> ArtifactTemplate:
+    user = ((120, "Email"), (136, "ipsita.chinky@gmail.com"))
+    pw = ((176, "Passwd"), (192, "awesome^&28"))
     blocks = (
         (1, "https://accounts.google.com/ServiceLoginAuth"),
         (64, "continue=https://mail.google.com/mail/"),
-        (120, "Email"),
-        (136, "ipsita.chinky@gmail.com"),
-        (176, "Passwd"),
-        (192, "awesome^&28"),
+        *user,
+        *pw,
         (240, "PersistentCookie"),
     )
     return ArtifactTemplate(
         template_id="gmail-gc-adjacent",
-        app_id="gmail-gc",
         text_blocks=blocks,
-        expected=(
-            ExpectedFinding(
-                app_id="gmail-gc",
-                username="ipsita.chinky@gmail.com",
-                password_raw="awesome^&28",
-                match_mode=MatchMode.ADJACENT,
-                rel_offset=176,
-                confidence=HIGH,
-                context_snippet="Email ipsita.chinky@gmail.com Passwd awesome^&28",
-                rel_username_offset=136,
-                rel_password_offset=192,
-            ),
-        ),
+        expected=(_adjacent_expected("gmail-gc", user, pw),),
     )
 
 
@@ -351,10 +328,9 @@ def _irctc_template() -> ArtifactTemplate:
     )
     return ArtifactTemplate(
         template_id="irctc-inline",
-        app_id="irctc",
         text_blocks=blocks,
         expected=(
-            _inline_expected("irctc", _IRCTC_BODY, 980, "userName", "password", HIGH),
+            _inline_expected("irctc", _IRCTC_BODY, 980, "userName", "password"),
         ),
     )
 
@@ -368,10 +344,9 @@ def _sbi_gc_template() -> ArtifactTemplate:
     )
     return ArtifactTemplate(
         template_id="sbi-gc-inline",
-        app_id="sbi",
         text_blocks=blocks,
         expected=(
-            _inline_expected("sbi", _SBI_BODY, 110, "userName", "password", HIGH),
+            _inline_expected("sbi", _SBI_BODY, 110, "userName", "password"),
         ),
     )
 
@@ -384,23 +359,12 @@ def _sbi_ff_template() -> ArtifactTemplate:
     blocks = ((1, _SBI_FF_STRING),)
     user = _SBI_FF_STRING.split("=", 1)[1]
     rel_uoff = 1 + _SBI_FF_STRING.index("=") + 1
-    common = dict(
-        username=user,
-        password_raw=None,
-        match_mode=MatchMode.INLINE,
-        rel_offset=1,
-        confidence=LOW,
-        context_snippet=_SBI_FF_STRING,
-        rel_username_offset=rel_uoff,
-        rel_password_offset=None,
-    )
     return ArtifactTemplate(
         template_id="sbi-ff-isolated",
-        app_id="sbi",
         text_blocks=blocks,
-        expected=(
-            ExpectedFinding(app_id="irctc", **common),
-            ExpectedFinding(app_id="sbi", **common),
+        expected=tuple(
+            _expected(LOW, app_id, MatchMode.INLINE, _SBI_FF_STRING, (1, rel_uoff, user))
+            for app_id in ("irctc", "sbi")
         ),
     )
 
@@ -604,49 +568,27 @@ class FabricationResult:
     ground_truth: dict[str, tuple[CredentialFinding, ...]]
 
 
-def _shift(rel: int | None, offset: int) -> int | None:
-    return None if rel is None else offset + rel
+_OFFSETS = ("username_offset", "username_key_offset", "password_offset", "password_key_offset")
+
+
+def _moved(m: SignatureMatch, by: int) -> SignatureMatch:
+    return replace(m, **{
+        name: None if (at := getattr(m, name)) is None else at + by
+        for name in _OFFSETS
+    })
 
 
 def _ground_truth_findings(
     img: PlannedImage, pmap: ProcessMap | None
 ) -> tuple[CredentialFinding, ...]:
-    catalog = builtin_catalog()
-    order = {sig.app_id: i for i, sig in enumerate(catalog)}
-    by_app = {sig.app_id: sig for sig in catalog}
-    rows: list[tuple[int, int, CredentialFinding]] = []
-    for template_id, offset in img.placements:
-        t = template_by_id(template_id)
-        for exp in t.expected:
-            encrypted = False
-            decoded = None
-            if exp.password_raw is not None:
-                dv = classify_value(
-                    exp.password_raw,
-                    by_app[exp.app_id].value_encoding,
-                    plus_as_space=(exp.match_mode == MatchMode.INLINE),
-                )
-                encrypted = dv.encrypted
-                decoded = None if encrypted else dv.decoded
-            anchor = offset + exp.rel_offset
-            finding = CredentialFinding(
-                app_id=exp.app_id,
-                image_label=img.label,
-                username=exp.username,
-                password_raw=exp.password_raw,
-                password_decoded=decoded,
-                encrypted=encrypted,
-                match_mode=exp.match_mode,
-                offset=anchor,
-                confidence=exp.confidence,
-                context_snippet=exp.context_snippet,
-                attributions=tuple(pmap.lookup(anchor)) if pmap is not None else (),
-                username_offset=_shift(exp.rel_username_offset, offset),
-                password_offset=_shift(exp.rel_password_offset, offset),
-            )
-            rows.append((anchor, order[exp.app_id], finding))
-    rows.sort(key=lambda r: (r[0], r[1]))
-    return tuple(f for _a, _o, f in rows)
+    """Each placement's expected matches, moved to the placement point and
+    turned into findings the way the scan turns its own matches."""
+    matches = [
+        (confidence, _moved(m, offset))
+        for template_id, offset in img.placements
+        for confidence, m in template_by_id(template_id).expected
+    ]
+    return tuple(_findings(matches, builtin_catalog(), img.label, pmap))
 
 
 def _write_image(

@@ -124,6 +124,12 @@ class ScanOptions:
         if self.min_len > DEFAULT_CAP:
             raise InvalidOptionError(f"min_len must be at most {DEFAULT_CAP}")
 
+    @property
+    def reach(self) -> int:
+        """Reach past a hit that can still interact with it: context window
+        plus adjacency gap plus a little for key text itself."""
+        return self.window + self.delta + 256
+
 
 @dataclass(frozen=True)
 class CredentialFinding:
@@ -247,11 +253,9 @@ def _match_region(
     catalog: Sequence[CredentialSignature],
     opts: ScanOptions,
     hit_re: re.Pattern,
-) -> list[tuple[int, str, SignatureMatch]]:
+) -> list[tuple[str, SignatureMatch]]:
     """All signature matches inside one closed region, with the dominated
-    shared-keyword duplicates removed.  Returns (catalog order, confidence,
-    match) triples."""
-    sig_order = {sig.app_id: i for i, sig in enumerate(catalog)}
+    shared-keyword duplicates removed, as (confidence, match) pairs."""
     matches: list[SignatureMatch] = []
     # Per URL set, the strings that carry one of its URLs, built on first
     # use; ascending by offset because ``strings`` is.
@@ -285,7 +289,7 @@ def _match_region(
     # value bytes; within a group drop anything strictly dominated on
     # (matched a username, context-confirmed).  The URL context is exactly
     # what associates an ambiguous userName/password pair with one site.
-    groups: dict[tuple, list[tuple[tuple[bool, bool], int, str, SignatureMatch]]] = {}
+    groups: dict[tuple, list[tuple[tuple[bool, bool], str, SignatureMatch]]] = {}
     for m in matches:
         if m.password_raw is not None:
             key = (m.mode, "pw", m.password_offset)
@@ -300,12 +304,10 @@ def _match_region(
             m.anchor_offset, url_strings[urls], m.signature, opts.window
         )
         score = (m.username_raw is not None, conf == HIGH)
-        groups.setdefault(key, []).append(
-            (score, sig_order[m.signature.app_id], conf, m)
-        )
-    kept: list[tuple[int, str, SignatureMatch]] = []
+        groups.setdefault(key, []).append((score, conf, m))
+    kept: list[tuple[str, SignatureMatch]] = []
     for members in groups.values():
-        for score, order, conf, m in members:
+        for score, conf, m in members:
             dominated = any(
                 other[0] != score
                 and other[0][0] >= score[0]
@@ -313,7 +315,7 @@ def _match_region(
                 for other in members
             )
             if not dominated:
-                kept.append((order, conf, m))
+                kept.append((conf, m))
     return kept
 
 
@@ -389,19 +391,31 @@ def scan_image(
         pmap = ProcessMap(pmap)
 
     hit_re = _prefilter(catalog)
-    # Reach past a hit that can still interact with it: context window
-    # plus adjacency gap plus a little for key text itself.
-    reach = opts.window + opts.delta + 256
     strings = carve_strings(
-        image, opts.min_len, chunk_size=opts.chunk_size, near=(hit_re, reach)
+        image, opts.min_len, chunk_size=opts.chunk_size, near=(hit_re, opts.reach)
     )
     matches = [
         match
-        for region in _regions(strings, hit_re, reach)
+        for region in _regions(strings, hit_re, opts.reach)
         for match in _match_region(region, catalog, opts, hit_re)
     ]
-    matches.sort(key=lambda t: (t[2].anchor_offset, t[0]))
-    return [_to_finding(m, conf, image.label, pmap) for _order, conf, m in matches]
+    return _findings(matches, catalog, image.label, pmap)
+
+
+def _findings(
+    matches: Iterable[tuple[str, SignatureMatch]],
+    catalog: Sequence[CredentialSignature],
+    label: str,
+    pmap: ProcessMap | None,
+) -> list[CredentialFinding]:
+    """The one step from (confidence, match) pairs to findings, sorted by
+    anchor offset and then catalog order.  The fabricator builds its
+    ground truth through it too."""
+    order = {sig.app_id: i for i, sig in enumerate(catalog)}
+    ranked = sorted(
+        matches, key=lambda t: (t[1].anchor_offset, order[t[1].signature.app_id])
+    )
+    return [_to_finding(m, conf, label, pmap) for conf, m in ranked]
 
 
 def _to_finding(

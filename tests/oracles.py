@@ -239,15 +239,13 @@ def scan_full_carve(image, options=None):
     catalog = builtin_catalog()
     opts = options or ScanOptions()
     hit_re = scanner._prefilter(catalog)
-    reach = opts.window + opts.delta + 256
     strings = carve_strings(image, opts.min_len, chunk_size=opts.chunk_size)
     matches = [
         match
-        for region in scanner._regions(strings, hit_re, reach)
+        for region in scanner._regions(strings, hit_re, opts.reach)
         for match in scanner._match_region(region, catalog, opts, hit_re)
     ]
-    matches.sort(key=lambda t: (t[2].anchor_offset, t[0]))
-    return [scanner._to_finding(m, conf, image.label, None) for _, conf, m in matches]
+    return scanner._findings(matches, catalog, image.label, None)
 
 
 # The region matcher as it was before its lookups went through sorted
@@ -367,7 +365,6 @@ def attach_cookie_usernames_linear(matches, strings, sig, window):
 
 def match_region_linear(strings, catalog, opts, hit_re):
     """Drop-in reference for ``memsift.scanner._match_region``."""
-    sig_order = {sig.app_id: i for i, sig in enumerate(catalog)}
     matches = []
     for s in strings:
         if "=" not in s.text or not hit_re.search(s.text):
@@ -399,10 +396,10 @@ def match_region_linear(strings, catalog, opts, hit_re):
             key = (m.mode, "user", m.username_offset)
         conf = assign_confidence_linear(m.anchor_offset, strings, m.signature, opts.window)
         score = (m.username_raw is not None, conf == HIGH)
-        groups.setdefault(key, []).append((score, sig_order[m.signature.app_id], conf, m))
+        groups.setdefault(key, []).append((score, conf, m))
     kept = []
     for members in groups.values():
-        for score, order, conf, m in members:
+        for score, conf, m in members:
             dominated = any(
                 other[0] != score
                 and other[0][0] >= score[0]
@@ -410,5 +407,5 @@ def match_region_linear(strings, catalog, opts, hit_re):
                 for other in members
             )
             if not dominated:
-                kept.append((order, conf, m))
+                kept.append((conf, m))
     return kept

@@ -106,6 +106,39 @@ class TestStrings:
         assert loaded.isdisjoint(f"memsift.{name}" for name in heavy)
 
 
+class TestClosedPipe:
+    """A reader that stops early (`| head`) is no failure of the command:
+    exit 0 and nothing on stderr."""
+
+    @pytest.fixture
+    def image(self, tmp_path):
+        # Its strings run to 3.4 MB, far more than a pipe holds.
+        p = tmp_path / "rep.img"
+        p.write_bytes(b"abcdefgh\0" * 250_000)
+        return p
+
+    @staticmethod
+    def _child(*argv):
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        return subprocess.Popen(
+            [sys.executable, "-m", "memsift", *argv], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+
+    def test_strings_into_head_1(self, image):
+        child = self._child("strings", str(image))
+        assert child.stdout.readline() == b"0:abcdefgh\n"
+        child.stdout.close()
+        err = child.stderr.read()
+        assert (child.wait(timeout=120), err) == (0, b"")
+
+    def test_scan_text_into_head_0(self, image):
+        child = self._child("scan", str(image), "--format", "text")
+        child.stdout.close()  # before the report is written
+        err = child.stderr.read()
+        assert (child.wait(timeout=120), err) == (0, b"")
+
+
 class TestScan:
     def test_manifest_scan_report(self, capsys, corpus_dir, tmp_path):
         dest = tmp_path / "report.json"

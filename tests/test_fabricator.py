@@ -53,26 +53,20 @@ class TestTemplates:
             assert data[0] == 0 and data[-1] == 0
             assert len(data) == t.byte_length
 
-    def test_every_template_scans_to_its_expectation(self):
+    def test_every_template_scans_to_its_expectation(self, tmp_path):
         # the whole point of a template: planted bytes produce exactly
-        # the declared findings
+        # the declared findings, whole (decoded value, snippet and value
+        # offsets included), amid filler
         for t in builtin_templates():
-            base = 4096
-            buf = bytearray(b"\x00" * 16384)
-            data = t.render()
-            buf[base : base + len(data)] = data
-            findings = scan_image(MemoryImage.from_bytes(bytes(buf), label="x"))
-            got = [
-                (f.app_id, f.username, f.password_raw, f.match_mode,
-                 f.offset - base, f.confidence)
-                for f in findings
-            ]
-            want = [
-                (e.app_id, e.username, e.password_raw, e.match_mode,
-                 e.rel_offset, e.confidence)
-                for e in t.expected
-            ]
-            assert got == want, t.template_id
+            plan = FabricationPlan(
+                image_size=16384, seed=1,
+                images=(PlannedImage("x", 2, "", ((t.template_id, 4096),)),),
+            )
+            result = fabricate(plan, tmp_path / t.template_id)
+            truth = result.ground_truth["x"]
+            assert len(truth) == len(t.expected), t.template_id
+            image = MemoryImage.from_file(result.image_paths[0], label="x")
+            assert tuple(scan_image(image)) == truth, t.template_id
 
 
 class TestPlanValidation:

@@ -1,5 +1,6 @@
 """Credential scanning over raw buffers, dedup, confidence, matrix."""
 
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -23,6 +24,7 @@ from memsift import (
     ProcessMap,
     ProcessMapEntry,
     ScanOptions,
+    SignatureMatch,
     assign_confidence,
     browser_tag,
     build_presence_matrix,
@@ -32,7 +34,6 @@ from memsift import (
 )
 from memsift import scanner
 from memsift.errors import InvalidOptionError, UnknownLabelError
-from memsift.signatures import DEFAULT_DELTA, DEFAULT_WINDOW
 from oracles import match_region_linear, random_buffer, regions_linear, scan_full_carve
 from seams import at_seams
 
@@ -352,6 +353,57 @@ class TestFindingInvariants:
             f.app_id = "x"
 
 
+class TestToFinding:
+    """The one step from a match to a finding, which the scan and the
+    fabricator's ground truth share."""
+
+    @staticmethod
+    def _match(app, mode=MatchMode.INLINE, pw="p", context="c"):
+        return SignatureMatch(
+            signature=_sig(app), mode=mode,
+            username_raw="u", username_offset=140, username_key_offset=130,
+            password_raw=pw, password_offset=110, password_key_offset=100,
+            context_text=context,
+        )
+
+    @pytest.mark.parametrize("mode, raw, decoded", [
+        (MatchMode.INLINE, "a+b%21c", "a b!c"),
+        (MatchMode.ADJACENT, "a+b%21c", "a+b!c"),
+        (MatchMode.INLINE, "a+b", "a b"),
+        (MatchMode.ADJACENT, "a+b", "a+b"),
+    ])
+    def test_plus_is_a_space_in_inline_mode_only(self, mode, raw, decoded):
+        f = scanner._to_finding(self._match("sonicwall", mode, raw), HIGH, "t", None)
+        assert (f.password_raw, f.password_decoded, f.encrypted) == (raw, decoded, False)
+
+    @pytest.mark.parametrize("length", [255, 256, 257])
+    def test_snippet_is_cut_at_256_characters(self, length):
+        context = "x" * (length - 1) + "y"
+        f = scanner._to_finding(self._match("irctc", context=context), HIGH, "t", None)
+        assert f.context_snippet == context[:256]
+        assert len(f.context_snippet) == min(length, 256)
+
+    def test_suspected_encrypted_value_is_not_decoded(self):
+        digest = "37f08c5d00de89cb3c26e50200ee7242"
+        f = scanner._to_finding(self._match("sbi", pw=digest), HIGH, "t", None)
+        assert (f.password_raw, f.password_decoded, f.encrypted) == (digest, None, True)
+
+    def test_attributions_are_looked_up_at_the_anchor(self):
+        # The password key (100) lies in firefox alone; every other offset
+        # of the match, the username key (130) included, in chrome alone.
+        pmap = ProcessMap([
+            ProcessMapEntry(1, "firefox.exe", 100, 101, 0x400000),
+            ProcessMapEntry(2, "chrome.exe", 101, 0x1000, 0x1000000),
+        ])
+        f = scanner._to_finding(self._match("irctc"), HIGH, "t", pmap)
+        assert (f.offset, f.attributions) == (100, (Attribution(1, "firefox.exe", 0x400000),))
+        user_only = replace(self._match("irctc"), password_raw=None)
+        f = scanner._to_finding(user_only, LOW, "t", pmap)
+        assert (f.offset, f.attributions) == (130, (Attribution(2, "chrome.exe", 0x100001D),))
+        assert (f.password_decoded, f.encrypted) == (None, False)
+        assert scanner._to_finding(self._match("irctc"), HIGH, "t", None).attributions == ()
+
+
 def _finding(label, app, *, pw="x", attributions=(), conf=HIGH):
     return CredentialFinding(
         app_id=app, image_label=label, username="u",
@@ -645,7 +697,8 @@ class TestKeywordFirstScan:
         parts=st.lists(st.tuples(_part, st.booleans()), max_size=40),
         # Half the chunks are longer than any reach, so that a piece near
         # one seam is out of reach of the next.
-        chunk_size=st.integers(16, 4096) | st.integers(1000 + 200 + 256 + 1, 4096),
+        chunk_size=st.integers(16, 4096)
+        | st.integers(ScanOptions(window=1000, delta=200).reach + 1, 4096),
         delta=st.integers(0, 200),
         window=st.integers(0, 1000),
     )
@@ -655,10 +708,9 @@ class TestKeywordFirstScan:
         data = b"".join(
             text.encode("utf-16-le" if wide else "ascii") for text, wide in parts
         )
-        reach = window + delta + 256
-        data = draw.draw(at_seams(data, chunk_size, reach + DEFAULT_CAP, _SEAM_LOGINS))
-        image = MemoryImage.from_bytes(data, label="t")
         opts = ScanOptions(delta=delta, window=window, chunk_size=chunk_size)
+        data = draw.draw(at_seams(data, chunk_size, opts.reach + DEFAULT_CAP, _SEAM_LOGINS))
+        image = MemoryImage.from_bytes(data, label="t")
         assert scan_image(image, options=opts) == scan_full_carve(image, opts)
 
     @pytest.mark.parametrize("density", [0.1, 0.3, 0.7])
@@ -683,8 +735,7 @@ class TestKeywordFirstScan:
                 at = int(rng.integers(0, size - len(data)))
             buf[at : at + len(data)] = data
         image = MemoryImage.from_bytes(bytes(buf), label="t")
-        reach = DEFAULT_WINDOW + DEFAULT_DELTA + 256
-        for chunk_size in (reach // 3, 4096, 1 << 20):
+        for chunk_size in (ScanOptions().reach // 3, 4096, 1 << 20):
             opts = ScanOptions(chunk_size=chunk_size)
             want = scan_full_carve(image, opts)
             assert len(want) >= 10
