@@ -38,8 +38,7 @@ _EXPORTS = {
             build_presence_matrix scan_image scan_manifest""",
         "signatures": """DEFAULT_DELTA DEFAULT_WINDOW GAUSR_MARKER
             CredentialSignature MatchMode SignatureMatch builtin_catalog
-            load_catalog_file match_adjacent match_inline merge_catalogs
-            parse_form_pairs""",
+            load_catalog_file match_inline merge_catalogs parse_form_pairs""",
     }.items()
     for name in names.split()
 }

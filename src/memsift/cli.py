@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from importlib import import_module
 from pathlib import Path
@@ -84,6 +85,19 @@ def _parse_int(text: str) -> int:
         return _parse_digits(text, "value", signed=True)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
+_DECIMAL = re.compile(r"-?[0-9]+(\.[0-9]+)?")
+
+
+def _parse_decimal(text: str) -> float:
+    """A fraction like 0.3: ASCII digits, then an optional ``.`` and more
+    ASCII digits, after an optional ``-`` so that the option's own range
+    check names a negative value.  ``float`` would also take a ``+``,
+    spaces, an exponent and the digits of other scripts."""
+    if _DECIMAL.fullmatch(text) is None:
+        raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}")
+    return float(text)
 
 
 def _load_catalog(path: str | None):
@@ -292,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--image-size", type=_parse_size, metavar="SIZE",
                    help="preset image size (default 16M)")
     p.add_argument("--seed", type=_parse_int, help="preset RNG seed (default 2011)")
-    p.add_argument("--density", type=float,
+    p.add_argument("--density", type=_parse_decimal,
                    help="preset printable byte density in [0, 1) (default 0.3)")
     p.set_defaults(func=cmd_fabricate)
 

@@ -487,10 +487,24 @@ def _json_int(value: object) -> int:
     return value
 
 
+def _json_number(value: object) -> float:
+    """A JSON number; ``float`` would also take a bool or a string."""
+    if type(value) not in (int, float):
+        raise ValueError(f"{value!r} is not a number")
+    return float(value)
+
+
+def _json_str(value: object) -> str:
+    """A JSON string; ``str`` would turn any value into one."""
+    if type(value) is not str:
+        raise ValueError(f"{value!r} is not a string")
+    return value
+
+
 def load_plan(path: str | Path) -> FabricationPlan:
     """Read a plan saved by ``save_plan``.  A missing key or a wrongly
-    shaped value, such as a number that is not a JSON integer, raises
-    ``ValueError`` naming the file."""
+    shaped value, such as a number that is not a JSON integer or a label
+    that is not a JSON string, raises ``ValueError`` naming the file."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         pmap = doc.get("process_map")
@@ -500,10 +514,12 @@ def load_plan(path: str | Path) -> FabricationPlan:
         return FabricationPlan(
             image_size=_json_int(doc["image_size"]),
             seed=_json_int(doc["seed"]),
-            printable_density=float(doc.get("printable_density", 0.3)),
+            printable_density=_json_number(doc.get("printable_density", 0.3)),
             process_map=(
                 tuple(
-                    ProcessMapEntry(_json_int(p), str(n), *map(_json_int, (s, e, v)))
+                    ProcessMapEntry(
+                        _json_int(p), _json_str(n), *map(_json_int, (s, e, v))
+                    )
                     for p, n, s, e, v in pmap
                 )
                 if pmap is not None
@@ -512,10 +528,12 @@ def load_plan(path: str | Path) -> FabricationPlan:
             session_meta=None if session is None else _check_session(session),
             images=tuple(
                 PlannedImage(
-                    label=str(img["label"]),
+                    label=_json_str(img["label"]),
                     step_index=_json_int(img["step_index"]),
-                    step_description=str(img.get("step_description", "")),
-                    placements=tuple((str(t), _json_int(o)) for t, o in img["placements"]),
+                    step_description=_json_str(img.get("step_description", "")),
+                    placements=tuple(
+                        (_json_str(t), _json_int(o)) for t, o in img["placements"]
+                    ),
                 )
                 for img in doc["images"]
             ),

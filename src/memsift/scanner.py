@@ -21,9 +21,10 @@ matched at least as much (username, context confirmation) and strictly
 more of it.  Candidates that tie stay side by side; ambiguity is evidence.
 
 Matching a region costs O(n log n) in its n strings, however crowded it
-is: context URLs, usernames for adjacent passwords and GAUSR cookies are
-each looked up by bisection in an offset-sorted list built once per
-region, never by rescanning the region per candidate.
+is.  Adjacent usernames are paired with passwords by one sweep over the
+offset-sorted bindings, and context URLs and GAUSR cookies are found by
+bisection in offset-sorted lists built once per region, never by
+rescanning the region per candidate.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from .signatures import (
     AdjacentBinder,
     CredentialSignature,
     MatchMode,
-    NearestOffsets,
     SignatureMatch,
     builtin_catalog,
     combine_bindings,
@@ -214,8 +214,10 @@ def _attach_cookie_usernames(
             cookies.append((off, off + unit * len(marker), name, s.text))
     if not cookies:
         return
-    # Cookie offsets ascend with their strings' offsets.
-    index = NearestOffsets([cookie[0] for cookie in cookies])
+    # Cookie offsets ascend with their strings' offsets and are distinct,
+    # one per carved string, so the nearest cookie sits on either side of
+    # the bisection point.
+    offsets = [cookie[0] for cookie in cookies]
     claimed: set[int] = set()
     for i, m in enumerate(matches):
         if (
@@ -224,10 +226,13 @@ def _attach_cookie_usernames(
             or m.username_raw is not None
         ):
             continue
-        best = index.nearest(m.anchor_offset, window)
-        if best is not None:
-            claimed.add(best)
-            coff, name_off, name, _text = cookies[best]
+        at = m.anchor_offset
+        j = bisect_left(offsets, at)
+        if j == len(offsets) or (j and at - offsets[j - 1] <= offsets[j] - at):
+            j -= 1  # the lower cookie wins a tie
+        if abs(offsets[j] - at) <= window:
+            claimed.add(j)
+            coff, name_off, name, _text = cookies[j]
             matches[i] = replace(
                 m,
                 username_raw=name,

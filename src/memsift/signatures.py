@@ -15,8 +15,9 @@ mode).  Gmail under Firefox additionally parks the account name in a
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
@@ -28,6 +29,8 @@ DEFAULT_DELTA = 64
 DEFAULT_WINDOW = 1024
 
 GAUSR_MARKER = "GAUSR=mail:"
+
+_key_offset = attrgetter("key_offset")
 
 
 class MatchMode:
@@ -272,10 +275,12 @@ class AdjacentBinding:
 class AdjacentBinder:
     """Incremental key/value pairing over a stream of carved strings.
 
-    Feed strings in offset order; every string first settles any key seen
-    immediately before it (bound if it starts within ``delta`` bytes of the
-    key's end and is not itself a key of the same signature), then may
-    register as a pending key itself.
+    Feed strings in offset order.  A value is the string right after its
+    key, so only the last string pushed is kept: it is the key whenever a
+    binding can form.  Each push binds the new string to it, once for each
+    (signature, kind) its text is a key of, when the new string starts
+    within ``delta`` bytes of the key's end and is not itself a key of
+    that signature.
     """
 
     def __init__(
@@ -288,78 +293,24 @@ class AdjacentBinder:
                 self._keys.setdefault(k, []).append((sig, "username"))
             for k in sig.password_keys:
                 self._keys.setdefault(k, []).append((sig, "password"))
-        # (sig, kind, key text, key offset, key end) of the last key string
-        self._pending: list[tuple[CredentialSignature, str, str, int, int]] = []
+        self._last: ExtractedString | None = None
 
     def push(self, string: ExtractedString) -> list[AdjacentBinding]:
-        out: list[AdjacentBinding] = []
-        for sig, kind, text, offset, end in self._pending:
-            if string.offset <= end + self.delta and not sig.is_key(string.text):
-                out.append(
-                    AdjacentBinding(
-                        sig=sig,
-                        kind=kind,
-                        key_text=text,
-                        key_offset=offset,
-                        value=string.text,
-                        value_offset=string.offset,
-                    )
-                )
-        self._pending.clear()
-        hits = self._keys.get(string.text)
-        if hits:
-            end = string.offset + string.byte_length
-            for sig, kind in hits:
-                self._pending.append((sig, kind, string.text, string.offset, end))
-        return out
-
-
-class NearestOffsets:
-    """Nearest-offset lookup over ascending offsets, with removal.
-
-    ``nearest`` returns the index of the offset closest to a target within
-    ``window``; on equal distance the lower offset wins, and among equal
-    offsets the first index.  ``take`` removes an index from later lookups,
-    and ``taken`` tells whether it was removed.
-    Taken runs are skipped through path-compressed links, one per
-    direction, so lookups cost O(log n) amortised however many are taken.
-    """
-
-    def __init__(self, offsets: Sequence[int]):
-        self.offsets = offsets
-        n = len(offsets)
-        self._up = list(range(n + 1))  # first free index >= i; n means none
-        self._down = list(range(n + 1))  # 1 + last free index < i; 0 means none
-
-    @staticmethod
-    def _find(link: list[int], i: int) -> int:
-        root = i
-        while link[root] != root:
-            root = link[root]
-        while link[i] != root:
-            link[i], i = root, link[i]
-        return root
-
-    def take(self, i: int) -> None:
-        self._up[i] = i + 1
-        self._down[i + 1] = i
-
-    def taken(self, i: int) -> bool:
-        return self._up[i] != i
-
-    def nearest(self, target: int, window: int) -> int | None:
-        offsets = self.offsets
-        pos = bisect_left(offsets, target)
-        best = self._find(self._up, pos)
-        if best == len(offsets) or offsets[best] - target > window:
-            best = None
-        below = self._find(self._down, pos) - 1
-        if below >= 0:
-            gap = target - offsets[below]
-            if gap <= window and (best is None or gap <= offsets[best] - target):
-                # The first free index holding that offset.
-                best = self._find(self._up, bisect_left(offsets, offsets[below]))
-        return best
+        key, self._last = self._last, string
+        if key is None or string.offset > key.offset + key.byte_length + self.delta:
+            return []
+        return [
+            AdjacentBinding(
+                sig=sig,
+                kind=kind,
+                key_text=key.text,
+                key_offset=key.offset,
+                value=string.text,
+                value_offset=string.offset,
+            )
+            for sig, kind in self._keys.get(key.text, ())
+            if not sig.is_key(string.text)
+        ]
 
 
 def combine_bindings(
@@ -369,25 +320,34 @@ def combine_bindings(
 ) -> list[SignatureMatch]:
     """Fuse username and password bindings of one signature into matches.
 
-    Each password, in binding order, takes the nearest untaken username
+    Each password, in key offset order, takes the nearest untaken username
     within the context window (the lower offset on a tie); usernames left
     over surface as username-only matches, passwords as password-only.
-    Everything is reported, nothing silently dropped.  Bindings must be
-    ascending by key offset, as ``AdjacentBinder`` emits them.
+    Everything is reported, nothing silently dropped.
     """
-    mine = [b for b in bindings if b.sig.app_id == sig.app_id]
-    users = [b for b in mine if b.kind == "username"]
-    free = NearestOffsets([u.key_offset for u in users])
+    mine = sorted(
+        (b for b in bindings if b.sig.app_id == sig.app_id), key=_key_offset
+    )
+    # One sweep over the passwords.  The free usernames below the current
+    # password form a stack with the nearest on top, those at or above it
+    # a queue with the nearest first, so each password weighs two.  Two
+    # usernames of one signature at one key offset come from one key
+    # string and are alike, so which of them is taken does not matter.
+    below: list[AdjacentBinding] = []
+    above = deque(b for b in mine if b.kind == "username")
     matches: list[SignatureMatch] = []
     for pw in (b for b in mine if b.kind == "password"):
+        at = pw.key_offset
+        while above and above[0].key_offset < at:
+            below.append(above.popleft())
+        low = at - below[-1].key_offset if below else window + 1
+        high = above[0].key_offset - at if above else window + 1
         best: AdjacentBinding | None = None
-        i = free.nearest(pw.key_offset, window)
-        if i is not None:
-            best = users[i]
-            free.take(i)
-        parts = sorted(
-            ([best] if best else []) + [pw], key=lambda b: b.key_offset
-        )
+        if low <= min(high, window):
+            best = below.pop()
+        elif high <= window:
+            best = above.popleft()
+        parts = sorted(([best] if best else []) + [pw], key=_key_offset)
         text = " ".join(x for b in parts for x in (b.key_text, b.value))
         matches.append(
             SignatureMatch(
@@ -402,9 +362,7 @@ def combine_bindings(
                 context_text=text,
             )
         )
-    for i, u in enumerate(users):
-        if free.taken(i):
-            continue
+    for u in [*below, *above]:
         matches.append(
             SignatureMatch(
                 signature=sig,
@@ -417,20 +375,6 @@ def combine_bindings(
         )
     matches.sort(key=lambda m: m.anchor_offset)
     return matches
-
-
-def match_adjacent(
-    strings: Sequence[ExtractedString],
-    sig: CredentialSignature,
-    delta: int = DEFAULT_DELTA,
-    window: int = DEFAULT_WINDOW,
-) -> list[SignatureMatch]:
-    """Batch adjacent-mode matching over an in-order string sequence."""
-    binder = AdjacentBinder([sig], delta)
-    bindings: list[AdjacentBinding] = []
-    for s in strings:
-        bindings.extend(binder.push(s))
-    return combine_bindings(bindings, sig, window)
 
 
 def extract_cookie_username(text: str, marker: str = GAUSR_MARKER) -> str | None:
@@ -478,7 +422,6 @@ __all__ = [
     "cookie_username_offset",
     "extract_cookie_username",
     "load_catalog_file",
-    "match_adjacent",
     "match_inline",
     "merge_catalogs",
     "parse_form_pairs",

@@ -5,8 +5,9 @@ are straight transcriptions of the definition of a maximal printable run,
 and the numpy carver is a separately-derived vectorization.  The two
 agree with each other by construction of the tests, and the production
 carver must agree with both.  ``regions_linear`` groups strings into hit
-regions with every string in hand, and ``match_region_linear`` is the
-region matcher before its lookups were indexed; both are the scanner's
+regions with every string in hand, ``bind_adjacent_linear`` pairs keys
+with values over consecutive strings, and ``match_region_linear`` is the
+region matcher before its lookups were indexed; all are the scanner's
 references.  ``scan_full_carve`` is ``scan_image``'s reference: it feeds
 every carved string, not just those near a keyword, to the region engine.
 ``has_token`` is the fabricator's reference: it checks by search what the
@@ -22,7 +23,7 @@ from memsift.carver import Encoding, carve_strings
 from memsift.scanner import HIGH, LOW, ScanOptions
 from memsift.signatures import (
     GAUSR_MARKER,
-    AdjacentBinder,
+    AdjacentBinding,
     MatchMode,
     SignatureMatch,
     builtin_catalog,
@@ -249,9 +250,10 @@ def scan_full_carve(image, options=None):
 
 
 # The region matcher as it was before its lookups went through sorted
-# offset indexes: confidence walks every region string for each candidate,
-# each password scans every username, each cookie-bound match scans every
-# cookie.  Quadratic, but each step is the definition read off directly.
+# offsets and sweeps: confidence walks every region string for each
+# candidate, each password scans every username, each cookie-bound match
+# scans every cookie.  Quadratic, but each step is the definition read off
+# directly.
 
 
 def assign_confidence_linear(anchor, context, sig, window):
@@ -261,6 +263,32 @@ def assign_confidence_linear(anchor, context, sig, window):
         if lo <= s.offset <= hi and any(u in s.text for u in sig.context_urls):
             return HIGH
     return LOW
+
+
+def bind_adjacent_linear(strings, catalog, delta):
+    """Reference for ``AdjacentBinder``: each pair of consecutive strings
+    whose first is a key of a signature, whose second starts within delta
+    bytes of the key's end and is no key of that signature, binds once per
+    listing of the key, usernames before passwords, in catalog order."""
+    strings = list(strings)
+    bindings = []
+    for key, value in zip(strings, strings[1:]):
+        if value.offset > key.offset + key.byte_length + delta:
+            continue
+        for sig in catalog:
+            if value.text in sig.username_keys + sig.password_keys:
+                continue
+            for kind, keys in (
+                ("username", sig.username_keys), ("password", sig.password_keys)
+            ):
+                bindings.extend(
+                    AdjacentBinding(
+                        sig, kind, key.text, key.offset, value.text, value.offset
+                    )
+                    for k in keys
+                    if k == key.text
+                )
+    return bindings
 
 
 def combine_bindings_linear(bindings, sig, window):
@@ -377,10 +405,7 @@ def match_region_linear(strings, catalog, opts, hit_re):
             if m is not None:
                 matches.append(m)
 
-    binder = AdjacentBinder(catalog, opts.delta)
-    bindings = []
-    for s in strings:
-        bindings.extend(binder.push(s))
+    bindings = bind_adjacent_linear(strings, catalog, opts.delta)
     for sig in catalog:
         matches.extend(combine_bindings_linear(bindings, sig, opts.window))
 

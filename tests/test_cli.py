@@ -258,6 +258,11 @@ class TestNumbers:
         (["scan", "IMG", "--delta", " 64"], "--delta"),
         (["scan", "IMG", "--window", "1_000"], "--window"),
         (["fabricate", "--preset", "table1", "--seed", "\uff11"], "--seed"),
+        (["fabricate", "--preset", "table1", "--density", "\u0660.\u0663"], "--density"),
+        (["fabricate", "--preset", "table1", "--density", "+0.3"], "--density"),
+        (["fabricate", "--preset", "table1", "--density", " 0.3"], "--density"),
+        (["fabricate", "--preset", "table1", "--density", "3e-1"], "--density"),
+        (["fabricate", "--preset", "table1", "--density", ".3"], "--density"),
     ])
     def test_is_a_usage_error_naming_the_flag(self, capsys, corpus_dir, tmp_path, argv, flag):
         paths = {"MAP": corpus_dir / "process_map.tsv", "IMG": corpus_dir / "Img4.img"}
@@ -461,8 +466,21 @@ class TestFabricate:
         ({"session_meta": ["Firefox", "Gmail", "extra"]}, "not a (browser, application) pair"),
         ({"session_meta": "FG"}, "'FG' is not a (browser, application) pair"),
         ({"session_meta": [" Firefox ", "Gmail "]}, "' Firefox ' has space at an end"),
+        # text fields must be JSON strings and the density a JSON number
+        ({"images": [{"label": 5, "step_index": 2, "placements": []}]},
+         "malformed plan: 5 is not a string"),
+        ({"images": [{"label": "A", "step_index": 2, "step_description": ["x"],
+                      "placements": []}]},
+         "malformed plan: ['x'] is not a string"),
+        ({"images": [{"label": "A", "step_index": 2, "placements": [[7, 4096]]}]},
+         "malformed plan: 7 is not a string"),
+        ({"process_map": [[1, 5, 0, 0x100, 0]]}, "malformed plan: 5 is not a string"),
+        ({"printable_density": False}, "malformed plan: False is not a number"),
+        ({"printable_density": "0.5"}, "malformed plan: '0.5' is not a number"),
     ], ids=["negative-seed", "tab-in-name", "inverted-range", "negative-pid",
-            "three-session-fields", "session-string", "session-padded"])
+            "three-session-fields", "session-string", "session-padded",
+            "number-label", "list-description", "number-template", "number-process",
+            "bool-density", "string-density"])
     def test_bad_plan_value_writes_nothing(self, capsys, tmp_path, change, message):
         doc = {"image_size": 65536, "seed": 1,
                "images": [{"label": "A", "step_index": 2,

@@ -240,6 +240,18 @@ class TestCookieUsername:
         # "Path=/accounts" is not the context URL
         assert ff[0].confidence == LOW
 
+    def test_equidistant_cookies_bind_the_lower_one(self):
+        image = _image(
+            (700, "GAUSR=mail:low@x.y"), (800, "Passwd"), (810, "pw123"),
+            (900, "GAUSR=mail:high@x.y"),
+        )
+        findings = scan_image(image)
+        with_pw = [(f.app_id, f.match_mode, f.username, f.password_raw)
+                   for f in findings if f.password_raw]
+        assert with_pw == [("gmail-ff", MatchMode.ADJACENT, "low@x.y", "pw123")]
+        assert ("high@x.y", None) in [(f.username, f.password_raw) for f in findings]
+        assert findings == _reference_scan(image, ScanOptions())
+
     def test_cookie_outside_window_not_claimed(self):
         findings = scan((700, self.COOKIE), (4000, self.LOCATION))
         with_pw = [f for f in findings if f.app_id == "gmail-ff" and f.password_raw]

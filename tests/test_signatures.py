@@ -3,7 +3,7 @@
 import io
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memsift import (
@@ -14,18 +14,20 @@ from memsift import (
     ValueEncoding,
     builtin_catalog,
     load_catalog_file,
-    match_adjacent,
     match_inline,
     merge_catalogs,
     parse_form_pairs,
 )
 from memsift.errors import LineError
 from memsift.signatures import (
+    DEFAULT_DELTA,
+    DEFAULT_WINDOW,
     AdjacentBinder,
     combine_bindings,
     cookie_username_offset,
     extract_cookie_username,
 )
+from oracles import bind_adjacent_linear, combine_bindings_linear
 
 
 def _s(offset, text, encoding=Encoding.ASCII):
@@ -35,6 +37,13 @@ def _s(offset, text, encoding=Encoding.ASCII):
 
 def _sig(app="irctc"):
     return next(s for s in builtin_catalog() if s.app_id == app)
+
+
+def _match_adjacent(strings, sig, delta=DEFAULT_DELTA, window=DEFAULT_WINDOW):
+    """Adjacent matching of one signature over in-order strings, as the
+    scan does it per region."""
+    binder = AdjacentBinder([sig], delta)
+    return combine_bindings([b for s in strings for b in binder.push(s)], sig, window)
 
 
 class TestCatalog:
@@ -211,7 +220,7 @@ class TestAdjacentMatching:
             _s(549, "pass"),
             _s(561, "berham!19"),
         ]
-        matches = match_adjacent(strings, _sig("facebook"))
+        matches = _match_adjacent(strings, _sig("facebook"))
         assert len(matches) == 1
         m = matches[0]
         assert m.mode is MatchMode.ADJACENT
@@ -223,20 +232,20 @@ class TestAdjacentMatching:
         key = _s(100, "pass")
         near = _s(100 + 4 + 64, "justfits")
         far = _s(100 + 4 + 65, "toolate")
-        assert len(match_adjacent([key, near], _sig("facebook"), delta=64)) == 1
-        assert len(match_adjacent([key, far], _sig("facebook"), delta=64)) == 0
+        assert len(_match_adjacent([key, near], _sig("facebook"), delta=64)) == 1
+        assert len(_match_adjacent([key, far], _sig("facebook"), delta=64)) == 0
 
     def test_next_key_never_serves_as_value(self):
         # two keyword strings in a row: second one is not a value
         strings = [_s(0, "pass"), _s(10, "pass"), _s(20, "hunter2")]
-        matches = match_adjacent(strings, _sig("facebook"))
+        matches = _match_adjacent(strings, _sig("facebook"))
         values = {m.password_raw for m in matches}
         assert "pass" not in values
         assert "hunter2" in values
 
     def test_unpaired_username_reported_alone(self):
         strings = [_s(0, "Email"), _s(10, "someone@example.com")]
-        matches = match_adjacent(strings, _sig("gmail-gc"))
+        matches = _match_adjacent(strings, _sig("gmail-gc"))
         assert len(matches) == 1
         assert matches[0].username_raw == "someone@example.com"
         assert matches[0].password_raw is None
@@ -247,7 +256,7 @@ class TestAdjacentMatching:
             _s(500, "Email"), _s(508, "near@x.y"),
             _s(600, "Passwd"), _s(610, "pw"),
         ]
-        matches = match_adjacent(strings, _sig("gmail-gc"))
+        matches = _match_adjacent(strings, _sig("gmail-gc"))
         full = [m for m in matches if m.password_raw]
         assert len(full) == 1
         assert full[0].username_raw == "near@x.y"
@@ -259,7 +268,7 @@ class TestAdjacentMatching:
             _s(0, "Email"), _s(8, "u@x.y"),
             _s(2000, "Passwd"), _s(2010, "pw"),
         ]
-        matches = match_adjacent(strings, _sig("gmail-gc"), window=1024)
+        matches = _match_adjacent(strings, _sig("gmail-gc"), window=1024)
         full = [m for m in matches if m.password_raw and m.username_raw]
         assert not full
 
@@ -274,7 +283,7 @@ class TestAdjacentMatching:
             bindings.extend(binder.push(s))
         gc = [b for b in bindings if b.sig.app_id == "gmail-gc"]
         incremental = combine_bindings(gc, _sig("gmail-gc"))
-        batch = match_adjacent(strings, _sig("gmail-gc"))
+        batch = _match_adjacent(strings, _sig("gmail-gc"))
         assert incremental == batch
 
     def test_combining_leaves_bindings_reusable(self):
@@ -288,8 +297,63 @@ class TestAdjacentMatching:
     def test_trailing_bare_key_yields_nothing(self):
         # a keyword with no following string can't bind a value
         strings = [_s(0, "Email"), _s(8, "a@b.c"), _s(60, "Passwd")]
-        matches = match_adjacent(strings, _sig("gmail-gc"))
+        matches = _match_adjacent(strings, _sig("gmail-gc"))
         assert all(m.password_raw is None for m in matches)
+
+
+_PAIR_TEXTS = (
+    "uName", "pass", "email", "Email", "Passwd", "userName", "password",
+    "GAUSR", "v1", "v22", "v333",
+)
+_PAIR_KEYS = (("Email", "Passwd"), ("email", "pass"), ("uName", "pass"),
+              ("userName", "password"))
+# A slot is a key-sized string at a multiple of 16 bytes and the string 8
+# bytes on, which may be a key itself.  A tie is a password slot with a
+# username slot equally far on either side.
+_pair_slot = st.tuples(
+    st.integers(0, 24), st.sampled_from(_PAIR_TEXTS), st.sampled_from(_PAIR_TEXTS)
+)
+_pair_tie = st.builds(
+    lambda keys, at, k: [
+        (at - k, keys[0], "v1"), (at, keys[1], "v22"), (at + k, keys[0], "v333"),
+    ],
+    st.sampled_from(_PAIR_KEYS), st.integers(3, 21), st.integers(1, 3),
+)
+_pair_slots = st.lists(_pair_slot.map(lambda slot: [slot]) | _pair_tie, max_size=8).map(
+    lambda groups: [
+        s
+        for at, (key, value) in sorted(
+            {at: (key, value) for group in groups for at, key, value in group}.items()
+        )
+        for s in (_s(16 * at, key), _s(16 * at + 8, value))
+    ]
+)
+_pair_window = st.integers(0, 16 * 25) | st.integers(0, 25).map(lambda n: 16 * n)
+
+
+class TestAdjacentPairingOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(strings=_pair_slots, delta=st.integers(0, 24), window=_pair_window)
+    def test_binder_and_pairing_equal_linear_references(self, strings, delta, window):
+        catalog = builtin_catalog()
+        binder = AdjacentBinder(catalog, delta)
+        bindings = [b for s in strings for b in binder.push(s)]
+        assert bindings == bind_adjacent_linear(strings, catalog, delta)
+        for sig in catalog:
+            assert combine_bindings(bindings, sig, window) == combine_bindings_linear(
+                bindings, sig, window
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(strings=_pair_slots, window=_pair_window, data=st.data())
+    def test_shuffled_bindings_pair_as_sorted(self, strings, window, data):
+        catalog = builtin_catalog()
+        bindings = bind_adjacent_linear(strings, catalog, DEFAULT_DELTA)
+        shuffled = data.draw(st.permutations(bindings))
+        for sig in catalog:
+            assert combine_bindings(shuffled, sig, window) == combine_bindings(
+                bindings, sig, window
+            )
 
 
 class TestCookieUsername:
