@@ -21,8 +21,7 @@ _EXPORTS = {
             ExtractedString carve_strings dump_strings parse_strings_file""",
         "corpus": """DEFAULT_CHUNK_SIZE ImageManifest ManifestEntry MemoryImage
             load_manifest open_image write_manifest""",
-        "decoding": """Classification DecodedValue ValueEncoding classify_value
-            percent_decode""",
+        "decoding": "classify_value percent_decode",
         "errors": """DuplicateLabelError InvalidOptionError LineError MemsiftError
             MissingFileError NonMonotonicStepError OverlapError
             PlacementOutOfBoundsError UnknownLabelError ZeroSizeError""",

@@ -54,6 +54,7 @@ from .errors import InvalidOptionError
 
 DEFAULT_MIN_LEN = 4
 DEFAULT_CAP = 4096
+MAX_CHUNK_SIZE = 1 << 30  # keeps offset arithmetic within int64
 
 _ZERO8 = np.zeros(1, np.int8)
 _NO_INDEX = np.zeros(0, np.intp)
@@ -314,6 +315,8 @@ def _checked(
         raise InvalidOptionError("cap must be >= min_len")
     if chunk_size < 1:
         raise InvalidOptionError("chunk_size must be at least 1")
+    if chunk_size > MAX_CHUNK_SIZE:
+        raise InvalidOptionError(f"chunk_size must be at most {MAX_CHUNK_SIZE}")
     wanted = list(dict.fromkeys(Encoding(e) for e in encodings))
     if not wanted:
         raise InvalidOptionError("at least one encoding is required")

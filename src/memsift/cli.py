@@ -23,29 +23,16 @@ from .carver import BOTH_ENCODINGS, DEFAULT_CAP, DEFAULT_MIN_LEN, dump_strings
 from .corpus import DEFAULT_CHUNK_SIZE, MemoryImage, _parse_digits, load_manifest
 from .errors import InvalidOptionError, MemsiftError
 
-# The other commands' functions are imported on first use (PEP 562), so
-# `memsift strings` loads none of the scan, report or fabricate modules.
-# Handlers take them through this module (``from .cli import ...``), so a
-# wrapper set on it, as bench/tracing.py sets, is the one called.
-_LAZY = {
-    name: module
-    for module, names in {
-        "fabricator": "fabricate load_plan table1_preset",
-        "procmap": "ProcessMap load_process_map",
-        "report": """build_report load_report render_json render_matrix_table
-            render_text report_matrix""",
-        "scanner": "ScanOptions build_presence_matrix scan_image scan_manifest",
-        "signatures": "builtin_catalog load_catalog_file merge_catalogs",
-    }.items()
-    for name in names.split()
-}
-
-
+# The other commands' functions are the package's lazy exports, imported
+# on first use (PEP 562), so `memsift strings` loads none of the scan,
+# report or fabricate modules.  Handlers take them through this module
+# (``from .cli import ...``), so a wrapper set on it, as bench/tracing.py
+# sets, is the one called.
 def __getattr__(name: str):
-    module = _LAZY.get(name)
-    if module is None:
+    package = import_module(__package__)
+    if name not in package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(import_module(f".{module}", __package__), name)
+    value = globals()[name] = getattr(package, name)
     return value
 
 
@@ -205,7 +192,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
-    from .cli import load_report, render_matrix_table, report_matrix
+    from .cli import load_report, render_matrix_table
+    from .report import report_matrix
 
     blocks: list[str] = []
     for path in args.report:

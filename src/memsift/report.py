@@ -112,6 +112,16 @@ def render_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
+def _shown(text: str) -> str:
+    """A value as the text report prints it: a character that is not
+    printable, or a backslash, becomes its Python escape, so no value can
+    forge a line or reach the terminal as a control sequence."""
+    return "".join(
+        c if c.isprintable() and c != "\\" else c.encode("unicode_escape").decode()
+        for c in text
+    )
+
+
 def render_text(doc: dict) -> str:
     """Line-per-finding text form of a report document."""
     lines: list[str] = []
@@ -121,23 +131,23 @@ def render_text(doc: dict) -> str:
         for fd in image["findings"]:
             total += 1
             if fd["encrypted"]:
-                password = f"ENCRYPTED({fd['password_raw']})"
+                password = f"ENCRYPTED({_shown(fd['password_raw'])})"
             elif fd["password_decoded"] is not None:
-                password = fd["password_decoded"]
+                password = _shown(fd["password_decoded"])
             else:
                 password = "-"
             parts = [
-                label,
-                f"app={fd['app_id']}",
-                f"user={fd['username'] if fd['username'] is not None else '-'}",
+                _shown(label),
+                f"app={_shown(fd['app_id'])}",
+                f"user={_shown(fd['username']) if fd['username'] is not None else '-'}",
                 f"password={password}",
-                f"confidence={fd['confidence']}",
-                f"mode={fd['match_mode']}",
+                f"confidence={_shown(fd['confidence'])}",
+                f"mode={_shown(fd['match_mode'])}",
                 f"offset=0x{fd['offset']:08x}",
             ]
             if fd["attributions"]:
                 owners = ",".join(
-                    f"{a['process_name']}[{a['pid']}]@0x{a['virtual_address']:08x}"
+                    f"{_shown(a['process_name'])}[{a['pid']}]@0x{a['virtual_address']:08x}"
                     for a in fd["attributions"]
                 )
                 parts.append(f"proc={owners}")
@@ -150,15 +160,16 @@ def render_text(doc: dict) -> str:
 
 
 def render_matrix_table(matrix: PresenceMatrix | dict) -> str:
-    """The presence timeline as an aligned text table."""
+    """The presence timeline as an aligned text table, each cell shown as
+    ``render_text`` shows values."""
     if isinstance(matrix, PresenceMatrix):
         matrix = matrix_to_doc(matrix)
     rows = matrix["rows"]
     columns = [tuple(c) for c in matrix["columns"]]
     headers = ["image"] + [f"{app}/{br}" for app, br in columns]
-    table = [headers]
+    table = [[_shown(cell) for cell in headers]]
     for row in rows:
-        table.append([row] + list(matrix["cells"][row]))
+        table.append([_shown(cell) for cell in [row, *matrix["cells"][row]]])
     widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
     out = []
     for i, r in enumerate(table):

@@ -39,6 +39,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .carver import (
     DEFAULT_CAP,
     DEFAULT_MIN_LEN,
+    MAX_CHUNK_SIZE,
     Encoding,
     ExtractedString,
     carve_strings,
@@ -116,13 +117,17 @@ class ScanOptions:
     chunk_size: int = DEFAULT_CHUNK_SIZE
 
     def __post_init__(self) -> None:
-        for name, floor in (
-            ("window", 0), ("delta", 0), ("min_len", 1), ("chunk_size", 1)
+        # The window, delta and chunk_size ceilings keep offset arithmetic
+        # within int64.
+        for name, floor, ceiling in (
+            ("window", 0, 1 << 32), ("delta", 0, 1 << 32),
+            ("min_len", 1, DEFAULT_CAP), ("chunk_size", 1, MAX_CHUNK_SIZE),
         ):
-            if getattr(self, name) < floor:
+            value = getattr(self, name)
+            if value < floor:
                 raise InvalidOptionError(f"{name} must be at least {floor}")
-        if self.min_len > DEFAULT_CAP:
-            raise InvalidOptionError(f"min_len must be at most {DEFAULT_CAP}")
+            if value > ceiling:
+                raise InvalidOptionError(f"{name} must be at most {ceiling}")
 
     @property
     def reach(self) -> int:
@@ -431,15 +436,10 @@ def _to_finding(
 ) -> CredentialFinding:
     sig = m.signature
     password_decoded = None
-    encrypted = False
     if m.password_raw is not None:
-        dv = classify_value(
-            m.password_raw,
-            sig.value_encoding,
-            plus_as_space=(m.mode == MatchMode.INLINE),
+        password_decoded = classify_value(
+            m.password_raw, sig.opaque, plus_as_space=(m.mode == MatchMode.INLINE)
         )
-        encrypted = dv.encrypted
-        password_decoded = None if encrypted else dv.decoded
     anchor = m.anchor_offset
     attributions = tuple(pmap.lookup(anchor)) if pmap is not None else ()
     return CredentialFinding(
@@ -448,7 +448,7 @@ def _to_finding(
         username=m.username_raw,
         password_raw=m.password_raw,
         password_decoded=password_decoded,
-        encrypted=encrypted,
+        encrypted=m.password_raw is not None and password_decoded is None,
         match_mode=m.mode,
         offset=anchor,
         confidence=confidence,

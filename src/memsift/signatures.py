@@ -1,10 +1,10 @@
 """Application credential signatures and the two matching modes.
 
 A signature names the exact form-field keywords an application uses for its
-login, the URL fragments that identify its login context, and what shape
-its stored values take.  Matching is exact-case because the keywords
-really are case-sensitive on the wire: ``pass`` must never match a
-``Passwd`` pair.
+login, the URL fragments that identify its login context, and whether its
+stored values are opaque (encrypted, so kept verbatim).  Matching is
+exact-case because the keywords really are case-sensitive on the wire:
+``pass`` must never match a ``Passwd`` pair.
 
 Two layouts occur in practice.  Firefox tends to leave the whole
 ``k=v&k=v`` request body as one carved string (inline mode); Chrome leaves
@@ -15,6 +15,7 @@ mode).  Gmail under Firefox additionally parks the account name in a
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
@@ -23,12 +24,13 @@ from typing import IO, Iterable, Sequence
 
 from .carver import Encoding, ExtractedString
 from .corpus import _tsv_rows
-from .decoding import ValueEncoding
 
 DEFAULT_DELTA = 64
 DEFAULT_WINDOW = 1024
 
 GAUSR_MARKER = "GAUSR=mail:"
+
+_PRINTABLE = re.compile(r"[ -~]+")
 
 _key_offset = attrgetter("key_offset")
 
@@ -41,11 +43,11 @@ class MatchMode:
 @dataclass(frozen=True)
 class CredentialSignature:
     app_id: str
-    display_name: str
     username_keys: tuple[str, ...]
     password_keys: tuple[str, ...]
     context_urls: tuple[str, ...]
-    value_encoding: ValueEncoding = ValueEncoding.PLAINTEXT
+    # The application stores its values encrypted: keep them verbatim.
+    opaque: bool = False
     # Optional special extraction: a literal marker whose trailing text (up
     # to ';' or whitespace) is the account name, e.g. the GAUSR mail cookie.
     username_marker: str | None = None
@@ -55,6 +57,15 @@ class CredentialSignature:
             raise ValueError("app_id must be non-empty")
         if not self.username_keys or not self.password_keys:
             raise ValueError(f"{self.app_id}: key lists must be non-empty")
+        # Carved text is printable ASCII, so a token holding anything else
+        # could never match; the carver's keyword search relies on it too.
+        marker = () if self.username_marker is None else (self.username_marker,)
+        for token in (*self.username_keys, *self.password_keys,
+                      *self.context_urls, *marker):
+            if not _PRINTABLE.fullmatch(token):
+                raise ValueError(
+                    f"{self.app_id}: {token!r} is not non-empty printable ASCII"
+                )
 
     def is_key(self, text: str) -> bool:
         return text in self.username_keys or text in self.password_keys
@@ -103,74 +114,68 @@ def builtin_catalog() -> list[CredentialSignature]:
     return [
         CredentialSignature(
             app_id="sonicwall",
-            display_name="Sonicwall",
             username_keys=("uName",),
             password_keys=("pass",),
             context_urls=("userLogin.html", "auth1.html"),
-            value_encoding=ValueEncoding.PERCENT,
         ),
         CredentialSignature(
             app_id="facebook",
-            display_name="Facebook",
             username_keys=("email",),
             password_keys=("pass",),
             context_urls=("facebook.com/login.php",),
-            value_encoding=ValueEncoding.PERCENT,
         ),
         CredentialSignature(
             app_id="gmail-ff",
-            display_name="Gmail (Firefox)",
             username_keys=("GAUSR",),
             password_keys=("Passwd",),
             context_urls=("accounts.google",),
-            value_encoding=ValueEncoding.PERCENT,
             username_marker=GAUSR_MARKER,
         ),
         CredentialSignature(
             app_id="gmail-gc",
-            display_name="Gmail (Chrome)",
             username_keys=("Email",),
             password_keys=("Passwd",),
             context_urls=("accounts.google",),
         ),
         CredentialSignature(
             app_id="irctc",
-            display_name="IRCTC",
             username_keys=("userName",),
             password_keys=("password",),
             context_urls=("irctc.co.in",),
         ),
         CredentialSignature(
             app_id="sbi",
-            display_name="SBI",
             username_keys=("userName",),
             password_keys=("password",),
             context_urls=("onlinesbi.com",),
-            value_encoding=ValueEncoding.OPAQUE,
+            opaque=True,
         ),
     ]
 
 
+# The catalog's fifth column: plaintext and percent-encoded values are
+# decoded alike, opaque ones are kept verbatim.
+_OPAQUE = {"plaintext": False, "percent-encoded": False, "opaque": True}
+
+
 def _signature(parts: list[str]) -> CredentialSignature:
     app_id, ukeys, pkeys, urls, enc = parts
-    try:
-        encoding = ValueEncoding(enc)
-    except ValueError:
-        raise ValueError(f"unknown value encoding {enc!r}") from None
+    if enc not in _OPAQUE:
+        raise ValueError(f"unknown value encoding {enc!r}")
     split = lambda cell: tuple(x for x in cell.split(",") if x)
     return CredentialSignature(
         app_id=app_id,
-        display_name=app_id,
         username_keys=split(ukeys),
         password_keys=split(pkeys),
         context_urls=split(urls),
-        value_encoding=encoding,
+        opaque=_OPAQUE[enc],
     )
 
 
 def load_catalog_file(source: str | Path | IO[str]) -> list[CredentialSignature]:
     """Parse user signatures from TSV: app_id, username_keys, password_keys,
-    context_urls (comma-separated lists), value_encoding."""
+    context_urls (comma-separated lists), value_encoding (``plaintext`` and
+    ``percent-encoded`` alike, or ``opaque``)."""
     return list(_tsv_rows(source, 5, _signature))
 
 

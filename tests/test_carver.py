@@ -79,6 +79,7 @@ def test_encoding_restriction():
     (dict(chunk_size=0), "chunk_size must be at least 1"),
     (dict(encodings=()), "at least one encoding is required"),
     (dict(near=(re.compile("pass"), -1)), "reach must be at least 0"),
+    (dict(chunk_size=(1 << 30) + 1), "chunk_size must be at most 1073741824"),
 ])
 def test_bad_options_raise_on_call(bad, message):
     # Raised by the call itself, before any string is pulled.

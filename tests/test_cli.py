@@ -241,6 +241,34 @@ class TestScan:
         assert (code, out) == (1, "")
         assert err == f"error: {bad}:2: expected 5 fields, got 3\n"
 
+    @pytest.mark.parametrize("key", ["pässwort", "pass\x01x"])
+    def test_catalog_key_outside_printable_ascii_names_its_line(
+        self, capsys, corpus_dir, tmp_path, key
+    ):
+        bad = tmp_path / "c.tsv"
+        bad.write_text(f"bank\tbenutzer\t{key}\tbank.de\tplaintext\n", encoding="utf-8")
+        code, out, err = run(capsys, "scan", str(corpus_dir / "Img4.img"),
+                             "--catalog", str(bad))
+        assert (code, out) == (1, "")
+        assert err == f"error: {bad}:1: bank: {key!r} is not non-empty printable ASCII\n"
+
+    def test_text_report_escapes_what_it_cannot_print(self, capsys, tmp_path):
+        # A decoded password that would colour the terminal and forge a
+        # second report line.
+        img = tmp_path / "forge.img"
+        img.write_bytes(
+            b"http://x/userLogin.html\0\0uName=bob&pass=a%1B%5B31mRED%0Afake"
+            b"  app=x&digest=\0"
+        )
+        code, out, err = run(capsys, "scan", str(img), "--format", "text",
+                             "--deterministic")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert [line.startswith("forge  app=sonicwall") for line in lines[:2]] == [True, False]
+        assert "  password=a\\x1b[31mRED\\nfake  confidence=HIGH  " in lines[0]
+        assert lines[1] == "total: 1 finding"
+        assert all(c.isprintable() for c in out.replace("\n", ""))
+
 
 class TestNumbers:
     """Numbers on the command line are ASCII digits: no underscore, no
@@ -295,6 +323,12 @@ class TestOptionRanges:
         (["strings", "--cap", "0"], "cap must be >= min_len"),
         (["scan", "--min-len", "5000"], "min_len must be at most 4096"),
         (["strings", "--min-len", "0"], "min_len must be at least 1"),
+        # Past int64 these used to overflow in the carver.
+        (["scan", "--window", "9223372036854775808"], "window must be at most 4294967296"),
+        (["scan", "--delta", "99999999999999999999999"], "delta must be at most 4294967296"),
+        (["scan", "--window", "4294967297"], "window must be at most 4294967296"),
+        (["scan", "--chunk-size", "99999999999G"], "chunk_size must be at most 1073741824"),
+        (["strings", "--chunk-size", "99999999999G"], "chunk_size must be at most 1073741824"),
     ])
     def test_out_of_range_option_is_a_usage_error(
         self, capsys, corpus_dir, tmp_path, argv, message

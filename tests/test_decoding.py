@@ -1,4 +1,4 @@
-"""Percent decoding and value classification."""
+"""Percent decoding and the suspected-encrypted rule."""
 
 from urllib.parse import quote_plus
 
@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from memsift import Classification, ValueEncoding, classify_value, percent_decode
-from memsift.decoding import has_percent_escape
+from memsift import classify_value, percent_decode
 
 from oracles import percent_encode
 
@@ -50,7 +49,7 @@ class TestPercentDecode:
 
     def test_utf8_escapes_decode_as_one_character(self):
         assert percent_decode("p%C3%A9ss") == "péss"
-        assert classify_value("p%C3%A9ss").decoded == "péss"
+        assert classify_value("p%C3%A9ss") == "péss"
 
     @pytest.mark.parametrize("raw, decoded", [
         ("%E9t%E9", "été"),  # a lone Latin-1 byte is no UTF-8 sequence
@@ -82,59 +81,43 @@ class TestPercentDecode:
 
 class TestClassify:
     def test_percent_encoded_value(self):
-        dv = classify_value("who678%2C%3B", ValueEncoding.PERCENT)
-        assert dv.classification is Classification.PERCENT_ENCODED
-        assert dv.decoded == "who678,;"
-        assert not dv.encrypted
+        assert classify_value("who678%2C%3B") == "who678,;"
 
     def test_plaintext_value(self):
-        dv = classify_value("durga21", ValueEncoding.PLAINTEXT)
-        assert dv.classification is Classification.PLAINTEXT
-        assert dv.decoded == "durga21"
+        assert classify_value("durga21") == "durga21"
 
     def test_opaque_signature_always_suspected_encrypted(self):
-        dv = classify_value("anything-at-all", ValueEncoding.OPAQUE)
-        assert dv.encrypted
-        assert dv.decoded == dv.raw == "anything-at-all"
+        assert classify_value("anything-at-all", opaque=True) is None
+        assert classify_value("who678%2C%3B", True, plus_as_space=True) is None
 
     def test_md5_like_value_flagged_regardless_of_expectation(self):
-        raw = "37f08c5d00de89cb3c26e50200ee7242"
-        dv = classify_value(raw, ValueEncoding.PLAINTEXT)
-        assert dv.classification is Classification.SUSPECTED_ENCRYPTED
-        assert dv.decoded == raw
+        assert classify_value("37f08c5d00de89cb3c26e50200ee7242") is None
 
     def test_31_hex_chars_is_not_md5_like(self):
-        dv = classify_value("37f08c5d00de89cb3c26e50200ee724", ValueEncoding.PLAINTEXT)
-        assert not dv.encrypted
+        raw = "37f08c5d00de89cb3c26e50200ee724"
+        assert classify_value(raw) == raw
 
     def test_uppercase_hex_is_not_md5_like(self):
-        dv = classify_value("37F08C5D00DE89CB3C26E50200EE7242", ValueEncoding.PLAINTEXT)
-        assert not dv.encrypted
-
-    def test_percent_expected_but_no_escape_present(self):
-        # nothing to decode: the stored value was already plain
-        dv = classify_value("Nitt500", ValueEncoding.PERCENT)
-        assert dv.classification is Classification.PLAINTEXT
-        assert dv.decoded == "Nitt500"
+        raw = "37F08C5D00DE89CB3C26E50200EE7242"
+        assert classify_value(raw) == raw
 
     def test_plus_flag_passes_through(self):
-        dv = classify_value("Sign+in%21", ValueEncoding.PERCENT, plus_as_space=True)
-        assert dv.decoded == "Sign in!"
+        assert classify_value("Sign+in%21", plus_as_space=True) == "Sign in!"
 
     def test_plus_alone_decodes_to_space(self):
         # a + needs no %XX escape beside it to be read as a space
-        dv = classify_value("my+pass", ValueEncoding.PERCENT, plus_as_space=True)
-        assert dv.classification is Classification.PERCENT_ENCODED
-        assert dv.decoded == "my pass"
-        assert classify_value("my+pass", ValueEncoding.PERCENT).decoded == "my+pass"
+        assert classify_value("my+pass", plus_as_space=True) == "my pass"
+        assert classify_value("my+pass") == "my+pass"
 
 
 @given(st.text(alphabet="0123456789abcdef", min_size=32, max_size=32))
 def test_every_32_lowercase_hex_string_flags(value):
-    assert classify_value(value).encrypted
+    assert classify_value(value) is None
 
 
-def test_has_percent_escape():
-    assert has_percent_escape("a%41b")
-    assert not has_percent_escape("a%4")
-    assert not has_percent_escape("100%")
+@given(_text, st.booleans())
+def test_any_other_value_is_percent_decoded(raw, plus):
+    # one rule: whatever the signature's catalog word, a value that is not
+    # suspected-encrypted is its percent decoding
+    if len(raw) != 32 or not set(raw) <= set("0123456789abcdef"):
+        assert classify_value(raw, plus_as_space=plus) == percent_decode(raw, plus)

@@ -112,3 +112,23 @@ def test_empty_matrix_renders_header_only():
     matrix = build_presence_matrix([], {})
     lines = render_matrix_table(matrix).splitlines()
     assert len(lines) == 2
+
+
+def test_text_escapes_every_value_it_cannot_print():
+    f = _finding(
+        image_label="I\n1", username="u\x1b[2J", password_raw="p%0A\\",
+        password_decoded="p\n\\", attributions=(Attribution(1, "fire\rfox", 0),),
+    )
+    doc = build_report(["I\n1"], {"I\n1": [f]},
+                       matrix=build_presence_matrix(["I\n1"], {"I\n1": [f]}),
+                       deterministic=True)
+    lines = render_text(doc).splitlines()
+    assert lines[0] == (
+        "I\\n1  app=irctc  user=u\\x1b[2J  password=p\\n\\\\  confidence=HIGH"
+        "  mode=inline  offset=0x00001234  proc=fire\\rfox[1]@0x00000000"
+    )
+    assert lines[1] == "total: 1 finding"
+    # the matrix row is one line too, its width taken from the escaped label
+    assert lines[5].startswith("I\\n1   No")
+    assert len(lines) == 6
+    assert all(c.isprintable() for line in lines for c in line)

@@ -327,7 +327,8 @@ class TestAttributions:
 class TestScanOptions:
     @pytest.mark.parametrize("bad", [
         dict(window=-1), dict(delta=-1), dict(min_len=0), dict(chunk_size=0),
-        dict(min_len=4097),
+        dict(min_len=4097), dict(window=(1 << 32) + 1), dict(delta=(1 << 32) + 1),
+        dict(chunk_size=(1 << 30) + 1), dict(window=1 << 63),
     ])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(InvalidOptionError):
@@ -336,6 +337,7 @@ class TestScanOptions:
     def test_boundary_values_accepted(self):
         ScanOptions(window=0, delta=0, min_len=1, chunk_size=1)
         ScanOptions(min_len=4096)
+        ScanOptions(window=1 << 32, delta=1 << 32, chunk_size=1 << 30)
 
 
 class TestFindingInvariants:

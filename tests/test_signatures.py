@@ -11,7 +11,6 @@ from memsift import (
     Encoding,
     ExtractedString,
     MatchMode,
-    ValueEncoding,
     builtin_catalog,
     load_catalog_file,
     match_inline,
@@ -61,10 +60,8 @@ class TestCatalog:
         assert not fb.is_key("Email")
 
     def test_value_encodings(self):
-        enc = {s.app_id: s.value_encoding for s in builtin_catalog()}
-        assert enc["sonicwall"] is ValueEncoding.PERCENT
-        assert enc["irctc"] is ValueEncoding.PLAINTEXT
-        assert enc["sbi"] is ValueEncoding.OPAQUE
+        # only SBI's values are encrypted in the browser
+        assert [s.app_id for s in builtin_catalog() if s.opaque] == ["sbi"]
 
     def test_only_gmail_firefox_has_cookie_marker(self):
         markers = {s.app_id: s.username_marker for s in builtin_catalog()}
@@ -84,16 +81,49 @@ class TestCatalog:
             load_catalog_file(io.StringIO("only\tthree\tfields\n"))
         assert err.value.lineno == 1
 
+    def test_plaintext_and_percent_encoded_read_alike(self):
+        row = "acme\tau\tap\tacme.example\t{}\n"
+        plain, percent, opaque = load_catalog_file(io.StringIO("".join(
+            row.format(word) for word in ("plaintext", "percent-encoded", "opaque")
+        )))
+        assert plain == percent
+        assert not plain.opaque
+        assert opaque == CredentialSignature(
+            "acme", ("au",), ("ap",), ("acme.example",), opaque=True
+        )
+
+    @pytest.mark.parametrize("word", ["encrypted", "Opaque", "PLAINTEXT", ""])
+    def test_unknown_value_encoding_names_its_line(self, word):
+        body = f"# header\nacme\tau\tap\tacme.example\t{word}\n"
+        with pytest.raises(LineError, match="unknown value encoding") as err:
+            load_catalog_file(io.StringIO(body))
+        assert err.value.lineno == 2
+
+    @pytest.mark.parametrize("field, token", [
+        ("username_keys", ("pässwort",)),
+        ("password_keys", ("pass\x01x",)),
+        ("password_keys", ("",)),
+        ("context_urls", ("bank.de\n",)),
+        ("username_marker", ""),
+        ("username_marker", "GAUSR=mail:\x7f"),
+    ])
+    def test_tokens_must_be_printable_ascii(self, field, token):
+        fields = dict(username_keys=("u",), password_keys=("p",), context_urls=("x",))
+        with pytest.raises(ValueError, match="printable ASCII"):
+            CredentialSignature("bank", **{**fields, field: token})
+
+    def test_printable_tokens_are_accepted(self):
+        sig = CredentialSignature(
+            "bank", (" ~",), ("p w",), (), username_marker="a=b:"
+        )
+        assert sig.is_key(" ~")
+
     def test_merge_replaces_matching_app_id(self):
-        override = CredentialSignature(
-            "irctc", "clone", ("u",), ("p",), ("x",), ValueEncoding.PLAINTEXT
-        )
-        fresh = CredentialSignature(
-            "acme", "Acme", ("au",), ("ap",), ("acme.example",), ValueEncoding.PLAINTEXT
-        )
+        override = CredentialSignature("irctc", ("u",), ("p",), ("x",))
+        fresh = CredentialSignature("acme", ("au",), ("ap",), ("acme.example",))
         merged = merge_catalogs(builtin_catalog(), [override, fresh])
         assert len(merged) == 7
-        assert next(s for s in merged if s.app_id == "irctc").display_name == "clone"
+        assert next(s for s in merged if s.app_id == "irctc").username_keys == ("u",)
         assert merged[-1].app_id == "acme"
 
 
