@@ -7,16 +7,18 @@ run must reach ``min_len`` characters to be emitted, and runs longer than
 offset.
 
 The image is carved one buffer at a time: the bytes carried over from the
-previous buffer plus the next chunk.  Three streams are found in it by
-mask diffs: ASCII, and UTF-16LE at each absolute byte parity.  A run that
-touches the buffer end may still grow (a trailing printable byte counts
-as a pair whose NUL may still arrive), so its last cap piece is not
-settled yet.  The cut is the start of the earliest unsettled piece.  Every
-piece starting before the cut is emitted, and the bytes from the cut on
-are carried into the next buffer, where the open run is found again.  The
-carry is therefore always under ``2*cap+1`` bytes.  Each stream resumes at
-the end of the last piece it emitted, so a run found again keeps its cap
-grid.
+previous buffer plus the next chunk.  Three streams are found in it: ASCII
+bytes, and UTF-16LE read as little-endian words at each absolute byte
+parity.  Each stream's runs are found on its mask ANDed with itself
+shifted, so runs shorter than ``min_len`` never leave numpy; the one kept
+anyway is the run that touches the buffer end.  It may still grow (a
+trailing printable byte counts as a pair whose NUL may still arrive), so
+its last cap piece is not settled yet.  The cut is the start of the
+earliest unsettled piece.  Every piece starting before the cut is emitted,
+and the bytes from the cut on are carried into the next buffer, where the
+open run is found again.  The carry is therefore always under ``2*cap+1``
+bytes.  Each stream resumes at the end of the last piece it emitted, so a
+run found again keeps its cap grid.
 
 The emitted stream is thus byte-for-byte identical whatever chunk size the
 image is read with.  That is the one property everything downstream leans
@@ -56,7 +58,6 @@ DEFAULT_MIN_LEN = 4
 DEFAULT_CAP = 4096
 MAX_CHUNK_SIZE = 1 << 30  # keeps offset arithmetic within int64
 
-_ZERO8 = np.zeros(1, np.int8)
 _NO_INDEX = np.zeros(0, np.intp)
 # 10, 100, ..., 10**18: a non-negative int64 has one digit more than the
 # number of these it reaches.
@@ -90,10 +91,31 @@ class ExtractedString(NamedTuple):
     byte_length: int
 
 
-def _runs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end indices of the maximal True runs of a boolean mask."""
-    edges = np.diff(mask.view(np.int8), prepend=_ZERO8, append=_ZERO8)
-    return np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+def _runs(mask: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end indices of the maximal True runs of a boolean mask that
+    are at least ``length`` long, then of the run that touches the mask's
+    end whatever its length.
+
+    A run is that long iff it holds a window of ``length`` Trues.  The
+    window mask ANDs the mask with itself shifted, the shift doubling and
+    one last step overlapping, so its runs are the long runs, each ending
+    ``length - 1`` early.  Short runs thus never leave numpy.
+    """
+    window, width = mask, 1
+    while width < length:
+        step = min(width, length - width)
+        window = window[:-step] & window[step:]
+        width += step
+    edges = np.flatnonzero(np.diff(window, prepend=False, append=False))
+    starts, ends = edges[::2], edges[1::2] + (length - 1)
+    n = mask.size
+    if n and mask[-1] and not (ends.size and ends[-1] == n):
+        # A shorter end run lies within the last length - 1 places.
+        lead = max(n - length + 1, 0)
+        gaps = np.flatnonzero(~mask[lead:])
+        start = lead + (int(gaps[-1]) + 1 if gaps.size else 0)
+        starts, ends = np.append(starts, start), np.append(ends, n)
+    return starts, ends
 
 
 def _cap_pieces(
@@ -120,23 +142,27 @@ def _spans(
 
     Returns the pieces' buffer indices ``offset`` and ``stop`` and their
     bytes per character ``unit``, ordered by (offset, ASCII first), and the
-    cut, the buffer index the next buffer starts at.  ``resume`` holds, per
-    stream (ASCII, then UTF-16LE at absolute parity 0 and 1), the absolute
-    end of the last piece it emitted; it is updated in place.
+    cut, the buffer index the next buffer starts at.  Only runs of at least
+    ``min_len`` characters, and the run at the buffer end, leave numpy;
+    UTF-16LE is read as words.  ``resume`` holds, per stream (ASCII, then
+    UTF-16LE at absolute parity 0 and 1), the absolute end of the last piece
+    it emitted; it is updated in place.
     """
     n = len(buf)
-    a = np.frombuffer(buf, np.uint8)
-    printable = (a >= 0x20) & (a <= 0x7E)
     streams = []  # (stream, bytes per char, run starts, run ends)
     if Encoding.ASCII in wanted:
-        streams.append((0, 1, *_runs(printable)))
+        # uint8 arithmetic wraps, so one compare tests 0x20..0x7e.
+        printable = np.frombuffer(buf, np.uint8) - np.uint8(0x20) < 0x5F
+        streams.append((0, 1, *_runs(printable, min_len)))
     if Encoding.UTF16LE in wanted and n:
-        pair = printable.copy()
-        pair[:-1] &= a[1:] == 0
-        if final:
-            pair[-1] = False
         for q in (0, 1):
-            starts, ends = _runs(pair[q::2])
+            # A printable byte then a NUL is one little-endian word in
+            # 0x20..0x7e.
+            words = np.frombuffer(buf, "<u2", (n - q) // 2, q)
+            pair = words - np.uint16(0x20) < 0x5F
+            if (n - q) % 2 and not final:  # its NUL may still arrive
+                pair = np.append(pair, 0x20 <= buf[-1] <= 0x7E)
+            starts, ends = _runs(pair, min_len)
             streams.append((1 + (base + q) % 2, 2, 2 * starts + q, 2 * ends + q))
 
     cut = n

@@ -25,10 +25,14 @@ from oracles import carve_bruteforce, carve_numpy, random_buffer, strings_tuples
 from seams import at_seams
 
 # byte soup with enough printable mass to form runs, plus soup dense in
-# (printable, NUL) pairs so UTF-16LE chains cross chunk seams too
+# (printable, NUL) pairs so UTF-16LE chains cross chunk seams too, plus
+# words in both encodings, whose runs reach the longer min_len windows
 _blobs = st.binary(min_size=0, max_size=2048) | st.lists(
     st.sampled_from(b"aZ~ \x00\x00\x01"), max_size=2048
-).map(bytes)
+).map(bytes) | st.lists(
+    st.sampled_from([b"word ", "word ".encode("utf-16-le"), b"\x00", b"\x01"]),
+    max_size=300,
+).map(b"".join)
 _chunky = st.integers(min_value=1, max_value=257)
 _encoding_sets = st.sampled_from(
     [(Encoding.ASCII,), (Encoding.UTF16LE,), BOTH_ENCODINGS]
@@ -37,9 +41,71 @@ _encoding_sets = st.sampled_from(
 
 @st.composite
 def _len_and_cap(draw):
-    """min_len, and a cap small enough that cap pieces meet chunk seams."""
-    min_len = draw(st.integers(min_value=1, max_value=6))
-    return min_len, draw(st.integers(min_value=min_len, max_value=min_len + 30))
+    """min_len, and a cap small enough that cap pieces meet chunk seams.
+    Some draws take a min_len of 7..40, a wider run window that is mostly
+    not a power of two, and some take cap equal to min_len."""
+    min_len = draw(st.integers(1, 6) | st.integers(7, 40))
+    return min_len, draw(st.integers(min_len, min_len + 30) | st.just(min_len))
+
+
+def _long_runs_reference(mask, length):
+    """(start, end) of each maximal True run at least ``length`` long, and
+    of the run that touches the mask's end, from plain edge diffs."""
+    edges = np.flatnonzero(np.diff(mask.astype(np.int8), prepend=0, append=0))
+    starts, ends = edges[::2], edges[1::2]
+    keep = (ends - starts >= length) | (ends == mask.size)
+    return list(zip(starts[keep].tolist(), ends[keep].tolist()))
+
+
+@st.composite
+def _run_masks(draw):
+    """A boolean mask laid out as alternating runs, some about 4096 long."""
+    lengths = draw(st.lists(
+        st.integers(1, 80) | st.sampled_from([4095, 4096, 4097]), max_size=12
+    ))
+    bits = np.arange(len(lengths)) % 2 == draw(st.integers(0, 1))
+    return np.repeat(bits, lengths)
+
+
+@settings(max_examples=300)
+@given(_run_masks(), st.integers(1, 70) | st.just(4096))
+def test_runs_keeps_long_runs_and_the_end_run(mask, length):
+    starts, ends = carver._runs(mask, length)
+    assert list(zip(starts.tolist(), ends.tolist())) == _long_runs_reference(mask, length)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 4, 5, 7, 8, 64, 70, 4096])
+def test_runs_on_edge_masks(length):
+    masks = [
+        np.zeros(length - 1, bool),  # shorter than the window
+        np.ones(length - 1, bool),
+        np.zeros(3 * length, bool),
+        np.ones(3 * length, bool),
+        np.r_[np.ones(length, bool), False, np.ones(length - 1, bool)],  # end run of length - 1
+        np.r_[False, np.ones(length - 1, bool)],
+        np.r_[np.ones(length - 1, bool), False],
+    ]
+    for mask in masks:
+        starts, ends = carver._runs(mask, length)
+        assert list(zip(starts.tolist(), ends.tolist())) == _long_runs_reference(mask, length)
+
+
+@pytest.mark.parametrize("min_len", [3, 4, 5, 7, 64])
+@pytest.mark.parametrize("wide", [False, True])
+def test_short_end_run_grows_past_min_len_in_next_chunk(min_len, wide):
+    """A run shorter than min_len at a chunk's end is carried, not dropped,
+    and comes out whole once the next chunk makes it long enough.  Every
+    split of the run's first min_len characters is tried, at both chunk
+    parities: UTF-16LE meets the seam at both byte parities, and between a
+    printable last byte and its NUL."""
+    text = "".join(chr(ord("A") + i % 26) for i in range(min_len + 2))
+    encoded = text.encode("utf-16-le" if wide else "ascii")
+    for chunk_size in (200, 201):
+        for before in range(1, (1 + wide) * min_len):  # bytes in the first chunk
+            start = chunk_size - before
+            data = b"\x01" * start + encoded + b"\x01" * 10
+            rows = strings_tuples(carve_strings(data, min_len, chunk_size=chunk_size))
+            assert rows == [(start, text, "utf16le" if wide else "ascii")]
 
 
 def test_simple_ascii_run():
