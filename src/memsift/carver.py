@@ -7,49 +7,46 @@ run must reach ``min_len`` characters to be emitted, and runs longer than
 offset.
 
 The image is carved one buffer at a time: the bytes carried over from the
-previous buffer plus the next chunk.  Three streams are found in it: ASCII
-bytes, and UTF-16LE read as little-endian words at each absolute byte
-parity.  Each stream's runs are found on its mask ANDed with itself
-shifted, so runs shorter than ``min_len`` never leave numpy; the one kept
-anyway is the run that touches the buffer end.  It may still grow (a
-trailing printable byte counts as a pair whose NUL may still arrive), so
-its last cap piece is not settled yet.  The cut is the start of the
-earliest unsettled piece.  Every piece starting before the cut is emitted,
-and the bytes from the cut on are carried into the next buffer, where the
-open run is found again.  The carry is therefore always under ``2*cap+1``
-bytes.  Each stream resumes at the end of the last piece it emitted, so a
-run found again keeps its cap grid.
+previous buffer plus the next chunk.  A buffer has three streams: ASCII
+bytes, and UTF-16LE pairs at each absolute byte parity.  The run that
+touches the buffer end may still grow (a trailing printable byte counts
+as a pair whose NUL may still arrive), so its last cap piece is not
+settled yet.  The cut is the start of the earliest unsettled piece.  Every
+piece starting before the cut is settled, and the bytes from the cut on
+are carried into the next buffer, where the open run is found again.  The
+carry is therefore always under ``2*cap+1`` bytes.  Each stream resumes at
+the end of the last piece it emitted, so a run found again keeps its cap
+grid.  The settled pieces are thus the same whatever chunk size the image
+is read with, which the brute-force reference carve in the test suite
+checks.
 
-The emitted stream is thus byte-for-byte identical whatever chunk size the
-image is read with.  That is the one property everything downstream leans
-on, and it is what the brute-force reference scan in the test suite checks
-the implementation against.
+The full carve, every piece of the image, is ``carve_strings`` without
+``near`` and ``dump_strings`` (``memsift strings``).  It finds every run
+of a buffer at once with numpy, in ``memsift.fullcarve``, which only
+those two calls import.
 
-Each buffer's pieces are found as numpy arrays (offset, stop, bytes per
-character), and both consumers work from those arrays.  ``memsift
-strings`` (``dump_strings``) never builds a string: it lays a buffer's
-``offset:text`` lines out as one byte array, the decimal digits computed
-by vectorised division and the characters gathered by index, and writes
-it at once.  The scan is keyword-first: it asks
-``carve_strings`` for the pieces near a keyword, and the carver tests all
-of a buffer's pieces with one pattern search over their characters,
-gathered the same way.  What it builds is a superset: every piece in a
-claim, plus pieces within reach of a buffer seam, where a hit in another
-buffer may claim them.  The scan's region rule drops the extra ones.
-Each buffer is decided on its own, so nothing waits across buffers, and
-printable text far from any keyword and from any seam never becomes a
-Python object.
+The keyword scan asks ``carve_strings(near=(pattern, reach))`` for the
+pieces near a keyword, and that path is plain Python.  A keyword pattern
+is an alternation of literals, so it is found in the raw bytes: one bytes
+regex searches each buffer for every literal, spelt in ASCII and in
+UTF-16LE.  Each occurrence is mapped to the pieces its bytes overlap, in
+any stream, from the extent of the run holding it and the run's cap grid,
+and a piece is a hit if the pattern matches its text.  Then only the
+hits' claims and the zones within reach of the buffer seams are carved.
+A run's extent is found by reading out from a position and is remembered
+for the buffer, so no run is read twice however many occurrences it
+holds.  Printable text far from any keyword and from any seam is searched
+but never carved, and the scan never loads numpy.
 """
 
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from enum import Enum
-from itertools import chain, repeat, starmap
+from itertools import chain
 from pathlib import Path
 from typing import IO, BinaryIO, Iterable, Iterator, NamedTuple
-
-import numpy as np
 
 from .corpus import DEFAULT_CHUNK_SIZE, MemoryImage, _parse_digits, _parse_lines
 from .errors import InvalidOptionError
@@ -57,12 +54,6 @@ from .errors import InvalidOptionError
 DEFAULT_MIN_LEN = 4
 DEFAULT_CAP = 4096
 MAX_CHUNK_SIZE = 1 << 30  # keeps offset arithmetic within int64
-
-_NO_INDEX = np.zeros(0, np.intp)
-# 10, 100, ..., 10**18: a non-negative int64 has one digit more than the
-# number of these it reaches.
-_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
-_GATHER_SLOTS = 1 << 18
 
 
 class Encoding(str, Enum):
@@ -91,239 +82,291 @@ class ExtractedString(NamedTuple):
     byte_length: int
 
 
-def _runs(mask: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end indices of the maximal True runs of a boolean mask that
-    are at least ``length`` long, then of the run that touches the mask's
-    end whatever its length.
-
-    A run is that long iff it holds a window of ``length`` Trues.  The
-    window mask ANDs the mask with itself shifted, the shift doubling and
-    one last step overlapping, so its runs are the long runs, each ending
-    ``length - 1`` early.  Short runs thus never leave numpy.
-    """
-    window, width = mask, 1
-    while width < length:
-        step = min(width, length - width)
-        window = window[:-step] & window[step:]
-        width += step
-    edges = np.flatnonzero(np.diff(window, prepend=False, append=False))
-    starts, ends = edges[::2], edges[1::2] + (length - 1)
-    n = mask.size
-    if n and mask[-1] and not (ends.size and ends[-1] == n):
-        # A shorter end run lies within the last length - 1 places.
-        lead = max(n - length + 1, 0)
-        gaps = np.flatnonzero(~mask[lead:])
-        start = lead + (int(gaps[-1]) + 1 if gaps.size else 0)
-        starts, ends = np.append(starts, start), np.append(ends, n)
-    return starts, ends
+# A run's characters, indexed by bytes per character: read forwards from a
+# position, and read from the end of a reversed window.  Possessive, so a
+# long run leaves no backtracking state behind.
+_FORWARD = (None, re.compile(rb"[\x20-\x7e]*+"), re.compile(rb"(?:[\x20-\x7e]\x00)*+"))
+_BACKWARD = (None, re.compile(rb"[\x20-\x7e]*+"), re.compile(rb"(?:\x00[\x20-\x7e])*+"))
+_REGEX_OPERATORS = frozenset(".^$*+?{}[]()|\\")
 
 
-def _cap_pieces(
-    starts: np.ndarray, ends: np.ndarray, span: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Split each run into pieces of at most span bytes, laid from its start."""
-    count = (ends - starts + span - 1) // span
-    first = np.repeat(np.cumsum(count) - count, count)
-    piece_starts = np.repeat(starts, count) + (np.arange(first.size) - first) * span
-    return piece_starts, np.minimum(piece_starts + span, np.repeat(ends, count))
-
-
-def _spans(
-    buf: bytes,
-    base: int,
-    wanted: list[Encoding],
-    resume: list[int],
-    min_len: int,
-    cap: int,
-    final: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Find the settled pieces of a buffer that starts at absolute offset
-    ``base``.
-
-    Returns the pieces' buffer indices ``offset`` and ``stop`` and their
-    bytes per character ``unit``, ordered by (offset, ASCII first), and the
-    cut, the buffer index the next buffer starts at.  Only runs of at least
-    ``min_len`` characters, and the run at the buffer end, leave numpy;
-    UTF-16LE is read as words.  ``resume`` holds, per stream (ASCII, then
-    UTF-16LE at absolute parity 0 and 1), the absolute end of the last piece
-    it emitted; it is updated in place.
-    """
-    n = len(buf)
-    streams = []  # (stream, bytes per char, run starts, run ends)
-    if Encoding.ASCII in wanted:
-        # uint8 arithmetic wraps, so one compare tests 0x20..0x7e.
-        printable = np.frombuffer(buf, np.uint8) - np.uint8(0x20) < 0x5F
-        streams.append((0, 1, *_runs(printable, min_len)))
-    if Encoding.UTF16LE in wanted and n:
-        for q in (0, 1):
-            # A printable byte then a NUL is one little-endian word in
-            # 0x20..0x7e.
-            words = np.frombuffer(buf, "<u2", (n - q) // 2, q)
-            pair = words - np.uint16(0x20) < 0x5F
-            if (n - q) % 2 and not final:  # its NUL may still arrive
-                pair = np.append(pair, 0x20 <= buf[-1] <= 0x7E)
-            starts, ends = _runs(pair, min_len)
-            streams.append((1 + (base + q) % 2, 2, 2 * starts + q, 2 * ends + q))
-
-    cut = n
-    if not final:
-        for k, unit, starts, ends in streams:
-            if ends.size and ends[-1] >= n:
-                span = unit * cap
-                start = max(int(starts[-1]), resume[k] - base)
-                cut = min(cut, start + (n - start) // span * span)
-
-    offsets, stops, units = [], [], []
-    for k, unit, starts, ends in streams:
-        if not starts.size:
+def _literals(pattern: re.Pattern) -> list[str]:
+    """The literals of ``pattern``, an alternation of escaped printable-ASCII
+    literals as ``re.escape`` writes them.  Anything else could match text
+    the literals miss, so it is refused."""
+    text = pattern.pattern
+    if not isinstance(text, str) or pattern.flags & ~(re.UNICODE | re.ASCII):
+        raise InvalidOptionError("near pattern must be a str pattern with no flags")
+    literals, literal, chars = [], "", iter(text)
+    for ch in chars:
+        if ch == "|":
+            literals.append(literal)
+            literal = ""
             continue
-        starts = np.maximum(starts, resume[k] - base)
-        keep = (ends - starts >= unit * min_len) & (starts < cut)
-        starts, ends = starts[keep], ends[keep]
-        if not starts.size:
-            continue
-        if (ends - starts).max() > unit * cap:
-            starts, ends = _cap_pieces(starts, ends, unit * cap)
-            keep = (ends - starts >= unit * min_len) & (starts < cut)
-            starts, ends = starts[keep], ends[keep]
-        resume[k] = base + int(ends[-1])
-        offsets.append(starts)
-        stops.append(ends)
-        units.append(np.full(starts.size, unit, np.int8))
-    if not offsets:
-        return _NO_INDEX, _NO_INDEX, _NO_INDEX.astype(np.int8), cut
-    offset, stop, unit = (np.concatenate(x) for x in (offsets, stops, units))
-    if len(offsets) > 1:
-        order = np.lexsort((unit, offset))
-        offset, stop, unit = offset[order], stop[order], unit[order]
-    return offset, stop, unit, cut
+        if ch == "\\":  # an escaped operator; \d, \n or \x41 is no literal
+            ch = next(chars, "")
+            literal_char = not ch.isalnum()
+        else:
+            literal_char = ch not in _REGEX_OPERATORS
+        if not (literal_char and ch.isascii() and ch.isprintable() and ch):
+            raise InvalidOptionError(
+                f"near pattern {text!r} is not an alternation of literals"
+            )
+        literal += ch
+    literals.append(literal)
+    if not all(literals):
+        raise InvalidOptionError(f"near pattern {text!r} has an empty literal")
+    return literals
 
 
-def _buffers(
-    image: MemoryImage, wanted: list[Encoding], min_len: int, cap: int, chunk_size: int
-) -> Iterator[tuple[bytes, int, np.ndarray, np.ndarray, np.ndarray, int, int]]:
-    """Yield ``(buf, base, offset, stop, unit, carried, cut)`` per buffer:
-    the buffer, its absolute offset, its settled pieces (see ``_spans``),
-    the bytes carried into it and its cut.  The last buffer is all carry,
-    and every piece in it lies before the end of the previous buffer."""
-    resume = [0, 0, 0]
-    carry, base = b"", 0
-    for chunk in chain(image.chunks(chunk_size), [None]):
-        final = chunk is None
-        buf = carry if final else carry + chunk
-        offset, stop, unit, cut = _spans(buf, base, wanted, resume, min_len, cap, final)
-        yield buf, base, offset, stop, unit, len(carry), cut
-        carry, base = buf[cut:], base + cut
+class _Stream:
+    """One stream of a buffer: ASCII, or UTF-16LE pairs at one byte parity.
+
+    A position is a character's first byte.  ``run`` finds the run holding
+    a position by reading out from it, and keeps it, so a run's bytes are
+    read once per buffer however many lookups land in it.  Runs start no
+    earlier than ``floor``, where the stream resumes: the bytes before it
+    went out in an earlier buffer's pieces.
+    """
+
+    def __init__(self, buf, final, unit, parity, floor, min_len, cap, long_run):
+        self.buf, self.n, self.final = buf, len(buf), final
+        self.unit, self.parity = unit, parity
+        floor = max(floor, 0)
+        self.floor = floor + (floor - parity) % unit
+        self.span, self.min_bytes = unit * cap, unit * min_len
+        self.long_run = long_run  # finds runs of at least min_len characters
+        self.starts: list[int] = []  # the runs found so far, ascending
+        self.ends: list[int] = []
+
+    def at(self, byte: int) -> int:
+        """The position whose character holds ``byte``."""
+        return byte - (byte - self.parity) % self.unit
+
+    def member(self, x: int) -> bool:
+        """Whether position ``x`` holds a character.  A printable last byte
+        of a buffer that is not the last counts as a UTF-16LE character,
+        since its NUL may still arrive; it makes the run the one at the
+        buffer end, which fixes the cut."""
+        buf, n = self.buf, self.n
+        if not (0 <= x < n and 0x20 <= buf[x] <= 0x7E):
+            return False
+        if self.unit == 1:
+            return True
+        return buf[x + 1] == 0 if x + 1 < n else not self.final
+
+    def run(self, x: int) -> tuple[int, int] | None:
+        """``(start, end)`` of the run holding position ``x``, or None.
+        Before the floor, it is the run the stream resumes in.  A run
+        holds every position from its start up to its end, so one that
+        ends in a lone last byte ends a byte past the buffer."""
+        x = max(x, self.floor)
+        if not self.member(x):
+            return None
+        i = bisect_right(self.starts, x)
+        if i and x < self.ends[i - 1]:
+            return self.starts[i - 1], self.ends[i - 1]
+        # The run starts past the run found before it, and only the window
+        # read backwards grows, by a factor each time, so the cost follows
+        # the run's length.
+        lo, width = self.ends[i - 1] if i else self.floor, 256
+        while True:
+            first = max(lo, x - width)
+            back = _BACKWARD[self.unit].match(self.buf[first:x][::-1]).end()
+            if back < x - first or first == lo:
+                break
+            width *= 4
+        end = _FORWARD[self.unit].match(self.buf, x).end()
+        if self.unit == 2 and self.member(end):  # the lone last byte
+            end += 2
+        self.starts.insert(i, x - back)
+        self.ends.insert(i, end)
+        return x - back, end
+
+    def run_pieces(
+        self, run: tuple[int, int], lo: int, hi: int, cut: int
+    ) -> Iterator[tuple[int, int]]:
+        """``(start, stop)`` of the pieces of ``run`` that overlap bytes
+        [lo, hi) and start before ``cut``."""
+        start, end = run
+        span = self.span
+        for at in range(start + max(lo - start, 0) // span * span, min(end, hi, cut), span):
+            stop = min(at + span, end)
+            if stop - at >= self.min_bytes:
+                yield at, stop
+
+    def pieces(self, lo: int, hi: int, cut: int) -> Iterator[tuple[int, int]]:
+        """The pieces of every run that overlap bytes [lo, hi) and start
+        before ``cut``."""
+        first = self.run(self.at(lo))
+        runs = [first]
+        # A run of at least min_len characters that starts before hi shows
+        # them all before hi + min_bytes.
+        pos = first[1] if first else max(self.at(lo), 0)
+        for m in self.long_run.finditer(self.buf, pos, min(self.n, hi + self.min_bytes)):
+            x = m.start()
+            if self.unit == 2:  # the match starts on the NUL of a pair
+                x += -1 if self.member(x - 1) else 1
+            if x < hi and (x - self.parity) % self.unit == 0:
+                runs.append(self.run(x))
+        for run in filter(None, runs):
+            yield from self.run_pieces(run, lo, hi, cut)
 
 
-def _gather(
-    buf: bytes, offset: np.ndarray, stop: np.ndarray, unit: np.ndarray, lead=0
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every piece's characters read out of ``buf``, each after ``lead``
-    free slots (a count, or one per piece) and before one more.  Returns
-    the bytes, where each piece's slots start and how many it has.  The
-    free slots hold arbitrary bytes for the caller to set."""
-    width = lead + (stop - offset) // unit + 1
-    end = np.cumsum(width)
-    text = np.empty(int(end[-1]), np.uint8)
-    source = np.frombuffer(buf, np.uint8)
-    lead = np.broadcast_to(lead, offset.shape)
-    # The index, 8 bytes a slot, is built for about _GATHER_SLOTS slots of
-    # pieces at a time, so it stays small beside the buffer.
-    cuts = np.searchsorted(end, range(_GATHER_SLOTS, int(end[-1]), _GATHER_SLOTS))
-    bounds = list(dict.fromkeys([0, *cuts.tolist(), offset.size]))
-    for lo, hi in zip(bounds, bounds[1:]):
-        w = width[lo:hi]
-        first = np.cumsum(w) - w
-        # Running sums: every slot steps by its piece's unit, and a piece's
-        # first character jumps to its offset from the previous piece's
-        # last slot, which reads that piece's stop.
-        index = np.repeat(unit[lo:hi].astype(np.intp), w)
-        index[first + lead[lo:hi]] = (
-            offset[lo:hi] - np.concatenate(([0], stop[lo : hi - 1]))
-            - lead[lo:hi] * unit[lo:hi]
+class _NearCarve:
+    """``carve_strings(near=(pattern, reach))``: per buffer, the settled
+    pieces a keyword hit may claim."""
+
+    def __init__(self, wanted, min_len, cap, pattern, reach):
+        literals = _literals(pattern)
+        # One bytes regex per first character, since ``re`` scans for one
+        # first byte several times faster than for a set of them.
+        by_first: dict[str, set[bytes]] = {}
+        for lit in literals:
+            for codec in ("ascii", "utf-16-le"):
+                by_first.setdefault(lit[0], set()).add(lit.encode(codec))
+        self.needles = [
+            re.compile(b"|".join(map(re.escape, sorted(spellings))))
+            for spellings in by_first.values()
+        ]
+        self.search, self.reach = pattern.search, reach
+        self.min_len, self.cap = min_len, cap
+        # (bytes per character, parity) of each wanted stream
+        self.kinds = [(1, 0)] if Encoding.ASCII in wanted else []
+        if Encoding.UTF16LE in wanted:
+            self.kinds += [(2, 0), (2, 1)]
+        # Per bytes per character, a regex that finds each run of at least
+        # min_len characters.  A UTF-16LE run is found from the NUL of its
+        # first pair, since ``re`` scans for one literal first byte fast.
+        # The run starts on the byte before the match if that is printable;
+        # if not, it starts after the NUL, and may be one character short.
+        self.long_runs = (
+            None,
+            re.compile(rb"[\x20-\x7e]{%d,}+" % min_len),
+            re.compile(rb"\x00(?:[\x20-\x7e]\x00){%d,}+" % (min_len - 1)),
         )
-        np.cumsum(index, out=index)
-        source.take(index, out=text[end[lo] - w[0] : end[hi - 1]], mode="clip")
-    return text, end - width, width
 
+    def carve(self, image: MemoryImage, chunk_size: int) -> Iterator[list[ExtractedString]]:
+        """Per buffer, the pieces kept.  Each buffer's are yielded before
+        the next chunk is read.  The buffers, cuts and carries are those of
+        ``memsift.fullcarve._buffers``, and so is ``resume``."""
+        resume = [0, 0, 0]
+        carry, base = b"", 0
+        for chunk in chain(image.chunks(chunk_size), [None]):
+            final = chunk is None
+            buf = carry if final else carry + chunk
+            kept, cut = self.buffer(buf, base, len(carry), final, resume)
+            yield kept
+            carry, base = buf[cut:], base + cut
 
-def _strings(
-    buf: bytes, base: int, offset: np.ndarray, stop: np.ndarray, unit: np.ndarray
-) -> list[ExtractedString]:
-    """Build the given pieces of a buffer that starts at absolute ``base``."""
-    steps = unit.tolist()
-    texts = [
-        buf[s:e:u].decode("ascii")
-        for s, e, u in zip(offset.tolist(), stop.tolist(), steps)
-    ]
-    # tuple.__new__ over ready rows skips ExtractedString's Python-level
-    # __new__, a third of the cost of building each string.
-    rows = zip(
-        (offset + base).tolist(),
-        texts,
-        map(_BY_UNIT.__getitem__, steps),
-        (stop - offset).tolist(),
-    )
-    return list(map(tuple.__new__, repeat(ExtractedString), rows))
+    def buffer(
+        self, buf: bytes, base: int, carried: int, final: bool, resume: list[int]
+    ) -> tuple[list[ExtractedString], int]:
+        """The pieces a hit may claim in a buffer that starts at absolute
+        ``base`` and holds ``carried`` bytes of carry, and the cut.
 
+        A hit is a piece whose text the pattern matches, and it claims the
+        pieces starting in [offset - reach, offset + byte_length + reach].
+        A piece is kept if a hit in this buffer claims it, or if it lies
+        within ``reach`` of a seam, where a hit in another buffer may claim
+        it: an earlier buffer's hit ends by the end of the previous buffer,
+        ``carried``, and a later buffer's hit starts at or past the cut.
+        """
+        n, reach = len(buf), self.reach
 
-def _lines(
-    buf: bytes, base: int, offset: np.ndarray, stop: np.ndarray, unit: np.ndarray
-) -> np.ndarray:
-    """The ``offset:text`` lines (decimal absolute offset, LF) of the given
-    pieces of a buffer that starts at ``base``, as one byte array."""
-    value = offset.astype(np.int64) + base
-    digits = np.searchsorted(_POWERS_OF_TEN, value, "right") + 1
-    lines, first, width = _gather(buf, offset, stop, unit, lead=digits + 1)
-    at = first + digits  # the colon, then each digit leftwards
-    lines[at] = ord(":")
-    lines[first + width - 1] = ord("\n")
-    for k in range(int(digits.max())):
-        if k >= digits.min():  # drop the offsets with no digit left
-            more = digits > k
-            at, value, digits = at[more], value[more], digits[more]
-        at = at - 1
-        value, digit = np.divmod(value, 10)
-        lines[at] = digit + ord("0")
-    return lines
+        def slot(unit: int, q: int) -> int:  # the stream's index into resume
+            return 0 if unit == 1 else 1 + (base + q) % 2
 
+        streams = {
+            (unit, q): _Stream(
+                buf, final, unit, q, resume[slot(unit, q)] - base, self.min_len,
+                self.cap, self.long_runs[unit],
+            )
+            for unit, q in self.kinds
+        }
 
-def _near(
-    finditer, reach: int, buf: bytes, offset: np.ndarray, stop: np.ndarray,
-    unit: np.ndarray, carried: int, cut: int,
-) -> np.ndarray:
-    """A mask of the pieces a hit may claim in a buffer that holds
-    ``carried`` bytes of carry, then a chunk, and is cut at ``cut``.  A hit
-    is a piece whose text ``finditer`` matches, and it claims [offset -
-    reach, offset + byte_length + reach].
+        # The cut: the start of the last, unsettled cap piece of each
+        # stream's run at the buffer end.
+        cut = n
+        if not final:
+            for st in streams.values():
+                end_run = st.run(st.at(n - 1))
+                if end_run:
+                    start = end_run[0]
+                    cut = min(cut, start + (n - start) // st.span * st.span)
+        # A stream resumes after its piece across the cut, if it has one.
+        # Every earlier piece ends by the cut, where the next buffer starts.
+        for (unit, q), st in streams.items():
+            across = st.run(st.at(cut))
+            if across and across[0] < cut:
+                start, end = across
+                at = cut - (cut - start) % st.span
+                stop = min(at + st.span, end)
+                if at < cut and stop - at >= st.min_bytes:
+                    resume[slot(unit, q)] = base + stop
 
-    A piece is kept if it lies in the claim of a hit in this buffer, or
-    within ``reach`` of a seam, where a hit in another buffer may claim
-    it: an earlier buffer's hit ends by the end of the previous buffer,
-    ``carried``, and a later buffer's hit starts at or past ``cut``.  Every
-    claimed piece is thus kept, plus some near seams that no claim holds.
-    """
-    keep = (offset <= carried + reach) | (offset >= cut - reach)
-    if not offset.size:
-        return keep
-    # Search every piece's characters at once, a NUL after each, and map
-    # each match back to its piece.
-    text, first, width = _gather(buf, offset, stop, unit)
-    text[first + width - 1] = 0
-    starts = [m.start() for m in finditer(text)]
-    if starts:
-        # Ascending, and a piece with several matches repeats, which
-        # neither step below minds.  (np.unique would import numpy.ma, a
-        # cost of its own in every scan process.)
-        hit = np.searchsorted(first, starts, "right") - 1
-        # The hits that start within reach before a piece are a prefix of
-        # them; the piece is claimed iff the furthest claim end among that
-        # prefix reaches it.
-        claim_end = np.maximum.accumulate(stop[hit] + reach)
-        k = np.searchsorted(offset[hit], offset + reach, "right") - 1
-        keep |= (k >= 0) & (claim_end[k] >= offset)
-    return keep
+        claims = [(0, carried + reach), (cut - reach, cut - 1)]
+        tested = set()
+        for m in chain.from_iterable(needle.finditer(buf) for needle in self.needles):
+            for st, lo, hi in self._spots(buf, m, streams):
+                run = st.run(lo) if st else None
+                for at, stop in st.run_pieces(run, lo, hi, cut) if run else ():
+                    if (at, st.unit) not in tested:
+                        tested.add((at, st.unit))
+                        if self.search(buf[at:stop:st.unit].decode("ascii")):
+                            claims.append((at - reach, stop + reach))
+
+        # Carve the pieces that start in a claim: merge the claims, then
+        # read each merged one in every stream.
+        merged: list[list[int]] = []
+        for lo, hi in sorted(claims):
+            lo, hi = max(lo, 0), min(hi, cut - 1)
+            if lo > hi:
+                continue
+            if merged and lo <= merged[-1][1] + 1:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        rows = sorted(
+            (at, st.unit, stop)
+            for lo, hi in merged
+            for st in streams.values()
+            for at, stop in st.pieces(lo, hi + 1, cut)
+            if at >= lo
+        )
+        # tuple.__new__ over ready rows skips ExtractedString's Python-level
+        # __new__, a third of the cost of building each string.
+        return [
+            tuple.__new__(ExtractedString, (
+                base + at, buf[at:stop:unit].decode("ascii"), _BY_UNIT[unit], stop - at
+            ))
+            for at, unit, stop in rows
+        ], cut
+
+    @staticmethod
+    def _spots(buf: bytes, m: re.Match, streams: dict) -> Iterator[tuple]:
+        """``(stream, lo, hi)``: where a piece may hold a literal whose first
+        byte lies in the occurrence ``m``; the pieces overlapping [lo, hi)
+        of the stream's run at ``lo``.
+
+        Each search reports the leftmost occurrence past the one before, so
+        every occurrence of its literals has its first byte in a reported
+        one, R.  A literal in R's encoding lies in R's run.  In the other
+        encoding, it is UTF-16LE and starts on the last byte of an ASCII
+        R, as a NUL never sits inside an ASCII one, or it is one ASCII
+        character on a UTF-16LE R.  That character is not R's first: its
+        one-byte spelling sorts first in the alternation, so it would be
+        reported there instead.  On a later byte of R it needs no test, as
+        the UTF-16LE piece holding that byte holds the same literal and
+        claims all it would.
+        """
+        start, end = m.span()
+        if end - start > 1 and buf[start + 1] == 0:  # a UTF-16LE spelling
+            yield streams.get((2, start % 2)), start, end
+        else:
+            yield streams.get((1, 0)), start, end
+            if end < len(buf) and buf[end] == 0:
+                yield streams.get((2, (end - 1) % 2)), end - 1, end
 
 
 def _checked(
@@ -372,31 +415,21 @@ def carve_strings(
     every piece in a claim, plus pieces within reach of a buffer seam.  A
     hit is a piece whose text ``pattern`` matches, and it claims the pieces
     whose offset lies in [offset - reach, offset + byte_length + reach].
-    The pattern must be ASCII and match only printable text, as a literal
-    alternation does; it is searched as bytes over the pieces' characters.
-    Only the kept pieces are built as strings, and each buffer's are
-    yielded before the next chunk is read.
+    The pattern must be an alternation of escaped printable-ASCII literals,
+    as ``re.escape`` writes them, or InvalidOptionError is raised.  Only
+    the kept pieces are built as strings, and each buffer's are yielded
+    before the next chunk is read.  This path does not load numpy.
     """
     image, wanted = _checked(image, min_len, encodings, chunk_size, cap)
     if near is None:
-        def pick(buf, base, offset, stop, unit, carried, cut):
-            return _strings(buf, base, offset, stop, unit)
-    else:
-        pattern, reach = near
-        if reach < 0:
-            raise InvalidOptionError("reach must be at least 0")
-        finditer = re.compile(
-            pattern.pattern.encode("ascii"), pattern.flags & ~re.UNICODE
-        ).finditer
+        from .fullcarve import carve
 
-        def pick(buf, base, offset, stop, unit, carried, cut):
-            keep = _near(finditer, reach, buf, offset, stop, unit, carried, cut)
-            return _strings(buf, base, offset[keep], stop[keep], unit[keep])
-
-    # starmap lets go of each buffer once its pieces are picked, and chain
-    # of its strings once they are read, so neither is held while the next
-    # buffer is carved.
-    return chain.from_iterable(starmap(pick, _buffers(image, wanted, min_len, cap, chunk_size)))
+        return carve(image, wanted, min_len, cap, chunk_size)
+    pattern, reach = near
+    if reach < 0:
+        raise InvalidOptionError("reach must be at least 0")
+    near_carve = _NearCarve(wanted, min_len, cap, pattern, reach)
+    return chain.from_iterable(near_carve.carve(image, chunk_size))
 
 
 def dump_strings(
@@ -416,15 +449,9 @@ def dump_strings(
     if isinstance(sink, (str, Path)):
         with open(sink, "wb") as fh:
             return dump_strings(image, fh, min_len, wanted, chunk_size=chunk_size, cap=cap)
+    from .fullcarve import dump
 
-    def write(buf, base, offset, stop, unit, carried, cut):
-        if offset.size:
-            sink.write(_lines(buf, base, offset, stop, unit))
-        return offset.size
-
-    # starmap lets go of each buffer once it is written, so it is not held
-    # while the next buffer is carved.
-    return sum(starmap(write, _buffers(image, wanted, min_len, cap, chunk_size)))
+    return dump(image, sink, wanted, min_len, cap, chunk_size)
 
 
 def _strings_row(line: str) -> tuple[int, str] | None:

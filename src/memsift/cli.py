@@ -19,7 +19,7 @@ from importlib import import_module
 from pathlib import Path
 
 from . import __version__
-from .carver import BOTH_ENCODINGS, DEFAULT_CAP, DEFAULT_MIN_LEN, dump_strings
+from .carver import BOTH_ENCODINGS, DEFAULT_CAP, DEFAULT_MIN_LEN
 from .corpus import DEFAULT_CHUNK_SIZE, MemoryImage, _parse_digits, load_manifest
 from .errors import InvalidOptionError, MemsiftError
 
@@ -123,6 +123,9 @@ def _add_scan_flags(p: argparse.ArgumentParser) -> None:
 
 
 def cmd_strings(args: argparse.Namespace) -> int:
+    # The full carve is numpy's; no other command loads it.
+    from .cli import dump_strings
+
     if args.out in (None, "-"):
         sys.stdout.flush()
         sink = sys.stdout.buffer

@@ -4,14 +4,15 @@ The scan is keyword-first.  Signature keywords are rare, so only the
 strings near them are built and matched.  A keyword hit is a carved
 string the keyword pattern matches, and it claims the bytes within reach
 of it (the context window, the adjacency gap and some slack for the key
-itself).  The carver tests every piece for a hit on its arrays and builds
-only the strings a claim may hold: those in a claim, plus those near a
-buffer seam.  Claims that overlap or touch merge, and the strings inside
-one merged claim form a region; ``_regions`` drops the rest.  A region is
-matched as a unit as soon as no later hit can extend it.  Peak memory
-follows the largest region rather than the image size, and printable
-text far from any keyword and from any buffer seam costs no strings at
-all.
+itself).  The carver finds the keywords in the raw image bytes, in ASCII
+and UTF-16LE, confirms each occurrence against the cap pieces it lies
+in, and builds only the strings a claim may hold: those in a claim, plus
+those near a buffer seam.  Claims that overlap or touch merge, and the
+strings inside one merged claim form a region; ``_regions`` drops the
+rest.  A region is matched as a unit as soon as no later hit can extend
+it.  Peak memory follows the largest region rather than the image size,
+and printable text far from any keyword and from any buffer seam is
+searched but never carved.  The scan loads no numpy.
 
 Within a region every signature is tried in both modes.  Where two
 applications share keywords (IRCTC and SBI both post ``userName`` and

@@ -17,8 +17,8 @@ from memsift import (
     dump_strings,
     parse_strings_file,
 )
-from memsift import carver
-from memsift.carver import _lines, _spans
+from memsift import fullcarve
+from memsift.fullcarve import _lines, _spans
 from memsift.errors import InvalidOptionError, LineError
 
 from oracles import carve_bruteforce, carve_numpy, random_buffer, strings_tuples
@@ -70,7 +70,7 @@ def _run_masks(draw):
 @settings(max_examples=300)
 @given(_run_masks(), st.integers(1, 70) | st.just(4096))
 def test_runs_keeps_long_runs_and_the_end_run(mask, length):
-    starts, ends = carver._runs(mask, length)
+    starts, ends = fullcarve._runs(mask, length)
     assert list(zip(starts.tolist(), ends.tolist())) == _long_runs_reference(mask, length)
 
 
@@ -86,7 +86,7 @@ def test_runs_on_edge_masks(length):
         np.r_[np.ones(length - 1, bool), False],
     ]
     for mask in masks:
-        starts, ends = carver._runs(mask, length)
+        starts, ends = fullcarve._runs(mask, length)
         assert list(zip(starts.tolist(), ends.tolist())) == _long_runs_reference(mask, length)
 
 
@@ -283,13 +283,13 @@ def _encode(parts):
     )
 
 
-def _near_reference(data, min_len, cap, reach):
+def _near_reference(data, min_len, cap, reach, hit_re=_HIT_RE):
     """The numpy reference carve, kept where a brute-force claim reaches."""
     rows = carve_numpy(data, min_len, cap)
     claims = [
         (at - reach, at + (2 if enc == "utf16le" else 1) * len(text) + reach)
         for at, text, enc in rows
-        if _HIT_RE.search(text)
+        if hit_re.search(text)
     ]
     return [row for row in rows if any(lo <= row[0] <= hi for lo, hi in claims)]
 
@@ -339,6 +339,49 @@ def test_near_picks_pieces_in_hit_claims(draw, parts, len_and_cap, chunk_size, r
     assert _in_order_within(got, carve_numpy(data, min_len, cap))
 
 
+def _near_by_buffer(data, min_len, encodings, chunk_size, cap, reach):
+    """The keep rule applied to the full carve's own buffers: a piece is
+    kept if a hit in its buffer claims it, or if it starts within reach of
+    the carry before it or of the cut after it."""
+    buffers = list(fullcarve._buffers(
+        MemoryImage.from_bytes(data), list(encodings), min_len, cap, chunk_size
+    ))
+    rows, carried = [], 0
+    for i, (buf, base, offset, stop, unit) in enumerate(buffers):
+        cut = buffers[i + 1][1] - base if i + 1 < len(buffers) else len(buf)
+        pieces = [
+            (at, end, buf[at:end:u].decode(), "utf16le" if u == 2 else "ascii")
+            for at, end, u in zip(offset.tolist(), stop.tolist(), unit.tolist())
+        ]
+        claims = [(at - reach, end + reach) for at, end, text, _ in pieces if _HIT_RE.search(text)]
+        rows += [
+            (base + at, text, enc)
+            for at, _end, text, enc in pieces
+            if at <= carried + reach or at >= cut - reach
+            or any(lo <= at <= hi for lo, hi in claims)
+        ]
+        carried = len(buf) - cut
+    return rows
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.lists(st.tuples(_HIT_PARTS, st.booleans()), max_size=120).map(_encode),
+    _len_and_cap(), _chunky, st.integers(0, 200), _encoding_sets,
+)
+def test_near_keeps_exactly_what_the_full_carve_buffers_give(
+    data, len_and_cap, chunk_size, reach, encodings
+):
+    """The keyword carve reads the same buffers, cuts and carries as the
+    full carve, in plain Python, and keeps the same pieces in the same
+    order."""
+    min_len, cap = len_and_cap
+    got = carve_strings(
+        data, min_len, encodings, chunk_size=chunk_size, cap=cap, near=(_HIT_RE, reach)
+    )
+    assert strings_tuples(got) == _near_by_buffer(data, min_len, encodings, chunk_size, cap, reach)
+
+
 @pytest.mark.parametrize("chunk_size", [50, 777, 4096])
 def test_near_keeps_only_seam_pieces_without_hits(chunk_size):
     """With no keyword in the image, a piece is kept only within ``reach``
@@ -384,6 +427,71 @@ def test_keyword_cut_by_cap_seam_is_no_hit(lead):
         got = strings_tuples(carve_strings(data, cap=8, near=(_HIT_RE, 0)))
         assert got == _near_reference(data, 4, 8, 0)
         assert bool(got) == (lead % 8 <= 4)
+
+
+@pytest.mark.parametrize("literals, text, min_len, cap, kept", [
+    # password is cut by the cap seam after pass; word, a literal of its
+    # own, lies whole in the next piece.
+    ("password|word", "\0xxxxpassword\0", 4, 8, (9, "word")),
+    # Both literals start alike, so the search reports aab and passes
+    # over the ab inside it, which the cap seam leaves whole.
+    ("aab|ab", "\0xxxaab\0", 2, 4, (5, "ab")),
+])
+@pytest.mark.parametrize("wide", [False, True])
+def test_match_overlapping_an_occurrence_cut_at_a_cap_seam(
+    literals, text, min_len, cap, kept, wide
+):
+    hit_re = re.compile(literals)
+    data = _encode([(text, wide)])
+    got = strings_tuples(carve_strings(data, min_len, cap=cap, near=(hit_re, 0)))
+    at, piece = kept
+    assert got == [(at * (1 + wide), piece, "utf16le" if wide else "ascii")]
+    assert got == _near_reference(data, min_len, cap, 0, hit_re)
+
+
+@pytest.mark.parametrize("lead", [100, 101])  # both UTF-16LE parities
+@pytest.mark.parametrize("wide", [False, True])
+def test_keyword_run_shorter_than_min_len_is_no_hit(lead, wide):
+    """The run ``pass`` is a hit at min_len 4, claiming the next piece; at
+    min_len 5 it is no piece, so nothing is claimed."""
+    data = b"\x01" * lead + _encode([("pass\0wordy\0", wide)]) + b"\x01" * 100
+    encoding = "utf16le" if wide else "ascii"
+    for min_len, want in (
+        (4, [(lead, "pass", encoding), (lead + 5 * (1 + wide), "wordy", encoding)]),
+        (5, []),
+    ):
+        got = strings_tuples(carve_strings(data, min_len, near=(_HIT_RE, 10)))
+        assert got == want == _near_reference(data, min_len, 4096, 10)
+
+
+def test_near_finds_escaped_literals_in_both_encodings():
+    """Literals holding regex operators, and one a single character long,
+    which shares its byte with occurrences in the other encoding: the
+    UTF-16LE ``u`` starts on an ASCII one, and ASCII ones sit on the
+    printable bytes of a UTF-16LE ``uxu``, the first ending an ASCII run
+    that only its own hit claims."""
+    literals = ["a.b", "x+y", "GAUSR=mail:", "q r", "#&~", "(p)", "u", "uxu"]
+    hit_re = re.compile("|".join(map(re.escape, literals)))
+    parts = [("\0" * 40 + f"zz{lit}zz", wide) for lit in literals for wide in (False, True)]
+    parts += [("\0" * 40 + "zz", False), ("uxuzz", True), ("\0" * 40, False)]
+    data = _encode(parts)
+    got = strings_tuples(carve_strings(data, 1, near=(hit_re, 0)))
+    assert got == _near_reference(data, 1, 4096, 0, hit_re)
+    for lit in literals:
+        assert {enc for _at, text, enc in got if lit in text} == {"ascii", "utf16le"}
+
+
+@pytest.mark.parametrize("pattern", [
+    re.compile("pass.*"), re.compile("[pP]ass"), re.compile(r"\d+"),
+    re.compile(r"p\x61ss"), re.compile("(pass)"), re.compile("pass|"),
+    re.compile("a||b"), re.compile("pa\tss"), re.compile("pässword"),
+    re.compile("pass", re.IGNORECASE), re.compile(b"pass"),
+])
+def test_near_takes_only_literal_alternations(pattern):
+    """A pattern that could match text its literals miss is refused, on
+    the call, rather than searched for its literals alone."""
+    with pytest.raises(InvalidOptionError, match="near pattern"):
+        carve_strings(b"\0pass\0", near=(pattern, 0))
 
 
 @settings(max_examples=100)
@@ -483,7 +591,7 @@ def test_gather_slices_change_nothing(monkeypatch, slots):
     whole = io.BytesIO()
     dump_strings(data, whole, chunk_size=65536)
     near = strings_tuples(carve_strings(data, chunk_size=65536, near=(_HIT_RE, 300)))
-    monkeypatch.setattr(carver, "_GATHER_SLOTS", slots)
+    monkeypatch.setattr(fullcarve, "_GATHER_SLOTS", slots)
     sliced = io.BytesIO()
     dump_strings(data, sliced, chunk_size=65536)
     assert sliced.getvalue() == whole.getvalue() == _lines_of(carve_numpy(data))

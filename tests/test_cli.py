@@ -22,6 +22,25 @@ def memsift_child(*argv, **kwargs):
     )
 
 
+# Runs `python -m memsift` with the arguments after -c, then prints every
+# loaded module's name.
+_RUN_THEN_LIST_MODULES = (
+    "import runpy, sys\n"
+    "try:\n"
+    "    runpy.run_module('memsift', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit as done:\n"
+    "    assert not done.code, done.code\n"
+    "print(*sys.modules)\n"
+)
+
+
+def modules_loaded_by(*argv):
+    """The modules a fresh `python -m memsift` process loads for ``argv``."""
+    child = memsift_child("-c", _RUN_THEN_LIST_MODULES, *argv)
+    assert child.returncode == 0, child.stderr
+    return set(child.stdout.decode().split())
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
@@ -87,23 +106,30 @@ class TestStrings:
         fabricate modules."""
         p = tmp_path / "img.raw"
         p.write_bytes(b"\x00uName=a&pass=b\x00")
-        run_then_list_modules = (
-            "import runpy, sys\n"
-            "try:\n"
-            "    runpy.run_module('memsift', run_name='__main__', alter_sys=True)\n"
-            "except SystemExit as done:\n"
-            "    assert not done.code, done.code\n"
-            "print(*sys.modules)\n"
-        )
-        child = memsift_child(
-            "-c", run_then_list_modules, "strings", str(p), "--out", str(tmp_path / "s")
-        )
-        assert child.returncode == 0, child.stderr
+        loaded = modules_loaded_by("strings", str(p), "--out", str(tmp_path / "s"))
         assert (tmp_path / "s").read_bytes() == b"1:uName=a&pass=b\n"
-        loaded = set(child.stdout.decode().split())
         assert {"memsift.cli", "memsift.carver"} <= loaded
         heavy = {"scanner", "signatures", "report", "fabricator", "procmap", "decoding"}
         assert loaded.isdisjoint(f"memsift.{name}" for name in heavy)
+
+
+def test_only_strings_and_fabricate_load_numpy(small_corpus, tmp_path):
+    """Scanning a fabricated corpus, rendering its matrix, looking offsets
+    up and printing the version leave numpy unloaded; the full carve
+    behind `memsift strings` loads it."""
+    _plan, result = small_corpus
+    report = tmp_path / "report.json"
+    for argv in (
+        ("scan", str(result.manifest_path), "--process-map",
+         str(result.process_map_path), "--out", str(report)),
+        ("matrix", str(report)),
+        ("attribute", str(result.process_map_path), "0x30000"),
+        ("--version",),
+    ):
+        assert "numpy" not in modules_loaded_by(*argv), argv
+    assert load_report(report.read_text())["images"]
+    image = result.image_paths[0]
+    assert "numpy" in modules_loaded_by("strings", str(image), "--out", str(tmp_path / "s"))
 
 
 class TestClosedPipe:
