@@ -27,16 +27,22 @@ those two calls import.
 
 The keyword scan asks ``carve_strings(near=(pattern, reach))`` for the
 pieces near a keyword, and that path is plain Python.  A keyword pattern
-is an alternation of literals, so it is found in the raw bytes: one bytes
-regex searches each buffer for every literal, spelt in ASCII and in
-UTF-16LE.  Each occurrence is mapped to the pieces its bytes overlap, in
-any stream, from the extent of the run holding it and the run's cap grid,
-and a piece is a hit if the pattern matches its text.  Then only the
-hits' claims and the zones within reach of the buffer seams are carved.
-A run's extent is found by reading out from a position and is remembered
-for the buffer, so no run is read twice however many occurrences it
-holds.  Printable text far from any keyword and from any seam is searched
-but never carved, and the scan never loads numpy.
+is an alternation of literals, and every hit holds one that contains no
+other, so only those are searched for, spelt in ASCII and in UTF-16LE,
+all in one pass per buffer.  The buffer is translated once so that every
+spelling's first byte becomes one class byte, and one regex stops on
+that byte where a trie of the translated spellings follows it; each stop
+is confirmed against the spellings themselves, so every occurrence is
+reported, overlaps included.  Each occurrence is mapped to the pieces its
+bytes overlap in its own encoding's stream, from the extent of the run
+holding it and the run's cap grid, and a piece is a hit if the pattern
+matches its text.  Then only the hits' claims and the zones within reach
+of the buffer seams are carved, their long runs found by literal regexes
+over a printable-class translation of each zone.  A run's extent is
+found by reading out from a position and is remembered for the buffer,
+so no run is read twice however many occurrences it holds.  Printable
+text far from any keyword and from any seam is searched but never
+carved, and the scan never loads numpy.
 """
 
 from __future__ import annotations
@@ -88,6 +94,27 @@ class ExtractedString(NamedTuple):
 _FORWARD = (None, re.compile(rb"[\x20-\x7e]*+"), re.compile(rb"(?:[\x20-\x7e]\x00)*+"))
 _BACKWARD = (None, re.compile(rb"[\x20-\x7e]*+"), re.compile(rb"(?:\x00[\x20-\x7e])*+"))
 _REGEX_OPERATORS = frozenset(".^$*+?{}[]()|\\")
+# Printable bytes become \x01 and NUL stays NUL, so a run regex can start
+# with a literal, which ``re`` scans for fast, rather than a byte class.
+_PRINTABLE = b"\x00" + b"\x02" * 0x1F + b"\x01" * 0x5F + b"\x02" * 0x81
+
+
+def _trie(tails: list[bytes], klass: bytes = b"") -> bytes:
+    """A regex that matches where one of ``tails`` starts, as a trie, so
+    that ``re`` reads each byte once however many tails share it.  It
+    consumes no ``klass`` byte but looks ahead from it, so a search that
+    resumes at the end of a match still stops on every class byte."""
+    if b"" in tails:
+        return b""
+    by_head: dict[bytes, list[bytes]] = {}
+    for tail in tails:
+        by_head.setdefault(tail[:1], []).append(tail[1:])
+    alternatives = [
+        b"(?=%s%s)" % (re.escape(head), _trie(rest)) if head == klass
+        else re.escape(head) + _trie(rest, klass)
+        for head, rest in sorted(by_head.items())
+    ]
+    return alternatives[0] if len(alternatives) == 1 else b"(?:%s)" % b"|".join(alternatives)
 
 
 def _literals(pattern: re.Pattern) -> list[str]:
@@ -195,16 +222,20 @@ class _Stream:
             if stop - at >= self.min_bytes:
                 yield at, stop
 
-    def pieces(self, lo: int, hi: int, cut: int) -> Iterator[tuple[int, int]]:
+    def pieces(
+        self, lo: int, hi: int, cut: int, zone: bytes, z0: int
+    ) -> Iterator[tuple[int, int]]:
         """The pieces of every run that overlap bytes [lo, hi) and start
-        before ``cut``."""
+        before ``cut``.  ``zone`` is the buffer from ``z0``, at most
+        ``lo - 1``, to at least ``hi + min_bytes`` or the buffer end,
+        translated by ``_PRINTABLE``."""
         first = self.run(self.at(lo))
         runs = [first]
         # A run of at least min_len characters that starts before hi shows
         # them all before hi + min_bytes.
         pos = first[1] if first else max(self.at(lo), 0)
-        for m in self.long_run.finditer(self.buf, pos, min(self.n, hi + self.min_bytes)):
-            x = m.start()
+        for m in self.long_run.finditer(zone, pos - z0, min(self.n, hi + self.min_bytes) - z0):
+            x = z0 + m.start()
             if self.unit == 2:  # the match starts on the NUL of a pair
                 x += -1 if self.member(x - 1) else 1
             if x < hi and (x - self.parity) % self.unit == 0:
@@ -218,17 +249,26 @@ class _NearCarve:
     pieces a keyword hit may claim."""
 
     def __init__(self, wanted, min_len, cap, pattern, reach):
-        literals = _literals(pattern)
-        # One bytes regex per first character, since ``re`` scans for one
-        # first byte several times faster than for a set of them.
-        by_first: dict[str, set[bytes]] = {}
-        for lit in literals:
-            for codec in ("ascii", "utf-16-le"):
-                by_first.setdefault(lit[0], set()).add(lit.encode(codec))
-        self.needles = [
-            re.compile(b"|".join(map(re.escape, sorted(spellings))))
-            for spellings in by_first.values()
-        ]
+        literals = set(_literals(pattern))
+        # Every hit holds a literal that contains no other.
+        literals = {a for a in literals if not any(b != a and b in a for b in literals)}
+        units = [(unit, codec) for unit, codec in ((1, "ascii"), (2, "utf-16-le"))
+                 if _BY_UNIT[unit] in wanted]
+        # (spelling, bytes per character), by first byte
+        self.spellings: dict[int, list[tuple[bytes, int]]] = {}
+        for spelling, unit in sorted({(lit.encode(codec), unit) for lit in literals
+                                      for unit, codec in units}):
+            self.spellings.setdefault(spelling[0], []).append((spelling, unit))
+        # Every first byte becomes the class byte, the first of them, so
+        # one regex with a literal first byte stops on them all; the trie
+        # of the translated spellings behind it drops most stops before
+        # Python sees them.
+        first = bytes(self.spellings)
+        klass = first[:1]
+        self.table = bytes.maketrans(first, klass * len(first))
+        tails = [sp.translate(self.table)[1:] for group in self.spellings.values()
+                 for sp, _ in group]
+        self.candidates = re.compile(re.escape(klass) + _trie(tails, klass))
         self.search, self.reach = pattern.search, reach
         self.min_len, self.cap = min_len, cap
         # (bytes per character, parity) of each wanted stream
@@ -236,14 +276,15 @@ class _NearCarve:
         if Encoding.UTF16LE in wanted:
             self.kinds += [(2, 0), (2, 1)]
         # Per bytes per character, a regex that finds each run of at least
-        # min_len characters.  A UTF-16LE run is found from the NUL of its
-        # first pair, since ``re`` scans for one literal first byte fast.
-        # The run starts on the byte before the match if that is printable;
-        # if not, it starts after the NUL, and may be one character short.
+        # min_len characters in a zone translated by _PRINTABLE.  A UTF-16LE
+        # run is found from the NUL of its first pair, so both start with a
+        # literal.  The run starts on the byte before the match if that is
+        # printable; if not, it starts after the NUL, and may be one
+        # character short.
         self.long_runs = (
             None,
-            re.compile(rb"[\x20-\x7e]{%d,}+" % min_len),
-            re.compile(rb"\x00(?:[\x20-\x7e]\x00){%d,}+" % (min_len - 1)),
+            re.compile(re.escape(b"\x01" * min_len) + rb"\x01*+"),
+            re.compile(re.escape(b"\x00" + b"\x01\x00" * (min_len - 1)) + rb"(?:\x01\x00)*+"),
         )
 
     def carve(self, image: MemoryImage, chunk_size: int) -> Iterator[list[ExtractedString]]:
@@ -258,6 +299,17 @@ class _NearCarve:
             kept, cut = self.buffer(buf, base, len(carry), final, resume)
             yield kept
             carry, base = buf[cut:], base + cut
+
+    def occurrences(self, buf: bytes) -> list[tuple[int, bytes, int]]:
+        """``(offset, spelling, bytes per character)`` of every occurrence
+        of every spelling in ``buf``, overlaps included, ascending."""
+        spellings = self.spellings
+        return [
+            (x, spelling, unit)
+            for x in [m.start() for m in self.candidates.finditer(buf.translate(self.table))]
+            for spelling, unit in spellings[buf[x]]
+            if buf.startswith(spelling, x)
+        ]
 
     def buffer(
         self, buf: bytes, base: int, carried: int, final: bool, resume: list[int]
@@ -307,14 +359,14 @@ class _NearCarve:
 
         claims = [(0, carried + reach), (cut - reach, cut - 1)]
         tested = set()
-        for m in chain.from_iterable(needle.finditer(buf) for needle in self.needles):
-            for st, lo, hi in self._spots(buf, m, streams):
-                run = st.run(lo) if st else None
-                for at, stop in st.run_pieces(run, lo, hi, cut) if run else ():
-                    if (at, st.unit) not in tested:
-                        tested.add((at, st.unit))
-                        if self.search(buf[at:stop:st.unit].decode("ascii")):
-                            claims.append((at - reach, stop + reach))
+        for x, spelling, unit in self.occurrences(buf):
+            st = streams[unit, x % unit]
+            run = st.run(x)
+            for at, stop in st.run_pieces(run, x, x + len(spelling), cut) if run else ():
+                if (at, unit) not in tested:
+                    tested.add((at, unit))
+                    if self.search(buf[at:stop:unit].decode("ascii")):
+                        claims.append((at - reach, stop + reach))
 
         # Carve the pieces that start in a claim: merge the claims, then
         # read each merged one in every stream.
@@ -327,13 +379,17 @@ class _NearCarve:
                 merged[-1][1] = max(merged[-1][1], hi)
             else:
                 merged.append([lo, hi])
-        rows = sorted(
-            (at, st.unit, stop)
-            for lo, hi in merged
-            for st in streams.values()
-            for at, stop in st.pieces(lo, hi + 1, cut)
-            if at >= lo
-        )
+        rows = []
+        for lo, hi in merged:
+            z0 = max(lo - 1, 0)
+            zone = buf[z0 : hi + 1 + 2 * self.min_len].translate(_PRINTABLE)
+            rows += (
+                (at, st.unit, stop)
+                for st in streams.values()
+                for at, stop in st.pieces(lo, hi + 1, cut, zone, z0)
+                if at >= lo
+            )
+        rows.sort()
         # tuple.__new__ over ready rows skips ExtractedString's Python-level
         # __new__, a third of the cost of building each string.
         return [
@@ -342,31 +398,6 @@ class _NearCarve:
             ))
             for at, unit, stop in rows
         ], cut
-
-    @staticmethod
-    def _spots(buf: bytes, m: re.Match, streams: dict) -> Iterator[tuple]:
-        """``(stream, lo, hi)``: where a piece may hold a literal whose first
-        byte lies in the occurrence ``m``; the pieces overlapping [lo, hi)
-        of the stream's run at ``lo``.
-
-        Each search reports the leftmost occurrence past the one before, so
-        every occurrence of its literals has its first byte in a reported
-        one, R.  A literal in R's encoding lies in R's run.  In the other
-        encoding, it is UTF-16LE and starts on the last byte of an ASCII
-        R, as a NUL never sits inside an ASCII one, or it is one ASCII
-        character on a UTF-16LE R.  That character is not R's first: its
-        one-byte spelling sorts first in the alternation, so it would be
-        reported there instead.  On a later byte of R it needs no test, as
-        the UTF-16LE piece holding that byte holds the same literal and
-        claims all it would.
-        """
-        start, end = m.span()
-        if end - start > 1 and buf[start + 1] == 0:  # a UTF-16LE spelling
-            yield streams.get((2, start % 2)), start, end
-        else:
-            yield streams.get((1, 0)), start, end
-            if end < len(buf) and buf[end] == 0:
-                yield streams.get((2, (end - 1) % 2)), end - 1, end
 
 
 def _checked(

@@ -4,15 +4,16 @@ The scan is keyword-first.  Signature keywords are rare, so only the
 strings near them are built and matched.  A keyword hit is a carved
 string the keyword pattern matches, and it claims the bytes within reach
 of it (the context window, the adjacency gap and some slack for the key
-itself).  The carver finds the keywords in the raw image bytes, in ASCII
-and UTF-16LE, confirms each occurrence against the cap pieces it lies
-in, and builds only the strings a claim may hold: those in a claim, plus
-those near a buffer seam.  Claims that overlap or touch merge, and the
-strings inside one merged claim form a region; ``_regions`` drops the
-rest.  A region is matched as a unit as soon as no later hit can extend
-it.  Peak memory follows the largest region rather than the image size,
-and printable text far from any keyword and from any buffer seam is
-searched but never carved.  The scan loads no numpy.
+itself).  The carver finds every keyword occurrence in the raw image
+bytes, in ASCII and UTF-16LE, with one regex pass per buffer, confirms
+each against the cap pieces it lies in, and builds only the strings a
+claim may hold: those in a claim, plus those near a buffer seam.  Claims
+that overlap or touch merge, and the strings inside one merged claim
+form a region; ``_regions`` drops the rest.  A region is matched as a
+unit as soon as no later hit can extend it.  Peak memory follows the
+largest region rather than the image size, and printable text far from
+any keyword and from any buffer seam is searched but never carved.  The
+scan loads no numpy.
 
 Within a region every signature is tried in both modes.  Where two
 applications share keywords (IRCTC and SBI both post ``userName`` and
@@ -58,8 +59,7 @@ from .signatures import (
     SignatureMatch,
     builtin_catalog,
     combine_bindings,
-    cookie_username_offset,
-    extract_cookie_username,
+    cookie_username,
     match_inline,
     parse_form_pairs,
 )
@@ -212,10 +212,9 @@ def _attach_cookie_usernames(
     # (marker offset, name offset, name, cookie string text)
     cookies: list[tuple[int, int, str, str]] = []
     for s in strings:
-        name = extract_cookie_username(s.text, marker)
-        if name is not None:
-            off = cookie_username_offset(s, marker)
-            assert off is not None
+        cookie = cookie_username(s, marker)
+        if cookie is not None:
+            off, name = cookie
             unit = 2 if s.encoding is Encoding.UTF16LE else 1
             cookies.append((off, off + unit * len(marker), name, s.text))
     if not cookies:

@@ -382,13 +382,17 @@ def combine_bindings(
     return matches
 
 
-def extract_cookie_username(text: str, marker: str = GAUSR_MARKER) -> str | None:
-    """Pull the account name out of a session cookie string.
+def cookie_username(
+    string: ExtractedString, marker: str = GAUSR_MARKER
+) -> tuple[int, str] | None:
+    """The account name in a session cookie string, with the absolute
+    offset of its marker: ``(marker offset, name)``.
 
     The name runs from just past the marker to the first ``;``, whitespace
     or end of string.  Returns None when the marker is absent or the name
     would be empty.
     """
+    text = string.text
     at = text.find(marker)
     if at == -1:
         return None
@@ -398,18 +402,10 @@ def extract_cookie_username(text: str, marker: str = GAUSR_MARKER) -> str | None
         if text[i] == ";" or text[i].isspace():
             end = i
             break
-    return text[start:end] or None
-
-
-def cookie_username_offset(
-    string: ExtractedString, marker: str = GAUSR_MARKER
-) -> int | None:
-    """Absolute offset of the marker within a carved string, or None."""
-    at = string.text.find(marker)
-    if at == -1:
+    if start == end:
         return None
     unit = 2 if string.encoding is Encoding.UTF16LE else 1
-    return string.offset + unit * at
+    return string.offset + unit * at, text[start:end]
 
 
 __all__ = [
@@ -424,8 +420,7 @@ __all__ = [
     "SignatureMatch",
     "builtin_catalog",
     "combine_bindings",
-    "cookie_username_offset",
-    "extract_cookie_username",
+    "cookie_username",
     "load_catalog_file",
     "match_inline",
     "merge_catalogs",

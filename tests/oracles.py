@@ -27,8 +27,7 @@ from memsift.signatures import (
     MatchMode,
     SignatureMatch,
     builtin_catalog,
-    cookie_username_offset,
-    extract_cookie_username,
+    cookie_username,
     match_inline,
     parse_form_pairs,
 )
@@ -342,9 +341,9 @@ def combine_bindings_linear(bindings, sig, window):
 def attach_cookie_usernames_linear(matches, strings, sig, window):
     cookies = []
     for s in strings:
-        name = extract_cookie_username(s.text, sig.username_marker)
-        if name is not None:
-            cookies.append((cookie_username_offset(s, sig.username_marker), name, s))
+        cookie = cookie_username(s, sig.username_marker)
+        if cookie is not None:
+            cookies.append((*cookie, s))
     claimed = set()
     for i, m in enumerate(matches):
         if (

@@ -17,7 +17,7 @@ from memsift import (
     dump_strings,
     parse_strings_file,
 )
-from memsift import fullcarve
+from memsift import carver, fullcarve
 from memsift.fullcarve import _lines, _spans
 from memsift.errors import InvalidOptionError, LineError
 
@@ -339,7 +339,63 @@ def test_near_picks_pieces_in_hit_claims(draw, parts, len_and_cap, chunk_size, r
     assert _in_order_within(got, carve_numpy(data, min_len, cap))
 
 
-def _near_by_buffer(data, min_len, encodings, chunk_size, cap, reach):
+@st.composite
+def _literal_sets(draw):
+    """1..6 literals of 1..8 printable-ASCII characters, from a small
+    alphabet so that they share bytes.  Some draws add a literal holding
+    another (``pass`` in ``password``) and one that starts on a later
+    character of another (the ``e`` of ``userName``), and many hold a
+    literal one character long."""
+    chars = st.sampled_from("pasNe") | st.characters(min_codepoint=0x20, max_codepoint=0x7E)
+    literals = draw(st.lists(st.text(chars, min_size=1, max_size=8), min_size=1, max_size=6))
+    lit = literals[0]
+    if draw(st.booleans()):
+        literals.append((draw(st.text(chars, max_size=3)) + lit + draw(st.text(chars, max_size=3)))[:8])
+    if len(lit) > 1 and draw(st.booleans()):
+        literals.append(lit[draw(st.integers(1, len(lit) - 1)):])
+    return literals
+
+
+def _spellings(literals, encodings=BOTH_ENCODINGS):
+    codecs = {Encoding.ASCII: "ascii", Encoding.UTF16LE: "utf-16-le"}
+    return sorted({lit.encode(codecs[enc]) for lit in literals for enc in encodings})
+
+
+def _minimal(literals):
+    """The literals that contain no other."""
+    return [a for a in literals if not any(b != a and b in a for b in literals)]
+
+
+@st.composite
+def _keyword_images(draw, literals, fillers=(b"",)):
+    """Bytes made of the literals' spellings, prefixes of them, the class
+    byte the keyword search translates every first byte to (the least of
+    them), NUL, any byte, and ``fillers``."""
+    spellings = _spellings(literals)
+    klass = min(lit.encode()[0] for lit in _minimal(literals))
+    parts = spellings + [sp[:-1] for sp in spellings] + [bytes([klass]), b"\0"] + list(fillers)
+    pieces = st.sampled_from(parts) | st.binary(min_size=1, max_size=1)
+    return b"".join(draw(st.lists(pieces, max_size=80)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), _literal_sets(), _encoding_sets)
+def test_keyword_search_finds_every_occurrence(data, literals, encodings):
+    """The one-pass search reports, ascending and overlaps included, every
+    occurrence of every spelling of the literals that hold no other, the
+    same as a ``bytes.find`` per spelling."""
+    buf = data.draw(_keyword_images(literals))
+    near = carver._NearCarve(encodings, 1, 4096, re.compile("|".join(map(re.escape, literals))), 0)
+    want = []
+    for spelling in _spellings(_minimal(literals), encodings):
+        at = buf.find(spelling)
+        while at != -1:
+            want.append((at, spelling))
+            at = buf.find(spelling, at + 1)
+    assert [(at, sp) for at, sp, _unit in near.occurrences(buf)] == sorted(want)
+
+
+def _near_by_buffer(data, min_len, encodings, chunk_size, cap, reach, hit_re):
     """The keep rule applied to the full carve's own buffers: a piece is
     kept if a hit in its buffer claims it, or if it starts within reach of
     the carry before it or of the cut after it."""
@@ -353,7 +409,7 @@ def _near_by_buffer(data, min_len, encodings, chunk_size, cap, reach):
             (at, end, buf[at:end:u].decode(), "utf16le" if u == 2 else "ascii")
             for at, end, u in zip(offset.tolist(), stop.tolist(), unit.tolist())
         ]
-        claims = [(at - reach, end + reach) for at, end, text, _ in pieces if _HIT_RE.search(text)]
+        claims = [(at - reach, end + reach) for at, end, text, _ in pieces if hit_re.search(text)]
         rows += [
             (base + at, text, enc)
             for at, _end, text, enc in pieces
@@ -366,20 +422,24 @@ def _near_by_buffer(data, min_len, encodings, chunk_size, cap, reach):
 
 @settings(max_examples=120, deadline=None)
 @given(
-    st.lists(st.tuples(_HIT_PARTS, st.booleans()), max_size=120).map(_encode),
-    _len_and_cap(), _chunky, st.integers(0, 200), _encoding_sets,
+    st.data(), _literal_sets(), _len_and_cap(), _chunky, st.integers(0, 200), _encoding_sets,
 )
 def test_near_keeps_exactly_what_the_full_carve_buffers_give(
-    data, len_and_cap, chunk_size, reach, encodings
+    data, literals, len_and_cap, chunk_size, reach, encodings
 ):
     """The keyword carve reads the same buffers, cuts and carries as the
     full carve, in plain Python, and keeps the same pieces in the same
-    order."""
+    order, whatever the literals."""
     min_len, cap = len_and_cap
+    hit_re = re.compile("|".join(map(re.escape, literals)))
+    fillers = (b"word " * 8, "word ".encode("utf-16-le") * 8, b"\0" * 40, b"\x01")
+    image = data.draw(_keyword_images(literals, fillers))
     got = carve_strings(
-        data, min_len, encodings, chunk_size=chunk_size, cap=cap, near=(_HIT_RE, reach)
+        image, min_len, encodings, chunk_size=chunk_size, cap=cap, near=(hit_re, reach)
     )
-    assert strings_tuples(got) == _near_by_buffer(data, min_len, encodings, chunk_size, cap, reach)
+    assert strings_tuples(got) == _near_by_buffer(
+        image, min_len, encodings, chunk_size, cap, reach, hit_re
+    )
 
 
 @pytest.mark.parametrize("chunk_size", [50, 777, 4096])
@@ -407,16 +467,20 @@ def test_near_keeps_only_seam_pieces_without_hits(chunk_size):
 @pytest.mark.parametrize("chunk_size", [1, 7, 64, 4096])
 @pytest.mark.parametrize("outside", [0, 1])
 def test_near_claim_edges(chunk_size, outside):
-    """A hit at 200 with reach 30 claims [170, 234], both ends included.
-    The pieces just outside are dropped only when no seam lies within
-    reach of them, that is when one chunk holds the whole image."""
-    data = bytearray(300)
-    data[170 - outside : 174 - outside] = b"wxyz"
-    data[200:204] = b"pass"
-    data[234 + outside : 238 + outside] = b"stuv"
-    got = [s.text for s in carve_strings(bytes(data), chunk_size=chunk_size, near=(_HIT_RE, 30))]
-    dropped = outside and chunk_size >= len(data)
-    assert got == (["pass"] if dropped else ["wxyz", "pass", "stuv"])
+    """A hit at 200 with reach 30 claims [170, 234] in ASCII and [170, 238]
+    in UTF-16LE, both ends included.  The pieces just outside are dropped
+    only when no seam lies within reach of them, that is when one chunk
+    holds the whole image.  A UTF-16LE piece starting on the claim's last
+    byte shows its min_len characters only well past it."""
+    for codec in ("ascii", "utf-16-le"):
+        data = bytearray(300)
+        end = 200 + len("pass".encode(codec)) + 30
+        for at, text in ((170 - outside, "wxyz"), (200, "pass"), (end + outside, "stuv")):
+            spelling = text.encode(codec)
+            data[at : at + len(spelling)] = spelling
+        got = [s.text for s in carve_strings(bytes(data), chunk_size=chunk_size, near=(_HIT_RE, 30))]
+        dropped = outside and chunk_size >= len(data)
+        assert got == (["pass"] if dropped else ["wxyz", "pass", "stuv"]), codec
 
 
 @pytest.mark.parametrize("lead", range(0, 9))
@@ -433,8 +497,8 @@ def test_keyword_cut_by_cap_seam_is_no_hit(lead):
     # password is cut by the cap seam after pass; word, a literal of its
     # own, lies whole in the next piece.
     ("password|word", "\0xxxxpassword\0", 4, 8, (9, "word")),
-    # Both literals start alike, so the search reports aab and passes
-    # over the ab inside it, which the cap seam leaves whole.
+    # aab is cut by the cap seam, and the ab inside it, the one literal
+    # searched for, lies whole in the next piece.
     ("aab|ab", "\0xxxaab\0", 2, 4, (5, "ab")),
 ])
 @pytest.mark.parametrize("wide", [False, True])

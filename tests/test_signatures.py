@@ -23,8 +23,7 @@ from memsift.signatures import (
     DEFAULT_WINDOW,
     AdjacentBinder,
     combine_bindings,
-    cookie_username_offset,
-    extract_cookie_username,
+    cookie_username,
 )
 from oracles import bind_adjacent_linear, combine_bindings_linear
 
@@ -389,21 +388,18 @@ class TestAdjacentPairingOracle:
 class TestCookieUsername:
     def test_published_cookie_line(self):
         text = "Set-Cookie: GAUSR=mail:ipsita.chinky@gmail.com; Path=/accounts;secure"
-        assert extract_cookie_username(text) == "ipsita.chinky@gmail.com"
+        assert cookie_username(_s(0, text)) == (12, "ipsita.chinky@gmail.com")
 
     def test_terminates_at_whitespace(self):
-        assert extract_cookie_username("GAUSR=mail:user@x.y rest") == "user@x.y"
+        assert cookie_username(_s(0, "GAUSR=mail:user@x.y rest")) == (0, "user@x.y")
 
     def test_absent_marker(self):
-        assert extract_cookie_username("Set-Cookie: other=1") is None
+        assert cookie_username(_s(0, "Set-Cookie: other=1")) is None
 
     def test_empty_username_rejected(self):
-        assert extract_cookie_username("GAUSR=mail:; Path=/") is None
+        assert cookie_username(_s(0, "GAUSR=mail:; Path=/")) is None
 
     def test_marker_offset_accounts_for_encoding(self):
         text = "xGAUSR=mail:me@x.y;"
-        ascii_s = _s(40, text)
-        wide_s = _s(40, text, Encoding.UTF16LE)
-        assert cookie_username_offset(ascii_s) == 40 + 1
-        assert cookie_username_offset(wide_s) == 40 + 2 * 1
-        assert cookie_username_offset(_s(0, "no marker here")) is None
+        assert cookie_username(_s(40, text)) == (40 + 1, "me@x.y")
+        assert cookie_username(_s(40, text, Encoding.UTF16LE)) == (40 + 2 * 1, "me@x.y")
