@@ -25,24 +25,27 @@ The full carve, every piece of the image, is ``carve_strings`` without
 of a buffer at once with numpy, in ``memsift.fullcarve``, which only
 those two calls import.
 
-The keyword scan asks ``carve_strings(near=(pattern, reach))`` for the
-pieces near a keyword, and that path is plain Python.  A keyword pattern
-is an alternation of literals, and every hit holds one that contains no
-other, so only those are searched for, spelt in ASCII and in UTF-16LE,
+The keyword scan asks ``carve_strings(near=(literals, keys, delta))`` for
+the pieces its matcher reads, and that path is plain Python.  A piece is
+kept if it holds a whole occurrence of a literal, or if it is the piece
+right after a piece whose text is a key and starts within ``delta`` bytes
+of the key's end.  A piece that holds a literal holds one that contains
+no other, so only those are searched for, spelt in ASCII and in UTF-16LE,
 all in one pass per buffer.  The buffer is translated once so that every
 spelling's first byte becomes one class byte, and one regex stops on
 that byte where a trie of the translated spellings follows it; each stop
 is confirmed against the spellings themselves, so every occurrence is
-reported, overlaps included.  Each occurrence is mapped to the pieces its
-bytes overlap in its own encoding's stream, from the extent of the run
-holding it and the run's cap grid, and a piece is a hit if the pattern
-matches its text.  Then only the hits' claims and the zones within reach
-of the buffer seams are carved, their long runs found by literal regexes
-over a printable-class translation of each zone.  A run's extent is
+reported, overlaps included.  Each occurrence is mapped to the piece of
+its own stream that holds it, from the extent of the run holding it and
+the run's cap grid, and a kept piece is a key if its bytes are a key's
+spelling, so no piece is decoded to be tested.  The piece after a key is
+the first one of any stream in the order pieces are yielded, found by a
+search forward from the key that stops at ``delta``; when it may lie
+past the cut, the search goes on in the next buffer.  A run's extent is
 found by reading out from a position and is remembered for the buffer,
-so no run is read twice however many occurrences it holds.  Printable
-text far from any keyword and from any seam is searched but never
-carved, and the scan never loads numpy.
+so no run is read twice however many lookups land in it.  Printable text
+that holds no literal and follows no key is searched but never carved,
+and the scan never loads numpy.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from enum import Enum
+from functools import lru_cache
 from itertools import chain
 from pathlib import Path
 from typing import IO, BinaryIO, Iterable, Iterator, NamedTuple
@@ -93,10 +97,6 @@ class ExtractedString(NamedTuple):
 # long run leaves no backtracking state behind.
 _FORWARD = (None, re.compile(rb"[\x20-\x7e]*+"), re.compile(rb"(?:[\x20-\x7e]\x00)*+"))
 _BACKWARD = (None, re.compile(rb"[\x20-\x7e]*+"), re.compile(rb"(?:\x00[\x20-\x7e])*+"))
-_REGEX_OPERATORS = frozenset(".^$*+?{}[]()|\\")
-# Printable bytes become \x01 and NUL stays NUL, so a run regex can start
-# with a literal, which ``re`` scans for fast, rather than a byte class.
-_PRINTABLE = b"\x00" + b"\x02" * 0x1F + b"\x01" * 0x5F + b"\x02" * 0x81
 
 
 def _trie(tails: list[bytes], klass: bytes = b"") -> bytes:
@@ -117,33 +117,11 @@ def _trie(tails: list[bytes], klass: bytes = b"") -> bytes:
     return alternatives[0] if len(alternatives) == 1 else b"(?:%s)" % b"|".join(alternatives)
 
 
-def _literals(pattern: re.Pattern) -> list[str]:
-    """The literals of ``pattern``, an alternation of escaped printable-ASCII
-    literals as ``re.escape`` writes them.  Anything else could match text
-    the literals miss, so it is refused."""
-    text = pattern.pattern
-    if not isinstance(text, str) or pattern.flags & ~(re.UNICODE | re.ASCII):
-        raise InvalidOptionError("near pattern must be a str pattern with no flags")
-    literals, literal, chars = [], "", iter(text)
-    for ch in chars:
-        if ch == "|":
-            literals.append(literal)
-            literal = ""
-            continue
-        if ch == "\\":  # an escaped operator; \d, \n or \x41 is no literal
-            ch = next(chars, "")
-            literal_char = not ch.isalnum()
-        else:
-            literal_char = ch not in _REGEX_OPERATORS
-        if not (literal_char and ch.isascii() and ch.isprintable() and ch):
-            raise InvalidOptionError(
-                f"near pattern {text!r} is not an alternation of literals"
-            )
-        literal += ch
-    literals.append(literal)
-    if not all(literals):
-        raise InvalidOptionError(f"near pattern {text!r} has an empty literal")
-    return literals
+@lru_cache(maxsize=16)
+def _candidates(tails: tuple[bytes, ...], klass: bytes) -> re.Pattern:
+    """The class byte followed by the trie of ``tails``; cached, since a
+    scan of many images builds the same one for each."""
+    return re.compile(re.escape(klass) + _trie(list(tails), klass) if tails else b"(?!)")
 
 
 class _Stream:
@@ -156,13 +134,15 @@ class _Stream:
     went out in an earlier buffer's pieces.
     """
 
-    def __init__(self, buf, final, unit, parity, floor, min_len, cap, long_run):
+    def __init__(self, buf, final, unit, parity, floor, min_len, cap):
         self.buf, self.n, self.final = buf, len(buf), final
         self.unit, self.parity = unit, parity
         floor = max(floor, 0)
         self.floor = floor + (floor - parity) % unit
         self.span, self.min_bytes = unit * cap, unit * min_len
-        self.long_run = long_run  # finds runs of at least min_len characters
+        # min_len characters, at either parity
+        char = rb"[\x20-\x7e]" if unit == 1 else rb"(?:[\x20-\x7e]\x00)"
+        self.long_run = re.compile(char + b"{%d}" % min_len)
         self.starts: list[int] = []  # the runs found so far, ascending
         self.ends: list[int] = []
 
@@ -210,47 +190,57 @@ class _Stream:
         self.ends.insert(i, end)
         return x - back, end
 
-    def run_pieces(
-        self, run: tuple[int, int], lo: int, hi: int, cut: int
-    ) -> Iterator[tuple[int, int]]:
-        """``(start, stop)`` of the pieces of ``run`` that overlap bytes
-        [lo, hi) and start before ``cut``."""
+    def holding(self, x: int, length: int) -> tuple[int, int] | None:
+        """``(start, stop)`` of the piece that holds all of bytes
+        [x, x + length), ``x`` a position, or None."""
+        run = self.run(x)
+        if run is None or run[0] > x:
+            return None
         start, end = run
-        span = self.span
-        for at in range(start + max(lo - start, 0) // span * span, min(end, hi, cut), span):
-            stop = min(at + span, end)
-            if stop - at >= self.min_bytes:
-                yield at, stop
+        at = x - (x - start) % self.span
+        stop = min(at + self.span, end)
+        return (at, stop) if x + length <= stop and stop - at >= self.min_bytes else None
 
-    def pieces(
-        self, lo: int, hi: int, cut: int, zone: bytes, z0: int
-    ) -> Iterator[tuple[int, int]]:
-        """The pieces of every run that overlap bytes [lo, hi) and start
-        before ``cut``.  ``zone`` is the buffer from ``z0``, at most
-        ``lo - 1``, to at least ``hi + min_bytes`` or the buffer end,
-        translated by ``_PRINTABLE``."""
-        first = self.run(self.at(lo))
-        runs = [first]
-        # A run of at least min_len characters that starts before hi shows
-        # them all before hi + min_bytes.
-        pos = first[1] if first else max(self.at(lo), 0)
-        for m in self.long_run.finditer(zone, pos - z0, min(self.n, hi + self.min_bytes) - z0):
-            x = z0 + m.start()
-            if self.unit == 2:  # the match starts on the NUL of a pair
-                x += -1 if self.member(x - 1) else 1
-            if x < hi and (x - self.parity) % self.unit == 0:
-                runs.append(self.run(x))
-        for run in filter(None, runs):
-            yield from self.run_pieces(run, lo, hi, cut)
+    def first(self, lo: int, hi: int) -> tuple[int, int] | None:
+        """``(start, stop)`` of the first piece starting in [lo, hi), or
+        None."""
+        x = max(lo, self.floor)
+        x += (self.parity - x) % self.unit
+        if x >= hi:
+            return None
+        run = self.run(x)
+        if run:  # the next piece of the run holding x
+            start, end = run
+            at = x + (start - x) % self.span
+            if at < min(end, hi) and min(at + self.span, end) - at >= self.min_bytes:
+                return at, min(at + self.span, end)
+            x = end
+        # Else the first run past x that is long enough for a piece.  One
+        # starting before hi shows min_len characters by the search's end.
+        buf, endpos = self.buf, hi - 1 + self.min_bytes
+        m = self.long_run.search(buf, x, endpos)
+        while m and (m.start() - self.parity) % self.unit:
+            # A UTF-16LE run at the other parity holds no position of ours.
+            m = self.long_run.search(buf, _FORWARD[2].match(buf, m.start(), endpos).end(), endpos)
+        if m is None or m.start() >= hi:
+            return None
+        start, end = self.run(m.start())
+        return start, min(start + self.span, end)
 
 
 class _NearCarve:
-    """``carve_strings(near=(pattern, reach))``: per buffer, the settled
-    pieces a keyword hit may claim."""
+    """``carve_strings(near=(literals, keys, delta))``: per buffer, the
+    pieces that hold a literal, and the piece right after each key."""
 
-    def __init__(self, wanted, min_len, cap, pattern, reach):
-        literals = set(_literals(pattern))
-        # Every hit holds a literal that contains no other.
+    def __init__(self, wanted, min_len, cap, literals, keys, delta):
+        literals = {*literals, *keys}
+        for literal in literals:
+            if not (isinstance(literal, str) and literal.isascii() and literal.isprintable()
+                    and literal):
+                raise InvalidOptionError(
+                    f"near literal {literal!r} is not non-empty printable ASCII"
+                )
+        # A piece that holds a literal holds one that contains no other.
         literals = {a for a in literals if not any(b != a and b in a for b in literals)}
         units = [(unit, codec) for unit, codec in ((1, "ascii"), (2, "utf-16-le"))
                  if _BY_UNIT[unit] in wanted]
@@ -259,6 +249,9 @@ class _NearCarve:
         for spelling, unit in sorted({(lit.encode(codec), unit) for lit in literals
                                       for unit, codec in units}):
             self.spellings.setdefault(spelling[0], []).append((spelling, unit))
+        # A piece's bytes are a key's spelling in its own encoding, since
+        # only UTF-16LE spellings hold NULs.
+        self.keys = {key.encode(codec) for key in keys for _, codec in units}
         # Every first byte becomes the class byte, the first of them, so
         # one regex with a literal first byte stops on them all; the trie
         # of the translated spellings behind it drops most stops before
@@ -266,37 +259,28 @@ class _NearCarve:
         first = bytes(self.spellings)
         klass = first[:1]
         self.table = bytes.maketrans(first, klass * len(first))
-        tails = [sp.translate(self.table)[1:] for group in self.spellings.values()
-                 for sp, _ in group]
-        self.candidates = re.compile(re.escape(klass) + _trie(tails, klass))
-        self.search, self.reach = pattern.search, reach
-        self.min_len, self.cap = min_len, cap
-        # (bytes per character, parity) of each wanted stream
+        tails = tuple(sp.translate(self.table)[1:] for group in self.spellings.values()
+                      for sp, _ in group)
+        self.candidates = _candidates(tails, klass)
+        self.delta, self.min_len, self.cap = delta, min_len, cap
+        # (bytes per character, parity) of each wanted stream, ASCII first
         self.kinds = [(1, 0)] if Encoding.ASCII in wanted else []
         if Encoding.UTF16LE in wanted:
             self.kinds += [(2, 0), (2, 1)]
-        # Per bytes per character, a regex that finds each run of at least
-        # min_len characters in a zone translated by _PRINTABLE.  A UTF-16LE
-        # run is found from the NUL of its first pair, so both start with a
-        # literal.  The run starts on the byte before the match if that is
-        # printable; if not, it starts after the NUL, and may be one
-        # character short.
-        self.long_runs = (
-            None,
-            re.compile(re.escape(b"\x01" * min_len) + rb"\x01*+"),
-            re.compile(re.escape(b"\x00" + b"\x01\x00" * (min_len - 1)) + rb"(?:\x01\x00)*+"),
-        )
 
     def carve(self, image: MemoryImage, chunk_size: int) -> Iterator[list[ExtractedString]]:
         """Per buffer, the pieces kept.  Each buffer's are yielded before
         the next chunk is read.  The buffers, cuts and carries are those of
         ``memsift.fullcarve._buffers``, and so is ``resume``."""
-        resume = [0, 0, 0]
+        # Per stream, the absolute offset it resumes at; and the last byte
+        # at which the piece after the key that ended the previous buffer's
+        # pieces may start, if that piece may still come.
+        self.resume, self.pending = [0, 0, 0], None
         carry, base = b"", 0
         for chunk in chain(image.chunks(chunk_size), [None]):
             final = chunk is None
             buf = carry if final else carry + chunk
-            kept, cut = self.buffer(buf, base, len(carry), final, resume)
+            kept, cut = self.buffer(buf, base, final)
             yield kept
             carry, base = buf[cut:], base + cut
 
@@ -311,28 +295,25 @@ class _NearCarve:
             if buf.startswith(spelling, x)
         ]
 
-    def buffer(
-        self, buf: bytes, base: int, carried: int, final: bool, resume: list[int]
-    ) -> tuple[list[ExtractedString], int]:
-        """The pieces a hit may claim in a buffer that starts at absolute
-        ``base`` and holds ``carried`` bytes of carry, and the cut.
+    def buffer(self, buf: bytes, base: int, final: bool) -> tuple[list[ExtractedString], int]:
+        """The pieces kept in a buffer that starts at absolute ``base``, and
+        the cut.
 
-        A hit is a piece whose text the pattern matches, and it claims the
-        pieces starting in [offset - reach, offset + byte_length + reach].
-        A piece is kept if a hit in this buffer claims it, or if it lies
-        within ``reach`` of a seam, where a hit in another buffer may claim
-        it: an earlier buffer's hit ends by the end of the previous buffer,
-        ``carried``, and a later buffer's hit starts at or past the cut.
+        A piece is kept if it holds all of an occurrence of a literal, or
+        if it comes right after a piece whose text is a key, in the order
+        pieces are yielded, and starts at most ``delta`` bytes past the
+        key's end.  Pieces before the cut are this buffer's, so a key whose
+        next piece may lie at or past the cut leaves the search for it to
+        the next buffer.
         """
-        n, reach = len(buf), self.reach
+        n, resume = len(buf), self.resume
 
         def slot(unit: int, q: int) -> int:  # the stream's index into resume
             return 0 if unit == 1 else 1 + (base + q) % 2
 
         streams = {
             (unit, q): _Stream(
-                buf, final, unit, q, resume[slot(unit, q)] - base, self.min_len,
-                self.cap, self.long_runs[unit],
+                buf, final, unit, q, resume[slot(unit, q)] - base, self.min_len, self.cap
             )
             for unit, q in self.kinds
         }
@@ -357,46 +338,42 @@ class _NearCarve:
                 if at < cut and stop - at >= st.min_bytes:
                     resume[slot(unit, q)] = base + stop
 
-        claims = [(0, carried + reach), (cut - reach, cut - 1)]
-        tested = set()
+        rows: set[tuple[int, int, int]] = set()
+        keys = []
         for x, spelling, unit in self.occurrences(buf):
-            st = streams[unit, x % unit]
-            run = st.run(x)
-            for at, stop in st.run_pieces(run, x, x + len(spelling), cut) if run else ():
-                if (at, unit) not in tested:
-                    tested.add((at, unit))
-                    if self.search(buf[at:stop:unit].decode("ascii")):
-                        claims.append((at - reach, stop + reach))
+            piece = streams[unit, x % unit].holding(x, len(spelling))
+            if piece and piece[0] < cut and (row := (piece[0], unit, piece[1])) not in rows:
+                rows.add(row)
+                if buf[piece[0]:piece[1]] in self.keys:
+                    keys.append(row)
 
-        # Carve the pieces that start in a claim: merge the claims, then
-        # read each merged one in every stream.
-        merged: list[list[int]] = []
-        for lo, hi in sorted(claims):
-            lo, hi = max(lo, 0), min(hi, cut - 1)
-            if lo > hi:
-                continue
-            if merged and lo <= merged[-1][1] + 1:
-                merged[-1][1] = max(merged[-1][1], hi)
-            else:
-                merged.append([lo, hi])
-        rows = []
-        for lo, hi in merged:
-            z0 = max(lo - 1, 0)
-            zone = buf[z0 : hi + 1 + 2 * self.min_len].translate(_PRINTABLE)
-            rows += (
-                (at, st.unit, stop)
-                for st in streams.values()
-                for at, stop in st.pieces(lo, hi + 1, cut, zone, z0)
-                if at >= lo
-            )
-        rows.sort()
+        def follow(at: int, unit: int, limit: int) -> None:
+            """Keep the first piece after the one at ``at`` of ``unit`` bytes
+            per character (0: in an earlier buffer) if it starts by
+            ``limit``.  On a tie ASCII goes first, so a UTF-16LE piece at
+            ``at`` comes after an ASCII one."""
+            hi, after = min(limit + 1, cut), None
+            for st in streams.values():
+                piece = st.first(at + (st.unit <= unit), hi)
+                if piece:
+                    after, hi = (piece[0], st.unit, piece[1]), piece[0]
+            if after:
+                rows.add(after)
+            elif limit >= cut:
+                self.pending = base + limit
+
+        pending, self.pending = self.pending, None
+        if pending is not None:
+            follow(0, 0, pending - base)
+        for at, unit, stop in keys:
+            follow(at, unit, stop + self.delta)
         # tuple.__new__ over ready rows skips ExtractedString's Python-level
         # __new__, a third of the cost of building each string.
         return [
             tuple.__new__(ExtractedString, (
                 base + at, buf[at:stop:unit].decode("ascii"), _BY_UNIT[unit], stop - at
             ))
-            for at, unit, stop in rows
+            for at, unit, stop in sorted(rows)
         ], cut
 
 
@@ -432,7 +409,7 @@ def carve_strings(
     *,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     cap: int = DEFAULT_CAP,
-    near: tuple[re.Pattern, int] | None = None,
+    near: tuple[Iterable[str], Iterable[str], int] | None = None,
 ) -> Iterator[ExtractedString]:
     """Stream every maximal printable run in the image, ascending by offset.
 
@@ -442,24 +419,24 @@ def carve_strings(
     read.  The stream holds only the current chunk plus a carry of under
     ``2*cap+1`` bytes, so peak memory does not depend on image size.
 
-    ``near=(pattern, reach)`` keeps a superset of the pieces a hit claims:
-    every piece in a claim, plus pieces within reach of a buffer seam.  A
-    hit is a piece whose text ``pattern`` matches, and it claims the pieces
-    whose offset lies in [offset - reach, offset + byte_length + reach].
-    The pattern must be an alternation of escaped printable-ASCII literals,
-    as ``re.escape`` writes them, or InvalidOptionError is raised.  Only
-    the kept pieces are built as strings, and each buffer's are yielded
-    before the next chunk is read.  This path does not load numpy.
+    ``near=(literals, keys, delta)`` keeps two kinds of piece, in the same
+    order: a piece that holds all of an occurrence of a literal, and the
+    piece right after a piece whose whole text is a key, when it starts at
+    most ``delta`` bytes past the key's end.  Every key counts as a literal.
+    Literals must be non-empty printable-ASCII strings and ``delta`` at
+    least 0, or InvalidOptionError is raised.  Only the kept pieces are
+    built as strings, and each buffer's are yielded before the next chunk
+    is read.  This path does not load numpy.
     """
     image, wanted = _checked(image, min_len, encodings, chunk_size, cap)
     if near is None:
         from .fullcarve import carve
 
         return carve(image, wanted, min_len, cap, chunk_size)
-    pattern, reach = near
-    if reach < 0:
-        raise InvalidOptionError("reach must be at least 0")
-    near_carve = _NearCarve(wanted, min_len, cap, pattern, reach)
+    literals, keys, delta = near
+    if delta < 0:
+        raise InvalidOptionError("delta must be at least 0")
+    near_carve = _NearCarve(wanted, min_len, cap, literals, tuple(keys), delta)
     return chain.from_iterable(near_carve.carve(image, chunk_size))
 
 

@@ -1,19 +1,20 @@
 """End-to-end credential scan over carved strings.
 
 The scan is keyword-first.  Signature keywords are rare, so only the
-strings near them are built and matched.  A keyword hit is a carved
-string the keyword pattern matches, and it claims the bytes within reach
-of it (the context window, the adjacency gap and some slack for the key
-itself).  The carver finds every keyword occurrence in the raw image
-bytes, in ASCII and UTF-16LE, with one regex pass per buffer, confirms
-each against the cap pieces it lies in, and builds only the strings a
-claim may hold: those in a claim, plus those near a buffer seam.  Claims
-that overlap or touch merge, and the strings inside one merged claim
-form a region; ``_regions`` drops the rest.  A region is matched as a
-unit as soon as no later hit can extend it.  Peak memory follows the
-largest region rather than the image size, and printable text far from
-any keyword and from any buffer seam is searched but never carved.  The
-scan loads no numpy.
+strings matching reads are built.  A keyword hit is a carved string the
+keyword pattern matches, and it claims the bytes within reach of it (the
+context window, the adjacency gap and some slack for the key itself).
+Claims that overlap or touch merge, and the strings inside one merged
+claim form a region, matched as a unit as soon as no later hit can
+extend it.  Inside a region the matcher reads only the hits, the strings
+that carry a context URL, and the string right after a key.  So the
+carver finds every key, marker and context URL in the raw image bytes, in
+ASCII and UTF-16LE, in one pass per buffer, and builds only the strings
+that hold one, plus the string right after each key when it lies within
+the adjacency gap; ``_regions`` drops those outside every claim.  Peak
+memory follows the largest region rather than the image size, and
+printable text that holds no catalog literal is searched but never
+carved.  The scan loads no numpy.
 
 Within a region every signature is tried in both modes.  Where two
 applications share keywords (IRCTC and SBI both post ``userName`` and
@@ -98,9 +99,9 @@ def browser_tag(name: str | None) -> str | None:
     if not name:
         return None
     folded = name.strip().lower()
-    if folded in ("mf", "firefox", "mozilla firefox") or "firefox" in folded:
+    if folded == "mf" or "firefox" in folded:
         return MF
-    if folded in ("gc", "chrome", "google chrome") or "chrome" in folded:
+    if folded == "gc" or "chrome" in folded:
         return GC
     return None
 
@@ -147,7 +148,6 @@ class CredentialFinding:
     username: str | None
     password_raw: str | None
     password_decoded: str | None
-    encrypted: bool
     match_mode: str
     offset: int
     confidence: str
@@ -160,8 +160,11 @@ class CredentialFinding:
     def __post_init__(self) -> None:
         if self.username is None and self.password_raw is None:
             raise ValueError("finding must carry a username or a password")
-        if self.encrypted and self.password_decoded is not None:
-            raise ValueError("suspected-encrypted values must not be decoded")
+
+    @property
+    def encrypted(self) -> bool:
+        """Suspected encrypted: a password was found but kept undecoded."""
+        return self.password_raw is not None and self.password_decoded is None
 
 
 def assign_confidence(
@@ -339,15 +342,17 @@ def _regions(
     offset lies inside its merged claim.  Strings must arrive ascending by
     offset, as the carver emits them.
 
-    This is the one place the claim rule is decided.  The scan feeds a
-    superset of the claimed strings (``carve_strings(near=...)``: every
-    string in a claim, plus some near buffer seams that no claim holds),
-    and the regions are the same as from every string.  Hits are the same
-    strings either way, since a hit lies in its own claim, so the claims
-    and their merges are the same.  A merged claim is the union of its
-    members, so every string inside it lies in some single claim and is
-    fed.  And a string in no claim falls in no region, so the extra
-    strings are dropped here.
+    This is the one place the claim rule is decided.  The scan feeds only
+    the strings that matching reads (``carve_strings(near=...)``): every
+    string that holds a key, a marker or a context URL, and the string
+    right after each key when it starts within ``delta`` of the key's end.
+    A hit holds a key or a marker, so the hits, and with them the claims
+    and their merges, are the same as from every string.  A region thus
+    holds exactly the strings of the full carve's region that matching
+    reads: inline matching and cookies read hits, adjacent binding reads a
+    key and the string right after it, and confidence reads the strings
+    that carry a URL.  A fed string in no claim falls in no region and is
+    dropped here.
     """
     # Outside a region only the look-behind is kept: the strings within
     # reach of the frontier (the newest offset).  An older string can fall
@@ -401,8 +406,13 @@ def scan_image(
         pmap = ProcessMap(pmap)
 
     hit_re = _prefilter(catalog)
+    keys = {key for sig in catalog for key in (*sig.username_keys, *sig.password_keys)}
+    literals = {
+        literal for sig in catalog for literal in (*sig.context_urls, sig.username_marker)
+        if literal
+    }
     strings = carve_strings(
-        image, opts.min_len, chunk_size=opts.chunk_size, near=(hit_re, opts.reach)
+        image, opts.min_len, chunk_size=opts.chunk_size, near=(literals, keys, opts.delta)
     )
     matches = [
         match
@@ -448,7 +458,6 @@ def _to_finding(
         username=m.username_raw,
         password_raw=m.password_raw,
         password_decoded=password_decoded,
-        encrypted=m.password_raw is not None and password_decoded is None,
         match_mode=m.mode,
         offset=anchor,
         confidence=confidence,

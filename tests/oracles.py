@@ -9,7 +9,7 @@ regions with every string in hand, ``bind_adjacent_linear`` pairs keys
 with values over consecutive strings, and ``match_region_linear`` is the
 region matcher before its lookups were indexed; all are the scanner's
 references.  ``scan_full_carve`` is ``scan_image``'s reference: it feeds
-every carved string, not just those near a keyword, to the region engine.
+every carved string, not just those matching reads, to the region engine.
 ``has_token`` is the fabricator's reference: it checks by search what the
 filler's byte table guarantees by construction.
 """

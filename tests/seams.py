@@ -1,8 +1,8 @@
 """A hypothesis strategy that plants keyword hits at chunk seams.
 
 Short random inputs seldom put a hit within reach of a buffer seam, where
-the carver must keep pieces that a hit in the neighbouring buffer claims.
-``at_seams`` writes units over an input.  A unit is a hit with pieces
+the piece after a key, or a piece a hit claims, lies in the neighbouring
+buffer.  ``at_seams`` writes units over an input.  A unit is a hit with pieces
 around it that the hit claims, and it names the byte where the hit and a
 claimed piece meet.  That byte lands at ``k*chunk_size + d``.  In half
 the draws d is 0, or 1 (inside a UTF-16LE pair), so the hit and the piece

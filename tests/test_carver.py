@@ -1,7 +1,6 @@
 """String carving against brute-force and vectorized references."""
 
 import io
-import re
 
 import numpy as np
 import pytest
@@ -144,7 +143,7 @@ def test_encoding_restriction():
     (dict(cap=0), "cap must be >= min_len"),
     (dict(chunk_size=0), "chunk_size must be at least 1"),
     (dict(encodings=()), "at least one encoding is required"),
-    (dict(near=(re.compile("pass"), -1)), "reach must be at least 0"),
+    (dict(near=(["pass"], ["pass"], -1)), "delta must be at least 0"),
     (dict(chunk_size=(1 << 30) + 1), "chunk_size must be at most 1073741824"),
 ])
 def test_bad_options_raise_on_call(bad, message):
@@ -251,7 +250,10 @@ def test_streaming_lag_is_bounded(kind):
     assert count >= len(data) // (2 * cap)
 
 
-_HIT_RE = re.compile("GAUSR=mail:|password|pass|uName")
+# A keyword carve's literals and keys, as the scan passes them: every key
+# counts as a literal, and the marker is a literal but no key.
+_LITERALS = ("GAUSR=mail:",)
+_KEYS = ("password", "pass", "uName")
 
 
 @pytest.mark.parametrize("kind", sorted(_LAG_IMAGES))
@@ -260,17 +262,17 @@ def test_streaming_lag_near_hits_is_bounded(kind):
     yielded before the next chunk is read."""
     data = _LAG_IMAGES[kind]()
     data = b"\0pass\0".join(data[i : i + 1500] for i in range(0, 1 << 20, 1500))
-    chunk_size, cap, reach = 64 * 1024, 4096, 1000
+    chunk_size, cap = 64 * 1024, 4096
     image = _CountingImage(data)
     count = 0
-    for s in carve_strings(image, chunk_size=chunk_size, cap=cap, near=(_HIT_RE, reach)):
+    for s in carve_strings(image, chunk_size=chunk_size, cap=cap, near=(_LITERALS, _KEYS, 1000)):
         assert image.read - (s.offset + s.byte_length) <= chunk_size + 2 * cap + 1
         count += 1
     assert count >= (1 << 20) // 1500
 
 
-# Hits are rare among the parts, so some pieces are picked only by a claim
-# that started buffers before them.
+# Keys are rare among the parts, so the piece after a key may start
+# buffers after it.
 _HIT_PARTS = st.sampled_from(
     ("pass", "uName", "password", "GAUSR=mail:")
     + ("pas", "s", "xyz", "=&", "word " * 8, "\0", "\0" * 40, "\x01") * 3
@@ -283,21 +285,20 @@ def _encode(parts):
     )
 
 
-def _near_reference(data, min_len, cap, reach, hit_re=_HIT_RE):
-    """The numpy reference carve, kept where a brute-force claim reaches."""
-    rows = carve_numpy(data, min_len, cap)
-    claims = [
-        (at - reach, at + (2 if enc == "utf16le" else 1) * len(text) + reach)
-        for at, text, enc in rows
-        if hit_re.search(text)
+def _near_reference(
+    data, min_len, cap, delta, literals=_LITERALS, keys=_KEYS, encodings=BOTH_ENCODINGS
+):
+    """The numpy reference carve, filtered piece by piece: a piece is kept
+    if its text holds a literal or a key, or if the piece before it is a
+    key that ends at most ``delta`` bytes before it starts."""
+    rows = [row for row in carve_numpy(data, min_len, cap) if row[2] in encodings]
+    found = [*literals, *keys]
+    return [
+        row for i, row in enumerate(rows)
+        if any(lit in row[1] for lit in found)
+        or i and rows[i - 1][1] in keys
+        and row[0] <= rows[i - 1][0] + len(rows[i - 1][1].encode(_CODECS[rows[i - 1][2]])) + delta
     ]
-    return [row for row in rows if any(lo <= row[0] <= hi for lo, hi in claims)]
-
-
-def _in_order_within(rows, full):
-    """True if ``rows`` is ``full`` with some rows left out."""
-    remaining = iter(full)
-    return all(row in remaining for row in rows)
 
 
 def _seam_unit(hit, filler, wide, after):
@@ -325,18 +326,16 @@ _SEAM_HITS = st.builds(
     _chunky,
     st.integers(0, 200),
 )
-def test_near_picks_pieces_in_hit_claims(draw, parts, len_and_cap, chunk_size, reach):
-    """Every claimed piece is kept; extra pieces are allowed, in stream
-    order, because the scan's region rule drops them.  Hits are planted
-    near chunk seams, where pieces on one side are claimed by a hit on the
-    other."""
+def test_near_picks_pieces_in_hit_claims(draw, parts, len_and_cap, chunk_size, delta):
+    """The kept pieces are exactly the reference's, in stream order.  Hits
+    are planted near chunk seams, where a key and the piece after it fall
+    in different buffers."""
     min_len, cap = len_and_cap
-    data = draw.draw(at_seams(parts, chunk_size, reach + cap, _SEAM_HITS))
-    got = strings_tuples(carve_strings(
-        data, min_len, chunk_size=chunk_size, cap=cap, near=(_HIT_RE, reach)
-    ))
-    assert set(got) >= set(_near_reference(data, min_len, cap, reach))
-    assert _in_order_within(got, carve_numpy(data, min_len, cap))
+    data = draw.draw(at_seams(parts, chunk_size, delta + cap, _SEAM_HITS))
+    got = carve_strings(
+        data, min_len, chunk_size=chunk_size, cap=cap, near=(_LITERALS, _KEYS, delta)
+    )
+    assert strings_tuples(got) == _near_reference(data, min_len, cap, delta)
 
 
 @st.composite
@@ -356,9 +355,11 @@ def _literal_sets(draw):
     return literals
 
 
+_CODECS = {Encoding.ASCII: "ascii", Encoding.UTF16LE: "utf-16-le"}
+
+
 def _spellings(literals, encodings=BOTH_ENCODINGS):
-    codecs = {Encoding.ASCII: "ascii", Encoding.UTF16LE: "utf-16-le"}
-    return sorted({lit.encode(codecs[enc]) for lit in literals for enc in encodings})
+    return sorted({lit.encode(_CODECS[enc]) for lit in literals for enc in encodings})
 
 
 def _minimal(literals):
@@ -385,7 +386,7 @@ def test_keyword_search_finds_every_occurrence(data, literals, encodings):
     occurrence of every spelling of the literals that hold no other, the
     same as a ``bytes.find`` per spelling."""
     buf = data.draw(_keyword_images(literals))
-    near = carver._NearCarve(encodings, 1, 4096, re.compile("|".join(map(re.escape, literals))), 0)
+    near = carver._NearCarve(encodings, 1, 4096, literals, (), 0)
     want = []
     for spelling in _spellings(_minimal(literals), encodings):
         at = buf.find(spelling)
@@ -395,92 +396,113 @@ def test_keyword_search_finds_every_occurrence(data, literals, encodings):
     assert [(at, sp) for at, sp, _unit in near.occurrences(buf)] == sorted(want)
 
 
-def _near_by_buffer(data, min_len, encodings, chunk_size, cap, reach, hit_re):
-    """The keep rule applied to the full carve's own buffers: a piece is
-    kept if a hit in its buffer claims it, or if it starts within reach of
-    the carry before it or of the cut after it."""
-    buffers = list(fullcarve._buffers(
-        MemoryImage.from_bytes(data), list(encodings), min_len, cap, chunk_size
-    ))
-    rows, carried = [], 0
-    for i, (buf, base, offset, stop, unit) in enumerate(buffers):
-        cut = buffers[i + 1][1] - base if i + 1 < len(buffers) else len(buf)
-        pieces = [
-            (at, end, buf[at:end:u].decode(), "utf16le" if u == 2 else "ascii")
-            for at, end, u in zip(offset.tolist(), stop.tolist(), unit.tolist())
-        ]
-        claims = [(at - reach, end + reach) for at, end, text, _ in pieces if hit_re.search(text)]
-        rows += [
-            (base + at, text, enc)
-            for at, _end, text, enc in pieces
-            if at <= carried + reach or at >= cut - reach
-            or any(lo <= at <= hi for lo, hi in claims)
-        ]
-        carried = len(buf) - cut
-    return rows
-
-
 @settings(max_examples=120, deadline=None)
 @given(
     st.data(), _literal_sets(), _len_and_cap(), _chunky, st.integers(0, 200), _encoding_sets,
 )
 def test_near_keeps_exactly_what_the_full_carve_buffers_give(
-    data, literals, len_and_cap, chunk_size, reach, encodings
+    data, literals, len_and_cap, chunk_size, delta, encodings
 ):
     """The keyword carve reads the same buffers, cuts and carries as the
-    full carve, in plain Python, and keeps the same pieces in the same
-    order, whatever the literals."""
+    full carve, in plain Python, and keeps exactly the pieces the rule
+    picks from the full carve, in the same order, whatever the literals
+    and whichever of them are keys."""
     min_len, cap = len_and_cap
-    hit_re = re.compile("|".join(map(re.escape, literals)))
+    keys = data.draw(st.lists(st.sampled_from(literals), unique=True))
     fillers = (b"word " * 8, "word ".encode("utf-16-le") * 8, b"\0" * 40, b"\x01")
     image = data.draw(_keyword_images(literals, fillers))
     got = carve_strings(
-        image, min_len, encodings, chunk_size=chunk_size, cap=cap, near=(hit_re, reach)
+        image, min_len, encodings, chunk_size=chunk_size, cap=cap, near=(literals, keys, delta)
     )
-    assert strings_tuples(got) == _near_by_buffer(
-        image, min_len, encodings, chunk_size, cap, reach, hit_re
+    assert strings_tuples(got) == _near_reference(
+        image, min_len, cap, delta, literals, keys, encodings
     )
 
 
 @pytest.mark.parametrize("chunk_size", [50, 777, 4096])
-def test_near_keeps_only_seam_pieces_without_hits(chunk_size):
-    """With no keyword in the image, a piece is kept only within ``reach``
-    of a buffer seam, which lies within the carry bound of a chunk
-    boundary or of the image end."""
-    min_len, cap, reach = 4, 16, 100
+def test_near_keeps_nothing_without_literals(chunk_size):
+    """With no literal in the image, no piece holds one and none follows
+    a key, so nothing is kept, at any chunk size."""
     data = random_buffer([5151, chunk_size], 64 * 1024, 0.7)
-    # Every keyword holds an s, N or G, in either encoding.
+    # Every literal holds an s, N or G, in either encoding.
     data = data.replace(b"s", b"t").replace(b"N", b"t").replace(b"G", b"t")
-    got = list(carve_strings(
-        data, min_len, chunk_size=chunk_size, cap=cap, near=(_HIT_RE, reach)
-    ))
-    assert got
-    bound = reach + 2 * cap + 1
-    for s in got:
-        seam = min(s.offset % chunk_size, -s.offset % chunk_size, len(data) - s.offset)
-        assert seam <= bound
-    if chunk_size > 2 * bound:
-        assert len(got) < len(carve_numpy(data, min_len, cap)) // 2
-    assert _in_order_within(strings_tuples(got), carve_numpy(data, min_len, cap))
+    assert carve_numpy(data, 4, 16)
+    got = carve_strings(data, chunk_size=chunk_size, cap=16, near=(_LITERALS, _KEYS, 100))
+    assert list(got) == []
 
 
 @pytest.mark.parametrize("chunk_size", [1, 7, 64, 4096])
 @pytest.mark.parametrize("outside", [0, 1])
 def test_near_claim_edges(chunk_size, outside):
-    """A hit at 200 with reach 30 claims [170, 234] in ASCII and [170, 238]
-    in UTF-16LE, both ends included.  The pieces just outside are dropped
-    only when no seam lies within reach of them, that is when one chunk
-    holds the whole image.  A UTF-16LE piece starting on the claim's last
-    byte shows its min_len characters only well past it."""
+    """A key claims the piece right after it when that piece starts at
+    most delta bytes past the key's end: with delta 30, ``pass`` at 200
+    claims a piece at 234 in ASCII and at 238 in UTF-16LE, and not one a
+    byte further out.  The piece before the key is never kept."""
     for codec in ("ascii", "utf-16-le"):
         data = bytearray(300)
         end = 200 + len("pass".encode(codec)) + 30
-        for at, text in ((170 - outside, "wxyz"), (200, "pass"), (end + outside, "stuv")):
+        for at, text in ((170, "wxyz"), (200, "pass"), (end + outside, "stuv")):
             spelling = text.encode(codec)
             data[at : at + len(spelling)] = spelling
-        got = [s.text for s in carve_strings(bytes(data), chunk_size=chunk_size, near=(_HIT_RE, 30))]
-        dropped = outside and chunk_size >= len(data)
-        assert got == (["pass"] if dropped else ["wxyz", "pass", "stuv"]), codec
+        got = carve_strings(bytes(data), chunk_size=chunk_size, near=(_LITERALS, _KEYS, 30))
+        assert [s.text for s in got] == (["pass"] if outside else ["pass", "stuv"]), codec
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_near_keeps_the_value_after_a_key_across_every_seam(wide):
+    r"""``\0pass\0\0val1\0`` keeps the key and its value wherever a
+    chunk seam falls in it."""
+    unit = _encode([("\0pass\0\0val1\0", wide)])
+    data = b"\x01" * 100 + unit + b"\x01" * 20
+    encoding = "utf16le" if wide else "ascii"
+    want = [(100 + (1 + wide) * 1, "pass", encoding), (100 + (1 + wide) * 7, "val1", encoding)]
+    for chunk_size in range(100, 100 + len(unit) + 1):
+        got = carve_strings(data, chunk_size=chunk_size, near=(_LITERALS, _KEYS, 4))
+        assert strings_tuples(got) == want == _near_reference(data, 4, 4096, 4)
+
+
+@pytest.mark.parametrize("chunk_size", [1, 2, 3, 5, 4096])
+def test_near_keeps_a_utf16le_value_starting_on_the_key_last_byte(chunk_size):
+    r"""The UTF-16LE chain ``s\0v\0a\0l\0`` starts on the last byte of
+    an ASCII ``pass``, before the key ends: it comes right after the key,
+    since ASCII goes first only on a tie, and it is kept at delta 0."""
+    data = b"\x01pas" + "sval".encode("utf-16-le") + b"\x01"
+    got = strings_tuples(carve_strings(data, chunk_size=chunk_size, near=(_LITERALS, _KEYS, 0)))
+    assert got == [(1, "pass", "ascii"), (4, "sval", "utf16le")]
+    assert got == _near_reference(data, 4, 4096, 0)
+
+
+@pytest.mark.parametrize("tail", [
+    b"abcd\0\0" + "wxyz".encode("utf-16-le"),  # ASCII, then UTF-16LE
+    # one UTF-16LE parity, then the other
+    "\x01abcd\0".encode("utf-16-le") + b"\x01" + "wxyz".encode("utf-16-le"),
+    "\x01abcd\0".encode("utf-16-le") + b"wxyz",  # UTF-16LE, then ASCII
+])
+def test_near_keeps_the_nearest_piece_of_any_stream(tail):
+    """The piece after a key is the first of every stream's next pieces,
+    not the first stream's."""
+    data = b"\0pass\0" + tail + b"\0\0"
+    got = strings_tuples(carve_strings(data, near=(_LITERALS, _KEYS, 64)))
+    assert [row[1] for row in got] == ["pass", "abcd"]
+    assert got == _near_reference(data, 4, 4096, 64)
+
+
+@pytest.mark.parametrize("text, kept", [
+    # the key is the last cap piece of its run; its value is the next run
+    ("\0xxxxpass\0\0val1\0", ["pass", "val1"]),
+    # the key is the first cap piece; the next piece of its run follows it
+    ("\0passxxxx\0\0val1\0", ["pass", "xxxx"]),
+])
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("chunk_size", [1, 3, 4096])
+def test_near_key_as_a_cap_piece(text, kept, wide, chunk_size):
+    """A key cut from a long run by the cap is a key as well."""
+    data = _encode([(text, wide)])
+    got = strings_tuples(
+        carve_strings(data, cap=4, chunk_size=chunk_size, near=(_LITERALS, _KEYS, 4))
+    )
+    assert [row[1] for row in got] == kept
+    assert got == _near_reference(data, 4, 4, 4)
 
 
 @pytest.mark.parametrize("lead", range(0, 9))
@@ -488,7 +510,7 @@ def test_keyword_cut_by_cap_seam_is_no_hit(lead):
     """``pass`` is a hit only inside one cap piece, as the full scan sees it."""
     for wide in (False, True):
         data = _encode([("\0" + "x" * lead + "pass" + "y" * 12 + "\0", wide)])
-        got = strings_tuples(carve_strings(data, cap=8, near=(_HIT_RE, 0)))
+        got = strings_tuples(carve_strings(data, cap=8, near=(_LITERALS, _KEYS, 0)))
         assert got == _near_reference(data, 4, 8, 0)
         assert bool(got) == (lead % 8 <= 4)
 
@@ -505,26 +527,26 @@ def test_keyword_cut_by_cap_seam_is_no_hit(lead):
 def test_match_overlapping_an_occurrence_cut_at_a_cap_seam(
     literals, text, min_len, cap, kept, wide
 ):
-    hit_re = re.compile(literals)
+    literals = literals.split("|")
     data = _encode([(text, wide)])
-    got = strings_tuples(carve_strings(data, min_len, cap=cap, near=(hit_re, 0)))
+    got = strings_tuples(carve_strings(data, min_len, cap=cap, near=(literals, (), 0)))
     at, piece = kept
     assert got == [(at * (1 + wide), piece, "utf16le" if wide else "ascii")]
-    assert got == _near_reference(data, min_len, cap, 0, hit_re)
+    assert got == _near_reference(data, min_len, cap, 0, literals, ())
 
 
 @pytest.mark.parametrize("lead", [100, 101])  # both UTF-16LE parities
 @pytest.mark.parametrize("wide", [False, True])
 def test_keyword_run_shorter_than_min_len_is_no_hit(lead, wide):
-    """The run ``pass`` is a hit at min_len 4, claiming the next piece; at
-    min_len 5 it is no piece, so nothing is claimed."""
+    """The run ``pass`` is a key at min_len 4, and the next piece is kept;
+    at min_len 5 it is no piece, so nothing is kept."""
     data = b"\x01" * lead + _encode([("pass\0wordy\0", wide)]) + b"\x01" * 100
     encoding = "utf16le" if wide else "ascii"
     for min_len, want in (
         (4, [(lead, "pass", encoding), (lead + 5 * (1 + wide), "wordy", encoding)]),
         (5, []),
     ):
-        got = strings_tuples(carve_strings(data, min_len, near=(_HIT_RE, 10)))
+        got = strings_tuples(carve_strings(data, min_len, near=(_LITERALS, _KEYS, 10)))
         assert got == want == _near_reference(data, min_len, 4096, 10)
 
 
@@ -532,30 +554,26 @@ def test_near_finds_escaped_literals_in_both_encodings():
     """Literals holding regex operators, and one a single character long,
     which shares its byte with occurrences in the other encoding: the
     UTF-16LE ``u`` starts on an ASCII one, and ASCII ones sit on the
-    printable bytes of a UTF-16LE ``uxu``, the first ending an ASCII run
-    that only its own hit claims."""
+    printable bytes of a UTF-16LE ``uxu``, the first ending an ASCII run."""
     literals = ["a.b", "x+y", "GAUSR=mail:", "q r", "#&~", "(p)", "u", "uxu"]
-    hit_re = re.compile("|".join(map(re.escape, literals)))
     parts = [("\0" * 40 + f"zz{lit}zz", wide) for lit in literals for wide in (False, True)]
     parts += [("\0" * 40 + "zz", False), ("uxuzz", True), ("\0" * 40, False)]
     data = _encode(parts)
-    got = strings_tuples(carve_strings(data, 1, near=(hit_re, 0)))
-    assert got == _near_reference(data, 1, 4096, 0, hit_re)
+    got = strings_tuples(carve_strings(data, 1, near=(literals, (), 0)))
+    assert got == _near_reference(data, 1, 4096, 0, literals, ())
     for lit in literals:
         assert {enc for _at, text, enc in got if lit in text} == {"ascii", "utf16le"}
 
 
-@pytest.mark.parametrize("pattern", [
-    re.compile("pass.*"), re.compile("[pP]ass"), re.compile(r"\d+"),
-    re.compile(r"p\x61ss"), re.compile("(pass)"), re.compile("pass|"),
-    re.compile("a||b"), re.compile("pa\tss"), re.compile("pässword"),
-    re.compile("pass", re.IGNORECASE), re.compile(b"pass"),
-])
-def test_near_takes_only_literal_alternations(pattern):
-    """A pattern that could match text its literals miss is refused, on
-    the call, rather than searched for its literals alone."""
-    with pytest.raises(InvalidOptionError, match="near pattern"):
-        carve_strings(b"\0pass\0", near=(pattern, 0))
+@pytest.mark.parametrize("near", [
+    ([""], [], 0), (["pa\tss"], [], 0), (["pässword"], [], 0), ([b"pass"], [], 0),
+    ([], ["pass\n"], 0),
+], ids=["empty", "tab", "non-ascii", "bytes", "key-with-newline"])
+def test_near_refuses_literals_that_are_not_printable_ascii(near):
+    """Carved text is printable ASCII, so any other literal or key could
+    never be found; it is refused on the call."""
+    with pytest.raises(InvalidOptionError, match="near literal"):
+        carve_strings(b"\0pass\0", near=near)
 
 
 @settings(max_examples=100)
@@ -654,12 +672,13 @@ def test_gather_slices_change_nothing(monkeypatch, slots):
     data = bytes(data)
     whole = io.BytesIO()
     dump_strings(data, whole, chunk_size=65536)
-    near = strings_tuples(carve_strings(data, chunk_size=65536, near=(_HIT_RE, 300)))
+    near = strings_tuples(carve_strings(data, chunk_size=65536, near=(_LITERALS, _KEYS, 300)))
     monkeypatch.setattr(fullcarve, "_GATHER_SLOTS", slots)
     sliced = io.BytesIO()
     dump_strings(data, sliced, chunk_size=65536)
     assert sliced.getvalue() == whole.getvalue() == _lines_of(carve_numpy(data))
-    assert strings_tuples(carve_strings(data, chunk_size=65536, near=(_HIT_RE, 300))) == near
+    again = carve_strings(data, chunk_size=65536, near=(_LITERALS, _KEYS, 300))
+    assert strings_tuples(again) == near
     assert len(near) < len(carve_numpy(data))
 
 

@@ -20,7 +20,7 @@ from memsift import (
 def _finding(**over):
     base = dict(
         app_id="irctc", image_label="I1", username="ipsita689",
-        password_raw="durga21", password_decoded="durga21", encrypted=False,
+        password_raw="durga21", password_decoded="durga21",
         match_mode=MatchMode.INLINE, offset=0x1234, confidence=HIGH,
         context_snippet="userName=ipsita689&password=durga21",
         attributions=(Attribution(1532, "firefox.exe", 0x00401234),),
@@ -72,7 +72,7 @@ def test_text_and_json_carry_the_same_findings():
     doc = build_report(
         ["I1"], {"I1": [_finding(), _finding(offset=0x2000, app_id="sbi",
                                              password_raw="37f08c5d00de89cb3c26e50200ee7242",
-                                             password_decoded=None, encrypted=True)]},
+                                             password_decoded=None)]},
         deterministic=True,
     )
     text = render_text(doc)
@@ -86,7 +86,7 @@ def test_text_marks_encrypted_values():
     doc = build_report(
         ["I1"],
         {"I1": [_finding(password_raw="37f08c5d00de89cb3c26e50200ee7242",
-                         password_decoded=None, encrypted=True)]},
+                         password_decoded=None)]},
         deterministic=True,
     )
     assert "ENCRYPTED(37f08c5d00de89cb3c26e50200ee7242)" in render_text(doc)

@@ -345,7 +345,7 @@ class TestFindingInvariants:
     def _kw(self, **over):
         base = dict(
             app_id="irctc", image_label="t", username="u",
-            password_raw="p", password_decoded="p", encrypted=False,
+            password_raw="p", password_decoded="p",
             match_mode=MatchMode.INLINE, offset=0, confidence=LOW,
             context_snippet="", attributions=(), username_offset=None,
             password_offset=None,
@@ -358,9 +358,12 @@ class TestFindingInvariants:
             CredentialFinding(**self._kw(username=None, password_raw=None,
                                          password_decoded=None))
 
-    def test_encrypted_forbids_decoded(self):
-        with pytest.raises(ValueError):
-            CredentialFinding(**self._kw(encrypted=True))
+    @pytest.mark.parametrize("raw, decoded, encrypted", [
+        ("p", "p", False), ("p", None, True), (None, None, False),
+    ])
+    def test_encrypted_is_a_password_kept_undecoded(self, raw, decoded, encrypted):
+        f = CredentialFinding(**self._kw(password_raw=raw, password_decoded=decoded))
+        assert f.encrypted is encrypted
 
     def test_frozen(self):
         f = CredentialFinding(**self._kw())
@@ -422,7 +425,7 @@ class TestToFinding:
 def _finding(label, app, *, pw="x", attributions=(), conf=HIGH):
     return CredentialFinding(
         app_id=app, image_label=label, username="u",
-        password_raw=pw, password_decoded=pw, encrypted=False,
+        password_raw=pw, password_decoded=pw,
         match_mode=MatchMode.INLINE, offset=0, confidence=conf,
         context_snippet="", attributions=attributions,
     )
@@ -431,7 +434,7 @@ def _finding(label, app, *, pw="x", attributions=(), conf=HIGH):
 def _userals(label, app):
     return CredentialFinding(
         app_id=app, image_label=label, username="u",
-        password_raw=None, password_decoded=None, encrypted=False,
+        password_raw=None, password_decoded=None,
         match_mode=MatchMode.INLINE, offset=0, confidence=LOW,
         context_snippet="", attributions=(),
     )
@@ -447,6 +450,8 @@ class TestPresenceMatrix:
         assert browser_tag("Mozilla Firefox") == "MF"
         assert browser_tag("chrome.exe") == "GC"
         assert browser_tag("Google Chrome") == "GC"
+        assert browser_tag("MF") == "MF"
+        assert browser_tag("gc") == "GC"
         assert browser_tag("svchost.exe") is None
         assert browser_tag(None) is None
 
@@ -692,12 +697,22 @@ def _seam_login(login, wide):
     return text.encode("utf-16-le" if wide else "ascii"), at * (1 + wide)
 
 
+def _seam_value(key, gap, value, split, wide):
+    """A key, NULs, then its value; and a byte of the value, so that the
+    key's next string, or the gap before it, may cross the seam."""
+    text = f"\0{key}" + "\0" * gap + f"{value}\0"
+    return text.encode("utf-16-le" if wide else "ascii"), (len(key) + 1 + gap + split) * (1 + wide)
+
+
 _SEAM_LOGINS = st.builds(
     _seam_login,
     st.one_of(
         st.builds(lambda form, u, p: form.format(u=u, p=p), st.sampled_from(_INLINE), _value, _value),
         st.builds(lambda key, value: f"{key}\0{value}", st.sampled_from(_KEYS), _value),
     ),
+    st.booleans(),
+) | st.builds(
+    _seam_value, st.sampled_from(_KEYS), st.integers(1, 250), _value, st.integers(0, 8),
     st.booleans(),
 )
 
