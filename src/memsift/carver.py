@@ -14,16 +14,24 @@ as a pair whose NUL may still arrive), so its last cap piece is not
 settled yet.  The cut is the start of the earliest unsettled piece.  Every
 piece starting before the cut is settled, and the bytes from the cut on
 are carried into the next buffer, where the open run is found again.  The
-carry is therefore always under ``2*cap+1`` bytes.  Each stream resumes at
-the end of the last piece it emitted, so a run found again keeps its cap
-grid.  The settled pieces are thus the same whatever chunk size the image
-is read with, which the brute-force reference carve in the test suite
-checks.
+carry is therefore under one cap piece of the widest stream, ``2*cap``
+bytes.  Each stream resumes at the end of the last piece it emitted, so a
+run found again keeps its cap grid.  The settled pieces are thus the same
+whatever chunk size the image is read with, which the brute-force
+reference carve in the test suite checks.  ``_buffers`` is the one loop
+over the chunks that does all this, for both carves below: it yields each
+buffer with its streams, each knowing where it resumes, and its cut.  A
+stream finds the run holding a position by reading out from it, and
+remembers it for the buffer, so no run is read twice however many
+lookups land in it.  Read backwards, a window past the first, short one
+that lies wholly inside the run is told by translating its bytes, so
+only the window that holds the run's start is read with a regex.
 
 The full carve, every piece of the image, is ``carve_strings`` without
-``near`` and ``dump_strings`` (``memsift strings``).  It finds every run
-of a buffer at once with numpy, in ``memsift.fullcarve``, which only
-those two calls import.
+``near`` and ``dump_strings`` (``memsift strings``).  It finds each
+stream's long runs in a buffer at once with numpy and keeps their cap
+pieces from the stream's floor up to the cut, in ``memsift.fullcarve``,
+which only those two calls import.
 
 The keyword scan asks ``carve_strings(near=(literals, keys, delta))`` for
 the pieces its matcher reads, and that path is plain Python.  A piece is
@@ -41,9 +49,7 @@ the run's cap grid, and a kept piece is a key if its bytes are a key's
 spelling, so no piece is decoded to be tested.  The piece after a key is
 the first one of any stream in the order pieces are yielded, found by a
 search forward from the key that stops at ``delta``; when it may lie
-past the cut, the search goes on in the next buffer.  A run's extent is
-found by reading out from a position and is remembered for the buffer,
-so no run is read twice however many lookups land in it.  Printable text
+past the cut, the search goes on in the next buffer.  Printable text
 that holds no literal and follows no key is searched but never carved,
 and the scan never loads numpy.
 """
@@ -54,7 +60,7 @@ import re
 from bisect import bisect_right
 from enum import Enum
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, starmap
 from pathlib import Path
 from typing import IO, BinaryIO, Iterable, Iterator, NamedTuple
 
@@ -97,6 +103,17 @@ class ExtractedString(NamedTuple):
 # long run leaves no backtracking state behind.
 _FORWARD = (None, re.compile(rb"[\x20-\x7e]*+"), re.compile(rb"(?:[\x20-\x7e]\x00)*+"))
 _BACKWARD = (None, re.compile(rb"[\x20-\x7e]*+"), re.compile(rb"(?:\x00[\x20-\x7e])*+"))
+_PRINTABLE = bytes(range(0x20, 0x7F))
+# A printable byte reads 1, a NUL 0 and any other byte 2, so UTF-16LE
+# characters read 1, 0, 1, 0, ...
+_CLASSES = bytes(1 if 0x20 <= b <= 0x7E else 2 if b else 0 for b in range(256))
+
+
+@lru_cache(maxsize=16)
+def _long_run(unit: int, min_len: int) -> re.Pattern:
+    """``min_len`` characters of ``unit`` bytes each, at either parity."""
+    char = rb"[\x20-\x7e]" if unit == 1 else rb"(?:[\x20-\x7e]\x00)"
+    return re.compile(char + b"{%d}" % min_len)
 
 
 def _trie(tails: list[bytes], klass: bytes = b"") -> bytes:
@@ -140,9 +157,7 @@ class _Stream:
         floor = max(floor, 0)
         self.floor = floor + (floor - parity) % unit
         self.span, self.min_bytes = unit * cap, unit * min_len
-        # min_len characters, at either parity
-        char = rb"[\x20-\x7e]" if unit == 1 else rb"(?:[\x20-\x7e]\x00)"
-        self.long_run = re.compile(char + b"{%d}" % min_len)
+        self.long_run = _long_run(unit, min_len)
         self.starts: list[int] = []  # the runs found so far, ascending
         self.ends: list[int] = []
 
@@ -173,22 +188,36 @@ class _Stream:
         i = bisect_right(self.starts, x)
         if i and x < self.ends[i - 1]:
             return self.starts[i - 1], self.ends[i - 1]
-        # The run starts past the run found before it, and only the window
-        # read backwards grows, by a factor each time, so the cost follows
-        # the run's length.
-        lo, width = self.ends[i - 1] if i else self.floor, 256
-        while True:
+        # The run starts past the run found before it.  The window read
+        # backwards grows by a factor each time, so the cost follows the
+        # run's length.  Past the first, short window, one wholly inside
+        # the run is told by ``inside``, and only the one that holds the
+        # run's start is read with the regex, which reads a byte several
+        # times slower.
+        lo, start, width = self.ends[i - 1] if i else self.floor, x, 256
+        while start > lo:
             first = max(lo, x - width)
-            back = _BACKWARD[self.unit].match(self.buf[first:x][::-1]).end()
-            if back < x - first or first == lo:
-                break
+            if width > 256 and self.inside(first, start):
+                start = first
+            else:
+                start -= _BACKWARD[self.unit].match(self.buf[first:start][::-1]).end()
+                if start > first:
+                    break
             width *= 4
         end = _FORWARD[self.unit].match(self.buf, x).end()
         if self.unit == 2 and self.member(end):  # the lone last byte
             end += 2
-        self.starts.insert(i, x - back)
+        self.starts.insert(i, start)
         self.ends.insert(i, end)
-        return x - back, end
+        return start, end
+
+    def inside(self, first: int, last: int) -> bool:
+        """Whether every position in [first, last) holds a character,
+        ``last`` being a position that does."""
+        buf = self.buf
+        if self.unit == 1:
+            return not buf[first:last].translate(None, _PRINTABLE)
+        return buf[first:last].translate(_CLASSES) == b"\1\0" * ((last - first) // 2)
 
     def holding(self, x: int, length: int) -> tuple[int, int] | None:
         """``(start, stop)`` of the piece that holds all of bytes
@@ -228,11 +257,56 @@ class _Stream:
         return start, min(start + self.span, end)
 
 
-class _NearCarve:
-    """``carve_strings(near=(literals, keys, delta))``: per buffer, the
-    pieces that hold a literal, and the piece right after each key."""
+def _buffers(
+    image: MemoryImage, wanted: list[Encoding], min_len: int, cap: int, chunk_size: int
+) -> Iterator[tuple[bytes, int, dict[tuple[int, int], _Stream], int]]:
+    """Yield ``(buf, base, streams, cut)`` per buffer: the carry plus the
+    next chunk, its absolute offset, its wanted streams by (bytes per
+    character, parity in the buffer), ASCII first, and the cut.  A
+    buffer's pieces are those that start at or past their stream's floor
+    and before the cut.  The last buffer is all carry."""
+    kinds = [(1, 0)] if Encoding.ASCII in wanted else []
+    if Encoding.UTF16LE in wanted:
+        kinds += [(2, 0), (2, 1)]
+    # Per stream, by (bytes per character, absolute parity), the absolute
+    # offset it resumes at.
+    resume = dict.fromkeys(kinds, 0)
+    carry, base = b"", 0
+    for chunk in chain(image.chunks(chunk_size), [None]):
+        final = chunk is None
+        buf = carry if final else carry + chunk
+        n = len(buf)
+        streams = {
+            (unit, q): _Stream(buf, final, unit, q, resume[unit, (base + q) % unit] - base,
+                               min_len, cap)
+            for unit, q in kinds
+        }
+        cut = n
+        if not final:
+            # The start of the last, unsettled cap piece of each stream's
+            # run at the buffer end.
+            for st in streams.values():
+                end_run = st.run(st.at(n - 1))
+                if end_run:
+                    start = end_run[0]
+                    cut = min(cut, start + (n - start) // st.span * st.span)
+            # A stream resumes after its piece across the cut, if it has
+            # one.  Every earlier piece ends by the cut, where the next
+            # buffer starts.
+            for (unit, q), st in streams.items():
+                across = st.holding(st.at(cut), 1)
+                if across and across[0] < cut:
+                    resume[unit, (base + q) % unit] = base + across[1]
+        yield buf, base, streams, cut
+        carry, base = buf[cut:], base + cut
 
-    def __init__(self, wanted, min_len, cap, literals, keys, delta):
+
+class _NearCarve:
+    """``carve_strings(near=(literals, keys, delta))``: per buffer of
+    ``_buffers``, the pieces that hold a literal, and the piece right after
+    each key, found through the buffer's streams."""
+
+    def __init__(self, wanted, literals, keys, delta):
         literals = {*literals, *keys}
         for literal in literals:
             if not (isinstance(literal, str) and literal.isascii() and literal.isprintable()
@@ -262,27 +336,10 @@ class _NearCarve:
         tails = tuple(sp.translate(self.table)[1:] for group in self.spellings.values()
                       for sp, _ in group)
         self.candidates = _candidates(tails, klass)
-        self.delta, self.min_len, self.cap = delta, min_len, cap
-        # (bytes per character, parity) of each wanted stream, ASCII first
-        self.kinds = [(1, 0)] if Encoding.ASCII in wanted else []
-        if Encoding.UTF16LE in wanted:
-            self.kinds += [(2, 0), (2, 1)]
-
-    def carve(self, image: MemoryImage, chunk_size: int) -> Iterator[list[ExtractedString]]:
-        """Per buffer, the pieces kept.  Each buffer's are yielded before
-        the next chunk is read.  The buffers, cuts and carries are those of
-        ``memsift.fullcarve._buffers``, and so is ``resume``."""
-        # Per stream, the absolute offset it resumes at; and the last byte
-        # at which the piece after the key that ended the previous buffer's
-        # pieces may start, if that piece may still come.
-        self.resume, self.pending = [0, 0, 0], None
-        carry, base = b"", 0
-        for chunk in chain(image.chunks(chunk_size), [None]):
-            final = chunk is None
-            buf = carry if final else carry + chunk
-            kept, cut = self.buffer(buf, base, final)
-            yield kept
-            carry, base = buf[cut:], base + cut
+        self.delta = delta
+        # The last byte at which the piece after the key that ended the
+        # previous buffer's pieces may start, if that piece may still come.
+        self.pending = None
 
     def occurrences(self, buf: bytes) -> list[tuple[int, bytes, int]]:
         """``(offset, spelling, bytes per character)`` of every occurrence
@@ -295,9 +352,10 @@ class _NearCarve:
             if buf.startswith(spelling, x)
         ]
 
-    def buffer(self, buf: bytes, base: int, final: bool) -> tuple[list[ExtractedString], int]:
-        """The pieces kept in a buffer that starts at absolute ``base``, and
-        the cut.
+    def buffer(
+        self, buf: bytes, base: int, streams: dict[tuple[int, int], _Stream], cut: int
+    ) -> list[ExtractedString]:
+        """The pieces kept in a buffer of ``_buffers``.
 
         A piece is kept if it holds all of an occurrence of a literal, or
         if it comes right after a piece whose text is a key, in the order
@@ -306,38 +364,6 @@ class _NearCarve:
         next piece may lie at or past the cut leaves the search for it to
         the next buffer.
         """
-        n, resume = len(buf), self.resume
-
-        def slot(unit: int, q: int) -> int:  # the stream's index into resume
-            return 0 if unit == 1 else 1 + (base + q) % 2
-
-        streams = {
-            (unit, q): _Stream(
-                buf, final, unit, q, resume[slot(unit, q)] - base, self.min_len, self.cap
-            )
-            for unit, q in self.kinds
-        }
-
-        # The cut: the start of the last, unsettled cap piece of each
-        # stream's run at the buffer end.
-        cut = n
-        if not final:
-            for st in streams.values():
-                end_run = st.run(st.at(n - 1))
-                if end_run:
-                    start = end_run[0]
-                    cut = min(cut, start + (n - start) // st.span * st.span)
-        # A stream resumes after its piece across the cut, if it has one.
-        # Every earlier piece ends by the cut, where the next buffer starts.
-        for (unit, q), st in streams.items():
-            across = st.run(st.at(cut))
-            if across and across[0] < cut:
-                start, end = across
-                at = cut - (cut - start) % st.span
-                stop = min(at + st.span, end)
-                if at < cut and stop - at >= st.min_bytes:
-                    resume[slot(unit, q)] = base + stop
-
         rows: set[tuple[int, int, int]] = set()
         keys = []
         for x, spelling, unit in self.occurrences(buf):
@@ -374,7 +400,7 @@ class _NearCarve:
                 base + at, buf[at:stop:unit].decode("ascii"), _BY_UNIT[unit], stop - at
             ))
             for at, unit, stop in sorted(rows)
-        ], cut
+        ]
 
 
 def _checked(
@@ -394,7 +420,12 @@ def _checked(
         raise InvalidOptionError("chunk_size must be at least 1")
     if chunk_size > MAX_CHUNK_SIZE:
         raise InvalidOptionError(f"chunk_size must be at most {MAX_CHUNK_SIZE}")
-    wanted = list(dict.fromkeys(Encoding(e) for e in encodings))
+    if isinstance(encodings, str):
+        raise InvalidOptionError("encodings must be a collection of names, not one string")
+    try:
+        wanted = list(dict.fromkeys(map(Encoding, encodings)))
+    except ValueError as exc:
+        raise InvalidOptionError(f"{exc}; expected {', '.join(BOTH_ENCODINGS)}") from None
     if not wanted:
         raise InvalidOptionError("at least one encoding is required")
     if isinstance(image, (bytes, bytearray)):
@@ -417,7 +448,7 @@ def carve_strings(
     stream is merged by offset (ASCII first on the rare exact tie).  The
     options are checked when this is called, not when the stream is first
     read.  The stream holds only the current chunk plus a carry of under
-    ``2*cap+1`` bytes, so peak memory does not depend on image size.
+    ``2*cap`` bytes, so peak memory does not depend on image size.
 
     ``near=(literals, keys, delta)`` keeps two kinds of piece, in the same
     order: a piece that holds all of an occurrence of a literal, and the
@@ -436,8 +467,9 @@ def carve_strings(
     literals, keys, delta = near
     if delta < 0:
         raise InvalidOptionError("delta must be at least 0")
-    near_carve = _NearCarve(wanted, min_len, cap, literals, tuple(keys), delta)
-    return chain.from_iterable(near_carve.carve(image, chunk_size))
+    near_carve = _NearCarve(wanted, literals, tuple(keys), delta)
+    buffers = _buffers(image, wanted, min_len, cap, chunk_size)
+    return chain.from_iterable(starmap(near_carve.buffer, buffers))
 
 
 def dump_strings(

@@ -2,14 +2,16 @@
 
 ``carve_strings`` without ``near`` and ``dump_strings`` (``memsift
 strings``) come here, so only they load numpy; the piece rules are the
-ones ``memsift.carver`` describes.  Each stream's runs (ASCII, and
-UTF-16LE read as little-endian words at each byte parity) are found on
-its mask ANDed with itself shifted, so runs shorter than ``min_len`` never
-leave numpy; the one kept anyway is the run that touches the buffer end,
-which fixes the cut.  ``carve`` builds a buffer's pieces as strings.
-``dump`` builds none: it lays a buffer's ``offset:text`` lines out as one
-byte array, the decimal digits by vectorised division and the characters
-gathered by index, and writes it at once.
+ones ``memsift.carver`` describes.  The buffers come from
+``carver._buffers``, each with its streams, where each resumes, and its
+cut.  Each stream's runs (ASCII, and UTF-16LE read as little-endian words
+at its byte parity) are found on its mask ANDed with itself shifted, so
+runs shorter than ``min_len`` never leave numpy, and each is cut into cap
+pieces from the stream's floor up to the cut.  ``carve`` builds a
+buffer's pieces as strings.  ``dump`` builds none: it lays a buffer's
+``offset:text`` lines out as one byte array, the decimal digits by
+vectorised division and the characters gathered by index, and writes it
+at once.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import BinaryIO, Iterator
 
 import numpy as np
 
-from .carver import _BY_UNIT, Encoding, ExtractedString
+from .carver import _BY_UNIT, Encoding, ExtractedString, _buffers, _Stream
 from .corpus import MemoryImage
 
 _NO_INDEX = np.zeros(0, np.intp)
@@ -31,8 +33,7 @@ _GATHER_SLOTS = 1 << 18
 
 def _runs(mask: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
     """Start and end indices of the maximal True runs of a boolean mask that
-    are at least ``length`` long, then of the run that touches the mask's
-    end whatever its length.
+    are at least ``length`` long.
 
     A run is that long iff it holds a window of ``length`` Trues.  The
     window mask ANDs the mask with itself shifted, the shift doubling and
@@ -45,15 +46,7 @@ def _runs(mask: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
         window = window[:-step] & window[step:]
         width += step
     edges = np.flatnonzero(np.diff(window, prepend=False, append=False))
-    starts, ends = edges[::2], edges[1::2] + (length - 1)
-    n = mask.size
-    if n and mask[-1] and not (ends.size and ends[-1] == n):
-        # A shorter end run lies within the last length - 1 places.
-        lead = max(n - length + 1, 0)
-        gaps = np.flatnonzero(~mask[lead:])
-        start = lead + (int(gaps[-1]) + 1 if gaps.size else 0)
-        starts, ends = np.append(starts, start), np.append(ends, n)
-    return starts, ends
+    return edges[::2], edges[1::2] + (length - 1)
 
 
 def _cap_pieces(
@@ -67,91 +60,46 @@ def _cap_pieces(
 
 
 def _spans(
-    buf: bytes,
-    base: int,
-    wanted: list[Encoding],
-    resume: list[int],
-    min_len: int,
-    cap: int,
-    final: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Find the settled pieces of a buffer that starts at absolute offset
-    ``base``.
+    buf: bytes, base: int, streams: dict[tuple[int, int], _Stream], cut: int
+) -> tuple[bytes, int, np.ndarray, np.ndarray, np.ndarray]:
+    """The pieces of a buffer of ``carver._buffers``, as ``(buf, base,
+    offset, stop, unit)``: their buffer indices ``offset`` and ``stop`` and
+    their bytes per character ``unit``, ordered by (offset, ASCII first).
 
-    Returns the pieces' buffer indices ``offset`` and ``stop`` and their
-    bytes per character ``unit``, ordered by (offset, ASCII first), and the
-    cut, the buffer index the next buffer starts at.  Only runs of at least
-    ``min_len`` characters, and the run at the buffer end, leave numpy;
-    UTF-16LE is read as words.  ``resume`` holds, per stream (ASCII, then
-    UTF-16LE at absolute parity 0 and 1), the absolute end of the last piece
-    it emitted; it is updated in place.
+    Each stream's runs of at least ``min_len`` characters are found on its
+    mask, UTF-16LE read as words; each run starts no earlier than the
+    stream's floor and is cut into cap pieces, and the pieces that start
+    before the cut are kept.
     """
-    n = len(buf)
-    streams = []  # (stream, bytes per char, run starts, run ends)
-    if Encoding.ASCII in wanted:
-        # uint8 arithmetic wraps, so one compare tests 0x20..0x7e.
-        printable = np.frombuffer(buf, np.uint8) - np.uint8(0x20) < 0x5F
-        streams.append((0, 1, *_runs(printable, min_len)))
-    if Encoding.UTF16LE in wanted and n:
-        for q in (0, 1):
-            # A printable byte then a NUL is one little-endian word in
-            # 0x20..0x7e.
-            words = np.frombuffer(buf, "<u2", (n - q) // 2, q)
-            pair = words - np.uint16(0x20) < 0x5F
-            if (n - q) % 2 and not final:  # its NUL may still arrive
-                pair = np.append(pair, 0x20 <= buf[-1] <= 0x7E)
-            starts, ends = _runs(pair, min_len)
-            streams.append((1 + (base + q) % 2, 2, 2 * starts + q, 2 * ends + q))
-
-    cut = n
-    if not final:
-        for k, unit, starts, ends in streams:
-            if ends.size and ends[-1] >= n:
-                span = unit * cap
-                start = max(int(starts[-1]), resume[k] - base)
-                cut = min(cut, start + (n - start) // span * span)
-
     offsets, stops, units = [], [], []
-    for k, unit, starts, ends in streams:
-        if not starts.size:
-            continue
-        starts = np.maximum(starts, resume[k] - base)
-        keep = (ends - starts >= unit * min_len) & (starts < cut)
+    for st in streams.values() if buf else ():  # frombuffer rejects b"" at parity 1
+        unit, q = st.unit, st.parity
+        # A printable byte then a NUL is one little-endian word in
+        # 0x20..0x7e, and unsigned arithmetic wraps, so one compare tests
+        # either.
+        chars = np.frombuffer(buf, "<u%d" % unit, (len(buf) - q) // unit, q)
+        starts, ends = _runs(chars - chars.dtype.type(0x20) < 0x5F, st.min_bytes // unit)
+        if unit == 2:  # word indices to buffer indices
+            starts, ends = 2 * starts + q, 2 * ends + q
+        starts = np.maximum(starts, st.floor)
+        keep = (ends - starts >= st.min_bytes) & (starts < cut)
         starts, ends = starts[keep], ends[keep]
         if not starts.size:
             continue
-        if (ends - starts).max() > unit * cap:
-            starts, ends = _cap_pieces(starts, ends, unit * cap)
-            keep = (ends - starts >= unit * min_len) & (starts < cut)
+        if (ends - starts).max() > st.span:
+            starts, ends = _cap_pieces(starts, ends, st.span)
+            keep = (ends - starts >= st.min_bytes) & (starts < cut)
             starts, ends = starts[keep], ends[keep]
-        resume[k] = base + int(ends[-1])
         offsets.append(starts)
         stops.append(ends)
         units.append(np.full(starts.size, unit, np.int8))
     if not offsets:
-        return _NO_INDEX, _NO_INDEX, _NO_INDEX.astype(np.int8), cut
+        return buf, base, _NO_INDEX, _NO_INDEX, _NO_INDEX.astype(np.int8)
     offset, stop, unit = (np.concatenate(x) for x in (offsets, stops, units))
     if len(offsets) > 1:
         order = np.lexsort((unit, offset))
         offset, stop, unit = offset[order], stop[order], unit[order]
-    return offset, stop, unit, cut
-
-
-def _buffers(
-    image: MemoryImage, wanted: list[Encoding], min_len: int, cap: int, chunk_size: int
-) -> Iterator[tuple[bytes, int, np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield ``(buf, base, offset, stop, unit)`` per buffer: the buffer, its
-    absolute offset and its settled pieces (see ``_spans``).  The last
-    buffer is all carry, and every piece in it lies before the end of the
-    previous buffer."""
-    resume = [0, 0, 0]
-    carry, base = b"", 0
-    for chunk in chain(image.chunks(chunk_size), [None]):
-        final = chunk is None
-        buf = carry if final else carry + chunk
-        offset, stop, unit, cut = _spans(buf, base, wanted, resume, min_len, cap, final)
-        yield buf, base, offset, stop, unit
-        carry, base = buf[cut:], base + cut
+    return buf, base, offset, stop, unit
 
 
 def _gather(
@@ -233,7 +181,8 @@ def carve(
     # starmap lets go of each buffer once its strings are built, and chain
     # of its strings once they are read, so neither is held while the next
     # buffer is carved.
-    return chain.from_iterable(starmap(_strings, _buffers(image, wanted, min_len, cap, chunk_size)))
+    buffers = _buffers(image, wanted, min_len, cap, chunk_size)
+    return chain.from_iterable(starmap(_strings, starmap(_spans, buffers)))
 
 
 def dump(
@@ -250,4 +199,5 @@ def dump(
 
     # starmap lets go of each buffer once it is written, so it is not held
     # while the next buffer is carved.
-    return sum(starmap(write, _buffers(image, wanted, min_len, cap, chunk_size)))
+    buffers = _buffers(image, wanted, min_len, cap, chunk_size)
+    return sum(starmap(write, starmap(_spans, buffers)))

@@ -279,8 +279,6 @@ def _match_region(
         if "=" not in s.text or not hit_re.search(s.text):
             continue
         pairs = parse_form_pairs(s)
-        if not pairs:
-            continue
         for sig in catalog:
             m = match_inline(s, sig, pairs=pairs)
             if m is not None:

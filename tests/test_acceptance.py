@@ -12,6 +12,7 @@ wall-clock.
 import json
 import time
 import tracemalloc
+from itertools import starmap
 
 import numpy as np
 import pytest
@@ -38,7 +39,8 @@ from memsift import (
     template_by_id,
 )
 from memsift.cli import main
-from memsift.fullcarve import _buffers
+from memsift.carver import _buffers
+from memsift.fullcarve import _spans
 
 from oracles import carve_bruteforce, carve_numpy, random_buffer
 
@@ -160,7 +162,10 @@ def _carved_spans(data: bytes, chunk_size: int) -> tuple[np.ndarray, ...]:
     character) arrays, read off its buffers with no string built."""
     image = MemoryImage.from_bytes(data)
     buffers = _buffers(image, list(BOTH_ENCODINGS), 4, 4096, chunk_size)
-    parts = [(offset + base, stop + base, unit) for _buf, base, offset, stop, unit in buffers]
+    parts = [
+        (offset + base, stop + base, unit)
+        for _buf, base, offset, stop, unit in starmap(_spans, buffers)
+    ]
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 

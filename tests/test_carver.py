@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from memsift import (
     BOTH_ENCODINGS,
+    DEFAULT_CAP,
     Encoding,
     ExtractedString,
     MemoryImage,
@@ -48,11 +49,11 @@ def _len_and_cap(draw):
 
 
 def _long_runs_reference(mask, length):
-    """(start, end) of each maximal True run at least ``length`` long, and
-    of the run that touches the mask's end, from plain edge diffs."""
+    """(start, end) of each maximal True run at least ``length`` long, from
+    plain edge diffs."""
     edges = np.flatnonzero(np.diff(mask.astype(np.int8), prepend=0, append=0))
     starts, ends = edges[::2], edges[1::2]
-    keep = (ends - starts >= length) | (ends == mask.size)
+    keep = ends - starts >= length
     return list(zip(starts[keep].tolist(), ends[keep].tolist()))
 
 
@@ -68,7 +69,7 @@ def _run_masks(draw):
 
 @settings(max_examples=300)
 @given(_run_masks(), st.integers(1, 70) | st.just(4096))
-def test_runs_keeps_long_runs_and_the_end_run(mask, length):
+def test_runs_keeps_long_runs(mask, length):
     starts, ends = fullcarve._runs(mask, length)
     assert list(zip(starts.tolist(), ends.tolist())) == _long_runs_reference(mask, length)
 
@@ -145,6 +146,8 @@ def test_encoding_restriction():
     (dict(encodings=()), "at least one encoding is required"),
     (dict(near=(["pass"], ["pass"], -1)), "delta must be at least 0"),
     (dict(chunk_size=(1 << 30) + 1), "chunk_size must be at most 1073741824"),
+    (dict(encodings=["latin1"]), "'latin1' is not a valid Encoding; expected ascii, utf16le"),
+    (dict(encodings="ascii"), "encodings must be a collection of names, not one string"),
 ])
 def test_bad_options_raise_on_call(bad, message):
     # Raised by the call itself, before any string is pulled.
@@ -159,6 +162,25 @@ def test_cap_splits_long_runs():
     data = b"A" * 10000
     rows = list(carve_strings(data, cap=4096))
     assert [(s.offset, len(s.text)) for s in rows] == [(0, 4096), (4096, 4096), (8192, 1808)]
+
+
+@pytest.mark.parametrize("codec, lead", [("ascii", 0), ("utf-16-le", 0), ("utf-16-le", 1)])
+def test_run_across_whole_buffers_is_its_cap_pieces(codec, lead):
+    """A 3 MiB run spans whole buffers at the default chunk size and
+    comes out as exactly its cap pieces, laid from its start, whether
+    carved or written, at both byte parities in UTF-16LE."""
+    unit = len("w".encode(codec))
+    text = "word " * ((3 << 20) // unit // 5)  # the last piece falls short of the cap
+    data = b"\x01" * lead + text.encode(codec) + b"\x01"
+    encoding = "ascii" if unit == 1 else "utf16le"
+    want = [
+        (lead + unit * at, text[at : at + DEFAULT_CAP], encoding)
+        for at in range(0, len(text), DEFAULT_CAP)
+    ]
+    assert strings_tuples(carve_strings(data)) == want
+    sink = io.BytesIO()
+    assert dump_strings(data, sink) == len(want)
+    assert sink.getvalue() == _lines_of(want)
 
 
 def test_cap_tail_below_min_len_dropped():
@@ -386,7 +408,7 @@ def test_keyword_search_finds_every_occurrence(data, literals, encodings):
     occurrence of every spelling of the literals that hold no other, the
     same as a ``bytes.find`` per spelling."""
     buf = data.draw(_keyword_images(literals))
-    near = carver._NearCarve(encodings, 1, 4096, literals, (), 0)
+    near = carver._NearCarve(encodings, literals, (), 0)
     want = []
     for spelling in _spellings(_minimal(literals), encodings):
         at = buf.find(spelling)
@@ -653,7 +675,9 @@ def test_dump_digits_at_any_base(base):
     """A buffer at ``base`` writes absolute offsets: the digit count may
     change between its lines, and offsets past int32 keep every digit."""
     buf = b"abcd\x00efgh\x01" + "wxyz".encode("utf-16-le") + b"\x02" + b"k" * 9
-    offset, stop, unit, _ = _spans(buf, base, list(BOTH_ENCODINGS), [0, 0, 0], 4, 4096, True)
+    kinds = ((1, 0), (2, 0), (2, 1))
+    streams = {kind: carver._Stream(buf, True, *kind, 0, 4, 4096) for kind in kinds}
+    _, _, offset, stop, unit = _spans(buf, base, streams, len(buf))
     want = "".join(
         f"{base + s}:{buf[s:e:u].decode()}\n"
         for s, e, u in zip(offset.tolist(), stop.tolist(), unit.tolist())

@@ -26,8 +26,8 @@ from memsift.errors import (
 )
 from memsift.fabricator import BLOCK_SIZE, MIN_PLACEMENT_GAP, _EXCLUDED, _filler_block
 
-from conftest import SMALL_PMAP, small_plan
 from oracles import FORBIDDEN_TOKENS, has_token
+from plans import SMALL_PMAP, small_plan
 
 
 def _plan_of(*images: PlannedImage) -> FabricationPlan:
