@@ -403,6 +403,12 @@ class _NearCarve:
         ]
 
 
+def _check_int(name: str, value: object) -> None:
+    # ``type``, not ``isinstance``, which would take True and False.
+    if type(value) is not int:
+        raise InvalidOptionError(f"{name} must be an integer, not {value!r}")
+
+
 def _checked(
     image: MemoryImage | bytes,
     min_len: int,
@@ -412,6 +418,8 @@ def _checked(
 ) -> tuple[MemoryImage, list[Encoding]]:
     """The image as a MemoryImage and the wanted encodings, once the
     options are checked."""
+    for name, value in (("min_len", min_len), ("cap", cap), ("chunk_size", chunk_size)):
+        _check_int(name, value)
     if min_len < 1:
         raise InvalidOptionError("min_len must be at least 1")
     if cap < min_len:
@@ -465,6 +473,7 @@ def carve_strings(
 
         return carve(image, wanted, min_len, cap, chunk_size)
     literals, keys, delta = near
+    _check_int("delta", delta)
     if delta < 0:
         raise InvalidOptionError("delta must be at least 0")
     near_carve = _NearCarve(wanted, literals, tuple(keys), delta)

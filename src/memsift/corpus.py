@@ -185,6 +185,9 @@ class MemoryImage:
 
     def read_at(self, offset: int, length: int) -> bytes:
         """Re-read a small slice, used to verify findings against raw bytes."""
+        for name, value in (("offset", offset), ("length", length)):
+            if value < 0:
+                raise ValueError(f"{name} must be at least 0, not {value}")
         with self.open() as handle:
             handle.seek(offset)
             return handle.read(length)

@@ -1,40 +1,34 @@
 """End-to-end credential scan over carved strings.
 
 The scan is keyword-first.  Signature keywords are rare, so only the
-strings matching reads are built.  A keyword hit is a carved string the
-keyword pattern matches, and it claims the bytes within reach of it (the
-context window, the adjacency gap and some slack for the key itself).
-Claims that overlap or touch merge, and the strings inside one merged
-claim form a region, matched as a unit as soon as no later hit can
-extend it.  Inside a region the matcher reads only the hits, the strings
-that carry a context URL, and the string right after a key.  So the
-carver finds every key, marker and context URL in the raw image bytes, in
-ASCII and UTF-16LE, in one pass per buffer, and builds only the strings
-that hold one, plus the string right after each key when it lies within
-the adjacency gap; ``_regions`` drops those outside every claim.  Peak
-memory follows the largest region rather than the image size, and
-printable text that holds no catalog literal is searched but never
-carved.  The scan loads no numpy.
+strings matching reads are built: the carver finds every key, marker and
+context URL in the raw image bytes, in ASCII and UTF-16LE, in one pass per
+buffer, and builds only the strings that hold one, plus the string right
+after each key when it lies within the adjacency gap.  Every matching
+decision is local, so those strings are split into batches wherever more
+than ``reach`` bytes separate them, and each batch is matched as a unit as
+soon as it ends.  Peak memory follows the largest batch rather than the
+image size, and printable text that holds no catalog literal is searched
+but never carved.  The scan loads no numpy.
 
-Within a region every signature is tried in both modes.  Where two
+Within a batch every signature is tried in both modes.  Where two
 applications share keywords (IRCTC and SBI both post ``userName`` and
 ``password``), the login-page URL seen nearby is what tells them apart, so
 dominated duplicates are dropped: a candidate loses only to one that
 matched at least as much (username, context confirmation) and strictly
 more of it.  Candidates that tie stay side by side; ambiguity is evidence.
 
-Matching a region costs O(n log n) in its n strings, however crowded it
+Matching a batch costs O(n log n) in its n strings, however crowded it
 is.  Adjacent usernames are paired with passwords by one sweep over the
 offset-sorted bindings, and context URLs and GAUSR cookies are found by
-bisection in offset-sorted lists built once per region, never by
-rescanning the region per candidate.
+bisection in offset-sorted lists built once per batch, never by
+rescanning the batch per candidate.
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, replace
 from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -45,6 +39,7 @@ from .carver import (
     MAX_CHUNK_SIZE,
     Encoding,
     ExtractedString,
+    _check_int,
     carve_strings,
 )
 from .corpus import DEFAULT_CHUNK_SIZE, ImageManifest, MemoryImage, open_image
@@ -126,6 +121,7 @@ class ScanOptions:
             ("min_len", 1, DEFAULT_CAP), ("chunk_size", 1, MAX_CHUNK_SIZE),
         ):
             value = getattr(self, name)
+            _check_int(name, value)
             if value < floor:
                 raise InvalidOptionError(f"{name} must be at least {floor}")
             if value > ceiling:
@@ -133,8 +129,9 @@ class ScanOptions:
 
     @property
     def reach(self) -> int:
-        """Reach past a hit that can still interact with it: context window
-        plus adjacency gap plus a little for key text itself."""
+        """The gap that splits the scan into batches: context window plus
+        adjacency gap plus 256, more than the longest interaction,
+        ``max(window, delta)``."""
         return self.window + self.delta + 256
 
 
@@ -267,7 +264,7 @@ def _match_region(
     opts: ScanOptions,
     hit_re: re.Pattern,
 ) -> list[tuple[str, SignatureMatch]]:
-    """All signature matches inside one closed region, with the dominated
+    """All signature matches among ``strings``, with the dominated
     shared-keyword duplicates removed, as (confidence, match) pairs."""
     matches: list[SignatureMatch] = []
     # Per URL set, the strings that carry one of its URLs, built on first
@@ -330,59 +327,31 @@ def _match_region(
     return kept
 
 
-def _regions(
-    strings: Iterable[ExtractedString], hit_re: re.Pattern, reach: int
+def _batches(
+    strings: Iterable[ExtractedString], gap: int
 ) -> Iterator[list[ExtractedString]]:
-    """Group carved strings into hit regions, yielded in offset order.
+    """Split strings, ascending by offset, into batches: a batch ends where
+    the next string starts more than ``gap`` bytes past the furthest end
+    seen in it.
 
-    A hit string claims [offset - reach, offset + byte_length + reach];
-    claims that overlap or touch merge, and a region is every string whose
-    offset lies inside its merged claim.  Strings must arrive ascending by
-    offset, as the carver emits them.
-
-    This is the one place the claim rule is decided.  The scan feeds only
-    the strings that matching reads (``carve_strings(near=...)``): every
-    string that holds a key, a marker or a context URL, and the string
-    right after each key when it starts within ``delta`` of the key's end.
-    A hit holds a key or a marker, so the hits, and with them the claims
-    and their merges, are the same as from every string.  A region thus
-    holds exactly the strings of the full carve's region that matching
-    reads: inline matching and cookies read hits, adjacent binding reads a
-    key and the string right after it, and confidence reads the strings
-    that carry a URL.  A fed string in no claim falls in no region and is
-    dropped here.
+    Every interaction joins two strings at most ``max(window, delta)``
+    bytes apart, which is less than ``reach``: a key and its value, a
+    password key and a username key, a GAUSR cookie and an anchor, a
+    context URL and an anchor, and arbitration, which compares only
+    candidates on the same value bytes.  So none crosses a gap of
+    ``reach``, and matching batch by batch finds what matching every
+    string at once would.
     """
-    # Outside a region only the look-behind is kept: the strings within
-    # reach of the frontier (the newest offset).  An older string can fall
-    # into no later region, because any later hit sits at or past the
-    # frontier, so its region starts at or after frontier - reach.  For the
-    # same reason a region is final once the frontier is more than reach
-    # past its end; strings in between wait in the look-behind.  A hit
-    # drops the look-behind strings its claim misses, then moves the rest,
-    # all inside the claim, into its region.
-    behind: deque[ExtractedString] = deque()
-    region: list[ExtractedString] = []
-    end = -1
+    batch: list[ExtractedString] = []
+    end = 0
     for s in strings:
-        at = s.offset
-        if region and at - reach > end:
-            yield region
-            region = []
-        if hit_re.search(s.text) is not None:
-            while behind and behind[0].offset < at - reach:
-                behind.popleft()
-            region.extend(behind)
-            behind.clear()
-            region.append(s)
-            end = max(end, at + s.byte_length + reach)
-        elif region and at <= end:
-            region.append(s)
-        else:
-            behind.append(s)
-            while behind[0].offset < at - reach:
-                behind.popleft()
-    if region:
-        yield region
+        if batch and s.offset - end > gap:
+            yield batch
+            batch = []
+        batch.append(s)
+        end = max(end, s.offset + s.byte_length)
+    if batch:
+        yield batch
 
 
 def scan_image(
@@ -414,8 +383,8 @@ def scan_image(
     )
     matches = [
         match
-        for region in _regions(strings, hit_re, opts.reach)
-        for match in _match_region(region, catalog, opts, hit_re)
+        for batch in _batches(strings, opts.reach)
+        for match in _match_region(batch, catalog, opts, hit_re)
     ]
     return _findings(matches, catalog, image.label, pmap)
 

@@ -4,12 +4,12 @@ Everything here favors obviousness over speed: the byte-at-a-time carvers
 are straight transcriptions of the definition of a maximal printable run,
 and the numpy carver is a separately-derived vectorization.  The two
 agree with each other by construction of the tests, and the production
-carver must agree with both.  ``regions_linear`` groups strings into hit
-regions with every string in hand, ``bind_adjacent_linear`` pairs keys
-with values over consecutive strings, and ``match_region_linear`` is the
-region matcher before its lookups were indexed; all are the scanner's
-references.  ``scan_full_carve`` is ``scan_image``'s reference: it feeds
-every carved string, not just those matching reads, to the region engine.
+carver must agree with both.  ``bind_adjacent_linear`` pairs keys with
+values over consecutive strings, and ``match_region_linear`` is the
+matcher before its lookups were indexed; both are the scanner's
+references.  ``scan_full_carve`` is ``scan_image``'s reference: it
+matches every carved string, not just those matching reads, at once
+rather than in batches.
 ``has_token`` is the fabricator's reference: it checks by search what the
 filler's byte table guarantees by construction.
 """
@@ -214,42 +214,18 @@ def strings_tuples(extracted) -> list[tuple[int, str, str]]:
     return [(s.offset, s.text, s.encoding) for s in extracted]
 
 
-# --- Region references ------------------------------------------------------
-
-
-def regions_linear(strings, hit_re, reach):
-    """Reference for ``memsift.scanner._regions``: collect every string,
-    merge the hit claims [offset - reach, offset + byte_length + reach]
-    that overlap or touch, and slice the strings by offset."""
-    strings = list(strings)
-    claims = []
-    for s in strings:
-        if hit_re.search(s.text):
-            start, end = s.offset - reach, s.offset + s.byte_length + reach
-            if claims and start <= claims[-1][1]:
-                claims[-1][1] = max(claims[-1][1], end)
-            else:
-                claims.append([start, end])
-    return [[s for s in strings if start <= s.offset <= end] for start, end in claims]
-
-
 def scan_full_carve(image, options=None):
     """Reference for ``memsift.scanner.scan_image`` with the built-in
-    catalog: carve every string, then group and match the regions."""
+    catalog: carve every string, then match them all at once."""
     catalog = builtin_catalog()
     opts = options or ScanOptions()
-    hit_re = scanner._prefilter(catalog)
-    strings = carve_strings(image, opts.min_len, chunk_size=opts.chunk_size)
-    matches = [
-        match
-        for region in scanner._regions(strings, hit_re, opts.reach)
-        for match in scanner._match_region(region, catalog, opts, hit_re)
-    ]
+    strings = list(carve_strings(image, opts.min_len, chunk_size=opts.chunk_size))
+    matches = scanner._match_region(strings, catalog, opts, scanner._prefilter(catalog))
     return scanner._findings(matches, catalog, image.label, None)
 
 
-# The region matcher as it was before its lookups went through sorted
-# offsets and sweeps: confidence walks every region string for each
+# The matcher as it was before its lookups went through sorted
+# offsets and sweeps: confidence walks every string for each
 # candidate, each password scans every username, each cookie-bound match
 # scans every cookie.  Quadratic, but each step is the definition read off
 # directly.

@@ -148,6 +148,10 @@ def test_encoding_restriction():
     (dict(chunk_size=(1 << 30) + 1), "chunk_size must be at most 1073741824"),
     (dict(encodings=["latin1"]), "'latin1' is not a valid Encoding; expected ascii, utf16le"),
     (dict(encodings="ascii"), "encodings must be a collection of names, not one string"),
+    (dict(min_len=4.0), "min_len must be an integer, not 4.0"),
+    (dict(cap=4096.0), "cap must be an integer, not 4096.0"),
+    (dict(chunk_size=100.5), "chunk_size must be an integer, not 100.5"),
+    (dict(near=(["pass"], ["pass"], 2.5)), "delta must be an integer, not 2.5"),
 ])
 def test_bad_options_raise_on_call(bad, message):
     # Raised by the call itself, before any string is pulled.

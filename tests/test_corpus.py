@@ -217,6 +217,17 @@ class TestMemoryImage:
         img = MemoryImage.from_file(p)
         assert img.read_at(10, 3) == b"abc"
 
+    @pytest.mark.parametrize("offset, length, name", [(3, -1, "length"), (-2, 3, "offset")])
+    def test_read_at_rejects_negative_arguments(self, tmp_path, offset, length, name):
+        # A negative length would read the rest of the image, a negative
+        # offset fail in seek with a message naming neither.
+        for img in (
+            MemoryImage.from_file(_img(tmp_path, "a.raw", b"0123456789")),
+            MemoryImage.from_bytes(b"0123456789"),
+        ):
+            with pytest.raises(ValueError, match=f"^{name} must be at least 0"):
+                img.read_at(offset, length)
+
     def test_from_bytes(self):
         img = MemoryImage.from_bytes(b"hello", label="mem")
         assert img.size == 5

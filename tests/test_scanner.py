@@ -30,12 +30,11 @@ from memsift import (
     browser_tag,
     build_presence_matrix,
     builtin_catalog,
-    carve_strings,
     scan_image,
 )
 from memsift import scanner
 from memsift.errors import InvalidOptionError, UnknownLabelError
-from oracles import match_region_linear, random_buffer, regions_linear, scan_full_carve
+from oracles import match_region_linear, random_buffer, scan_full_carve
 from seams import at_seams
 
 
@@ -330,6 +329,7 @@ class TestScanOptions:
         dict(window=-1), dict(delta=-1), dict(min_len=0), dict(chunk_size=0),
         dict(min_len=4097), dict(window=(1 << 32) + 1), dict(delta=(1 << 32) + 1),
         dict(chunk_size=(1 << 30) + 1), dict(window=1 << 63),
+        dict(chunk_size=100.5), dict(window=2.5), dict(delta=True), dict(min_len="4"),
     ])
     def test_out_of_range_rejected(self, bad):
         with pytest.raises(InvalidOptionError):
@@ -618,62 +618,17 @@ class TestRegionMatchingOracle:
         assert got_out == _reference_scan(outside, opts)
 
 
-def _hit_re():
-    return scanner._prefilter(builtin_catalog())
-
-
-class TestRegionsOracle:
-    @settings(max_examples=150, deadline=None)
-    @given(slots=_slots, data=st.data())
-    def test_regions_equal_linear_reference(self, slots, data):
-        strings = list(carve_strings(_slotted_image(slots)))
-        # Give some strings a partner of the other encoding at the same
-        # offset, a keyword or not; the stream puts ASCII first on a tie.
-        twins = data.draw(
-            st.lists(
-                st.sampled_from((None, "pass", "zzzz")),
-                min_size=len(strings),
-                max_size=len(strings),
-            )
-        )
-        other = {Encoding.ASCII: Encoding.UTF16LE, Encoding.UTF16LE: Encoding.ASCII}
-        for s, text in zip(list(strings), twins):
-            if text is not None:
-                strings.append(_s(s.offset, text, other[s.encoding]))
-        strings.sort(key=lambda s: (s.offset, s.encoding is not Encoding.ASCII))
-        hit_re = _hit_re()
-        # Reaches at which two neighbouring hits' claims touch (even gap) or
-        # miss by one byte (odd gap), besides arbitrary ones.
-        hits = [s for s in strings if hit_re.search(s.text)]
-        edges = sorted({
-            (b.offset - a.offset - a.byte_length) // 2
-            for a, b in zip(hits, hits[1:])
-            if b.offset >= a.offset + a.byte_length
-        })
-        any_reach = st.integers(0, 400)
-        reach = data.draw(
-            st.sampled_from(edges) | any_reach if edges else any_reach
-        )
-        assert list(scanner._regions(iter(strings), hit_re, reach)) == regions_linear(
-            strings, hit_re, reach
-        )
-
-    @pytest.mark.parametrize("apart, expected", [
-        (0, [["yyyy", "uName", "xxxx", "wwww", "pass", "vvvv"]]),
-        (1, [["yyyy", "uName", "xxxx"], ["wwww", "pass", "vvvv"]]),
-    ])
-    def test_touching_claims_merge(self, apart, expected):
-        reach = 40
-        # uName at 100 claims [60, 145]; pass claims from 145 + apart.
-        image = _image(
-            (40, "zzzz"), (60, "yyyy"), (100, "uName"), (145, "xxxx"),
-            (150, "wwww"), (185 + apart, "pass"), (229 + apart, "vvvv"),
-            (240 + apart, "tttt"),
-        )
-        strings = list(carve_strings(image))
-        got = list(scanner._regions(iter(strings), _hit_re(), reach))
-        assert got == regions_linear(strings, _hit_re(), reach)
-        assert [[s.text for s in region] for region in got] == expected
+class TestBatches:
+    @pytest.mark.parametrize("apart, split", [(0, False), (1, True)])
+    def test_batch_ends_past_gap_from_the_furthest_end(self, apart, split):
+        """A 30-byte string at 100 and a shorter UTF-16LE twin at the same
+        offset: the batch reaches to 130, not to the twin's end at 108, and
+        a string exactly ``gap`` bytes past 130 still joins it."""
+        gap = 40
+        long, twin = _s(100, "x" * 30), _s(100, "yyyy", Encoding.UTF16LE)
+        after = _s(130 + gap + apart, "zzzz")
+        got = list(scanner._batches(iter([long, twin, after]), gap))
+        assert got == ([[long, twin], [after]] if split else [[long, twin, after]])
 
 
 _text = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7E), max_size=30)

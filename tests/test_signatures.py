@@ -39,7 +39,7 @@ def _sig(app="irctc"):
 
 def _match_adjacent(strings, sig, delta=DEFAULT_DELTA, window=DEFAULT_WINDOW):
     """Adjacent matching of one signature over in-order strings, as the
-    scan does it per region."""
+    scan does it per batch."""
     binder = AdjacentBinder([sig], delta)
     return combine_bindings([b for s in strings for b in binder.push(s)], sig, window)
 
