@@ -39,10 +39,14 @@ kept if it holds a whole occurrence of a literal, or if it is the piece
 right after a piece whose text is a key and starts within ``delta`` bytes
 of the key's end.  A piece that holds a literal holds one that contains
 no other, so only those are searched for, spelt in ASCII and in UTF-16LE,
-all in one pass per buffer.  The buffer is translated once so that every
-spelling's first byte becomes one class byte, and one regex stops on
-that byte where a trie of the translated spellings follows it; each stop
-is confirmed against the spellings themselves, so every occurrence is
+all in one pass per buffer.  A few characters, chosen greedily, cover
+the literals: each literal holds one, and its first one is its anchor.
+For the built-in catalog they are ``a``, ``A`` and ``.``, far rarer in
+text than the literals' first bytes, which take in the vowels.  The
+buffer is translated once so that every anchor byte becomes one class
+byte, and one regex stops on that byte where a trie of the translated
+bytes after the anchors follows it; each stop is confirmed against the
+spellings anchored there, from their first byte, so every occurrence is
 reported, overlaps included.  Each occurrence is mapped to the piece of
 its own stream that holds it, from the extent of the run holding it and
 the run's cap grid, and a kept piece is a key if its bytes are a key's
@@ -58,6 +62,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from collections import Counter
 from enum import Enum
 from functools import lru_cache
 from itertools import chain, starmap
@@ -139,6 +144,22 @@ def _candidates(tails: tuple[bytes, ...], klass: bytes) -> re.Pattern:
     """The class byte followed by the trie of ``tails``; cached, since a
     scan of many images builds the same one for each."""
     return re.compile(re.escape(klass) + _trie(list(tails), klass) if tails else b"(?!)")
+
+
+@lru_cache(maxsize=16)
+def _cover(literals: frozenset[str]) -> str:
+    """A small set of characters such that every literal holds one, built
+    greedily: each step takes the character held by the most literals not
+    yet covered, on a tie one that is no lowercase letter or digit, then
+    the least.  Cached, since a scan of many images needs the same one
+    for each."""
+    cover, left = "", set(literals)
+    while left:
+        held = Counter(c for lit in left for c in set(lit))
+        c = min(held, key=lambda c: (-held[c], c.islower() or c.isdigit(), c))
+        cover += c
+        left = {lit for lit in left if c not in lit}
+    return cover
 
 
 class _Stream:
@@ -304,7 +325,10 @@ def _buffers(
 class _NearCarve:
     """``carve_strings(near=(literals, keys, delta))``: per buffer of
     ``_buffers``, the pieces that hold a literal, and the piece right after
-    each key, found through the buffer's streams."""
+    each key, found through the buffer's streams.  Literals are found by
+    one search that stops on their anchors: each literal's first character
+    in a small cover of the literals' characters, which text holds far
+    fewer of than the literals' first bytes."""
 
     def __init__(self, wanted, literals, keys, delta):
         literals = {*literals, *keys}
@@ -316,26 +340,42 @@ class _NearCarve:
                 )
         # A piece that holds a literal holds one that contains no other.
         literals = {a for a in literals if not any(b != a and b in a for b in literals)}
+        cover = _cover(frozenset(literals))
         units = [(unit, codec) for unit, codec in ((1, "ascii"), (2, "utf-16-le"))
                  if _BY_UNIT[unit] in wanted]
-        # (spelling, bytes per character), by first byte
-        self.spellings: dict[int, list[tuple[bytes, int]]] = {}
-        for spelling, unit in sorted({(lit.encode(codec), unit) for lit in literals
-                                      for unit, codec in units}):
-            self.spellings.setdefault(spelling[0], []).append((spelling, unit))
+        # Each spelling is anchored on its literal's first character in the
+        # cover, ``j`` bytes in.  The spellings are grouped by their anchor
+        # and the byte after it; one that ends on its anchor joins every
+        # group of its anchor, and the group of the anchor alone, for a stop
+        # on the buffer's last byte.
+        self.groups: dict[bytes, list[tuple[bytes, int, int]]] = {}
+        tails = []
+        for lit in literals:
+            i = next(i for i, c in enumerate(lit) if c in cover)
+            for unit, codec in units:
+                spelling, j = lit.encode(codec), unit * i
+                tails.append(spelling[j:])
+                heads = [spelling[j:j + 2]]
+                if len(heads[0]) == 1:
+                    heads += [heads[0] + bytes([b]) for b in range(256)]
+                for head in heads:
+                    self.groups.setdefault(head, []).append((spelling, unit, j))
+        # The spellings that start furthest before the stop come first.
+        for group in self.groups.values():
+            group.sort(key=lambda entry: (-entry[2], entry[0]))
         # A piece's bytes are a key's spelling in its own encoding, since
         # only UTF-16LE spellings hold NULs.
         self.keys = {key.encode(codec) for key in keys for _, codec in units}
-        # Every first byte becomes the class byte, the first of them, so
-        # one regex with a literal first byte stops on them all; the trie
-        # of the translated spellings behind it drops most stops before
+        # Every anchor byte becomes the class byte, the least of them, so
+        # one regex that starts with that byte stops on them all; the trie
+        # of the translated bytes after the anchors drops most stops before
         # Python sees them.
-        first = bytes(self.spellings)
-        klass = first[:1]
-        self.table = bytes.maketrans(first, klass * len(first))
-        tails = tuple(sp.translate(self.table)[1:] for group in self.spellings.values()
-                      for sp, _ in group)
-        self.candidates = _candidates(tails, klass)
+        anchors = bytes(sorted({tail[0] for tail in tails}))
+        klass = anchors[:1]
+        self.table = bytes.maketrans(anchors, klass * len(anchors))
+        self.candidates = _candidates(
+            tuple(sorted({tail.translate(self.table)[1:] for tail in tails})), klass
+        )
         self.delta = delta
         # The last byte at which the piece after the key that ended the
         # previous buffer's pieces may start, if that piece may still come.
@@ -343,13 +383,22 @@ class _NearCarve:
 
     def occurrences(self, buf: bytes) -> list[tuple[int, bytes, int]]:
         """``(offset, spelling, bytes per character)`` of every occurrence
-        of every spelling in ``buf``, overlaps included, ascending."""
-        spellings = self.spellings
+        of every spelling in ``buf``, overlaps included, ascending.  Each
+        stop of the search is an anchor, and each spelling of its group is
+        confirmed from ``j`` bytes before it.  A stop fewer than ``j`` bytes
+        into the buffer is no occurrence of that spelling, and is skipped,
+        since ``startswith`` would count a negative start from the end.
+
+        The stops ascend, and so do the occurrences: no byte of an
+        occurrence before its anchor is in the cover, so no other
+        occurrence that starts after it can be anchored before its anchor,
+        and the spellings of a group are ordered by where they start."""
+        groups = self.groups
         return [
-            (x, spelling, unit)
-            for x in [m.start() for m in self.candidates.finditer(buf.translate(self.table))]
-            for spelling, unit in spellings[buf[x]]
-            if buf.startswith(spelling, x)
+            (y - j, spelling, unit)
+            for y in [m.start() for m in self.candidates.finditer(buf.translate(self.table))]
+            for spelling, unit, j in groups.get(buf[y:y + 2], ())
+            if y >= j and buf.startswith(spelling, y - j)
         ]
 
     def buffer(

@@ -211,6 +211,7 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 def cmd_attribute(args: argparse.Namespace) -> int:
     from .cli import ProcessMap, load_process_map
+    from .report import _shown
 
     pmap = ProcessMap(load_process_map(args.map))
     for offset in args.offset:
@@ -219,7 +220,7 @@ def cmd_attribute(args: argparse.Namespace) -> int:
             print(f"0x{offset:08x}: no owner")
         for a in owners:
             print(
-                f"0x{offset:08x}: {a.process_name}[{a.pid}] "
+                f"0x{offset:08x}: {_shown(a.process_name)}[{a.pid}] "
                 f"virt=0x{a.virtual_address:08x}"
             )
     return 0

@@ -204,6 +204,16 @@ def has_token(data: bytes) -> bool:
     return any(tok in data for tok in FORBIDDEN_TOKENS)
 
 
+def catalog_near() -> tuple[list[str], list[str]]:
+    """The literals and the keys the scan's keyword carve is given with the
+    built-in catalog: the context URLs and the GAUSR marker, and every
+    form key."""
+    catalog = builtin_catalog()
+    literals = {GAUSR_MARKER}.union(*(sig.context_urls for sig in catalog))
+    keys = {key for sig in catalog for key in (*sig.username_keys, *sig.password_keys)}
+    return sorted(literals), sorted(keys)
+
+
 def strings_tuples(extracted) -> list[tuple[int, str, str]]:
     """Project ExtractedString objects onto oracle rows.
 

@@ -17,11 +17,25 @@ from memsift import (
     dump_strings,
     parse_strings_file,
 )
-from memsift import carver, fullcarve
+from memsift import (
+    carver,
+    fabricate,
+    fabricator,
+    fullcarve,
+    load_manifest,
+    scan_manifest,
+    table1_preset,
+)
 from memsift.fullcarve import _lines, _spans
 from memsift.errors import InvalidOptionError, LineError
 
-from oracles import carve_bruteforce, carve_numpy, random_buffer, strings_tuples
+from oracles import (
+    carve_bruteforce,
+    carve_numpy,
+    catalog_near,
+    random_buffer,
+    strings_tuples,
+)
 from seams import at_seams
 
 # byte soup with enough printable mass to form runs, plus soup dense in
@@ -395,13 +409,15 @@ def _minimal(literals):
 
 @st.composite
 def _keyword_images(draw, literals, fillers=(b"",)):
-    """Bytes made of the literals' spellings, prefixes of them, the class
-    byte the keyword search translates every first byte to (the least of
-    them), NUL, any byte, and ``fillers``."""
+    """Bytes made of the literals' spellings, prefixes and suffixes of
+    them, NUL, any byte, ``fillers``, and any one character of a literal,
+    such as an anchor, where the search stops, or the class byte every
+    anchor is translated to."""
     spellings = _spellings(literals)
-    klass = min(lit.encode()[0] for lit in _minimal(literals))
-    parts = spellings + [sp[:-1] for sp in spellings] + [bytes([klass]), b"\0"] + list(fillers)
-    pieces = st.sampled_from(parts) | st.binary(min_size=1, max_size=1)
+    parts = spellings + [sp[:-1] for sp in spellings] + [sp[1:] for sp in spellings]
+    parts += [b"\0", *fillers]
+    chars = sorted({c.encode() for lit in literals for c in lit})
+    pieces = st.sampled_from(parts) | st.sampled_from(chars) | st.binary(min_size=1, max_size=1)
     return b"".join(draw(st.lists(pieces, max_size=80)))
 
 
@@ -589,6 +605,94 @@ def test_near_finds_escaped_literals_in_both_encodings():
     assert got == _near_reference(data, 1, 4096, 0, literals, ())
     for lit in literals:
         assert {enc for _at, text, enc in got if lit in text} == {"ascii", "utf16le"}
+
+
+@pytest.mark.parametrize("encodings", [(Encoding.ASCII,), BOTH_ENCODINGS])
+def test_occurrences_at_one_stop_ascend(encodings):
+    """``qa`` and ``ab`` are both anchored on ``a``, a byte into ``qa`` and
+    on the first byte of ``ab``, so in ``qab`` the one search stop holds
+    both, and ``qa`` starts first."""
+    near = carver._NearCarve(encodings, ["ab", "qa"], (), 0)
+    buf = b"qab\0" + "qab".encode("utf-16-le")
+    want = [(0, b"qa", 1), (1, b"ab", 1), (4, b"q\0a\0", 2), (6, b"a\0b\0", 2)]
+    assert near.occurrences(buf) == [row for row in want if carver._BY_UNIT[row[2]] in encodings]
+
+
+_CATALOG_NEAR = catalog_near()
+
+
+@pytest.mark.parametrize("text", [
+    "\0\0pass\0",  # anchored on its a, a byte in
+    "\0GAUSR=mail:u\0",  # on the A of GAUSR, a byte in
+    "\0https://www.irctc.co.in\0",  # on the . of irctc.co.in, 5 bytes in
+])
+@pytest.mark.parametrize("wide", [False, True])
+def test_occurrence_anchored_past_its_first_byte_at_every_seam(text, wide):
+    """An occurrence whose anchor lies past its first byte is kept once
+    wherever a chunk seam falls in it.  A buffer that starts between the
+    occurrence's first byte and its anchor reports no occurrence there,
+    not one at an offset counted from the buffer's end."""
+    literals, keys = _CATALOG_NEAR
+    unit = _encode([(text, wide)])
+    data = b"\x01" * 100 + unit + b"\x01" * 20
+    want = _near_reference(data, 4, 4096, 4, literals, keys)
+    assert want
+    for chunk_size in range(100, 100 + len(unit) + 1):
+        got = carve_strings(data, chunk_size=chunk_size, near=(literals, keys, 4))
+        assert strings_tuples(got) == want, chunk_size
+    near = carver._NearCarve(BOTH_ENCODINGS, literals, keys, 4)
+    spellings = _spellings(_minimal([*literals, *keys]))
+    for cut in range(len(unit) + 1):
+        for buf in (unit[cut:], unit[:cut]):
+            found = [(at, sp) for at, sp, _unit in near.occurrences(buf)]
+            assert found == sorted((at, sp) for sp in spellings
+                                   for at in range(len(buf)) if buf.startswith(sp, at))
+
+
+def _covered(cover, literals):
+    return all(any(c in lit for c in cover) for lit in literals)
+
+
+@settings(max_examples=200)
+@given(_literal_sets())
+def test_every_literal_holds_an_anchor(literals):
+    """The cover holds a character of every literal, and each of its
+    characters covers a literal that the ones before it did not."""
+    cover = carver._cover(frozenset(literals))
+    assert _covered(cover, literals)
+    for i in range(len(cover)):
+        assert not _covered(cover[:i], literals)
+
+
+def test_builtin_catalog_cover_is_three_characters():
+    """The built-in catalog's literals are covered by ``a``, ``A`` and ``.``:
+    the bytes fabricator filler never draws, so on fabricated images the
+    search stops almost only at planted text."""
+    literals, keys = _CATALOG_NEAR
+    cover = carver._cover(frozenset(_minimal([*literals, *keys])))
+    assert sorted(cover) == sorted("aA.") == sorted(fabricator._EXCLUDED.decode())
+
+
+@pytest.mark.parametrize("literals, cover", [
+    (["abc", "xyz", "123"], "1ax"),  # no shared character: one each
+    # ties go to a character that is no lowercase letter or digit, then
+    # to the least
+    (["ab~", "cd"], "~c"),
+    (["x1A"], "A"),
+    (["pass", "uName", "GAUSR"], "aA"),  # a is held by most
+])
+def test_cover_choices(literals, cover):
+    assert carver._cover(frozenset(literals)) == cover
+
+
+def test_cover_is_computed_once_per_manifest(tmp_path):
+    """Scanning a 13-image timeline builds 13 keyword carves with the same
+    literals, and computes their cover once."""
+    manifest = load_manifest(fabricate(table1_preset(image_size=1 << 20), tmp_path).manifest_path)
+    assert len(manifest.entries) == 13
+    carver._cover.cache_clear()
+    scan_manifest(manifest)
+    assert carver._cover.cache_info()[:2] == (12, 1)  # hits, misses
 
 
 @pytest.mark.parametrize("near", [

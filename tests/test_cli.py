@@ -454,6 +454,16 @@ class TestAttribute:
         assert "usage: memsift attribute" in err
         assert message in err
 
+    def test_process_name_is_escaped(self, capsys, tmp_path):
+        """A name's control characters are printed as escapes, as in the
+        text report, so a map cannot send escape sequences to the
+        terminal."""
+        pmap = tmp_path / "process_map.tsv"
+        pmap.write_text("7\tev\x1b[31mil.exe\t0x1000\t0x2000\t0x400000\n")
+        code, out, _ = run(capsys, "attribute", str(pmap), "0x1800")
+        assert code == 0
+        assert out == "0x00001800: ev\\x1b[31mil.exe[7] virt=0x00400800\n"
+
     def test_decimal_and_zero_offsets(self, capsys, corpus_dir):
         pmap = corpus_dir / "process_map.tsv"
         code, out, _ = run(capsys, "attribute", str(pmap), str(0x30000), "0")
