@@ -31,7 +31,13 @@ from .errors import InvalidOptionError, OverlapError, PlacementOutOfBoundsError
 from .procmap import ProcessMap, ProcessMapEntry, write_process_map
 from .report import finding_to_doc
 from .scanner import HIGH, LOW, CredentialFinding, _findings
-from .signatures import GAUSR_MARKER, MatchMode, SignatureMatch, builtin_catalog
+from .signatures import (
+    GAUSR_MARKER,
+    KeyValuePair,
+    MatchMode,
+    SignatureMatch,
+    builtin_catalog,
+)
 
 BLOCK_SIZE = 4 << 20
 # Separation placements must keep so context windows never overlap.
@@ -127,27 +133,13 @@ _SBI_FF_STRING = "userName=ipsitasbi"
 
 _SIGNATURES = {sig.app_id: sig for sig in builtin_catalog()}
 
-_NONE = (None, None, None)
-
 
 def _expected(
     confidence: str, app_id: str, mode: str, context: str,
-    user: tuple = _NONE, pw: tuple = _NONE,
+    user: KeyValuePair | None = None, pw: KeyValuePair | None = None,
 ) -> tuple[str, SignatureMatch]:
-    """One expected (confidence, match) pair; ``user`` and ``pw`` are
-    (key offset, value offset, value) triples."""
-    (user_key_at, user_at, username), (pw_key_at, pw_at, password) = user, pw
-    return confidence, SignatureMatch(
-        signature=_SIGNATURES[app_id],
-        mode=mode,
-        username_raw=username,
-        username_offset=user_at,
-        username_key_offset=user_key_at,
-        password_raw=password,
-        password_offset=pw_at,
-        password_key_offset=pw_key_at,
-        context_text=context,
-    )
+    """One expected (confidence, match) pair."""
+    return confidence, SignatureMatch(_SIGNATURES[app_id], mode, user, pw, context)
 
 
 def _inline_expected(
@@ -156,12 +148,13 @@ def _inline_expected(
     """Derive the HIGH match an inline form body produces, by locating the
     keys inside the body text the same way the parser will."""
 
-    def field(key: str) -> tuple[int, int, str]:
-        # (offsets of the key and of the value, the value up to the next '&')
+    def field(key: str) -> KeyValuePair:
+        # The value runs up to the next '&'.
         at = body.index(f"{key}=")
         start = at + len(key) + 1
         end = body.find("&", start)
-        return body_rel + at, body_rel + start, body[start : end if end != -1 else len(body)]
+        value = body[start : end if end != -1 else len(body)]
+        return KeyValuePair(key, value, body_rel + at, body_rel + start)
 
     return _expected(HIGH, app_id, MatchMode.INLINE, body, field(user_key), field(pw_key))
 
@@ -171,12 +164,12 @@ def _adjacent_expected(
 ) -> tuple[str, SignatureMatch]:
     """Derive the HIGH match of a username key block and a password key
     block, each followed by its value block."""
-    (user_key_at, user_key), (user_at, username) = user
-    (pw_key_at, pw_key), (pw_at, password) = pw
+    u, p = (
+        KeyValuePair(key, value, key_at, value_at)
+        for (key_at, key), (value_at, value) in (user, pw)
+    )
     return _expected(
-        HIGH, app_id, MatchMode.ADJACENT,
-        f"{user_key} {username} {pw_key} {password}",
-        (user_key_at, user_at, username), (pw_key_at, pw_at, password),
+        HIGH, app_id, MatchMode.ADJACENT, f"{u.key} {u.value} {p.key} {p.value}", u, p
     )
 
 
@@ -285,8 +278,11 @@ def _gmail_ff_template() -> ArtifactTemplate:
         expected=(
             _expected(
                 HIGH, "gmail-ff", MatchMode.INLINE, _GMAIL_LOCATION_LINE,
-                (marker_rel, marker_rel + len(GAUSR_MARKER), "ipsita.chinky@gmail.com"),
-                (anchor_rel, anchor_rel + len("Passwd="), "abc*%21123"),
+                KeyValuePair(
+                    GAUSR_MARKER, "ipsita.chinky@gmail.com",
+                    marker_rel, marker_rel + len(GAUSR_MARKER),
+                ),
+                KeyValuePair("Passwd", "abc*%21123", anchor_rel, anchor_rel + len("Passwd=")),
             ),
         ),
     )
@@ -357,13 +353,13 @@ def _sbi_ff_template() -> ArtifactTemplate:
     # applications and no URL is nearby to split the tie, so a correct
     # scan reports the username under both, LOW, with no password.
     blocks = ((1, _SBI_FF_STRING),)
-    user = _SBI_FF_STRING.split("=", 1)[1]
-    rel_uoff = 1 + _SBI_FF_STRING.index("=") + 1
+    key, user = _SBI_FF_STRING.split("=", 1)
+    pair = KeyValuePair(key, user, 1, 1 + len(key) + 1)
     return ArtifactTemplate(
         template_id="sbi-ff-isolated",
         text_blocks=blocks,
         expected=tuple(
-            _expected(LOW, app_id, MatchMode.INLINE, _SBI_FF_STRING, (1, rel_uoff, user))
+            _expected(LOW, app_id, MatchMode.INLINE, _SBI_FF_STRING, pair)
             for app_id in ("irctc", "sbi")
         ),
     )
@@ -586,14 +582,11 @@ class FabricationResult:
     ground_truth: dict[str, tuple[CredentialFinding, ...]]
 
 
-_OFFSETS = ("username_offset", "username_key_offset", "password_offset", "password_key_offset")
-
-
 def _moved(m: SignatureMatch, by: int) -> SignatureMatch:
-    return replace(m, **{
-        name: None if (at := getattr(m, name)) is None else at + by
-        for name in _OFFSETS
-    })
+    def shift(p: KeyValuePair | None) -> KeyValuePair | None:
+        return p and KeyValuePair(p.key, p.value, p.key_offset + by, p.value_offset + by)
+
+    return replace(m, username=shift(m.username), password=shift(m.password))
 
 
 def _ground_truth_findings(

@@ -27,7 +27,6 @@ rescanning the batch per candidate.
 
 from __future__ import annotations
 
-import re
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from operator import attrgetter
@@ -37,7 +36,6 @@ from .carver import (
     DEFAULT_CAP,
     DEFAULT_MIN_LEN,
     MAX_CHUNK_SIZE,
-    Encoding,
     ExtractedString,
     _check_int,
     carve_strings,
@@ -188,17 +186,6 @@ def assign_confidence(
     return LOW
 
 
-def _prefilter(catalog: Sequence[CredentialSignature]) -> re.Pattern:
-    tokens: set[str] = set()
-    for sig in catalog:
-        tokens.update(sig.username_keys)
-        tokens.update(sig.password_keys)
-        if sig.username_marker:
-            tokens.add(sig.username_marker)
-    ordered = sorted(tokens, key=len, reverse=True)
-    return re.compile("|".join(re.escape(t) for t in ordered))
-
-
 def _attach_cookie_usernames(
     matches: list[SignatureMatch],
     strings: Sequence[ExtractedString],
@@ -208,27 +195,24 @@ def _attach_cookie_usernames(
     """Bind marker-style usernames (the GAUSR cookie) to this signature's
     password matches; a cookie nothing claimed becomes username evidence of
     its own."""
-    marker = sig.username_marker
-    # (marker offset, name offset, name, cookie string text)
-    cookies: list[tuple[int, int, str, str]] = []
-    for s in strings:
-        cookie = cookie_username(s, marker)
-        if cookie is not None:
-            off, name = cookie
-            unit = 2 if s.encoding is Encoding.UTF16LE else 1
-            cookies.append((off, off + unit * len(marker), name, s.text))
+    # (marker/name pair, cookie string text)
+    cookies = [
+        (cookie, s.text)
+        for s in strings
+        if (cookie := cookie_username(s, sig.username_marker)) is not None
+    ]
     if not cookies:
         return
     # Cookie offsets ascend with their strings' offsets and are distinct,
     # one per carved string, so the nearest cookie sits on either side of
     # the bisection point.
-    offsets = [cookie[0] for cookie in cookies]
+    offsets = [cookie.key_offset for cookie, _ in cookies]
     claimed: set[int] = set()
     for i, m in enumerate(matches):
         if (
             m.signature.app_id != sig.app_id
-            or m.password_raw is None
-            or m.username_raw is not None
+            or m.password is None
+            or m.username is not None
         ):
             continue
         at = m.anchor_offset
@@ -237,32 +221,16 @@ def _attach_cookie_usernames(
             j -= 1  # the lower cookie wins a tie
         if abs(offsets[j] - at) <= window:
             claimed.add(j)
-            coff, name_off, name, _text = cookies[j]
-            matches[i] = replace(
-                m,
-                username_raw=name,
-                username_offset=name_off,
-                username_key_offset=coff,
-            )
-    for j, (coff, name_off, name, text) in enumerate(cookies):
+            matches[i] = replace(m, username=cookies[j][0])
+    for j, (cookie, text) in enumerate(cookies):
         if j not in claimed:
-            matches.append(
-                SignatureMatch(
-                    signature=sig,
-                    mode=MatchMode.INLINE,
-                    username_raw=name,
-                    username_offset=name_off,
-                    username_key_offset=coff,
-                    context_text=text,
-                )
-            )
+            matches.append(SignatureMatch(sig, MatchMode.INLINE, cookie, context_text=text))
 
 
 def _match_region(
     strings: Sequence[ExtractedString],
     catalog: Sequence[CredentialSignature],
     opts: ScanOptions,
-    hit_re: re.Pattern,
 ) -> list[tuple[str, SignatureMatch]]:
     """All signature matches among ``strings``, with the dominated
     shared-keyword duplicates removed, as (confidence, match) pairs."""
@@ -273,7 +241,7 @@ def _match_region(
 
     # Inline: each carved string treated as a form body.
     for s in strings:
-        if "=" not in s.text or not hit_re.search(s.text):
+        if "=" not in s.text:
             continue
         pairs = parse_form_pairs(s)
         for sig in catalog:
@@ -299,10 +267,10 @@ def _match_region(
     # what associates an ambiguous userName/password pair with one site.
     groups: dict[tuple, list[tuple[tuple[bool, bool], str, SignatureMatch]]] = {}
     for m in matches:
-        if m.password_raw is not None:
-            key = (m.mode, "pw", m.password_offset)
+        if m.password is not None:
+            key = (m.mode, "pw", m.password.value_offset)
         else:
-            key = (m.mode, "user", m.username_offset)
+            key = (m.mode, "user", m.username.value_offset)
         urls = m.signature.context_urls
         if urls not in url_strings:
             url_strings[urls] = [
@@ -311,7 +279,7 @@ def _match_region(
         conf = assign_confidence(
             m.anchor_offset, url_strings[urls], m.signature, opts.window
         )
-        score = (m.username_raw is not None, conf == HIGH)
+        score = (m.username is not None, conf == HIGH)
         groups.setdefault(key, []).append((score, conf, m))
     kept: list[tuple[str, SignatureMatch]] = []
     for members in groups.values():
@@ -372,7 +340,6 @@ def scan_image(
     if pmap is not None and not isinstance(pmap, ProcessMap):
         pmap = ProcessMap(pmap)
 
-    hit_re = _prefilter(catalog)
     keys = {key for sig in catalog for key in (*sig.username_keys, *sig.password_keys)}
     literals = {
         literal for sig in catalog for literal in (*sig.context_urls, sig.username_marker)
@@ -384,7 +351,7 @@ def scan_image(
     matches = [
         match
         for batch in _batches(strings, opts.reach)
-        for match in _match_region(batch, catalog, opts, hit_re)
+        for match in _match_region(batch, catalog, opts)
     ]
     return _findings(matches, catalog, image.label, pmap)
 
@@ -411,27 +378,27 @@ def _to_finding(
     label: str,
     pmap: ProcessMap | None,
 ) -> CredentialFinding:
-    sig = m.signature
+    sig, user, pw = m.signature, m.username, m.password
     password_decoded = None
-    if m.password_raw is not None:
+    if pw is not None:
         password_decoded = classify_value(
-            m.password_raw, sig.opaque, plus_as_space=(m.mode == MatchMode.INLINE)
+            pw.value, sig.opaque, plus_as_space=(m.mode == MatchMode.INLINE)
         )
     anchor = m.anchor_offset
     attributions = tuple(pmap.lookup(anchor)) if pmap is not None else ()
     return CredentialFinding(
         app_id=sig.app_id,
         image_label=label,
-        username=m.username_raw,
-        password_raw=m.password_raw,
+        username=user.value if user else None,
+        password_raw=pw.value if pw else None,
         password_decoded=password_decoded,
         match_mode=m.mode,
         offset=anchor,
         confidence=confidence,
         context_snippet=m.context_text[:_SNIPPET_LIMIT],
         attributions=attributions,
-        username_offset=m.username_offset,
-        password_offset=m.password_offset,
+        username_offset=user.value_offset if user else None,
+        password_offset=pw.value_offset if pw else None,
     )
 
 

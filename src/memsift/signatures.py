@@ -33,6 +33,7 @@ GAUSR_MARKER = "GAUSR=mail:"
 _PRINTABLE = re.compile(r"[ -~]+")
 
 _key_offset = attrgetter("key_offset")
+_binding_offset = attrgetter("pair.key_offset")
 
 
 class MatchMode:
@@ -73,7 +74,13 @@ class CredentialSignature:
 
 @dataclass(frozen=True, slots=True)
 class KeyValuePair:
-    """One ``key=value`` fragment with absolute byte offsets for both parts."""
+    """A key and its value, with the absolute byte offset of each (a
+    UTF-16LE character counts two bytes).
+
+    Every layout yields one: a ``key=value`` fragment of a form body, a key
+    string and the value string carved after it, or a cookie marker and
+    the account name that follows it.
+    """
 
     key: str
     value: str
@@ -83,30 +90,27 @@ class KeyValuePair:
 
 @dataclass(frozen=True)
 class SignatureMatch:
+    """What one signature matched: the pair that gave the username, the
+    pair that gave the password, or both, each as it was found.  The raw
+    values, their offsets and the anchor all come from the pairs."""
+
     signature: CredentialSignature
     mode: str
-    username_raw: str | None = None
-    username_offset: int | None = None
-    username_key_offset: int | None = None
-    password_raw: str | None = None
-    password_offset: int | None = None
-    password_key_offset: int | None = None
+    username: KeyValuePair | None = None
+    password: KeyValuePair | None = None
     # Untruncated text basis for the report snippet (source string for
     # inline, joined key/value strings for adjacent).
     context_text: str = ""
 
     def __post_init__(self) -> None:
-        if self.username_raw is None and self.password_raw is None:
+        if self.username is None and self.password is None:
             raise ValueError("a match must carry a username or a password")
 
     @property
     def anchor_offset(self) -> int:
         """Offset the finding is pinned to: the password key when a password
         matched, else the username key."""
-        if self.password_raw is not None and self.password_key_offset is not None:
-            return self.password_key_offset
-        assert self.username_key_offset is not None
-        return self.username_key_offset
+        return (self.password or self.username).key_offset
 
 
 def builtin_catalog() -> list[CredentialSignature]:
@@ -246,35 +250,21 @@ def match_inline(
     """
     if pairs is None:
         pairs = parse_form_pairs(string)
-    if not pairs:
+    username = _first_pair(pairs, sig.username_keys)
+    password = _first_pair(pairs, sig.password_keys)
+    if username is None and password is None:
         return None
-    upair = _first_pair(pairs, sig.username_keys)
-    ppair = _first_pair(pairs, sig.password_keys)
-    if upair is None and ppair is None:
-        return None
-    return SignatureMatch(
-        signature=sig,
-        mode=MatchMode.INLINE,
-        username_raw=upair.value if upair else None,
-        username_offset=upair.value_offset if upair else None,
-        username_key_offset=upair.key_offset if upair else None,
-        password_raw=ppair.value if ppair else None,
-        password_offset=ppair.value_offset if ppair else None,
-        password_key_offset=ppair.key_offset if ppair else None,
-        context_text=string.text,
-    )
+    return SignatureMatch(sig, MatchMode.INLINE, username, password, string.text)
 
 
 @dataclass(slots=True)
 class AdjacentBinding:
-    """A key string bound to the value string that follows it."""
+    """A key string bound to the value string that follows it, as one
+    ``pair``, for one signature and one kind of key."""
 
     sig: CredentialSignature
     kind: str  # "username" | "password"
-    key_text: str
-    key_offset: int
-    value: str
-    value_offset: int
+    pair: KeyValuePair
 
 
 class AdjacentBinder:
@@ -304,16 +294,13 @@ class AdjacentBinder:
         key, self._last = self._last, string
         if key is None or string.offset > key.offset + key.byte_length + self.delta:
             return []
+        listings = self._keys.get(key.text)
+        if listings is None:
+            return []
+        pair = KeyValuePair(key.text, string.text, key.offset, string.offset)
         return [
-            AdjacentBinding(
-                sig=sig,
-                kind=kind,
-                key_text=key.text,
-                key_offset=key.offset,
-                value=string.text,
-                value_offset=string.offset,
-            )
-            for sig, kind in self._keys.get(key.text, ())
+            AdjacentBinding(sig, kind, pair)
+            for sig, kind in listings
             if not sig.is_key(string.text)
         ]
 
@@ -331,52 +318,33 @@ def combine_bindings(
     Everything is reported, nothing silently dropped.
     """
     mine = sorted(
-        (b for b in bindings if b.sig.app_id == sig.app_id), key=_key_offset
+        (b for b in bindings if b.sig.app_id == sig.app_id), key=_binding_offset
     )
-    # One sweep over the passwords.  The free usernames below the current
-    # password form a stack with the nearest on top, those at or above it
-    # a queue with the nearest first, so each password weighs two.  Two
-    # usernames of one signature at one key offset come from one key
-    # string and are alike, so which of them is taken does not matter.
-    below: list[AdjacentBinding] = []
-    above = deque(b for b in mine if b.kind == "username")
+    # One sweep over the password pairs.  The free username pairs below the
+    # current password form a stack with the nearest on top, those at or
+    # above it a queue with the nearest first, so each password weighs
+    # two.  Two usernames of one signature at one key offset come from one
+    # key string and are alike, so which of them is taken does not matter.
+    below: list[KeyValuePair] = []
+    above = deque(b.pair for b in mine if b.kind == "username")
     matches: list[SignatureMatch] = []
-    for pw in (b for b in mine if b.kind == "password"):
+    for pw in (b.pair for b in mine if b.kind == "password"):
         at = pw.key_offset
         while above and above[0].key_offset < at:
             below.append(above.popleft())
         low = at - below[-1].key_offset if below else window + 1
         high = above[0].key_offset - at if above else window + 1
-        best: AdjacentBinding | None = None
+        best: KeyValuePair | None = None
         if low <= min(high, window):
             best = below.pop()
         elif high <= window:
             best = above.popleft()
         parts = sorted(([best] if best else []) + [pw], key=_key_offset)
-        text = " ".join(x for b in parts for x in (b.key_text, b.value))
-        matches.append(
-            SignatureMatch(
-                signature=sig,
-                mode=MatchMode.ADJACENT,
-                username_raw=best.value if best else None,
-                username_offset=best.value_offset if best else None,
-                username_key_offset=best.key_offset if best else None,
-                password_raw=pw.value,
-                password_offset=pw.value_offset,
-                password_key_offset=pw.key_offset,
-                context_text=text,
-            )
-        )
+        text = " ".join(x for p in parts for x in (p.key, p.value))
+        matches.append(SignatureMatch(sig, MatchMode.ADJACENT, best, pw, text))
     for u in [*below, *above]:
         matches.append(
-            SignatureMatch(
-                signature=sig,
-                mode=MatchMode.ADJACENT,
-                username_raw=u.value,
-                username_offset=u.value_offset,
-                username_key_offset=u.key_offset,
-                context_text=f"{u.key_text} {u.value}",
-            )
+            SignatureMatch(sig, MatchMode.ADJACENT, u, context_text=f"{u.key} {u.value}")
         )
     matches.sort(key=lambda m: m.anchor_offset)
     return matches
@@ -384,9 +352,10 @@ def combine_bindings(
 
 def cookie_username(
     string: ExtractedString, marker: str = GAUSR_MARKER
-) -> tuple[int, str] | None:
-    """The account name in a session cookie string, with the absolute
-    offset of its marker: ``(marker offset, name)``.
+) -> KeyValuePair | None:
+    """The account name in a session cookie string, as a pair whose key is
+    the marker and whose value is the name, each at its absolute offset (a
+    UTF-16LE character counts two bytes).
 
     The name runs from just past the marker to the first ``;``, whitespace
     or end of string.  Returns None when the marker is absent or the name
@@ -405,7 +374,9 @@ def cookie_username(
     if start == end:
         return None
     unit = 2 if string.encoding is Encoding.UTF16LE else 1
-    return string.offset + unit * at, text[start:end]
+    return KeyValuePair(
+        marker, text[start:end], string.offset + unit * at, string.offset + unit * start
+    )
 
 
 __all__ = [

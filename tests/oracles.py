@@ -10,6 +10,7 @@ matcher before its lookups were indexed; both are the scanner's
 references.  ``scan_full_carve`` is ``scan_image``'s reference: it
 matches every carved string, not just those matching reads, at once
 rather than in batches.
+``values_at_offsets`` checks findings against the image bytes alone.
 ``has_token`` is the fabricator's reference: it checks by search what the
 filler's byte table guarantees by construction.
 """
@@ -24,6 +25,7 @@ from memsift.scanner import HIGH, LOW, ScanOptions
 from memsift.signatures import (
     GAUSR_MARKER,
     AdjacentBinding,
+    KeyValuePair,
     MatchMode,
     SignatureMatch,
     builtin_catalog,
@@ -230,8 +232,26 @@ def scan_full_carve(image, options=None):
     catalog = builtin_catalog()
     opts = options or ScanOptions()
     strings = list(carve_strings(image, opts.min_len, chunk_size=opts.chunk_size))
-    matches = scanner._match_region(strings, catalog, opts, scanner._prefilter(catalog))
+    matches = scanner._match_region(strings, catalog, opts)
     return scanner._findings(matches, catalog, image.label, None)
+
+
+def values_at_offsets(data: bytes, findings) -> int:
+    """Check that each finding's ``username`` sits at its
+    ``username_offset`` and its ``password_raw`` at its ``password_offset``
+    in ``data``, spelt in ASCII or in UTF-16LE, and that a value absent has
+    no offset.  Returns how many values were checked."""
+    checked = 0
+    for f in findings:
+        for value, at in ((f.username, f.username_offset), (f.password_raw, f.password_offset)):
+            if value is None:
+                assert at is None, f
+                continue
+            assert any(
+                data.startswith(value.encode(codec), at) for codec in ("ascii", "utf-16-le")
+            ), (value, at, f)
+            checked += 1
+    return checked
 
 
 # The matcher as it was before its lookups went through sorted
@@ -268,7 +288,8 @@ def bind_adjacent_linear(strings, catalog, delta):
             ):
                 bindings.extend(
                     AdjacentBinding(
-                        sig, kind, key.text, key.offset, value.text, value.offset
+                        sig, kind,
+                        KeyValuePair(key.text, value.text, key.offset, value.offset),
                     )
                     for k in keys
                     if k == key.text
@@ -278,10 +299,10 @@ def bind_adjacent_linear(strings, catalog, delta):
 
 def combine_bindings_linear(bindings, sig, window):
     mine = [b for b in bindings if b.sig.app_id == sig.app_id]
-    users = [b for b in mine if b.kind == "username"]
+    users = [b.pair for b in mine if b.kind == "username"]
     consumed = set()
     matches = []
-    for pw in (b for b in mine if b.kind == "password"):
+    for pw in (b.pair for b in mine if b.kind == "password"):
         nearest = None
         for i, u in enumerate(users):
             if i in consumed or abs(u.key_offset - pw.key_offset) > window:
@@ -294,18 +315,14 @@ def combine_bindings_linear(bindings, sig, window):
         if nearest is not None:
             consumed.add(nearest)
             best = users[nearest]
-        parts = sorted(([best] if best else []) + [pw], key=lambda b: b.key_offset)
+        parts = sorted(([best] if best else []) + [pw], key=lambda p: p.key_offset)
         matches.append(
             SignatureMatch(
                 signature=sig,
                 mode=MatchMode.ADJACENT,
-                username_raw=best.value if best else None,
-                username_offset=best.value_offset if best else None,
-                username_key_offset=best.key_offset if best else None,
-                password_raw=pw.value,
-                password_offset=pw.value_offset,
-                password_key_offset=pw.key_offset,
-                context_text=" ".join(x for b in parts for x in (b.key_text, b.value)),
+                username=best,
+                password=pw,
+                context_text=" ".join(x for p in parts for x in (p.key, p.value)),
             )
         )
     for i, u in enumerate(users):
@@ -314,10 +331,8 @@ def combine_bindings_linear(bindings, sig, window):
                 SignatureMatch(
                     signature=sig,
                     mode=MatchMode.ADJACENT,
-                    username_raw=u.value,
-                    username_offset=u.value_offset,
-                    username_key_offset=u.key_offset,
-                    context_text=f"{u.key_text} {u.value}",
+                    username=u,
+                    context_text=f"{u.key} {u.value}",
                 )
             )
     matches.sort(key=lambda m: m.anchor_offset)
@@ -325,17 +340,23 @@ def combine_bindings_linear(bindings, sig, window):
 
 
 def attach_cookie_usernames_linear(matches, strings, sig, window):
+    # Only the marker offset and the name are read from ``cookie_username``;
+    # the name's offset is worked out here.
+    marker = sig.username_marker
     cookies = []
     for s in strings:
-        cookie = cookie_username(s, sig.username_marker)
+        cookie = cookie_username(s, marker)
         if cookie is not None:
-            cookies.append((*cookie, s))
+            unit = 2 if s.encoding is Encoding.UTF16LE else 1
+            coff = cookie.key_offset
+            name = KeyValuePair(marker, cookie.value, coff, coff + unit * len(marker))
+            cookies.append((coff, name, s))
     claimed = set()
     for i, m in enumerate(matches):
         if (
             m.signature.app_id != sig.app_id
-            or m.password_raw is None
-            or m.username_raw is not None
+            or m.password is None
+            or m.username is not None
         ):
             continue
         best = None
@@ -347,44 +368,34 @@ def attach_cookie_usernames_linear(matches, strings, sig, window):
             ):
                 best = j
         if best is not None:
-            coff, name, src = cookies[best]
+            _coff, name, _src = cookies[best]
             claimed.add(best)
-            unit = 2 if src.encoding is Encoding.UTF16LE else 1
             matches[i] = SignatureMatch(
                 signature=m.signature,
                 mode=m.mode,
-                username_raw=name,
-                username_offset=coff + unit * len(sig.username_marker),
-                username_key_offset=coff,
-                password_raw=m.password_raw,
-                password_offset=m.password_offset,
-                password_key_offset=m.password_key_offset,
+                username=name,
+                password=m.password,
                 context_text=m.context_text,
             )
-    for j, (coff, name, src) in enumerate(cookies):
+    for j, (_coff, name, src) in enumerate(cookies):
         if j not in claimed:
-            unit = 2 if src.encoding is Encoding.UTF16LE else 1
             matches.append(
                 SignatureMatch(
                     signature=sig,
                     mode=MatchMode.INLINE,
-                    username_raw=name,
-                    username_offset=coff + unit * len(sig.username_marker),
-                    username_key_offset=coff,
+                    username=name,
                     context_text=src.text,
                 )
             )
 
 
-def match_region_linear(strings, catalog, opts, hit_re):
+def match_region_linear(strings, catalog, opts):
     """Drop-in reference for ``memsift.scanner._match_region``."""
     matches = []
     for s in strings:
-        if "=" not in s.text or not hit_re.search(s.text):
+        if "=" not in s.text:
             continue
         pairs = parse_form_pairs(s)
-        if not pairs:
-            continue
         for sig in catalog:
             m = match_inline(s, sig, pairs=pairs)
             if m is not None:
@@ -400,12 +411,12 @@ def match_region_linear(strings, catalog, opts, hit_re):
 
     groups = {}
     for m in matches:
-        if m.password_raw is not None:
-            key = (m.mode, "pw", m.password_offset)
+        if m.password is not None:
+            key = (m.mode, "pw", m.password.value_offset)
         else:
-            key = (m.mode, "user", m.username_offset)
+            key = (m.mode, "user", m.username.value_offset)
         conf = assign_confidence_linear(m.anchor_offset, strings, m.signature, opts.window)
-        score = (m.username_raw is not None, conf == HIGH)
+        score = (m.username is not None, conf == HIGH)
         groups.setdefault(key, []).append((score, conf, m))
     kept = []
     for members in groups.values():

@@ -12,3 +12,9 @@ def test_every_export_resolves_once(module):
     assert len(names) == len(set(names))
     missing = [n for n in names if not hasattr(module, n)]
     assert missing == []
+
+
+def test_match_records_are_exported():
+    """``SignatureMatch`` holds ``KeyValuePair`` records, so both are public."""
+    assert memsift.KeyValuePair is memsift.signatures.KeyValuePair
+    assert memsift.SignatureMatch is memsift.signatures.SignatureMatch

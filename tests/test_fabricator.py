@@ -53,6 +53,19 @@ class TestTemplates:
             assert data[0] == 0 and data[-1] == 0
             assert len(data) == t.byte_length
 
+    def test_expected_pairs_sit_at_their_offsets(self):
+        """The hand-written ground truth, checked against the rendered bytes
+        with no scan: each expected key and value is where it says."""
+        for t in builtin_templates():
+            data = t.render()
+            pairs = [
+                p for _, m in t.expected for p in (m.username, m.password) if p is not None
+            ]
+            assert pairs, t.template_id
+            for p in pairs:
+                for text, at in ((p.key, p.key_offset), (p.value, p.value_offset)):
+                    assert data.startswith(text.encode("ascii"), at), (t.template_id, p)
+
     def test_every_template_scans_to_its_expectation(self, tmp_path):
         # the whole point of a template: planted bytes produce exactly
         # the declared findings, whole (decoded value, snippet and value

@@ -19,6 +19,7 @@ from memsift import (
     Encoding,
     ExtractedString,
     ImageManifest,
+    KeyValuePair,
     ManifestEntry,
     MatchMode,
     MemoryImage,
@@ -34,7 +35,7 @@ from memsift import (
 )
 from memsift import scanner
 from memsift.errors import InvalidOptionError, UnknownLabelError
-from oracles import match_region_linear, random_buffer, scan_full_carve
+from oracles import match_region_linear, random_buffer, scan_full_carve, values_at_offsets
 from seams import at_seams
 
 
@@ -379,8 +380,8 @@ class TestToFinding:
     def _match(app, mode=MatchMode.INLINE, pw="p", context="c"):
         return SignatureMatch(
             signature=_sig(app), mode=mode,
-            username_raw="u", username_offset=140, username_key_offset=130,
-            password_raw=pw, password_offset=110, password_key_offset=100,
+            username=KeyValuePair("uName", "u", 130, 140),
+            password=KeyValuePair("pass", pw, 100, 110),
             context_text=context,
         )
 
@@ -415,7 +416,7 @@ class TestToFinding:
         ])
         f = scanner._to_finding(self._match("irctc"), HIGH, "t", pmap)
         assert (f.offset, f.attributions) == (100, (Attribution(1, "firefox.exe", 0x400000),))
-        user_only = replace(self._match("irctc"), password_raw=None)
+        user_only = replace(self._match("irctc"), password=None)
         f = scanner._to_finding(user_only, LOW, "t", pmap)
         assert (f.offset, f.attributions) == (130, (Attribution(2, "chrome.exe", 0x100001D),))
         assert (f.password_decoded, f.encrypted) == (None, False)
@@ -702,7 +703,9 @@ class TestKeywordFirstScan:
         )
         data = draw.draw(at_seams(data, chunk_size, opts.reach + DEFAULT_CAP, _SEAM_LOGINS))
         image = MemoryImage.from_bytes(data, label="t")
-        assert scan_image(image, options=opts) == scan_full_carve(image, opts)
+        findings = scan_image(image, options=opts)
+        assert findings == scan_full_carve(image, opts)
+        values_at_offsets(data, findings)
 
     @pytest.mark.parametrize("codec", ["ascii", "utf-16-le"])
     def test_one_long_run_full_of_hits_scans_in_linear_time(self, codec):

@@ -21,7 +21,10 @@ from memsift.errors import LineError
 from memsift.signatures import (
     DEFAULT_DELTA,
     DEFAULT_WINDOW,
+    GAUSR_MARKER,
     AdjacentBinder,
+    KeyValuePair,
+    SignatureMatch,
     combine_bindings,
     cookie_username,
 )
@@ -203,16 +206,16 @@ class TestMatchInline:
         m = match_inline(s, _sig("irctc"))
         assert m is not None
         assert m.mode is MatchMode.INLINE
-        assert (m.username_raw, m.password_raw) == ("ipsita689", "durga21")
-        assert m.username_offset == 50 + len("n=home&userName=")
-        assert m.password_offset == 50 + len("n=home&userName=ipsita689&password=")
+        assert (m.username.value, m.password.value) == ("ipsita689", "durga21")
+        assert m.username.value_offset == 50 + len("n=home&userName=")
+        assert m.password.value_offset == 50 + len("n=home&userName=ipsita689&password=")
         assert m.context_text == s.text
 
     def test_username_only(self):
         m = match_inline(_s(0, "userName=ipsitasbi"), _sig("sbi"))
         assert m is not None
-        assert m.username_raw == "ipsitasbi"
-        assert m.password_raw is None
+        assert m.username.value == "ipsitasbi"
+        assert m.password is None
 
     def test_no_keys_no_match(self):
         assert match_inline(_s(0, "a=1&b=2"), _sig("irctc")) is None
@@ -220,18 +223,22 @@ class TestMatchInline:
     def test_empty_credential_values_do_not_count(self):
         m = match_inline(_s(0, "userName=&password=x"), _sig("irctc"))
         assert m is not None
-        assert m.username_raw is None
-        assert m.password_raw == "x"
+        assert m.username is None
+        assert m.password.value == "x"
         assert match_inline(_s(0, "userName=&password="), _sig("irctc")) is None
 
     def test_password_key_is_exact(self):
         # Passwd must not satisfy the facebook `pass` key
         m = match_inline(_s(0, "email=x@y.z&Passwd=nope"), _sig("facebook"))
-        assert m is not None and m.password_raw is None
+        assert m is not None and m.password is None
         assert match_inline(_s(0, "Passwd=nope"), _sig("facebook")) is None
 
     def test_keys_match_exact_case(self):
         assert match_inline(_s(0, "USERNAME=A&PASSWORD=B"), _sig("irctc")) is None
+
+    def test_a_match_needs_a_username_or_a_password(self):
+        with pytest.raises(ValueError):
+            SignatureMatch(_sig("irctc"), MatchMode.INLINE)
 
     def test_anchor_prefers_password_key(self):
         s = _s(10, "userName=u&password=p")
@@ -253,8 +260,8 @@ class TestAdjacentMatching:
         assert len(matches) == 1
         m = matches[0]
         assert m.mode is MatchMode.ADJACENT
-        assert (m.username_raw, m.password_raw) == ("ipsita.chinky@gmail.com", "berham!19")
-        assert (m.username_offset, m.password_offset) == (497, 561)
+        assert (m.username.value, m.password.value) == ("ipsita.chinky@gmail.com", "berham!19")
+        assert (m.username.value_offset, m.password.value_offset) == (497, 561)
         assert m.context_text == "email ipsita.chinky@gmail.com pass berham!19"
 
     def test_value_must_fall_within_delta(self):
@@ -268,7 +275,7 @@ class TestAdjacentMatching:
         # two keyword strings in a row: second one is not a value
         strings = [_s(0, "pass"), _s(10, "pass"), _s(20, "hunter2")]
         matches = _match_adjacent(strings, _sig("facebook"))
-        values = {m.password_raw for m in matches}
+        values = {m.password.value for m in matches if m.password}
         assert "pass" not in values
         assert "hunter2" in values
 
@@ -276,8 +283,8 @@ class TestAdjacentMatching:
         strings = [_s(0, "Email"), _s(10, "someone@example.com")]
         matches = _match_adjacent(strings, _sig("gmail-gc"))
         assert len(matches) == 1
-        assert matches[0].username_raw == "someone@example.com"
-        assert matches[0].password_raw is None
+        assert matches[0].username.value == "someone@example.com"
+        assert matches[0].password is None
 
     def test_password_takes_nearest_username_within_window(self):
         strings = [
@@ -286,11 +293,11 @@ class TestAdjacentMatching:
             _s(600, "Passwd"), _s(610, "pw"),
         ]
         matches = _match_adjacent(strings, _sig("gmail-gc"))
-        full = [m for m in matches if m.password_raw]
+        full = [m for m in matches if m.password]
         assert len(full) == 1
-        assert full[0].username_raw == "near@x.y"
-        leftovers = [m for m in matches if m.password_raw is None]
-        assert [m.username_raw for m in leftovers] == ["far@x.y"]
+        assert full[0].username.value == "near@x.y"
+        leftovers = [m for m in matches if m.password is None]
+        assert [m.username.value for m in leftovers] == ["far@x.y"]
 
     def test_username_beyond_window_not_combined(self):
         strings = [
@@ -298,7 +305,7 @@ class TestAdjacentMatching:
             _s(2000, "Passwd"), _s(2010, "pw"),
         ]
         matches = _match_adjacent(strings, _sig("gmail-gc"), window=1024)
-        full = [m for m in matches if m.password_raw and m.username_raw]
+        full = [m for m in matches if m.password and m.username]
         assert not full
 
     def test_binder_incremental_equals_batch(self):
@@ -320,14 +327,14 @@ class TestAdjacentMatching:
         binder = AdjacentBinder([_sig("gmail-gc")])
         bindings = [b for s in strings for b in binder.push(s)]
         first = combine_bindings(bindings, _sig("gmail-gc"))
-        assert [(m.username_raw, m.password_raw) for m in first] == [("a@b.c", "s3cret")]
+        assert [(m.username.value, m.password.value) for m in first] == [("a@b.c", "s3cret")]
         assert combine_bindings(bindings, _sig("gmail-gc")) == first
 
     def test_trailing_bare_key_yields_nothing(self):
         # a keyword with no following string can't bind a value
         strings = [_s(0, "Email"), _s(8, "a@b.c"), _s(60, "Passwd")]
         matches = _match_adjacent(strings, _sig("gmail-gc"))
-        assert all(m.password_raw is None for m in matches)
+        assert all(m.password is None for m in matches)
 
 
 _PAIR_TEXTS = (
@@ -388,10 +395,12 @@ class TestAdjacentPairingOracle:
 class TestCookieUsername:
     def test_published_cookie_line(self):
         text = "Set-Cookie: GAUSR=mail:ipsita.chinky@gmail.com; Path=/accounts;secure"
-        assert cookie_username(_s(0, text)) == (12, "ipsita.chinky@gmail.com")
+        assert cookie_username(_s(0, text)) == KeyValuePair(
+            GAUSR_MARKER, "ipsita.chinky@gmail.com", 12, 12 + len(GAUSR_MARKER)
+        )
 
     def test_terminates_at_whitespace(self):
-        assert cookie_username(_s(0, "GAUSR=mail:user@x.y rest")) == (0, "user@x.y")
+        assert cookie_username(_s(0, "GAUSR=mail:user@x.y rest")).value == "user@x.y"
 
     def test_absent_marker(self):
         assert cookie_username(_s(0, "Set-Cookie: other=1")) is None
@@ -401,5 +410,16 @@ class TestCookieUsername:
 
     def test_marker_offset_accounts_for_encoding(self):
         text = "xGAUSR=mail:me@x.y;"
-        assert cookie_username(_s(40, text)) == (40 + 1, "me@x.y")
-        assert cookie_username(_s(40, text, Encoding.UTF16LE)) == (40 + 2 * 1, "me@x.y")
+        assert cookie_username(_s(40, text)).key_offset == 40 + 1
+        assert cookie_username(_s(40, text, Encoding.UTF16LE)).key_offset == 40 + 2 * 1
+
+    def test_name_offset_counts_two_bytes_per_utf16le_character(self):
+        """The name starts two bytes per character of the marker past it."""
+        text = "xGAUSR=mail:me@x.y;"
+        name_at = 1 + len(GAUSR_MARKER)
+        assert cookie_username(_s(40, text)) == KeyValuePair(
+            GAUSR_MARKER, "me@x.y", 40 + 1, 40 + name_at
+        )
+        assert cookie_username(_s(40, text, Encoding.UTF16LE)) == KeyValuePair(
+            GAUSR_MARKER, "me@x.y", 40 + 2 * 1, 40 + 2 * name_at
+        )

@@ -14,7 +14,7 @@ import pytest
 
 from memsift import BOTH_ENCODINGS, MemoryImage, carver, scan_image
 
-from oracles import catalog_near, scan_full_carve
+from oracles import catalog_near, scan_full_carve, values_at_offsets
 
 # Prose, with the a, A and . of everyday text, in its own proportions.
 _PROSE = """
@@ -74,11 +74,14 @@ SIZE = 256 * 1024
 @pytest.mark.parametrize("codec", ["ascii", "utf-16-le"])
 def test_word_text_scan_equals_full_carve(codec):
     """On text dense in anchors, the scan's findings are those of the scan
-    that carves and matches every string."""
-    image = MemoryImage.from_bytes(word_text(SIZE, codec), label="words")
+    that carves and matches every string, and each value sits in the
+    image at the offset reported."""
+    data = word_text(SIZE, codec)
+    image = MemoryImage.from_bytes(data, label="words")
     want = scan_full_carve(image)
     assert len(want) >= 100
     assert scan_image(image) == want
+    assert values_at_offsets(data, want) >= len(want)
 
 
 def test_search_stops_on_few_bytes_of_text():
