@@ -22,8 +22,9 @@ reference carve in the test suite checks.  ``_buffers`` is the one loop
 over the chunks that does all this, for both carves below: it yields each
 buffer with its streams, each knowing where it resumes, and its cut.  A
 stream finds the run holding a position by reading out from it, and
-remembers it for the buffer, so no run is read twice however many
-lookups land in it.  Read backwards, a window past the first, short one
+keeps the last one: its lookups ascend, but for one step back per buffer
+after the one that sets the cut, so a run is read at most twice per
+buffer however many lookups land in it.  Read backwards, a window past the first, short one
 that lies wholly inside the run is told by translating its bytes, so
 only the window that holds the run's start is read with a regex.
 
@@ -51,17 +52,16 @@ reported, overlaps included.  Each occurrence is mapped to the piece of
 its own stream that holds it, from the extent of the run holding it and
 the run's cap grid, and a kept piece is a key if its bytes are a key's
 spelling, so no piece is decoded to be tested.  The piece after a key is
-the first one of any stream in the order pieces are yielded, found by a
-search forward from the key that stops at ``delta``; when it may lie
-past the cut, the search goes on in the next buffer.  Printable text
-that holds no literal and follows no key is searched but never carved,
-and the scan never loads numpy.
+the first one of any stream in the order pieces are yielded, found as
+soon as the key is by a search forward that stops at ``delta``; when it
+may lie past the cut, the search goes on in the next buffer.  Printable
+text that holds no literal and follows no key is searched but never
+carved, and the scan never loads numpy.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
 from collections import Counter
 from enum import Enum
 from functools import lru_cache
@@ -166,8 +166,8 @@ class _Stream:
     """One stream of a buffer: ASCII, or UTF-16LE pairs at one byte parity.
 
     A position is a character's first byte.  ``run`` finds the run holding
-    a position by reading out from it, and keeps it, so a run's bytes are
-    read once per buffer however many lookups land in it.  Runs start no
+    a position by reading out from it, and keeps the last one, the only
+    one a later lookup can land in, as lookups ascend.  Runs start no
     earlier than ``floor``, where the stream resumes: the bytes before it
     went out in an earlier buffer's pieces.
     """
@@ -179,8 +179,7 @@ class _Stream:
         self.floor = floor + (floor - parity) % unit
         self.span, self.min_bytes = unit * cap, unit * min_len
         self.long_run = _long_run(unit, min_len)
-        self.starts: list[int] = []  # the runs found so far, ascending
-        self.ends: list[int] = []
+        self.last = (0, 0)  # the last run found
 
     def at(self, byte: int) -> int:
         """The position whose character holds ``byte``."""
@@ -204,20 +203,18 @@ class _Stream:
         holds every position from its start up to its end, so one that
         ends in a lone last byte ends a byte past the buffer."""
         x = max(x, self.floor)
+        if self.last[0] <= x < self.last[1]:
+            return self.last
         if not self.member(x):
             return None
-        i = bisect_right(self.starts, x)
-        if i and x < self.ends[i - 1]:
-            return self.starts[i - 1], self.ends[i - 1]
-        # The run starts past the run found before it.  The window read
-        # backwards grows by a factor each time, so the cost follows the
-        # run's length.  Past the first, short window, one wholly inside
-        # the run is told by ``inside``, and only the one that holds the
-        # run's start is read with the regex, which reads a byte several
-        # times slower.
-        lo, start, width = self.ends[i - 1] if i else self.floor, x, 256
-        while start > lo:
-            first = max(lo, x - width)
+        # The window read backwards grows by a factor each time, so the
+        # cost follows the run's length; the byte before a run holds no
+        # character, so only the floor bounds it.  Past the first, short
+        # window, one wholly inside the run is told by ``inside``, and only
+        # the one holding the run's start is read with the slower regex.
+        start, width = x, 256
+        while start > self.floor:
+            first = max(self.floor, x - width)
             if width > 256 and self.inside(first, start):
                 start = first
             else:
@@ -228,9 +225,8 @@ class _Stream:
         end = _FORWARD[self.unit].match(self.buf, x).end()
         if self.unit == 2 and self.member(end):  # the lone last byte
             end += 2
-        self.starts.insert(i, start)
-        self.ends.insert(i, end)
-        return start, end
+        self.last = start, end
+        return self.last
 
     def inside(self, first: int, last: int) -> bool:
         """Whether every position in [first, last) holds a character,
@@ -274,8 +270,8 @@ class _Stream:
             m = self.long_run.search(buf, _FORWARD[2].match(buf, m.start(), endpos).end(), endpos)
         if m is None or m.start() >= hi:
             return None
-        start, end = self.run(m.start())
-        return start, min(start + self.span, end)
+        at = m.start()  # a run's start, whose piece before the cut ends in buf
+        return at, _FORWARD[self.unit].match(buf, at, at + self.span).end()
 
 
 def _buffers(
@@ -414,13 +410,6 @@ class _NearCarve:
         the next buffer.
         """
         rows: set[tuple[int, int, int]] = set()
-        keys = []
-        for x, spelling, unit in self.occurrences(buf):
-            piece = streams[unit, x % unit].holding(x, len(spelling))
-            if piece and piece[0] < cut and (row := (piece[0], unit, piece[1])) not in rows:
-                rows.add(row)
-                if buf[piece[0]:piece[1]] in self.keys:
-                    keys.append(row)
 
         def follow(at: int, unit: int, limit: int) -> None:
             """Keep the first piece after the one at ``at`` of ``unit`` bytes
@@ -440,8 +429,16 @@ class _NearCarve:
         pending, self.pending = self.pending, None
         if pending is not None:
             follow(0, 0, pending - base)
-        for at, unit, stop in keys:
-            follow(at, unit, stop + self.delta)
+        # Keys are followed as found, so lookups ascend; ``found`` holds the
+        # occurrences' pieces, since a piece kept after a key may be a key too.
+        found = set()
+        for x, spelling, unit in self.occurrences(buf):
+            piece = streams[unit, x % unit].holding(x, len(spelling))
+            if piece and piece[0] < cut and (row := (piece[0], unit, piece[1])) not in found:
+                found.add(row)
+                rows.add(row)
+                if buf[piece[0]:piece[1]] in self.keys:
+                    follow(piece[0], unit, piece[1] + self.delta)
         # tuple.__new__ over ready rows skips ExtractedString's Python-level
         # __new__, a third of the cost of building each string.
         return [

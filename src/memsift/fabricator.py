@@ -9,8 +9,8 @@ ground truth findings a correct scanner must report, which makes whole
 corpora usable as end-to-end oracles.
 
 No catalog keyword, context URL or cookie marker can appear in filler by
-chance, so none is searched for: each of them, in ASCII and in UTF-16LE,
-holds an ``a``, ``A`` or ``.`` byte, and filler never draws those three.
+chance, so none is searched for: each holds one of the carver's anchors
+(``a``, ``A``, ``.``) in both encodings, and filler never draws them.
 With the templates blanked to NULs, such a byte could only come from
 filler, so no token can form in filler, across a block seam, or where
 filler meets the NUL guards at template edges.  Placements must keep a
@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .carver import _cover
 from .corpus import ImageManifest, ManifestEntry, _check_session, write_manifest
 from .errors import InvalidOptionError, OverlapError, PlacementOutOfBoundsError
 from .procmap import ProcessMap, ProcessMapEntry, write_process_map
@@ -543,9 +544,10 @@ def load_plan(path: str | Path) -> FabricationPlan:
 # --- filler ---------------------------------------------------------------
 
 
-# Every catalog keyword, context URL and the GAUSR cookie marker holds one
-# of these bytes, in ASCII and UTF-16LE alike, and filler never draws them.
-_EXCLUDED = b"aA."
+# The carver's anchors: the cover of every keyword, URL and the marker.
+_EXCLUDED = _cover(frozenset({GAUSR_MARKER}.union(*(
+    (*sig.username_keys, *sig.password_keys, *sig.context_urls) for sig in builtin_catalog()
+)))).encode("ascii")
 _PRINTABLE = np.frombuffer(
     bytes(b for b in range(0x20, 0x7F) if b not in _EXCLUDED), dtype=np.uint8
 )

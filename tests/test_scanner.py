@@ -729,6 +729,25 @@ class TestKeywordFirstScan:
         assert {f.password_raw for f in findings} == {"v1234"}
         assert cpu < 0.3, f"{cpu:.2f} s CPU"
 
+    @pytest.mark.parametrize("chunk_size", [4096, 1 << 20])
+    @pytest.mark.parametrize("lead, unit", [
+        (b"", b"a"), (b"", b"pass"), (b"", b"pass="), (b"", b"&pass=x"),
+        (b"", b"GAUSR=mail:x;"), (b"", b"pass\0"), (b"", b"pass\0xxxx\0"),
+        (b"", b"pass\0pass\0v1234\0"), (b"", "pass=".encode("utf-16-le")),
+        (b"\x01", "pass".encode("utf-16-le")),
+    ], ids=repr)
+    def test_keys_with_nothing_between_equal_full_carve(self, lead, unit, chunk_size):
+        """24 KiB of one unit repeated, after ``lead``: one run of anchors,
+        one long run of keys or forms, or keys and values with nothing
+        else between them.  The findings equal the full carve's, and each
+        value sits at its offset."""
+        data = (lead + unit * (24 * 1024 // len(unit) + 1))[: 24 * 1024]
+        image = MemoryImage.from_bytes(data, label="k")
+        opts = ScanOptions(chunk_size=chunk_size)
+        findings = scan_image(image, options=opts)
+        assert findings == scan_full_carve(image, opts)
+        values_at_offsets(data, findings)
+
     @pytest.mark.parametrize("density", [0.1, 0.3, 0.7])
     def test_scan_equals_full_carve_with_hits_at_seams(self, density):
         """Forms, keys, cookies and URLs planted in random filler, half of
@@ -741,6 +760,7 @@ class TestKeywordFirstScan:
         buf = bytearray(random_buffer(seed, size, density))
         texts = [form.format(u="v1a2", p="vb3c4") for form in _INLINE]
         texts += [f"{key}\0vq5r6" for key in _KEYS] + list(_URLS) + ["GAUSR=mail:vs7t8"]
+        texts += [f"{key}\0{key}\0vq5r6" for key in _KEYS]
         for i in range(48):
             text = texts[rng.integers(len(texts))]
             codec = "utf-16-le" if rng.random() < 0.3 else "ascii"
