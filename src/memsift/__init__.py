@@ -37,7 +37,7 @@ _EXPORTS = {
             build_presence_matrix scan_image scan_manifest""",
         "signatures": """DEFAULT_DELTA DEFAULT_WINDOW GAUSR_MARKER
             CredentialSignature KeyValuePair MatchMode SignatureMatch builtin_catalog
-            load_catalog_file match_inline merge_catalogs parse_form_pairs""",
+            key_owners load_catalog_file match_inline merge_catalogs parse_form_pairs""",
     }.items()
     for name in names.split()
 }

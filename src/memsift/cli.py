@@ -96,10 +96,14 @@ def _load_catalog(path: str | None):
 
 
 def _write_output(text: str, out: str | None) -> None:
+    """Write ``text`` as UTF-8 to the file ``out``, or to stdout whatever
+    its encoding, so that both get the same bytes."""
+    data = text.encode("utf-8")
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        Path(out).write_bytes(data)
 
 
 def _add_scan_flags(p: argparse.ArgumentParser) -> None:
@@ -214,15 +218,17 @@ def cmd_attribute(args: argparse.Namespace) -> int:
     from .report import _shown
 
     pmap = ProcessMap(load_process_map(args.map))
+    lines = []
     for offset in args.offset:
         owners = pmap.lookup(offset)
         if not owners:
-            print(f"0x{offset:08x}: no owner")
+            lines.append(f"0x{offset:08x}: no owner\n")
         for a in owners:
-            print(
+            lines.append(
                 f"0x{offset:08x}: {_shown(a.process_name)}[{a.pid}] "
-                f"virt=0x{a.virtual_address:08x}"
+                f"virt=0x{a.virtual_address:08x}\n"
             )
+    _write_output("".join(lines), None)
     return 0
 
 

@@ -11,7 +11,9 @@ soon as it ends.  Peak memory follows the largest batch rather than the
 image size, and printable text that holds no catalog literal is searched
 but never carved.  The scan loads no numpy.
 
-Within a batch every signature is tried in both modes.  Where two
+Within a batch each form body is matched for the signatures that own its
+keys, and each key string binds the value after it for the same owners,
+both through one table from key to signatures.  Where two
 applications share keywords (IRCTC and SBI both post ``userName`` and
 ``password``), the login-page URL seen nearby is what tells them apart, so
 dominated duplicates are dropped: a candidate loses only to one that
@@ -19,17 +21,16 @@ matched at least as much (username, context confirmation) and strictly
 more of it.  Candidates that tie stay side by side; ambiguity is evidence.
 
 Matching a batch costs O(n log n) in its n strings, however crowded it
-is.  Adjacent usernames are paired with passwords by one sweep over the
-offset-sorted bindings, and context URLs and GAUSR cookies are found by
-bisection in offset-sorted lists built once per batch, never by
-rescanning the batch per candidate.
+is.  Each form body is parsed once, adjacent usernames are paired with
+passwords by one sweep over the offset-sorted bindings, and context URLs
+and GAUSR cookies are found by bisection in ascending offset lists built
+once per batch, never by rescanning the batch per candidate.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .carver import (
@@ -54,14 +55,12 @@ from .signatures import (
     builtin_catalog,
     combine_bindings,
     cookie_username,
+    key_owners,
     match_inline,
-    parse_form_pairs,
 )
 
 HIGH = "HIGH"
 LOW = "LOW"
-
-_offset = attrgetter("offset")
 
 # Table-style column layout: one column per application/browser pairing that
 # can actually produce findings (the Firefox Gmail signature is
@@ -163,27 +162,13 @@ class CredentialFinding:
 
 
 def assign_confidence(
-    anchor: int,
-    context: Sequence[ExtractedString],
-    sig: CredentialSignature,
-    window: int = DEFAULT_WINDOW,
+    anchor: int, offsets: Sequence[int], window: int = DEFAULT_WINDOW
 ) -> str:
-    """HIGH iff one of the signature's context URLs occurs in a carved
-    string whose offset lies within [anchor-window, anchor+window].
-
-    ``context`` must be ascending by offset, as carved strings arrive.  The
-    first string inside the window is found by bisection, so when
-    ``context`` holds only strings that carry one of the URLs a call costs
-    O(log n).
-    """
-    lo, hi = anchor - window, anchor + window
-    for i in range(bisect_left(context, lo, key=_offset), len(context)):
-        s = context[i]
-        if s.offset > hi:
-            break
-        if any(u in s.text for u in sig.context_urls):
-            return HIGH
-    return LOW
+    """HIGH iff one of ``offsets``, the ascending offsets of the carved
+    strings that hold one of the signature's context URLs, lies within
+    [anchor-window, anchor+window].  One bisection, so O(log n)."""
+    i = bisect_left(offsets, anchor - window)
+    return HIGH if i < len(offsets) and offsets[i] <= anchor + window else LOW
 
 
 def _attach_cookie_usernames(
@@ -234,30 +219,18 @@ def _match_region(
 ) -> list[tuple[str, SignatureMatch]]:
     """All signature matches among ``strings``, with the dominated
     shared-keyword duplicates removed, as (confidence, match) pairs."""
-    matches: list[SignatureMatch] = []
-    # Per URL set, the strings that carry one of its URLs, built on first
-    # use; ascending by offset because ``strings`` is.
-    url_strings: dict[tuple[str, ...], list[ExtractedString]] = {}
-
-    # Inline: each carved string treated as a form body.
-    for s in strings:
-        if "=" not in s.text:
-            continue
-        pairs = parse_form_pairs(s)
-        for sig in catalog:
-            m = match_inline(s, sig, pairs=pairs)
-            if m is not None:
-                matches.append(m)
-
-    # Adjacent: key and value carved as separate neighbouring strings.
+    owners = key_owners(catalog)
     binder = AdjacentBinder(catalog, opts.delta)
+    # Inline: each carved string holding ``=`` is a form body.  Adjacent:
+    # key and value carved as separate neighbouring strings.
+    matches: list[SignatureMatch] = []
     bindings = []
     for s in strings:
+        if "=" in s.text:
+            matches.extend(match_inline(s, owners))
         bindings.extend(binder.push(s))
     for sig in catalog:
         matches.extend(combine_bindings(bindings, sig, opts.window))
-
-    for sig in catalog:
         if sig.username_marker:
             _attach_cookie_usernames(matches, strings, sig, opts.window)
 
@@ -266,19 +239,18 @@ def _match_region(
     # (matched a username, context-confirmed).  The URL context is exactly
     # what associates an ambiguous userName/password pair with one site.
     groups: dict[tuple, list[tuple[tuple[bool, bool], str, SignatureMatch]]] = {}
+    # Per URL set, the ascending offsets of the strings that hold one of
+    # its URLs, listed on first use.
+    url_offsets: dict[tuple[str, ...], list[int]] = {}
     for m in matches:
         if m.password is not None:
             key = (m.mode, "pw", m.password.value_offset)
         else:
             key = (m.mode, "user", m.username.value_offset)
         urls = m.signature.context_urls
-        if urls not in url_strings:
-            url_strings[urls] = [
-                s for s in strings if any(u in s.text for u in urls)
-            ]
-        conf = assign_confidence(
-            m.anchor_offset, url_strings[urls], m.signature, opts.window
-        )
+        if urls not in url_offsets:
+            url_offsets[urls] = [s.offset for s in strings if any(u in s.text for u in urls)]
+        conf = assign_confidence(m.anchor_offset, url_offsets[urls], opts.window)
         score = (m.username is not None, conf == HIGH)
         groups.setdefault(key, []).append((score, conf, m))
     kept: list[tuple[str, SignatureMatch]] = []
@@ -340,13 +312,13 @@ def scan_image(
     if pmap is not None and not isinstance(pmap, ProcessMap):
         pmap = ProcessMap(pmap)
 
-    keys = {key for sig in catalog for key in (*sig.username_keys, *sig.password_keys)}
     literals = {
         literal for sig in catalog for literal in (*sig.context_urls, sig.username_marker)
         if literal
     }
     strings = carve_strings(
-        image, opts.min_len, chunk_size=opts.chunk_size, near=(literals, keys, opts.delta)
+        image, opts.min_len, chunk_size=opts.chunk_size,
+        near=(literals, key_owners(catalog).keys(), opts.delta),
     )
     matches = [
         match

@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 from .carver import Encoding, ExtractedString
 from .corpus import _tsv_rows
@@ -67,9 +67,6 @@ class CredentialSignature:
                 raise ValueError(
                     f"{self.app_id}: {token!r} is not non-empty printable ASCII"
                 )
-
-    def is_key(self, text: str) -> bool:
-        return text in self.username_keys or text in self.password_keys
 
 
 @dataclass(frozen=True, slots=True)
@@ -227,34 +224,44 @@ def parse_form_pairs(string: ExtractedString) -> list[KeyValuePair]:
     return pairs
 
 
-def _first_pair(
-    pairs: Iterable[KeyValuePair], keys: tuple[str, ...]
-) -> KeyValuePair | None:
-    for p in pairs:
-        if p.key in keys and p.value:
-            return p
-    return None
+def key_owners(
+    catalog: Sequence[CredentialSignature],
+) -> dict[str, list[tuple[CredentialSignature, str]]]:
+    """Each form key of the catalog mapped to its listings, the (signature,
+    kind) pairs that own it, kind ``"username"`` or ``"password"``: in
+    catalog order, with a signature's username keys first.  This table
+    alone says which signatures own a key; a shared key lists every owner
+    (IRCTC and SBI both post ``userName`` and ``password``)."""
+    owners: dict[str, list[tuple[CredentialSignature, str]]] = {}
+    for sig in catalog:
+        for kind, keys in (("username", sig.username_keys), ("password", sig.password_keys)):
+            for key in keys:
+                owners.setdefault(key, []).append((sig, kind))
+    return owners
 
 
 def match_inline(
-    string: ExtractedString,
-    sig: CredentialSignature,
-    *,
-    pairs: list[KeyValuePair] | None = None,
-) -> SignatureMatch | None:
-    """Match a signature against one carved string treated as a form body.
+    string: ExtractedString, owners: Mapping[str, Sequence[tuple[CredentialSignature, str]]]
+) -> list[SignatureMatch]:
+    """Match one carved string, parsed once as a form body, for each
+    signature that owns one of its keys; ``owners`` is ``key_owners(catalog)``.
 
-    Returns a match when a username or password key appears among the pairs
+    A signature takes its first username pair and its first password pair
     with a non-empty value; a username alone is enough (passwords decay
-    from memory faster than usernames do).
+    from memory faster than usernames do).  Matches come in the order of
+    each signature's first such pair, not in catalog order.
     """
-    if pairs is None:
-        pairs = parse_form_pairs(string)
-    username = _first_pair(pairs, sig.username_keys)
-    password = _first_pair(pairs, sig.password_keys)
-    if username is None and password is None:
-        return None
-    return SignatureMatch(sig, MatchMode.INLINE, username, password, string.text)
+    found: dict[CredentialSignature, dict[str, KeyValuePair]] = {}
+    for pair in parse_form_pairs(string):
+        if pair.value:
+            for sig, kind in owners.get(pair.key, ()):
+                found.setdefault(sig, {}).setdefault(kind, pair)
+    return [
+        SignatureMatch(
+            sig, MatchMode.INLINE, got.get("username"), got.get("password"), string.text
+        )
+        for sig, got in found.items()
+    ]
 
 
 @dataclass(slots=True)
@@ -273,36 +280,28 @@ class AdjacentBinder:
     Feed strings in offset order.  A value is the string right after its
     key, so only the last string pushed is kept: it is the key whenever a
     binding can form.  Each push binds the new string to it, once for each
-    (signature, kind) its text is a key of, when the new string starts
-    within ``delta`` bytes of the key's end and is not itself a key of
-    that signature.
+    of the key's listings in ``key_owners(catalog)``, when the new string
+    starts within ``delta`` bytes of the key's end and is not itself a key
+    of that listing's signature.
     """
 
     def __init__(
         self, catalog: Sequence[CredentialSignature], delta: int = DEFAULT_DELTA
     ):
         self.delta = delta
-        self._keys: dict[str, list[tuple[CredentialSignature, str]]] = {}
-        for sig in catalog:
-            for k in sig.username_keys:
-                self._keys.setdefault(k, []).append((sig, "username"))
-            for k in sig.password_keys:
-                self._keys.setdefault(k, []).append((sig, "password"))
+        self._owners = key_owners(catalog)
         self._last: ExtractedString | None = None
 
     def push(self, string: ExtractedString) -> list[AdjacentBinding]:
         key, self._last = self._last, string
         if key is None or string.offset > key.offset + key.byte_length + self.delta:
             return []
-        listings = self._keys.get(key.text)
+        listings = self._owners.get(key.text)
         if listings is None:
             return []
+        taken = {sig for sig, _ in self._owners.get(string.text, ())}
         pair = KeyValuePair(key.text, string.text, key.offset, string.offset)
-        return [
-            AdjacentBinding(sig, kind, pair)
-            for sig, kind in listings
-            if not sig.is_key(string.text)
-        ]
+        return [AdjacentBinding(sig, kind, pair) for sig, kind in listings if sig not in taken]
 
 
 def combine_bindings(
@@ -392,6 +391,7 @@ __all__ = [
     "builtin_catalog",
     "combine_bindings",
     "cookie_username",
+    "key_owners",
     "load_catalog_file",
     "match_inline",
     "merge_catalogs",

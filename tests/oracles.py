@@ -4,10 +4,11 @@ Everything here favors obviousness over speed: the byte-at-a-time carvers
 are straight transcriptions of the definition of a maximal printable run,
 and the numpy carver is a separately-derived vectorization.  The two
 agree with each other by construction of the tests, and the production
-carver must agree with both.  ``bind_adjacent_linear`` pairs keys with
-values over consecutive strings, and ``match_region_linear`` is the
-matcher before its lookups were indexed; both are the scanner's
-references.  ``scan_full_carve`` is ``scan_image``'s reference: it
+carver must agree with both.  ``match_inline_linear`` tries every
+signature on a form body, ``bind_adjacent_linear`` pairs keys with values
+over consecutive strings, and ``match_region_linear`` is the matcher
+before its lookups were indexed; all three are the scanner's references,
+and none goes through the scanner's key table.  ``scan_full_carve`` is ``scan_image``'s reference: it
 matches every carved string, not just those matching reads, at once
 rather than in batches.
 ``values_at_offsets`` checks findings against the image bytes alone.
@@ -30,7 +31,6 @@ from memsift.signatures import (
     SignatureMatch,
     builtin_catalog,
     cookie_username,
-    match_inline,
     parse_form_pairs,
 )
 
@@ -270,6 +270,24 @@ def assign_confidence_linear(anchor, context, sig, window):
     return LOW
 
 
+def match_inline_linear(string, catalog):
+    """Reference for ``match_inline``: for each signature in catalog order,
+    the first username pair and the first password pair of the form body
+    with a non-empty value."""
+    pairs = parse_form_pairs(string)
+    matches = []
+    for sig in catalog:
+        username, password = (
+            next((p for p in pairs if p.key in keys and p.value), None)
+            for keys in (sig.username_keys, sig.password_keys)
+        )
+        if username is not None or password is not None:
+            matches.append(
+                SignatureMatch(sig, MatchMode.INLINE, username, password, string.text)
+            )
+    return matches
+
+
 def bind_adjacent_linear(strings, catalog, delta):
     """Reference for ``AdjacentBinder``: each pair of consecutive strings
     whose first is a key of a signature, whose second starts within delta
@@ -393,13 +411,8 @@ def match_region_linear(strings, catalog, opts):
     """Drop-in reference for ``memsift.scanner._match_region``."""
     matches = []
     for s in strings:
-        if "=" not in s.text:
-            continue
-        pairs = parse_form_pairs(s)
-        for sig in catalog:
-            m = match_inline(s, sig, pairs=pairs)
-            if m is not None:
-                matches.append(m)
+        if "=" in s.text:
+            matches.extend(match_inline_linear(s, catalog))
 
     bindings = bind_adjacent_linear(strings, catalog, opts.delta)
     for sig in catalog:

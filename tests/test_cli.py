@@ -14,9 +14,10 @@ from memsift.cli import main
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def memsift_child(*argv, **kwargs):
-    """Run ``python -m memsift`` on the sources under src/."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+def memsift_child(*argv, env_extra=(), **kwargs):
+    """Run ``python -m memsift`` on the sources under src/, with the
+    environment variables ``env_extra`` set too."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), **dict(env_extra))
     return subprocess.run(
         [sys.executable, *argv], env=env, capture_output=True, timeout=120, **kwargs
     )
@@ -220,6 +221,21 @@ class TestScan:
             )
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_stdout_gets_the_file_bytes_whatever_its_encoding(self, tmp_path, fmt):
+        """A decoded password stdout's encoding cannot spell is still
+        written, as the same UTF-8 bytes ``--out`` writes."""
+        image = tmp_path / "euro.img"
+        image.write_bytes(b"\x00" * 16 + b"uName=bob&pass=%E2%82%ACuro&digest=" + b"\x00" * 16)
+        dest = tmp_path / "report"
+        argv = ["-m", "memsift", "scan", str(image), "--deterministic", "--format", fmt]
+        to_file = memsift_child(*argv, "--out", str(dest))
+        assert (to_file.returncode, to_file.stderr) == (0, b"")
+        assert "\u20acuro" in dest.read_text(encoding="utf-8")
+        child = memsift_child(*argv, env_extra={"PYTHONIOENCODING": "latin-1"})
+        assert (child.returncode, child.stderr) == (0, b"")
+        assert child.stdout == dest.read_bytes()
 
     def test_missing_target_fails(self, capsys, tmp_path):
         code, _, err = run(capsys, "scan", str(tmp_path / "nope.tsv"))
@@ -463,6 +479,15 @@ class TestAttribute:
         code, out, _ = run(capsys, "attribute", str(pmap), "0x1800")
         assert code == 0
         assert out == "0x00001800: ev\\x1b[31mil.exe[7] virt=0x00400800\n"
+
+    def test_name_stdout_cannot_encode_is_written_as_utf8(self, tmp_path):
+        pmap = tmp_path / "process_map.tsv"
+        pmap.write_text("7\tcaf\u00e9\u20ac.exe\t0x1000\t0x2000\t0x400000\n",
+                        encoding="utf-8")
+        child = memsift_child("-m", "memsift", "attribute", str(pmap), "0x1800",
+                              env_extra={"PYTHONIOENCODING": "latin-1"})
+        assert (child.returncode, child.stderr) == (0, b"")
+        assert child.stdout == "0x00001800: caf\u00e9\u20ac.exe[7] virt=0x00400800\n".encode()
 
     def test_decimal_and_zero_offsets(self, capsys, corpus_dir):
         pmap = corpus_dir / "process_map.tsv"

@@ -35,7 +35,13 @@ from memsift import (
 )
 from memsift import scanner
 from memsift.errors import InvalidOptionError, UnknownLabelError
-from oracles import match_region_linear, random_buffer, scan_full_carve, values_at_offsets
+from oracles import (
+    assign_confidence_linear,
+    match_region_linear,
+    random_buffer,
+    scan_full_carve,
+    values_at_offsets,
+)
 from seams import at_seams
 
 
@@ -62,25 +68,35 @@ def scan(*planted, size=16384, pmap=None, options=None):
     return scan_image(_image(*planted, size=size), process_map=pmap, options=options)
 
 
+def _url_offsets(ctx, sig):
+    """What the scan gives ``assign_confidence``: the offsets of the
+    strings that hold one of the signature's context URLs."""
+    return [s.offset for s in ctx if any(u in s.text for u in sig.context_urls)]
+
+
+# Strings holding IRCTC's URL, SBI's, both or neither, ascending by offset.
+_url_texts = st.sampled_from([
+    "Referer: https://www.irctc.co.in/", "https://www.onlinesbi.com/",
+    "irctc.co.in onlinesbi.com", "Host: example.org",
+])
+_url_context = st.lists(
+    st.tuples(st.integers(0, 5000), _url_texts), max_size=12, unique_by=lambda t: t[0]
+).map(lambda items: [_s(at, text) for at, text in sorted(items)])
+
+
 class TestAssignConfidence:
     def test_context_url_raises_confidence(self):
-        ctx = [_s(100, "Referer: https://www.irctc.co.in/")]
-        assert assign_confidence(200, ctx, _sig("irctc")) == HIGH
+        assert assign_confidence(200, [100]) == HIGH
 
     def test_no_context_is_low(self):
-        assert assign_confidence(200, [], _sig("irctc")) == LOW
-        wrong = [_s(100, "https://www.onlinesbi.com/")]
-        assert assign_confidence(200, wrong, _sig("irctc")) == LOW
+        assert assign_confidence(200, []) == LOW
 
     def test_window_boundary_inclusive(self):
-        url = "irctc.co.in"
         w = 1024
-        at_edge = [_s(200 + w, url)]
-        assert assign_confidence(200, at_edge, _sig("irctc"), window=w) == HIGH
-        past_edge = [_s(200 + w + 1, url)]
-        assert assign_confidence(200, past_edge, _sig("irctc"), window=w) == LOW
-        before = [_s(200 - w, url)]
-        assert assign_confidence(200, before, _sig("irctc"), window=w) == HIGH
+        assert assign_confidence(200, [200 + w], window=w) == HIGH
+        assert assign_confidence(200, [200 + w + 1], window=w) == LOW
+        assert assign_confidence(200, [200 - w], window=w) == HIGH
+        assert assign_confidence(200, [200 - w - 1, 200 + w + 1], window=w) == LOW
 
     @settings(max_examples=60)
     @given(
@@ -89,11 +105,21 @@ class TestAssignConfidence:
     )
     def test_monotonic_in_window(self, anchor, ctx_off, w1, w2):
         lo, hi = sorted((w1, w2))
-        ctx = [_s(ctx_off, "irctc.co.in")]
-        narrow = assign_confidence(anchor, ctx, _sig("irctc"), window=lo)
-        wide = assign_confidence(anchor, ctx, _sig("irctc"), window=hi)
+        narrow = assign_confidence(anchor, [ctx_off], window=lo)
+        wide = assign_confidence(anchor, [ctx_off], window=hi)
         if narrow == HIGH:
             assert wide == HIGH
+
+    @settings(max_examples=300)
+    @given(
+        anchor=st.integers(0, 5000), ctx=_url_context, window=st.integers(0, 2000),
+        app=st.sampled_from(["irctc", "sbi"]),
+    )
+    def test_offsets_equal_linear_reference(self, anchor, ctx, window, app):
+        sig = _sig(app)
+        assert assign_confidence(anchor, _url_offsets(ctx, sig), window) == (
+            assign_confidence_linear(anchor, ctx, sig, window)
+        )
 
 
 class TestScanInline:
@@ -118,6 +144,12 @@ class TestScanInline:
             ("irctc", LOW), ("sbi", LOW),
         ]
         assert all(f.password_raw == "durga21" for f in findings)
+
+    def test_another_applications_url_confirms_only_that_application(self):
+        # onlinesbi.com within the window makes SBI's candidate HIGH; IRCTC's
+        # is dominated and dropped, not raised by the other site's URL
+        findings = scan((600, "https://www.onlinesbi.com/"), (700, self.BODY))
+        assert [(f.app_id, f.confidence) for f in findings] == [("sbi", HIGH)]
 
     def test_context_outside_window_is_low(self):
         anchor = 8000 + self.BODY.index("password")

@@ -12,6 +12,7 @@ from memsift import (
     ExtractedString,
     MatchMode,
     builtin_catalog,
+    key_owners,
     load_catalog_file,
     match_inline,
     merge_catalogs,
@@ -28,7 +29,7 @@ from memsift.signatures import (
     combine_bindings,
     cookie_username,
 )
-from oracles import bind_adjacent_linear, combine_bindings_linear
+from oracles import bind_adjacent_linear, combine_bindings_linear, match_inline_linear
 
 
 def _s(offset, text, encoding=Encoding.ASCII):
@@ -38,6 +39,21 @@ def _s(offset, text, encoding=Encoding.ASCII):
 
 def _sig(app="irctc"):
     return next(s for s in builtin_catalog() if s.app_id == app)
+
+
+# A catalog whose key ownership the built-in one never exercises: "pass"
+# is SonicWall's and Facebook's password key and acme's username key, and
+# coil lists "token" as a username key and as a password key.
+_USER_CATALOG = merge_catalogs(builtin_catalog(), [
+    CredentialSignature("acme", ("pass", "login"), ("secret",), ("acme.example",)),
+    CredentialSignature("coil", ("token",), ("token", "pin"), ("coil.example",)),
+])
+
+
+def _inline(string, app="irctc"):
+    """The inline match of one built-in signature, or None."""
+    matches = match_inline(string, key_owners(builtin_catalog()))
+    return next((m for m in matches if m.signature.app_id == app), None)
 
 
 def _match_adjacent(strings, sig, delta=DEFAULT_DELTA, window=DEFAULT_WINDOW):
@@ -54,12 +70,25 @@ class TestCatalog:
         ]
 
     def test_keyword_case_matters(self):
-        gc = _sig("gmail-gc")
-        assert gc.is_key("Email")
-        assert not gc.is_key("email")
-        fb = _sig("facebook")
-        assert fb.is_key("email")
-        assert not fb.is_key("Email")
+        owners = key_owners(builtin_catalog())
+        assert [sig.app_id for sig, _ in owners["Email"]] == ["gmail-gc"]
+        assert [sig.app_id for sig, _ in owners["email"]] == ["facebook"]
+        assert "EMAIL" not in owners
+
+    def test_key_owners_list_every_owner_in_catalog_order(self):
+        owners = {
+            key: [(sig.app_id, kind) for sig, kind in listings]
+            for key, listings in key_owners(_USER_CATALOG).items()
+        }
+        assert owners["pass"] == [
+            ("sonicwall", "password"), ("facebook", "password"), ("acme", "username"),
+        ]
+        assert owners["userName"] == [("irctc", "username"), ("sbi", "username")]
+        assert owners["token"] == [("coil", "username"), ("coil", "password")]
+        assert list(owners) == [
+            "uName", "pass", "email", "GAUSR", "Passwd", "Email", "userName",
+            "password", "login", "secret", "token", "pin",
+        ]
 
     def test_value_encodings(self):
         # only SBI's values are encrypted in the browser
@@ -118,7 +147,7 @@ class TestCatalog:
         sig = CredentialSignature(
             "bank", (" ~",), ("p w",), (), username_marker="a=b:"
         )
-        assert sig.is_key(" ~")
+        assert key_owners([sig]) == {" ~": [(sig, "username")], "p w": [(sig, "password")]}
 
     def test_merge_replaces_matching_app_id(self):
         override = CredentialSignature("irctc", ("u",), ("p",), ("x",))
@@ -203,7 +232,7 @@ class TestParseFormPairs:
 class TestMatchInline:
     def test_full_credential_pair(self):
         s = _s(50, "n=home&userName=ipsita689&password=durga21&button=Login")
-        m = match_inline(s, _sig("irctc"))
+        m = _inline(s)
         assert m is not None
         assert m.mode is MatchMode.INLINE
         assert (m.username.value, m.password.value) == ("ipsita689", "durga21")
@@ -212,29 +241,29 @@ class TestMatchInline:
         assert m.context_text == s.text
 
     def test_username_only(self):
-        m = match_inline(_s(0, "userName=ipsitasbi"), _sig("sbi"))
+        m = _inline(_s(0, "userName=ipsitasbi"), "sbi")
         assert m is not None
         assert m.username.value == "ipsitasbi"
         assert m.password is None
 
     def test_no_keys_no_match(self):
-        assert match_inline(_s(0, "a=1&b=2"), _sig("irctc")) is None
+        assert _inline(_s(0, "a=1&b=2")) is None
 
     def test_empty_credential_values_do_not_count(self):
-        m = match_inline(_s(0, "userName=&password=x"), _sig("irctc"))
+        m = _inline(_s(0, "userName=&password=x"))
         assert m is not None
         assert m.username is None
         assert m.password.value == "x"
-        assert match_inline(_s(0, "userName=&password="), _sig("irctc")) is None
+        assert _inline(_s(0, "userName=&password=")) is None
 
     def test_password_key_is_exact(self):
         # Passwd must not satisfy the facebook `pass` key
-        m = match_inline(_s(0, "email=x@y.z&Passwd=nope"), _sig("facebook"))
+        m = _inline(_s(0, "email=x@y.z&Passwd=nope"), "facebook")
         assert m is not None and m.password is None
-        assert match_inline(_s(0, "Passwd=nope"), _sig("facebook")) is None
+        assert _inline(_s(0, "Passwd=nope"), "facebook") is None
 
     def test_keys_match_exact_case(self):
-        assert match_inline(_s(0, "USERNAME=A&PASSWORD=B"), _sig("irctc")) is None
+        assert _inline(_s(0, "USERNAME=A&PASSWORD=B")) is None
 
     def test_a_match_needs_a_username_or_a_password(self):
         with pytest.raises(ValueError):
@@ -242,10 +271,42 @@ class TestMatchInline:
 
     def test_anchor_prefers_password_key(self):
         s = _s(10, "userName=u&password=p")
-        m = match_inline(s, _sig("irctc"))
+        m = _inline(s)
         assert m.anchor_offset == 10 + s.text.index("password")
-        only_user = match_inline(_s(10, "userName=u"), _sig("irctc"))
+        only_user = _inline(_s(10, "userName=u"))
         assert only_user.anchor_offset == 10
+
+    def test_one_match_per_owning_signature_in_first_key_order(self):
+        s = _s(0, "email=e&uName=u&pass=p&Passwd=")
+        matches = match_inline(s, key_owners(builtin_catalog()))
+        assert [(m.signature.app_id, m.username.value, m.password.value)
+                for m in matches] == [("facebook", "e", "p"), ("sonicwall", "u", "p")]
+
+
+# Keys of both catalogs, their case variants and keys no signature owns.
+_FORM_KEYS = sorted(
+    {k for sig in _USER_CATALOG for k in (*sig.username_keys, *sig.password_keys)}
+    | {"n", "button", "Pass", "USERNAME", "digest"}
+)
+_form_fragment = st.just("junk") | st.tuples(
+    st.sampled_from(_FORM_KEYS), st.sampled_from(["", "v", "x1", "a%40b"])
+).map("=".join)
+_form_body = st.tuples(
+    st.sampled_from(["", "GET /p?"]), st.lists(_form_fragment, min_size=1, max_size=8)
+).map(lambda parts: parts[0] + "&".join(parts[1]))
+
+
+class TestKeyDispatch:
+    @pytest.mark.parametrize("catalog", [builtin_catalog(), _USER_CATALOG],
+                             ids=["builtin", "user"])
+    @settings(max_examples=300, deadline=None)
+    @given(body=_form_body, offset=st.integers(0, 64), wide=st.booleans())
+    def test_match_inline_equals_per_signature_reference(self, catalog, body, offset, wide):
+        s = _s(offset, body, Encoding.UTF16LE if wide else Encoding.ASCII)
+        got = match_inline(s, key_owners(catalog))
+        want = match_inline_linear(s, catalog)
+        assert len(got) == len({m.signature.app_id for m in got})
+        assert {m.signature.app_id: m for m in got} == {m.signature.app_id: m for m in want}
 
 
 class TestAdjacentMatching:
@@ -339,10 +400,11 @@ class TestAdjacentMatching:
 
 _PAIR_TEXTS = (
     "uName", "pass", "email", "Email", "Passwd", "userName", "password",
-    "GAUSR", "v1", "v22", "v333",
+    "GAUSR", "login", "secret", "token", "pin", "v1", "v22", "v333",
 )
 _PAIR_KEYS = (("Email", "Passwd"), ("email", "pass"), ("uName", "pass"),
-              ("userName", "password"))
+              ("userName", "password"), ("pass", "secret"), ("token", "token"),
+              ("token", "pin"))
 # A slot is a key-sized string at a multiple of 16 bytes and the string 8
 # bytes on, which may be a key itself.  A tie is a password slot with a
 # username slot equally far on either side.
@@ -368,10 +430,13 @@ _pair_window = st.integers(0, 16 * 25) | st.integers(0, 25).map(lambda n: 16 * n
 
 
 class TestAdjacentPairingOracle:
+    @pytest.mark.parametrize("catalog", [builtin_catalog(), _USER_CATALOG],
+                             ids=["builtin", "user"])
     @settings(max_examples=300, deadline=None)
     @given(strings=_pair_slots, delta=st.integers(0, 24), window=_pair_window)
-    def test_binder_and_pairing_equal_linear_references(self, strings, delta, window):
-        catalog = builtin_catalog()
+    def test_binder_and_pairing_equal_linear_references(
+        self, catalog, strings, delta, window
+    ):
         binder = AdjacentBinder(catalog, delta)
         bindings = [b for s in strings for b in binder.push(s)]
         assert bindings == bind_adjacent_linear(strings, catalog, delta)
