@@ -9,11 +9,13 @@ turns carved strings into findings: who logged in where, with what.
 
 from memsift import MemoryImage, builtin_catalog, scan_image
 
-# the built-in catalog covers six application signatures
+# the built-in catalog covers six application signatures; Gmail under
+# Firefox has no username key, its account name is the GAUSR cookie's
 print("catalog:")
 for sig in builtin_catalog():
-    print(f"  {sig.app_id:10s}  user key={sig.username_keys[0]!r:12s} "
-          f"password key={sig.password_keys[0]!r}")
+    user = (f"user key={sig.username_keys[0]!r}" if sig.username_keys
+            else f"user marker={sig.username_marker!r}")
+    print(f"  {sig.app_id:10s}  {user:26s} password key={sig.password_keys[0]!r}")
 
 # an inline match: both keys inside one carved string, with a context URL
 # nearby to pin down which application the keys belong to

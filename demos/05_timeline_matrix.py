@@ -54,8 +54,8 @@ print()
 print(render_matrix_table(matrix))
 
 # credentials survive logout (Img7-9) and only leave when the browser
-# process dies; nothing survives the reboot
-print("\nsonicwall/MF on Img9 (after logout):",
-      matrix.cell("Img9", "sonicwall", "MF"))
-print("sonicwall/MF on Img10 (browser closed):",
-      matrix.cell("Img10", "sonicwall", "MF"))
+# process dies; nothing survives the reboot.  The matrix is the object a
+# report stores: each row's cells follow its columns.
+column = matrix["columns"].index(["sonicwall", "MF"])
+print("\nsonicwall/MF on Img9 (after logout):", matrix["cells"]["Img9"][column])
+print("sonicwall/MF on Img10 (browser closed):", matrix["cells"]["Img10"][column])

@@ -30,11 +30,11 @@ _EXPORTS = {
             save_plan table1_preset template_by_id""",
         "procmap": """Attribution ProcessMap ProcessMapEntry load_process_map
             write_process_map""",
-        "report": """build_report finding_to_doc load_report matrix_to_doc
-            render_json render_matrix_table render_text""",
+        "report": """build_report finding_to_doc load_report render_json
+            render_matrix_table render_text""",
         "scanner": """GC HIGH LOW MF STANDARD_COLUMNS CredentialFinding
-            PresenceMatrix ScanOptions assign_confidence browser_tag
-            build_presence_matrix scan_image scan_manifest""",
+            ScanOptions assign_confidence browser_tag build_presence_matrix
+            scan_image scan_manifest""",
         "signatures": """DEFAULT_DELTA DEFAULT_WINDOW GAUSR_MARKER
             CredentialSignature KeyValuePair MatchMode SignatureMatch builtin_catalog
             key_owners load_catalog_file match_inline merge_catalogs parse_form_pairs""",

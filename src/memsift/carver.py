@@ -42,8 +42,8 @@ of the key's end.  A piece that holds a literal holds one that contains
 no other, so only those are searched for, spelt in ASCII and in UTF-16LE,
 all in one pass per buffer.  A few characters, chosen greedily, cover
 the literals: each literal holds one, and its first one is its anchor.
-For the built-in catalog they are ``a``, ``A`` and ``.``, far rarer in
-text than the literals' first bytes, which take in the vowels.  The
+For the built-in catalog they are ``a`` and ``.``, far rarer in text
+than the literals' first bytes, which take in the vowels.  The
 buffer is translated once so that every anchor byte becomes one class
 byte, and one regex stops on that byte where a trie of the translated
 bytes after the anchors follows it; each stop is confirmed against the

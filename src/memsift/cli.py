@@ -97,13 +97,15 @@ def _load_catalog(path: str | None):
 
 def _write_output(text: str, out: str | None) -> None:
     """Write ``text`` as UTF-8 to the file ``out``, or to stdout whatever
-    its encoding, so that both get the same bytes."""
-    data = text.encode("utf-8")
-    if out is None or out == "-":
-        sys.stdout.flush()
-        sys.stdout.buffer.write(data)
+    its encoding, so that both get the same bytes.  A stdout with no byte
+    buffer under it, such as an ``io.StringIO``, takes the text itself."""
+    if out not in (None, "-"):
+        Path(out).write_bytes(text.encode("utf-8"))
+    elif (buffer := getattr(sys.stdout, "buffer", None)) is None:
+        sys.stdout.write(text)
     else:
-        Path(out).write_bytes(data)
+        sys.stdout.flush()
+        buffer.write(text.encode("utf-8"))
 
 
 def _add_scan_flags(p: argparse.ArgumentParser) -> None:
@@ -178,15 +180,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
     manifest = load_manifest(target) if is_manifest else None
     if manifest is not None:
         findings = scan_manifest(manifest, catalog, options, pmap)
-        labels = manifest.labels()
-        matrix = build_presence_matrix(manifest, findings)
     else:
         image = MemoryImage.from_file(target)
         findings = {image.label: scan_image(image, catalog, options, pmap)}
-        labels = [image.label]
-        matrix = build_presence_matrix(labels, findings)
+    matrix = build_presence_matrix(list(findings) if manifest is None else manifest, findings)
     doc = build_report(
-        labels,
+        matrix["rows"],
         findings,
         options=options,
         matrix=matrix,
@@ -249,11 +248,14 @@ def cmd_fabricate(args: argparse.Namespace) -> int:
         plan = table1_preset(**preset)
     result = fabricate(plan, args.out)
     n = len(result.image_paths)
-    print(f"wrote {n} image{'s' if n != 1 else ''} under {result.out_dir}")
-    print(f"manifest: {result.manifest_path}")
+    lines = [
+        f"wrote {n} image{'s' if n != 1 else ''} under {result.out_dir}",
+        f"manifest: {result.manifest_path}",
+    ]
     if result.process_map_path is not None:
-        print(f"process map: {result.process_map_path}")
-    print(f"ground truth: {result.ground_truth_path}")
+        lines.append(f"process map: {result.process_map_path}")
+    lines.append(f"ground truth: {result.ground_truth_path}")
+    _write_output("".join(line + "\n" for line in lines), None)
     return 0
 
 

@@ -9,11 +9,12 @@ ground truth findings a correct scanner must report, which makes whole
 corpora usable as end-to-end oracles.
 
 No catalog keyword, context URL or cookie marker can appear in filler by
-chance, so none is searched for: each holds one of the carver's anchors
-(``a``, ``A``, ``.``) in both encodings, and filler never draws them.
-With the templates blanked to NULs, such a byte could only come from
-filler, so no token can form in filler, across a block seam, or where
-filler meets the NUL guards at template edges.  Placements must keep a
+chance, so none is searched for: each holds one of ``a``, ``A`` and ``.``
+in both encodings, and filler never draws them.  They take in the
+carver's anchors, ``a`` and ``.``, so its search stops almost only at
+planted text.  With the templates blanked to NULs, such a byte could only
+come from filler, so no token can form in filler, across a block seam, or
+where filler meets the NUL guards at template edges.  Placements must keep a
 clear gap between each other so their context windows cannot interact;
 ground truth is then simply the union of per-template expectations.
 """
@@ -26,7 +27,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .carver import _cover
 from .corpus import ImageManifest, ManifestEntry, _check_session, write_manifest
 from .errors import InvalidOptionError, OverlapError, PlacementOutOfBoundsError
 from .procmap import ProcessMap, ProcessMapEntry, write_process_map
@@ -544,10 +544,10 @@ def load_plan(path: str | Path) -> FabricationPlan:
 # --- filler ---------------------------------------------------------------
 
 
-# The carver's anchors: the cover of every keyword, URL and the marker.
-_EXCLUDED = _cover(frozenset({GAUSR_MARKER}.union(*(
-    (*sig.username_keys, *sig.password_keys, *sig.context_urls) for sig in builtin_catalog()
-)))).encode("ascii")
+# Bytes filler never draws.  Every catalog keyword, URL and the marker
+# holds one, and they take in the carver's anchors.  A constant, not the
+# anchors themselves, so that a change of anchors leaves corpora as they are.
+_EXCLUDED = b"aA."
 _PRINTABLE = np.frombuffer(
     bytes(b for b in range(0x20, 0x7F) if b not in _EXCLUDED), dtype=np.uint8
 )

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 from .carver import BOTH_ENCODINGS, DEFAULT_CAP
 from .corpus import ImageManifest
-from .scanner import CredentialFinding, PresenceMatrix, ScanOptions
+from .scanner import CredentialFinding, ScanOptions
 
 
 def finding_to_doc(f: CredentialFinding) -> dict:
@@ -55,26 +55,16 @@ def _options_doc(options: ScanOptions) -> dict:
     }
 
 
-def matrix_to_doc(matrix: PresenceMatrix) -> dict:
-    return {
-        "rows": list(matrix.rows),
-        "columns": [[app, browser] for app, browser in matrix.columns],
-        "cells": {
-            row: [matrix.cell(row, app, br) for app, br in matrix.columns]
-            for row in matrix.rows
-        },
-    }
-
-
 def build_report(
     labels: Sequence[str],
     findings_by_image: Mapping[str, Sequence[CredentialFinding]],
     options: ScanOptions | None = None,
-    matrix: PresenceMatrix | None = None,
+    matrix: dict | None = None,
     deterministic: bool = False,
     manifest: ImageManifest | None = None,
 ) -> dict:
-    """Assemble the full report document for a set of scanned images."""
+    """Assemble the full report document for a set of scanned images;
+    ``matrix`` is stored as ``build_presence_matrix`` returns it."""
     from . import __version__
 
     doc: dict = {"version": __version__}
@@ -104,7 +94,7 @@ def build_report(
         for label in labels
     ]
     if matrix is not None:
-        doc["matrix"] = matrix_to_doc(matrix)
+        doc["matrix"] = matrix
     return doc
 
 
@@ -159,16 +149,12 @@ def render_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_matrix_table(matrix: PresenceMatrix | dict) -> str:
-    """The presence timeline as an aligned text table, each cell shown as
-    ``render_text`` shows values."""
-    if isinstance(matrix, PresenceMatrix):
-        matrix = matrix_to_doc(matrix)
-    rows = matrix["rows"]
-    columns = [tuple(c) for c in matrix["columns"]]
-    headers = ["image"] + [f"{app}/{br}" for app, br in columns]
+def render_matrix_table(matrix: dict) -> str:
+    """The presence timeline, a report's ``matrix``, as an aligned text
+    table, each cell shown as ``render_text`` shows values."""
+    headers = ["image"] + [f"{app}/{br}" for app, br in matrix["columns"]]
     table = [[_shown(cell) for cell in headers]]
-    for row in rows:
+    for row in matrix["rows"]:
         table.append([_shown(cell) for cell in [row, *matrix["cells"][row]]])
     widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
     out = []
@@ -185,7 +171,7 @@ def load_report(text: str) -> dict:
 
 def report_matrix(doc: object) -> dict:
     """The matrix a ``scan`` report carries, checked for the shape
-    ``matrix_to_doc`` writes.  Anything else raises ``ValueError``."""
+    ``build_presence_matrix`` builds.  Anything else raises ``ValueError``."""
     matrix = doc.get("matrix") if isinstance(doc, dict) else None
     if not isinstance(matrix, dict):
         raise ValueError("not a scan report: no matrix object")

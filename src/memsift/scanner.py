@@ -387,20 +387,6 @@ def scan_manifest(
     return out
 
 
-@dataclass(frozen=True)
-class PresenceMatrix:
-    """Yes/No grid: did image X still hold a password for column Y."""
-
-    rows: tuple[str, ...]
-    columns: tuple[tuple[str, str], ...]
-    cells: tuple[tuple[str, ...], ...]
-
-    def cell(self, label: str, app_id: str, browser: str) -> str:
-        r = self.rows.index(label)
-        c = self.columns.index((app_id, browser))
-        return self.cells[r][c]
-
-
 def _finding_browsers(f: CredentialFinding, session_browser: str | None) -> frozenset[str]:
     tags = frozenset(
         BROWSER_PROCESSES[name]
@@ -417,8 +403,11 @@ def _finding_browsers(f: CredentialFinding, session_browser: str | None) -> froz
 def build_presence_matrix(
     rows: ImageManifest | Sequence[str],
     findings_by_image: Mapping[str, Sequence[CredentialFinding]],
-) -> PresenceMatrix:
-    """Reduce findings to the password-presence grid.
+) -> dict:
+    """Reduce findings to the password-presence grid, the object a report
+    stores as its ``matrix``: ``rows`` (the image labels), ``columns``
+    (``[app, browser]`` pairs, ``STANDARD_COLUMNS``) and ``cells``, each
+    row's list of ``"Yes"`` or ``"No"`` per column keyed by its label.
 
     A cell is Yes iff at least one finding for that application in that
     image still carries the password bytes; encrypted counts, the password
@@ -429,26 +418,24 @@ def build_presence_matrix(
     """
     session_browser = None
     if isinstance(rows, ImageManifest):
-        labels = tuple(rows.labels())
+        labels = rows.labels()
         if rows.session_meta is not None:
             session_browser = browser_tag(rows.session_meta[0])
     else:
-        labels = tuple(rows)
-    known = set(labels)
-    for label in findings_by_image:
-        if label not in known:
-            raise UnknownLabelError(f"findings reference unknown image label {label!r}")
-    grid: list[tuple[str, ...]] = []
-    for label in labels:
-        row: list[str] = []
-        per_image = findings_by_image.get(label, ())
-        for app_id, tag in STANDARD_COLUMNS:
-            yes = any(
+        labels = list(rows)
+    cells = {
+        label: [
+            "Yes" if any(
                 f.app_id == app_id
                 and f.password_raw is not None
                 and tag in _finding_browsers(f, session_browser)
-                for f in per_image
-            )
-            row.append("Yes" if yes else "No")
-        grid.append(tuple(row))
-    return PresenceMatrix(rows=labels, columns=STANDARD_COLUMNS, cells=tuple(grid))
+                for f in findings_by_image.get(label, ())
+            ) else "No"
+            for app_id, tag in STANDARD_COLUMNS
+        ]
+        for label in labels
+    }
+    for label in findings_by_image:
+        if label not in cells:
+            raise UnknownLabelError(f"findings reference unknown image label {label!r}")
+    return {"rows": labels, "columns": [list(c) for c in STANDARD_COLUMNS], "cells": cells}

@@ -56,8 +56,10 @@ class CredentialSignature:
     def __post_init__(self) -> None:
         if not self.app_id:
             raise ValueError("app_id must be non-empty")
-        if not self.username_keys or not self.password_keys:
-            raise ValueError(f"{self.app_id}: key lists must be non-empty")
+        if not (self.username_keys or self.username_marker) or not self.password_keys:
+            raise ValueError(
+                f"{self.app_id}: needs a username key or marker, and a password key"
+            )
         # Carved text is printable ASCII, so a token holding anything else
         # could never match; the carver's keyword search relies on it too.
         marker = () if self.username_marker is None else (self.username_marker,)
@@ -125,9 +127,11 @@ def builtin_catalog() -> list[CredentialSignature]:
             password_keys=("pass",),
             context_urls=("facebook.com/login.php",),
         ),
+        # Its account name comes from the GAUSR cookie alone: no login form
+        # posts a username key.
         CredentialSignature(
             app_id="gmail-ff",
-            username_keys=("GAUSR",),
+            username_keys=(),
             password_keys=("Passwd",),
             context_urls=("accounts.google",),
             username_marker=GAUSR_MARKER,

@@ -145,13 +145,13 @@ def test_criterion_3_table1_reproduction(tmp_path):
     matrix = build_presence_matrix(manifest, findings)
     dt = time.perf_counter() - t0
 
-    mismatches = []
-    for n in range(1, 14):
-        expected = _TABLE1[n].split()
-        for (app, browser), want in zip(STANDARD_COLUMNS, expected):
-            got = matrix.cell(f"Img{n}", app, browser)
-            if got != want:
-                mismatches.append((f"Img{n}", app, browser, got, want))
+    assert matrix["rows"] == [f"Img{n}" for n in _TABLE1]
+    assert matrix["columns"] == [list(c) for c in STANDARD_COLUMNS]
+    mismatches = [
+        (f"Img{n}", matrix["cells"][f"Img{n}"], row.split())
+        for n, row in _TABLE1.items()
+        if matrix["cells"][f"Img{n}"] != row.split()
+    ]
     assert not mismatches, mismatches
     assert dt < 60.0, f"{dt:.1f}s"
     print(f"ACCEPTANCE 3: PASS - 130/130 cells match, {dt:.1f} s")

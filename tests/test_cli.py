@@ -1,9 +1,13 @@
 """Command line behavior, argument by argument."""
 
+import inspect
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -357,6 +361,20 @@ class TestNumbers:
         assert f"bytes (default {options.delta})" in help_text
         assert f"window in bytes (default {options.window})" in help_text
 
+    def test_fabricate_help_states_the_preset_defaults(self, capsys):
+        from memsift import table1_preset
+        from memsift.cli import _parse_size
+
+        with pytest.raises(SystemExit):
+            main(["fabricate", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        defaults = {name: p.default
+                    for name, p in inspect.signature(table1_preset).parameters.items()}
+        size = re.search(r"preset image size \(default (\w+)\)", help_text)
+        assert size and _parse_size(size[1]) == defaults["image_size"]
+        assert f"preset RNG seed (default {defaults['seed']})" in help_text
+        assert f"density in [0, 1) (default {defaults['printable_density']})" in help_text
+
 
 class TestOptionRanges:
     @pytest.mark.parametrize("argv, message", [
@@ -424,6 +442,19 @@ class TestMatrix:
         assert lines[0].startswith("image")
         img3 = next(ln for ln in lines if ln.startswith("Img3 "))
         assert img3.split()[1:] == ["Yes", "Yes"] + ["No"] * 8
+
+    def test_prints_the_matrix_lines_of_the_text_report(self, capsys, small_corpus, tmp_path):
+        _plan, result = small_corpus
+        argv = ["scan", str(result.manifest_path), "--process-map",
+                str(result.process_map_path), "--deterministic"]
+        report = tmp_path / "report.json"
+        assert run(capsys, *argv, "--out", str(report)) == (0, "", "")
+        code, text, _ = run(capsys, *argv, "--format", "text")
+        assert code == 0
+        # the text report's findings end at a blank line, before its matrix
+        findings, _, matrix_lines = text.partition("\n\n")
+        assert findings.splitlines()[-1].startswith("total: ")
+        assert run(capsys, "matrix", str(report)) == (0, matrix_lines, "")
 
     @pytest.mark.parametrize("doc, message", [
         ([1, 2], "no matrix"),
@@ -504,6 +535,24 @@ class TestFabricate:
         assert (corpus_dir / "process_map.tsv").is_file()
         assert (corpus_dir / "ground_truth.json").is_file()
         assert len(list(corpus_dir.glob("*.img"))) == 13
+
+    def test_summary_stdout_cannot_encode_is_written_as_utf8(self, tmp_path):
+        out = tmp_path / "caf\u20ac"
+        child = memsift_child("-m", "memsift", "fabricate", "--preset", "table1",
+                              "--image-size", "1M", "--out", str(out),
+                              env_extra={"PYTHONIOENCODING": "latin-1"})
+        assert (child.returncode, child.stderr) == (0, b"")
+        assert f"wrote 13 images under {out}\n".encode() in child.stdout
+
+    def test_summary_goes_to_a_text_only_stdout(self, tmp_path):
+        """A stdout with no byte buffer under it takes the summary as text."""
+        captured = io.StringIO()
+        with redirect_stdout(captured):
+            code = main(["fabricate", "--preset", "table1", "--image-size", "1M",
+                         "--out", str(tmp_path / "corpus")])
+        assert code == 0
+        assert captured.getvalue().startswith("wrote 13 images under ")
+        assert captured.getvalue().endswith("ground_truth.json\n")
 
     def test_overlapping_plan_fails_naming_both(self, capsys, tmp_path):
         from memsift import FabricationPlan, PlannedImage, save_plan

@@ -7,14 +7,19 @@ from memsift import (
     Attribution,
     CredentialFinding,
     MatchMode,
+    ProcessMap,
     ScanOptions,
     build_presence_matrix,
     build_report,
     finding_to_doc,
+    load_manifest,
+    load_process_map,
     render_json,
     render_matrix_table,
     render_text,
+    scan_manifest,
 )
+from memsift.report import report_matrix
 
 
 def _finding(**over):
@@ -54,6 +59,20 @@ def test_report_skeleton_and_key_order():
     assert list(doc.keys()) == ["version", "options", "images", "matrix"]
     assert doc["images"][0]["label"] == "I1"
     assert doc["matrix"]["cells"]["I1"][6] == "Yes"  # irctc/MF via attribution
+
+
+def test_built_matrix_is_the_matrix_a_report_reads_back(small_corpus):
+    """The matrix a scan builds is the one its report stores: it passes the
+    check for matrices read from files, and a JSON round trip keeps it."""
+    _plan, result = small_corpus
+    manifest = load_manifest(result.manifest_path)
+    pmap = ProcessMap(load_process_map(result.process_map_path))
+    findings = scan_manifest(manifest, process_map=pmap)
+    matrix = build_presence_matrix(manifest, findings)
+    doc = build_report(manifest.labels(), findings, options=ScanOptions(),
+                       matrix=matrix, deterministic=True, manifest=manifest)
+    assert report_matrix(json.loads(render_json(doc))) == matrix
+    assert any("Yes" in cells for cells in matrix["cells"].values())
 
 
 def test_deterministic_omits_timestamp():

@@ -285,6 +285,17 @@ class TestCookieUsername:
         assert ("high@x.y", None) in [(f.username, f.password_raw) for f in findings]
         assert findings == _reference_scan(image, ScanOptions())
 
+    def test_cookie_in_a_form_body_gives_only_the_account_name(self):
+        """No login form posts a ``GAUSR`` key, so a cookie at the start of a
+        form fragment, or the bare word, gives no username of its own."""
+        findings = scan(
+            (100, "https://accounts.google.com/ServiceLogin"),
+            (300, "GAUSR=mail:erin@gmail.com; Email=bob@gmail.com&Passwd=hunter2"),
+            (500, "GAUSR"), (510, "mail:frank@gmail.com;"),
+        )
+        ff = [(f.username, f.password_raw) for f in findings if f.app_id == "gmail-ff"]
+        assert ff == [("erin@gmail.com", "hunter2")]
+
     def test_cookie_outside_window_not_claimed(self):
         findings = scan((700, self.COOKIE), (4000, self.LOCATION))
         with_pw = [f for f in findings if f.app_id == "gmail-ff" and f.password_raw]
@@ -477,6 +488,10 @@ FF = (Attribution(1532, "firefox.exe", 0x400000),)
 GC = (Attribution(2210, "chrome.exe", 0x1000000),)
 
 
+def _cell(m: dict, label: str, app_id: str, browser: str) -> str:
+    return m["cells"][label][m["columns"].index([app_id, browser])]
+
+
 class TestPresenceMatrix:
     def test_browser_tag_normalization(self):
         assert browser_tag("firefox.exe") == "MF"
@@ -492,8 +507,8 @@ class TestPresenceMatrix:
         m = build_presence_matrix(
             ["I1"], {"I1": [_finding("I1", "irctc", attributions=FF)]}
         )
-        assert m.cell("I1", "irctc", "MF") == "Yes"
-        assert m.cell("I1", "irctc", "GC") == "No"
+        assert _cell(m, "I1", "irctc", "MF") == "Yes"
+        assert _cell(m, "I1", "irctc", "GC") == "No"
 
     def test_session_meta_fallback(self):
         manifest = ImageManifest(
@@ -501,24 +516,24 @@ class TestPresenceMatrix:
             session_meta=("Google Chrome", "irctc"),
         )
         m = build_presence_matrix(manifest, {"I1": [_finding("I1", "irctc")]})
-        assert m.cell("I1", "irctc", "GC") == "Yes"
-        assert m.cell("I1", "irctc", "MF") == "No"
+        assert _cell(m, "I1", "irctc", "GC") == "Yes"
+        assert _cell(m, "I1", "irctc", "MF") == "No"
 
     def test_no_tag_information_marks_all_columns(self):
         m = build_presence_matrix(["I1"], {"I1": [_finding("I1", "irctc")]})
-        assert m.cell("I1", "irctc", "MF") == "Yes"
-        assert m.cell("I1", "irctc", "GC") == "Yes"
+        assert _cell(m, "I1", "irctc", "MF") == "Yes"
+        assert _cell(m, "I1", "irctc", "GC") == "Yes"
 
     def test_username_only_findings_never_flip_cells(self):
         m = build_presence_matrix(["I1"], {"I1": [_userals("I1", "sbi")]})
-        assert m.cell("I1", "sbi", "MF") == "No"
-        assert m.cell("I1", "sbi", "GC") == "No"
+        assert _cell(m, "I1", "sbi", "MF") == "No"
+        assert _cell(m, "I1", "sbi", "GC") == "No"
 
     def test_ten_standard_columns(self):
         m = build_presence_matrix(["I1"], {})
-        assert len(m.columns) == 10
-        assert m.columns[0] == ("sonicwall", "MF")
-        assert m.cell("I1", "sonicwall", "MF") == "No"
+        assert len(m["columns"]) == 10
+        assert m["columns"][0] == ["sonicwall", "MF"]
+        assert _cell(m, "I1", "sonicwall", "MF") == "No"
 
     def test_unknown_label_rejected(self):
         with pytest.raises(UnknownLabelError):
@@ -526,7 +541,7 @@ class TestPresenceMatrix:
 
     def test_rows_keep_manifest_order(self):
         m = build_presence_matrix(["B", "A"], {})
-        assert m.rows == ("B", "A")
+        assert m["rows"] == ["B", "A"]
 
 
 

@@ -85,8 +85,9 @@ class TestCatalog:
         ]
         assert owners["userName"] == [("irctc", "username"), ("sbi", "username")]
         assert owners["token"] == [("coil", "username"), ("coil", "password")]
+        # gmail-ff has no username key: its account name is the cookie's
         assert list(owners) == [
-            "uName", "pass", "email", "GAUSR", "Passwd", "Email", "userName",
+            "uName", "pass", "email", "Passwd", "Email", "userName",
             "password", "login", "secret", "token", "pin",
         ]
 
@@ -111,6 +112,17 @@ class TestCatalog:
         with pytest.raises(LineError) as err:
             load_catalog_file(io.StringIO("only\tthree\tfields\n"))
         assert err.value.lineno == 1
+
+    def test_signature_needs_a_username_key_or_marker(self):
+        """A catalog file has no marker column, so a row must name a
+        username key."""
+        with pytest.raises(LineError, match="username key or marker") as err:
+            load_catalog_file(io.StringIO("# header\nacme\t\tap\tacme.example\tplaintext\n"))
+        assert err.value.lineno == 2
+        with pytest.raises(ValueError, match="username key or marker"):
+            CredentialSignature("acme", (), ("ap",), ("acme.example",))
+        marked = CredentialSignature("acme", (), ("ap",), (), username_marker="ID=")
+        assert marked.username_keys == ()
 
     def test_plaintext_and_percent_encoded_read_alike(self):
         row = "acme\tau\tap\tacme.example\t{}\n"

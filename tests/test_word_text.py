@@ -1,11 +1,11 @@
 """The scan on text: words drawn from a fixed list, where anchors are dense.
 
-Fabricator filler never draws ``a``, ``A`` or ``.``, the bytes the keyword
-search anchors the built-in catalog's literals on, so fabricated images
-stop the search almost only at planted text.  Real RAM is full of text,
-which holds those bytes often.  ``word_text`` stands in for it: words of
-prose, catalog keys, context URLs and whole form bodies, separated by
-spaces, line breaks and NUL runs.
+Fabricator filler never draws ``a``, ``A`` or ``.``, which take in ``a``
+and ``.``, the bytes the keyword search anchors the built-in catalog's
+literals on, so fabricated images stop the search almost only at planted
+text.  Real RAM is full of text, which holds those bytes often.
+``word_text`` stands in for it: words of prose, catalog keys, context URLs
+and whole form bodies, separated by spaces, line breaks and NUL runs.
 """
 
 import random
