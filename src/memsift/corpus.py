@@ -139,6 +139,14 @@ class ImageManifest:
         return len(self.entries)
 
 
+def _check_file(path: Path, what: str) -> None:
+    """A ``MissingFileError`` unless ``path`` is a regular file; a path
+    that exists as something else (a directory) is not called missing."""
+    if not path.is_file():
+        problem = "is not a regular file" if path.exists() else "not found"
+        raise MissingFileError(f"{what} {problem}: {path}")
+
+
 @dataclass(frozen=True)
 class MemoryImage:
     """A single raw memory image.
@@ -157,8 +165,7 @@ class MemoryImage:
     @classmethod
     def from_file(cls, path: str | Path, label: str | None = None) -> "MemoryImage":
         p = Path(path)
-        if not p.is_file():
-            raise MissingFileError(f"image file not found: {p}")
+        _check_file(p, "image file")
         size = p.stat().st_size
         if size == 0:
             raise ZeroSizeError(f"image file is empty: {p}")
@@ -197,15 +204,18 @@ def _parse_lines(
     source: str | Path | Iterable[str], parse: Callable[[str], T | None]
 ) -> Iterator[T]:
     """``parse`` of each line, end removed, of a UTF-8 file or text lines;
-    ``None`` results are dropped.  A ``ValueError`` from ``parse`` or from
-    decoding becomes a ``LineError``, and a ``MemsiftError`` keeps its type
-    with ``FILE:LINE:`` put before its message."""
+    ``None`` results are dropped, and so is a byte-order mark at the start
+    of the first line, as some Windows editors write one.  A ``ValueError``
+    from ``parse`` or from decoding becomes a ``LineError``, and a
+    ``MemsiftError`` keeps its type with ``FILE:LINE:`` put before its
+    message."""
     named = isinstance(source, (str, Path))
     name = str(source) if named else getattr(source, "name", "<stream>")
     with open(source, "rb") if named else nullcontext(source) as lines:
         for lineno, raw in enumerate(lines, 1):
             try:
-                parsed = parse((raw.decode("utf-8") if named else raw).rstrip("\r\n"))
+                line = (raw.decode("utf-8") if named else raw).rstrip("\r\n")
+                parsed = parse(line.removeprefix("\ufeff") if lineno == 1 else line)
             except MemsiftError as exc:
                 raise type(exc)(f"{name}:{lineno}: {exc}") from None
             except ValueError as exc:
@@ -243,8 +253,7 @@ def load_manifest(path: str | Path) -> ImageManifest:
     that does not parse, each naming the file and line.
     """
     src = Path(path)
-    if not src.is_file():
-        raise MissingFileError(f"manifest not found: {src}")
+    _check_file(src, "manifest")
     timeline: dict[str, ManifestEntry] = {}
     session: list[tuple[str, str]] = []
 

@@ -4,34 +4,37 @@ The scan is keyword-first.  Signature keywords are rare, so only the
 strings matching reads are built: the carver finds every key, marker and
 context URL in the raw image bytes, in ASCII and UTF-16LE, in one pass per
 buffer, and builds only the strings that hold one, plus the string right
-after each key when it lies within the adjacency gap.  Every matching
-decision is local, so those strings are split into batches wherever more
-than ``reach`` bytes separate them, and each batch is matched as a unit as
-soon as it ends.  Peak memory follows the largest batch rather than the
-image size, and printable text that holds no catalog literal is searched
-but never carved.  The scan loads no numpy.
+after each key when it lies within the adjacency gap.  Printable text that
+holds no catalog literal is searched but never carved.  The scan loads no
+numpy.
 
-Within a batch each form body is matched for the signatures that own its
-keys, and each key string binds the value after it for the same owners,
-both through one table from key to signatures.  Where two
-applications share keywords (IRCTC and SBI both post ``userName`` and
-``password``), the login-page URL seen nearby is what tells them apart, so
-dominated duplicates are dropped: a candidate loses only to one that
-matched at least as much (username, context confirmation) and strictly
-more of it.  Candidates that tie stay side by side; ambiguity is evidence.
+Matching reads each carved string once, in offset order.  A form body is
+matched for the signatures that own its keys, and each key string binds
+the value after it for the same owners, both through one table from key to
+signatures.  The same pass notes each GAUSR cookie and, per set of context
+URLs, the offset of each string that holds one of them.  After the pass the
+scan holds candidates, bindings, cookies and URL-string offsets; every
+other string is dropped as soon as the next one is read.
 
-Matching a batch costs O(n log n) in its n strings, however crowded it
-is.  Each form body is parsed once, adjacent usernames are paired with
+Where two applications share keywords (IRCTC and SBI both post
+``userName`` and ``password``), the login-page URL seen nearby is what
+tells them apart, so dominated duplicates are dropped: a candidate loses
+only to one that matched at least as much (username, context confirmation)
+and strictly more of it.  Candidates that tie stay side by side; ambiguity
+is evidence.
+
+Matching costs O(n log n) in the n carved strings, however crowded the
+image is.  Each form body is parsed once, adjacent usernames are paired with
 passwords by one sweep over the offset-sorted bindings, and context URLs
-and GAUSR cookies are found by bisection in ascending offset lists built
-once per batch, never by rescanning the batch per candidate.
+and GAUSR cookies are found by bisection in their ascending offset lists,
+never by rescanning the strings per candidate.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .carver import (
     DEFAULT_CAP,
@@ -50,6 +53,7 @@ from .signatures import (
     DEFAULT_WINDOW,
     AdjacentBinder,
     CredentialSignature,
+    KeyValuePair,
     MatchMode,
     SignatureMatch,
     builtin_catalog,
@@ -124,13 +128,6 @@ class ScanOptions:
             if value > ceiling:
                 raise InvalidOptionError(f"{name} must be at most {ceiling}")
 
-    @property
-    def reach(self) -> int:
-        """The gap that splits the scan into batches: context window plus
-        adjacency gap plus 256, more than the longest interaction,
-        ``max(window, delta)``."""
-        return self.window + self.delta + 256
-
 
 @dataclass(frozen=True)
 class CredentialFinding:
@@ -173,19 +170,14 @@ def assign_confidence(
 
 def _attach_cookie_usernames(
     matches: list[SignatureMatch],
-    strings: Sequence[ExtractedString],
+    cookies: Sequence[tuple[KeyValuePair, str]],
     sig: CredentialSignature,
     window: int,
 ) -> None:
     """Bind marker-style usernames (the GAUSR cookie) to this signature's
     password matches; a cookie nothing claimed becomes username evidence of
-    its own."""
-    # (marker/name pair, cookie string text)
-    cookies = [
-        (cookie, s.text)
-        for s in strings
-        if (cookie := cookie_username(s, sig.username_marker)) is not None
-    ]
+    its own.  ``cookies`` holds each cookie of the signature's marker, as
+    its marker/name pair and its string's text, in string order."""
     if not cookies:
         return
     # Cookie offsets ascend with their strings' offsets and are distinct,
@@ -213,44 +205,61 @@ def _attach_cookie_usernames(
 
 
 def _match_region(
-    strings: Sequence[ExtractedString],
+    strings: Iterable[ExtractedString],
     catalog: Sequence[CredentialSignature],
     opts: ScanOptions,
 ) -> list[tuple[str, SignatureMatch]]:
-    """All signature matches among ``strings``, with the dominated
-    shared-keyword duplicates removed, as (confidence, match) pairs."""
+    """All signature matches among ``strings``, read once in ascending
+    offset order, with the dominated shared-keyword duplicates removed, as
+    (confidence, match) pairs."""
     owners = key_owners(catalog)
     binder = AdjacentBinder(catalog, opts.delta)
+    # Per URL set, the ascending offsets of the strings that hold one of
+    # its URLs.  Each URL is tested once per string and feeds every set
+    # that lists it; a string listed twice moves no bisection.
+    url_offsets: dict[tuple[str, ...], list[int]] = {sig.context_urls: [] for sig in catalog}
+    url_sets: dict[str, list[list[int]]] = {}
+    for urls, offsets in url_offsets.items():
+        for url in urls:
+            url_sets.setdefault(url, []).append(offsets)
+    # Per marker, its cookies: (marker/name pair, cookie string text).
+    cookies: dict[str, list[tuple[KeyValuePair, str]]] = {
+        sig.username_marker: [] for sig in catalog if sig.username_marker
+    }
     # Inline: each carved string holding ``=`` is a form body.  Adjacent:
     # key and value carved as separate neighbouring strings.
     matches: list[SignatureMatch] = []
     bindings = []
     for s in strings:
-        if "=" in s.text:
+        text = s.text
+        if "=" in text:
             matches.extend(match_inline(s, owners))
         bindings.extend(binder.push(s))
+        for url, sets in url_sets.items():
+            if url in text:
+                for offsets in sets:
+                    offsets.append(s.offset)
+        for marker, found in cookies.items():
+            if (cookie := cookie_username(s, marker)) is not None:
+                found.append((cookie, text))
     for sig in catalog:
         matches.extend(combine_bindings(bindings, sig, opts.window))
         if sig.username_marker:
-            _attach_cookie_usernames(matches, strings, sig, opts.window)
+            _attach_cookie_usernames(matches, cookies[sig.username_marker], sig, opts.window)
 
     # Shared-keyword arbitration.  Group candidates claiming the very same
     # value bytes; within a group drop anything strictly dominated on
     # (matched a username, context-confirmed).  The URL context is exactly
     # what associates an ambiguous userName/password pair with one site.
     groups: dict[tuple, list[tuple[tuple[bool, bool], str, SignatureMatch]]] = {}
-    # Per URL set, the ascending offsets of the strings that hold one of
-    # its URLs, listed on first use.
-    url_offsets: dict[tuple[str, ...], list[int]] = {}
     for m in matches:
         if m.password is not None:
             key = (m.mode, "pw", m.password.value_offset)
         else:
             key = (m.mode, "user", m.username.value_offset)
-        urls = m.signature.context_urls
-        if urls not in url_offsets:
-            url_offsets[urls] = [s.offset for s in strings if any(u in s.text for u in urls)]
-        conf = assign_confidence(m.anchor_offset, url_offsets[urls], opts.window)
+        conf = assign_confidence(
+            m.anchor_offset, url_offsets[m.signature.context_urls], opts.window
+        )
         score = (m.username is not None, conf == HIGH)
         groups.setdefault(key, []).append((score, conf, m))
     kept: list[tuple[str, SignatureMatch]] = []
@@ -265,33 +274,6 @@ def _match_region(
             if not dominated:
                 kept.append((conf, m))
     return kept
-
-
-def _batches(
-    strings: Iterable[ExtractedString], gap: int
-) -> Iterator[list[ExtractedString]]:
-    """Split strings, ascending by offset, into batches: a batch ends where
-    the next string starts more than ``gap`` bytes past the furthest end
-    seen in it.
-
-    Every interaction joins two strings at most ``max(window, delta)``
-    bytes apart, which is less than ``reach``: a key and its value, a
-    password key and a username key, a GAUSR cookie and an anchor, a
-    context URL and an anchor, and arbitration, which compares only
-    candidates on the same value bytes.  So none crosses a gap of
-    ``reach``, and matching batch by batch finds what matching every
-    string at once would.
-    """
-    batch: list[ExtractedString] = []
-    end = 0
-    for s in strings:
-        if batch and s.offset - end > gap:
-            yield batch
-            batch = []
-        batch.append(s)
-        end = max(end, s.offset + s.byte_length)
-    if batch:
-        yield batch
 
 
 def scan_image(
@@ -320,12 +302,7 @@ def scan_image(
         image, opts.min_len, chunk_size=opts.chunk_size,
         near=(literals, key_owners(catalog).keys(), opts.delta),
     )
-    matches = [
-        match
-        for batch in _batches(strings, opts.reach)
-        for match in _match_region(batch, catalog, opts)
-    ]
-    return _findings(matches, catalog, image.label, pmap)
+    return _findings(_match_region(strings, catalog, opts), catalog, image.label, pmap)
 
 
 def _findings(

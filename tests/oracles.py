@@ -9,8 +9,8 @@ signature on a form body, ``bind_adjacent_linear`` pairs keys with values
 over consecutive strings, and ``match_region_linear`` is the matcher
 before its lookups were indexed; all three are the scanner's references,
 and none goes through the scanner's key table.  ``scan_full_carve`` is ``scan_image``'s reference: it
-matches every carved string, not just those matching reads, at once
-rather than in batches.
+differs from the scan only in carving every string, not just those
+matching reads.
 ``values_at_offsets`` checks findings against the image bytes alone.
 ``has_token`` is the fabricator's reference: it checks by search what the
 filler's byte table guarantees by construction.

@@ -246,6 +246,19 @@ class TestScan:
         assert code == 1
         assert "nope.tsv" in err
 
+    @pytest.mark.parametrize("target, message", [
+        ("DIR", "image file is not a regular file"),
+        ("d.tsv", "manifest is not a regular file"),
+        ("m.tsv", "image file is not a regular file"),
+    ], ids=["image", "manifest", "manifest-row"])
+    def test_directory_is_not_called_missing(self, capsys, tmp_path, target, message):
+        for name in ("DIR", "d.tsv"):
+            (tmp_path / name).mkdir()
+        (tmp_path / "m.tsv").write_text("A\t2\tx\tDIR\n")
+        code, out, err = run(capsys, "scan", str(tmp_path / target))
+        assert (code, out) == (1, "")
+        assert message in err and "not found" not in err
+
     @pytest.mark.parametrize("name, data", [
         ("text.img", b"uName=u1&pass=p1\tjunk\n" + b"\x00" * 64),
         # a manifest is told by its name, never by its content

@@ -74,6 +74,24 @@ class TestLoadManifest:
             load_manifest(_manifest(tmp_path, "A\t2\tx\tno-such.raw\n"))
         assert "no-such.raw" in str(err.value)
 
+    def test_byte_order_mark_loads_as_without_it(self, tmp_path):
+        """A manifest saved as "UTF-8 with BOM" starts with EF BB BF, before
+        its ``# label`` header comment."""
+        _img(tmp_path, "a.raw")
+        body = "# label\tstep_index\tstep_description\tpath\nA\t2\tx\ta.raw\n"
+        plain = load_manifest(_manifest(tmp_path, body))
+        marked = tmp_path / "marked.tsv"
+        marked.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+        assert load_manifest(marked) == plain
+
+    def test_directory_is_not_called_missing(self, tmp_path):
+        (tmp_path / "d.tsv").mkdir()
+        (tmp_path / "img").mkdir()
+        with pytest.raises(MissingFileError, match="manifest is not a regular file"):
+            load_manifest(tmp_path / "d.tsv")
+        with pytest.raises(MissingFileError, match="image file is not a regular file"):
+            load_manifest(_manifest(tmp_path, "A\t2\tx\timg\n"))
+
     def test_zero_size_image(self, tmp_path):
         _img(tmp_path, "empty.raw", b"")
         with pytest.raises(ZeroSizeError):

@@ -135,6 +135,17 @@ def test_write_then_load_round_trip(tmp_path):
     )
 
 
+@pytest.mark.parametrize("body", [
+    "# pid name start end virt\n1\tx.exe\t0x0\t0x10\t0x100\n",
+    "1\tx.exe\t0x0\t0x10\t0x100\n",
+], ids=["before-a-comment", "before-a-row"])
+def test_byte_order_mark_loads_as_without_it(tmp_path, body):
+    plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+    plain.write_bytes(body.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+    assert load_process_map(marked) == load_process_map(plain)
+
+
 def test_comments_and_blank_lines_ignored():
     body = "# pid name start end virt\n\n1\tx.exe\t0x0\t0x10\t0x100\n"
     assert len(load_process_map(io.StringIO(body))) == 1

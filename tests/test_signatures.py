@@ -58,7 +58,7 @@ def _inline(string, app="irctc"):
 
 def _match_adjacent(strings, sig, delta=DEFAULT_DELTA, window=DEFAULT_WINDOW):
     """Adjacent matching of one signature over in-order strings, as the
-    scan does it per batch."""
+    scan does it over an image's strings."""
     binder = AdjacentBinder([sig], delta)
     return combine_bindings([b for s in strings for b in binder.push(s)], sig, window)
 
@@ -107,6 +107,13 @@ class TestCatalog:
         assert sigs[0].app_id == "acme"
         assert sigs[0].username_keys == ("login_user",)
         assert sigs[0].password_keys == ("login_pw",)
+
+    def test_load_catalog_file_with_a_byte_order_mark(self, tmp_path):
+        body = "acme\tlogin_user\tlogin_pw\tacme.example\tplaintext\n"
+        plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
+        plain.write_bytes(body.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
+        assert load_catalog_file(marked) == load_catalog_file(plain)
 
     def test_load_catalog_rejects_bad_lines(self):
         with pytest.raises(LineError) as err:
