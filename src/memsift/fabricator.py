@@ -686,35 +686,22 @@ _STEP_DESCRIPTIONS = (
     "final snapshot before shutdown",
 )
 
-# Which 1-based image numbers carry each template, per browser.
-_PRESET_PRESENCE: dict[str, tuple[range | tuple, range | tuple]] = {
-    "sonicwall-inline": (range(3, 10), range(3, 10)),
-    "facebook-ff-inline": (range(4, 10), ()),
-    "facebook-gc-adjacent": ((), range(4, 7)),
-    "gmail-ff-cookie-inline": (range(4, 10), ()),
-    "gmail-gc-adjacent": ((), range(4, 7)),
-    "irctc-inline": (range(4, 10), range(4, 10)),
-    "sbi-gc-inline": ((), range(4, 8)),
-    "sbi-ff-isolated": (range(4, 10), ()),
-}
-
-# Placement slots at the 16 MiB reference size, inside the browser process
-# ranges declared in the preset's process map; scaled linearly for other
-# image sizes.
-_FIREFOX_SLOTS = {
-    "sonicwall-inline": 0x180000,
-    "facebook-ff-inline": 0x200000,
-    "gmail-ff-cookie-inline": 0x280000,
-    "irctc-inline": 0x300000,
-    "sbi-ff-isolated": 0x380000,
-}
-_CHROME_SLOTS = {
-    "sonicwall-inline": 0x880000,
-    "facebook-gc-adjacent": 0x900000,
-    "gmail-gc-adjacent": 0x980000,
-    "irctc-inline": 0xA00000,
-    "sbi-gc-inline": 0xA80000,
-}
+# Each placement of the preset: template id, offset at the 16 MiB reference
+# size (inside the browser process ranges declared in the preset's process
+# map, scaled linearly for other image sizes) and the 1-based numbers of the
+# images that carry it.  Rows ascend by offset: Firefox's, then Chrome's.
+_PRESET_PLACEMENTS: tuple[tuple[str, int, range], ...] = (
+    ("sonicwall-inline", 0x180000, range(3, 10)),
+    ("facebook-ff-inline", 0x200000, range(4, 10)),
+    ("gmail-ff-cookie-inline", 0x280000, range(4, 10)),
+    ("irctc-inline", 0x300000, range(4, 10)),
+    ("sbi-ff-isolated", 0x380000, range(4, 10)),
+    ("sonicwall-inline", 0x880000, range(3, 10)),
+    ("facebook-gc-adjacent", 0x900000, range(4, 7)),
+    ("gmail-gc-adjacent", 0x980000, range(4, 7)),
+    ("irctc-inline", 0xA00000, range(4, 10)),
+    ("sbi-gc-inline", 0xA80000, range(4, 8)),
+)
 _PRESET_BASE_SIZE = 16 << 20
 
 
@@ -738,27 +725,21 @@ def table1_preset(
         ProcessMapEntry(1532, "firefox.exe", sc(0x100000), sc(0x600000), 0x00400000),
         ProcessMapEntry(2210, "chrome.exe", sc(0x800000), sc(0xD00000), 0x01000000),
     )
-    images = []
-    for n in range(1, 14):
-        placements: list[tuple[str, int]] = []
-        for tid, (ff_rows, gc_rows) in _PRESET_PRESENCE.items():
-            if n in ff_rows:
-                placements.append((tid, sc(_FIREFOX_SLOTS[tid])))
-            if n in gc_rows:
-                placements.append((tid, sc(_CHROME_SLOTS[tid])))
-        placements.sort(key=lambda p: p[1])
-        images.append(
-            PlannedImage(
-                label=f"Img{n}",
-                step_index=2 * n,
-                step_description=_STEP_DESCRIPTIONS[n - 1],
-                placements=tuple(placements),
-            )
+    images = tuple(
+        PlannedImage(
+            label=f"Img{n}",
+            step_index=2 * n,
+            step_description=_STEP_DESCRIPTIONS[n - 1],
+            placements=tuple(
+                (tid, sc(offset)) for tid, offset, rows in _PRESET_PLACEMENTS if n in rows
+            ),
         )
+        for n in range(1, 14)
+    )
     return FabricationPlan(
         image_size=image_size,
         seed=seed,
-        images=tuple(images),
+        images=images,
         printable_density=printable_density,
         process_map=pmap,
     )

@@ -13,7 +13,8 @@ matched for the signatures that own its keys, and each key string binds
 the value after it for the same owners, both through one table from key to
 signatures.  The same pass notes each GAUSR cookie and, per set of context
 URLs, the offset of each string that holds one of them.  After the pass the
-scan holds candidates, bindings, cookies and URL-string offsets; every
+scan holds its candidates, each a ``SignatureMatch`` (a binding and a cookie
+are one-sided matches until they are paired), and URL-string offsets; every
 other string is dropped as soon as the next one is read.
 
 Where two applications share keywords (IRCTC and SBI both post
@@ -53,7 +54,6 @@ from .signatures import (
     DEFAULT_WINDOW,
     AdjacentBinder,
     CredentialSignature,
-    KeyValuePair,
     MatchMode,
     SignatureMatch,
     builtin_catalog,
@@ -129,7 +129,7 @@ class ScanOptions:
                 raise InvalidOptionError(f"{name} must be at most {ceiling}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CredentialFinding:
     """One credential sighting.  Never deduplicated: each copy of the same
     password at a different offset is its own row of evidence."""
@@ -170,27 +170,23 @@ def assign_confidence(
 
 def _attach_cookie_usernames(
     matches: list[SignatureMatch],
-    cookies: Sequence[tuple[KeyValuePair, str]],
-    sig: CredentialSignature,
+    cookies: Sequence[SignatureMatch],
     window: int,
 ) -> None:
-    """Bind marker-style usernames (the GAUSR cookie) to this signature's
-    password matches; a cookie nothing claimed becomes username evidence of
-    its own.  ``cookies`` holds each cookie of the signature's marker, as
-    its marker/name pair and its string's text, in string order."""
+    """Give the GAUSR cookies' account names to their signature's password
+    matches that lack a username; a cookie nothing claimed is appended as
+    the username-only match it came as.  ``cookies`` holds one signature's
+    cookies, in string order."""
     if not cookies:
         return
+    app_id = cookies[0].signature.app_id
     # Cookie offsets ascend with their strings' offsets and are distinct,
     # one per carved string, so the nearest cookie sits on either side of
     # the bisection point.
-    offsets = [cookie.key_offset for cookie, _ in cookies]
+    offsets = [cookie.anchor_offset for cookie in cookies]
     claimed: set[int] = set()
     for i, m in enumerate(matches):
-        if (
-            m.signature.app_id != sig.app_id
-            or m.password is None
-            or m.username is not None
-        ):
+        if m.signature.app_id != app_id or m.password is None or m.username is not None:
             continue
         at = m.anchor_offset
         j = bisect_left(offsets, at)
@@ -198,10 +194,8 @@ def _attach_cookie_usernames(
             j -= 1  # the lower cookie wins a tie
         if abs(offsets[j] - at) <= window:
             claimed.add(j)
-            matches[i] = replace(m, username=cookies[j][0])
-    for j, (cookie, text) in enumerate(cookies):
-        if j not in claimed:
-            matches.append(SignatureMatch(sig, MatchMode.INLINE, cookie, context_text=text))
+            matches[i] = replace(m, username=cookies[j].username)
+    matches.extend(c for j, c in enumerate(cookies) if j not in claimed)
 
 
 def _match_region(
@@ -222,9 +216,9 @@ def _match_region(
     for urls, offsets in url_offsets.items():
         for url in urls:
             url_sets.setdefault(url, []).append(offsets)
-    # Per marker, its cookies: (marker/name pair, cookie string text).
-    cookies: dict[str, list[tuple[KeyValuePair, str]]] = {
-        sig.username_marker: [] for sig in catalog if sig.username_marker
+    # Per signature with a marker, its cookies as username-only matches.
+    cookies: dict[CredentialSignature, list[SignatureMatch]] = {
+        sig: [] for sig in catalog if sig.username_marker
     }
     # Inline: each carved string holding ``=`` is a form body.  Adjacent:
     # key and value carved as separate neighbouring strings.
@@ -239,13 +233,13 @@ def _match_region(
             if url in text:
                 for offsets in sets:
                     offsets.append(s.offset)
-        for marker, found in cookies.items():
-            if (cookie := cookie_username(s, marker)) is not None:
-                found.append((cookie, text))
+        for sig, found in cookies.items():
+            if (cookie := cookie_username(s, sig.username_marker)) is not None:
+                found.append(SignatureMatch(sig, MatchMode.INLINE, cookie, context_text=text))
     for sig in catalog:
         matches.extend(combine_bindings(bindings, sig, opts.window))
         if sig.username_marker:
-            _attach_cookie_usernames(matches, cookies[sig.username_marker], sig, opts.window)
+            _attach_cookie_usernames(matches, cookies[sig], opts.window)
 
     # Shared-keyword arbitration.  Group candidates claiming the very same
     # value bytes; within a group drop anything strictly dominated on

@@ -31,9 +31,10 @@ DEFAULT_WINDOW = 1024
 GAUSR_MARKER = "GAUSR=mail:"
 
 _PRINTABLE = re.compile(r"[ -~]+")
+_COOKIE_NAME = re.compile(r"[^;\s]*")
 
 _key_offset = attrgetter("key_offset")
-_binding_offset = attrgetter("pair.key_offset")
+_anchor_offset = attrgetter("anchor_offset")
 
 
 class MatchMode:
@@ -87,18 +88,20 @@ class KeyValuePair:
     value_offset: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SignatureMatch:
     """What one signature matched: the pair that gave the username, the
     pair that gave the password, or both, each as it was found.  The raw
-    values, their offsets and the anchor all come from the pairs."""
+    values, their offsets and the anchor all come from the pairs.  It is
+    the one candidate record: a form body's match, a key bound to the value
+    after it and a GAUSR cookie's name (one-sided until they are paired)."""
 
     signature: CredentialSignature
     mode: str
     username: KeyValuePair | None = None
     password: KeyValuePair | None = None
     # Untruncated text basis for the report snippet (source string for
-    # inline, joined key/value strings for adjacent).
+    # inline and cookies, joined key/value strings for adjacent).
     context_text: str = ""
 
     def __post_init__(self) -> None:
@@ -268,16 +271,6 @@ def match_inline(
     ]
 
 
-@dataclass(slots=True)
-class AdjacentBinding:
-    """A key string bound to the value string that follows it, as one
-    ``pair``, for one signature and one kind of key."""
-
-    sig: CredentialSignature
-    kind: str  # "username" | "password"
-    pair: KeyValuePair
-
-
 class AdjacentBinder:
     """Incremental key/value pairing over a stream of carved strings.
 
@@ -286,7 +279,9 @@ class AdjacentBinder:
     binding can form.  Each push binds the new string to it, once for each
     of the key's listings in ``key_owners(catalog)``, when the new string
     starts within ``delta`` bytes of the key's end and is not itself a key
-    of that listing's signature.
+    of that listing's signature.  A binding is a one-sided adjacent match:
+    its pair is the username or the password, as the listing's kind says,
+    and its context text is ``"key value"``.
     """
 
     def __init__(
@@ -296,7 +291,7 @@ class AdjacentBinder:
         self._owners = key_owners(catalog)
         self._last: ExtractedString | None = None
 
-    def push(self, string: ExtractedString) -> list[AdjacentBinding]:
+    def push(self, string: ExtractedString) -> list[SignatureMatch]:
         key, self._last = self._last, string
         if key is None or string.offset > key.offset + key.byte_length + self.delta:
             return []
@@ -305,51 +300,61 @@ class AdjacentBinder:
             return []
         taken = {sig for sig, _ in self._owners.get(string.text, ())}
         pair = KeyValuePair(key.text, string.text, key.offset, string.offset)
-        return [AdjacentBinding(sig, kind, pair) for sig, kind in listings if sig not in taken]
+        text = f"{key.text} {string.text}"
+        return [
+            SignatureMatch(sig, MatchMode.ADJACENT, pair, None, text)
+            if kind == "username"
+            else SignatureMatch(sig, MatchMode.ADJACENT, None, pair, text)
+            for sig, kind in listings
+            if sig not in taken
+        ]
 
 
 def combine_bindings(
-    bindings: Iterable[AdjacentBinding],
+    bindings: Iterable[SignatureMatch],
     sig: CredentialSignature,
     window: int = DEFAULT_WINDOW,
 ) -> list[SignatureMatch]:
-    """Fuse username and password bindings of one signature into matches.
+    """Pair this signature's one-sided bindings, as ``AdjacentBinder.push``
+    returns them, into matches.
 
     Each password, in key offset order, takes the nearest untaken username
-    within the context window (the lower offset on a tie); usernames left
-    over surface as username-only matches, passwords as password-only.
-    Everything is reported, nothing silently dropped.
+    within the context window (the lower offset on a tie) into a new match;
+    a password with no username in reach and the usernames left over are
+    returned as they came.  Everything is reported, nothing silently
+    dropped.
     """
     mine = sorted(
-        (b for b in bindings if b.sig.app_id == sig.app_id), key=_binding_offset
+        (b for b in bindings if b.signature.app_id == sig.app_id), key=_anchor_offset
     )
-    # One sweep over the password pairs.  The free username pairs below the
-    # current password form a stack with the nearest on top, those at or
-    # above it a queue with the nearest first, so each password weighs
-    # two.  Two usernames of one signature at one key offset come from one
-    # key string and are alike, so which of them is taken does not matter.
-    below: list[KeyValuePair] = []
-    above = deque(b.pair for b in mine if b.kind == "username")
+    # One sweep over the passwords.  The free usernames below the current
+    # password form a stack with the nearest on top, those at or above it a
+    # queue with the nearest first, so each password weighs two.  Two
+    # usernames of one signature at one key offset come from one key string
+    # and are alike, so which of them is taken does not matter.
+    below: list[SignatureMatch] = []
+    above = deque(b for b in mine if b.password is None)
     matches: list[SignatureMatch] = []
-    for pw in (b.pair for b in mine if b.kind == "password"):
+    for b in mine:
+        if (pw := b.password) is None:
+            continue
         at = pw.key_offset
-        while above and above[0].key_offset < at:
+        while above and above[0].anchor_offset < at:
             below.append(above.popleft())
-        low = at - below[-1].key_offset if below else window + 1
-        high = above[0].key_offset - at if above else window + 1
-        best: KeyValuePair | None = None
+        low = at - below[-1].anchor_offset if below else window + 1
+        high = above[0].anchor_offset - at if above else window + 1
         if low <= min(high, window):
-            best = below.pop()
+            user = below.pop().username
         elif high <= window:
-            best = above.popleft()
-        parts = sorted(([best] if best else []) + [pw], key=_key_offset)
+            user = above.popleft().username
+        else:
+            matches.append(b)
+            continue
+        parts = sorted((user, pw), key=_key_offset)
         text = " ".join(x for p in parts for x in (p.key, p.value))
-        matches.append(SignatureMatch(sig, MatchMode.ADJACENT, best, pw, text))
-    for u in [*below, *above]:
-        matches.append(
-            SignatureMatch(sig, MatchMode.ADJACENT, u, context_text=f"{u.key} {u.value}")
-        )
-    matches.sort(key=lambda m: m.anchor_offset)
+        matches.append(SignatureMatch(sig, MatchMode.ADJACENT, user, pw, text))
+    matches += [*below, *above]
+    matches.sort(key=_anchor_offset)
     return matches
 
 
@@ -369,22 +374,17 @@ def cookie_username(
     if at == -1:
         return None
     start = at + len(marker)
-    end = len(text)
-    for i in range(start, len(text)):
-        if text[i] == ";" or text[i].isspace():
-            end = i
-            break
-    if start == end:
+    name = _COOKIE_NAME.match(text, start).group()
+    if not name:
         return None
     unit = 2 if string.encoding is Encoding.UTF16LE else 1
     return KeyValuePair(
-        marker, text[start:end], string.offset + unit * at, string.offset + unit * start
+        marker, name, string.offset + unit * at, string.offset + unit * start
     )
 
 
 __all__ = [
     "AdjacentBinder",
-    "AdjacentBinding",
     "CredentialSignature",
     "DEFAULT_DELTA",
     "DEFAULT_WINDOW",

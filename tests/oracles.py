@@ -25,7 +25,6 @@ from memsift.carver import Encoding, carve_strings
 from memsift.scanner import HIGH, LOW, ScanOptions
 from memsift.signatures import (
     GAUSR_MARKER,
-    AdjacentBinding,
     KeyValuePair,
     MatchMode,
     SignatureMatch,
@@ -292,35 +291,37 @@ def bind_adjacent_linear(strings, catalog, delta):
     """Reference for ``AdjacentBinder``: each pair of consecutive strings
     whose first is a key of a signature, whose second starts within delta
     bytes of the key's end and is no key of that signature, binds once per
-    listing of the key, usernames before passwords, in catalog order."""
+    listing of the key, as a one-sided adjacent match, usernames before
+    passwords, in catalog order."""
     strings = list(strings)
     bindings = []
     for key, value in zip(strings, strings[1:]):
         if value.offset > key.offset + key.byte_length + delta:
             continue
+        pair = KeyValuePair(key.text, value.text, key.offset, value.offset)
+        text = key.text + " " + value.text
         for sig in catalog:
             if value.text in sig.username_keys + sig.password_keys:
                 continue
-            for kind, keys in (
-                ("username", sig.username_keys), ("password", sig.password_keys)
-            ):
-                bindings.extend(
-                    AdjacentBinding(
-                        sig, kind,
-                        KeyValuePair(key.text, value.text, key.offset, value.offset),
-                    )
-                    for k in keys
-                    if k == key.text
-                )
+            bindings.extend(
+                SignatureMatch(sig, MatchMode.ADJACENT, username=pair, context_text=text)
+                for k in sig.username_keys
+                if k == key.text
+            )
+            bindings.extend(
+                SignatureMatch(sig, MatchMode.ADJACENT, password=pair, context_text=text)
+                for k in sig.password_keys
+                if k == key.text
+            )
     return bindings
 
 
 def combine_bindings_linear(bindings, sig, window):
-    mine = [b for b in bindings if b.sig.app_id == sig.app_id]
-    users = [b.pair for b in mine if b.kind == "username"]
+    mine = [b for b in bindings if b.signature.app_id == sig.app_id]
+    users = [b.username for b in mine if b.username is not None]
     consumed = set()
     matches = []
-    for pw in (b.pair for b in mine if b.kind == "password"):
+    for pw in (b.password for b in mine if b.password is not None):
         nearest = None
         for i, u in enumerate(users):
             if i in consumed or abs(u.key_offset - pw.key_offset) > window:
@@ -355,6 +356,17 @@ def combine_bindings_linear(bindings, sig, window):
             )
     matches.sort(key=lambda m: m.anchor_offset)
     return matches
+
+
+def cookie_name_linear(text, start):
+    """Reference for the extent of ``cookie_username``'s name: from
+    ``start`` to the first ``;`` or whitespace, or to the end of ``text``."""
+    end = len(text)
+    for i in range(start, len(text)):
+        if text[i] == ";" or text[i].isspace():
+            end = i
+            break
+    return text[start:end]
 
 
 def attach_cookie_usernames_linear(matches, strings, sig, window):

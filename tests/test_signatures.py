@@ -29,7 +29,12 @@ from memsift.signatures import (
     combine_bindings,
     cookie_username,
 )
-from oracles import bind_adjacent_linear, combine_bindings_linear, match_inline_linear
+from oracles import (
+    bind_adjacent_linear,
+    combine_bindings_linear,
+    cookie_name_linear,
+    match_inline_linear,
+)
 
 
 def _s(offset, text, encoding=Encoding.ASCII):
@@ -397,7 +402,7 @@ class TestAdjacentMatching:
         bindings = []
         for s in strings:
             bindings.extend(binder.push(s))
-        gc = [b for b in bindings if b.sig.app_id == "gmail-gc"]
+        gc = [b for b in bindings if b.signature.app_id == "gmail-gc"]
         incremental = combine_bindings(gc, _sig("gmail-gc"))
         batch = _match_adjacent(strings, _sig("gmail-gc"))
         assert incremental == batch
@@ -409,6 +414,20 @@ class TestAdjacentMatching:
         first = combine_bindings(bindings, _sig("gmail-gc"))
         assert [(m.username.value, m.password.value) for m in first] == [("a@b.c", "s3cret")]
         assert combine_bindings(bindings, _sig("gmail-gc")) == first
+
+    def test_bindings_are_one_sided_matches_handed_on_unpaired(self):
+        """A binding is the candidate record itself: a one-sided adjacent
+        match whose context is ``key value``, and a password with no
+        username in reach leaves the combiner as it came."""
+        binder = AdjacentBinder(builtin_catalog())
+        assert binder.push(_s(0, "pass")) == []
+        bindings = binder.push(_s(5, "s3cret"))
+        pair = KeyValuePair("pass", "s3cret", 0, 5)
+        assert bindings == [
+            SignatureMatch(_sig(app), MatchMode.ADJACENT, None, pair, "pass s3cret")
+            for app in ("sonicwall", "facebook")
+        ]
+        assert combine_bindings(bindings, _sig("sonicwall")) == [bindings[0]]
 
     def test_trailing_bare_key_yields_nothing(self):
         # a keyword with no following string can't bind a value
@@ -476,6 +495,13 @@ class TestAdjacentPairingOracle:
             )
 
 
+# Printable ASCII, with a ``;`` and whitespace other than the space: a tab,
+# a file separator, a no-break space and an em space.
+_COOKIE_CHARS = st.characters(min_codepoint=0x20, max_codepoint=0x7E) | st.sampled_from(
+    ";\t\x1c\xa0\u2003"
+)
+
+
 class TestCookieUsername:
     def test_published_cookie_line(self):
         text = "Set-Cookie: GAUSR=mail:ipsita.chinky@gmail.com; Path=/accounts;secure"
@@ -496,6 +522,21 @@ class TestCookieUsername:
         text = "xGAUSR=mail:me@x.y;"
         assert cookie_username(_s(40, text)).key_offset == 40 + 1
         assert cookie_username(_s(40, text, Encoding.UTF16LE)).key_offset == 40 + 2 * 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        before=st.text(_COOKIE_CHARS, max_size=8),
+        after=st.text(_COOKIE_CHARS, max_size=24),
+    )
+    def test_name_extent_equals_linear_reference(self, before, after):
+        """The name ends at the first ``;`` or whitespace, of any kind."""
+        text = before + GAUSR_MARKER + after
+        at = text.find(GAUSR_MARKER)
+        name = cookie_name_linear(text, at + len(GAUSR_MARKER))
+        got = cookie_username(_s(0, text))
+        assert got == (
+            KeyValuePair(GAUSR_MARKER, name, at, at + len(GAUSR_MARKER)) if name else None
+        )
 
     def test_name_offset_counts_two_bytes_per_utf16le_character(self):
         """The name starts two bytes per character of the marker past it."""
