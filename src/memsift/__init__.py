@@ -18,7 +18,7 @@ _EXPORTS = {
     name: module
     for module, names in {
         "carver": """BOTH_ENCODINGS DEFAULT_CAP DEFAULT_MIN_LEN Encoding
-            ExtractedString carve_strings dump_strings parse_strings_file""",
+            ExtractedString carve_strings dump_strings""",
         "corpus": """DEFAULT_CHUNK_SIZE ImageManifest ManifestEntry MemoryImage
             load_manifest open_image write_manifest""",
         "decoding": "classify_value percent_decode",

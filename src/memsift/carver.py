@@ -67,9 +67,9 @@ from enum import Enum
 from functools import lru_cache
 from itertools import chain, starmap
 from pathlib import Path
-from typing import IO, BinaryIO, Iterable, Iterator, NamedTuple
+from typing import BinaryIO, Iterable, Iterator, NamedTuple
 
-from .corpus import DEFAULT_CHUNK_SIZE, MemoryImage, _parse_digits, _parse_lines
+from .corpus import DEFAULT_CHUNK_SIZE, MemoryImage
 from .errors import InvalidOptionError
 
 DEFAULT_MIN_LEN = 4
@@ -91,8 +91,8 @@ BOTH_ENCODINGS = (Encoding.ASCII, Encoding.UTF16LE)
 _BY_UNIT = (None, Encoding.ASCII, Encoding.UTF16LE)
 
 
-# NamedTuple rather than a dataclass: tens of thousands of these come out
-# of a single image, and tuple construction is measurably cheaper.
+# Every record in the package is a NamedTuple: tens of thousands of these come
+# out of one image, tuples are cheap to build, and start-up skips dataclasses.
 class ExtractedString(NamedTuple):
     """One carved run.  ``byte_length`` covers exactly the bytes that decode
     back to ``text`` (2x the character count for UTF-16LE)."""
@@ -547,24 +547,3 @@ def dump_strings(
     from .fullcarve import dump
 
     return dump(image, sink, wanted, min_len, cap, chunk_size)
-
-
-def _strings_row(line: str) -> tuple[int, str] | None:
-    if not line:
-        return None
-    head, sep, text = line.partition(":")
-    if not sep:
-        raise ValueError("no ':' separator")
-    return _parse_digits(head, "offset"), text
-
-
-def parse_strings_file(
-    source: str | Path | IO[str] | Iterable[str],
-) -> Iterator[tuple[int, str]]:
-    """Parse an ``offset:text`` file back into (offset, text) tuples.
-
-    The first colon splits the line; text keeps any further colons.  A line
-    with no colon or a non-decimal offset raises LineError naming the file
-    and the 1-based line number.
-    """
-    return _parse_lines(source, _strings_row)

@@ -24,9 +24,8 @@ from __future__ import annotations
 import io
 import re
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, TypeVar
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, TypeVar
 
 from .errors import (
     DuplicateLabelError,
@@ -35,6 +34,7 @@ from .errors import (
     MissingFileError,
     NonMonotonicStepError,
     ZeroSizeError,
+    checked,
 )
 
 T = TypeVar("T")
@@ -62,14 +62,14 @@ def _fits_field(text: str) -> bool:
     return "\t" not in text and "".join(text.splitlines()) == text
 
 
-@dataclass(frozen=True)
-class ManifestEntry:
+@checked
+class ManifestEntry(NamedTuple):
     label: str
     step_index: int
     step_description: str
     path: Path
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.label:
             raise ValueError("empty label")
         if self.label.lstrip().startswith("#"):
@@ -108,20 +108,27 @@ def _check_session(meta: tuple[str, str]) -> tuple[str, str]:
     return meta
 
 
-@dataclass(frozen=True)
 class ImageManifest:
-    """Ordered acquisition timeline. Entry order follows the file."""
+    """Ordered acquisition timeline. Entry order follows the file.
+    ``session_meta`` is the (browser name, application name) pair when the
+    whole session used one.  Manifests with equal fields are equal."""
 
-    entries: tuple[ManifestEntry, ...]
-    # (browser name, application name) when the whole session used one pair.
-    session_meta: tuple[str, str] | None = None
+    __slots__ = ("entries", "session_meta")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, entries: tuple[ManifestEntry, ...], session_meta: tuple[str, str] | None = None
+    ) -> None:
         timeline: dict[str, ManifestEntry] = {}
-        for e in self.entries:
+        for e in entries:
             _append(timeline, e)
-        if self.session_meta is not None:
-            _check_session(self.session_meta)
+        if session_meta is not None:
+            _check_session(session_meta)
+        self.entries, self.session_meta = entries, session_meta
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ImageManifest) and (self.entries, self.session_meta) == (
+            other.entries, other.session_meta
+        )
 
     def labels(self) -> list[str]:
         return [e.label for e in self.entries]
@@ -147,7 +154,6 @@ def _check_file(path: Path, what: str) -> None:
         raise MissingFileError(f"{what} {problem}: {path}")
 
 
-@dataclass(frozen=True)
 class MemoryImage:
     """A single raw memory image.
 
@@ -157,10 +163,14 @@ class MemoryImage:
     working set as 4 KiB ones.
     """
 
-    label: str
-    size: int
-    path: Path | None = None
-    _data: bytes | None = field(default=None, repr=False)
+    __slots__ = ("label", "size", "path", "_data")
+
+    def __init__(self, label: str, size: int, path: Path | None = None,
+                 _data: bytes | None = None) -> None:
+        self.label, self.size, self.path, self._data = label, size, path, _data
+
+    def __repr__(self) -> str:
+        return f"MemoryImage(label={self.label!r}, size={self.size!r}, path={self.path!r})"
 
     @classmethod
     def from_file(cls, path: str | Path, label: str | None = None) -> "MemoryImage":

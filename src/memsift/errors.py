@@ -8,6 +8,22 @@ OSError hierarchy.
 from __future__ import annotations
 
 
+def checked(cls):
+    """Make every instance of the NamedTuple ``cls`` run ``cls._check()``,
+    those ``_replace`` and unpickling build included."""
+    new = cls.__new__
+
+    def __new__(klass, *args, **kwargs):
+        self = new(klass, *args, **kwargs)
+        self._check()
+        return self
+
+    __new__.__wrapped__ = new  # the signature still lists the fields
+    cls.__new__ = __new__
+    cls._make = classmethod(lambda klass, fields: klass(*fields))  # ``_replace`` calls it
+    return cls
+
+
 class MemsiftError(Exception):
     """Base class for all domain errors raised by this package."""
 
@@ -35,9 +51,9 @@ class ZeroSizeError(MemsiftError):
 
 
 class LineError(MemsiftError):
-    """A line of a line-oriented input (manifest, process map, catalog,
-    strings file) breaks a rule of its format.  Carries the file name, the
-    1-based line number and the reason, and reads ``FILE:LINE: reason``."""
+    """A line of a line-oriented input (manifest, process map, catalog)
+    breaks a rule of its format.  Carries the file name, the 1-based line
+    number and the reason, and reads ``FILE:LINE: reason``."""
 
     def __init__(self, path: str, lineno: int, reason: str):
         self.path = path

@@ -22,13 +22,13 @@ ground truth is then simply the union of per-template expectations.
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .corpus import ImageManifest, ManifestEntry, _check_session, write_manifest
-from .errors import InvalidOptionError, OverlapError, PlacementOutOfBoundsError
+from .errors import InvalidOptionError, OverlapError, PlacementOutOfBoundsError, checked
 from .procmap import ProcessMap, ProcessMapEntry, write_process_map
 from .report import finding_to_doc
 from .scanner import HIGH, LOW, CredentialFinding, _findings
@@ -45,8 +45,8 @@ BLOCK_SIZE = 4 << 20
 MIN_PLACEMENT_GAP = 2048
 
 
-@dataclass(frozen=True)
-class ArtifactTemplate:
+@checked
+class ArtifactTemplate(NamedTuple):
     """A block of login-page residue, rendered as NUL-separated text runs.
 
     Relative offsets start at 1 so the rendered bytes begin and end with a
@@ -60,7 +60,7 @@ class ArtifactTemplate:
     text_blocks: tuple[tuple[int, str], ...]
     expected: tuple[tuple[str, SignatureMatch], ...]
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         last_end = 0
         for rel, text in self.text_blocks:
             if rel < 1:
@@ -395,16 +395,15 @@ def template_by_id(template_id: str) -> ArtifactTemplate:
 # --- plans ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlannedImage:
+class PlannedImage(NamedTuple):
     label: str
     step_index: int
     step_description: str
     placements: tuple[tuple[str, int], ...]  # (template_id, absolute offset)
 
 
-@dataclass(frozen=True)
-class FabricationPlan:
+@checked
+class FabricationPlan(NamedTuple):
     image_size: int
     seed: int
     images: tuple[PlannedImage, ...]
@@ -412,7 +411,7 @@ class FabricationPlan:
     process_map: tuple[ProcessMapEntry, ...] | None = None
     session_meta: tuple[str, str] | None = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.image_size < 1:
             raise InvalidOptionError("image_size must be positive")
         if self.seed < 0:
@@ -459,7 +458,7 @@ def save_plan(plan: FabricationPlan, path: str | Path) -> None:
         "printable_density": plan.printable_density,
         "session_meta": list(plan.session_meta) if plan.session_meta else None,
         "process_map": (
-            [list(astuple(e)) for e in plan.process_map]
+            [list(e) for e in plan.process_map]
             if plan.process_map is not None
             else None
         ),
@@ -574,8 +573,7 @@ def _filler_block(
 # --- fabrication ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FabricationResult:
+class FabricationResult(NamedTuple):
     out_dir: Path
     manifest_path: Path
     image_paths: tuple[Path, ...]
@@ -588,7 +586,7 @@ def _moved(m: SignatureMatch, by: int) -> SignatureMatch:
     def shift(p: KeyValuePair | None) -> KeyValuePair | None:
         return p and KeyValuePair(p.key, p.value, p.key_offset + by, p.value_offset + by)
 
-    return replace(m, username=shift(m.username), password=shift(m.password))
+    return m._replace(username=shift(m.username), password=shift(m.password))
 
 
 def _ground_truth_findings(

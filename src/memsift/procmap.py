@@ -10,15 +10,15 @@ kernel-resident ranges.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, NamedTuple, Sequence
 
 from .corpus import _fits_field, _parse_digits, _tsv_rows
+from .errors import checked
 
 
-@dataclass(frozen=True, slots=True)
-class ProcessMapEntry:
+@checked
+class ProcessMapEntry(NamedTuple):
     """One map row.  Every entry writes a row that loads back as itself:
     pid >= 0, a non-empty name that fits one TSV field, and
     0 <= phys_start < phys_end and virt_base >= 0."""
@@ -29,7 +29,7 @@ class ProcessMapEntry:
     phys_end: int
     virt_base: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.pid < 0:
             raise ValueError(f"negative pid {self.pid}")
         if not self.name:
@@ -44,8 +44,7 @@ class ProcessMapEntry:
             )
 
 
-@dataclass(frozen=True, slots=True)
-class Attribution:
+class Attribution(NamedTuple):
     pid: int
     process_name: str
     virtual_address: int

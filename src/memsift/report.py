@@ -7,7 +7,6 @@ when the timestamp is suppressed.
 
 from __future__ import annotations
 
-import datetime as _dt
 import json
 from typing import Mapping, Sequence
 
@@ -69,9 +68,10 @@ def build_report(
 
     doc: dict = {"version": __version__}
     if not deterministic:
-        doc["generated_at"] = (
-            _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
-        )
+        # Imported here so that a deterministic report never loads datetime.
+        from datetime import datetime, timezone
+
+        doc["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     if options is not None:
         doc["options"] = _options_doc(options)
     if manifest is not None:

@@ -34,8 +34,7 @@ never by rescanning the strings per candidate.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .carver import (
     DEFAULT_CAP,
@@ -47,7 +46,7 @@ from .carver import (
 )
 from .corpus import DEFAULT_CHUNK_SIZE, ImageManifest, MemoryImage, open_image
 from .decoding import classify_value
-from .errors import InvalidOptionError, UnknownLabelError
+from .errors import InvalidOptionError, UnknownLabelError, checked
 from .procmap import Attribution, ProcessMap, ProcessMapEntry
 from .signatures import (
     DEFAULT_DELTA,
@@ -104,8 +103,8 @@ def browser_tag(name: str | None) -> str | None:
 _SNIPPET_LIMIT = 256
 
 
-@dataclass(frozen=True)
-class ScanOptions:
+@checked
+class ScanOptions(NamedTuple):
     """The scan always matches exact-case keys, in both encodings, on
     strings carved at ``DEFAULT_CAP``."""
 
@@ -114,7 +113,7 @@ class ScanOptions:
     window: int = DEFAULT_WINDOW
     chunk_size: int = DEFAULT_CHUNK_SIZE
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         # The window, delta and chunk_size ceilings keep offset arithmetic
         # within int64.
         for name, floor, ceiling in (
@@ -129,8 +128,8 @@ class ScanOptions:
                 raise InvalidOptionError(f"{name} must be at most {ceiling}")
 
 
-@dataclass(frozen=True, slots=True)
-class CredentialFinding:
+@checked
+class CredentialFinding(NamedTuple):
     """One credential sighting.  Never deduplicated: each copy of the same
     password at a different offset is its own row of evidence."""
 
@@ -148,7 +147,7 @@ class CredentialFinding:
     username_offset: int | None = None
     password_offset: int | None = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.username is None and self.password_raw is None:
             raise ValueError("finding must carry a username or a password")
 
@@ -194,7 +193,7 @@ def _attach_cookie_usernames(
             j -= 1  # the lower cookie wins a tie
         if abs(offsets[j] - at) <= window:
             claimed.add(j)
-            matches[i] = replace(m, username=cookies[j].username)
+            matches[i] = m._replace(username=cookies[j].username)
     matches.extend(c for j, c in enumerate(cookies) if j not in claimed)
 
 

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
 from .carver import Encoding, ExtractedString
 from .corpus import _tsv_rows
+from .errors import checked
 
 DEFAULT_DELTA = 64
 DEFAULT_WINDOW = 1024
@@ -42,8 +42,8 @@ class MatchMode:
     ADJACENT = "adjacent"
 
 
-@dataclass(frozen=True)
-class CredentialSignature:
+@checked
+class CredentialSignature(NamedTuple):
     app_id: str
     username_keys: tuple[str, ...]
     password_keys: tuple[str, ...]
@@ -54,7 +54,7 @@ class CredentialSignature:
     # to ';' or whitespace) is the account name, e.g. the GAUSR mail cookie.
     username_marker: str | None = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not self.app_id:
             raise ValueError("app_id must be non-empty")
         if not (self.username_keys or self.username_marker) or not self.password_keys:
@@ -72,8 +72,7 @@ class CredentialSignature:
                 )
 
 
-@dataclass(frozen=True, slots=True)
-class KeyValuePair:
+class KeyValuePair(NamedTuple):
     """A key and its value, with the absolute byte offset of each (a
     UTF-16LE character counts two bytes).
 
@@ -88,8 +87,8 @@ class KeyValuePair:
     value_offset: int
 
 
-@dataclass(frozen=True, slots=True)
-class SignatureMatch:
+@checked
+class SignatureMatch(NamedTuple):
     """What one signature matched: the pair that gave the username, the
     pair that gave the password, or both, each as it was found.  The raw
     values, their offsets and the anchor all come from the pairs.  It is
@@ -104,7 +103,7 @@ class SignatureMatch:
     # inline and cookies, joined key/value strings for adjacent).
     context_text: str = ""
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.username is None and self.password is None:
             raise ValueError("a match must carry a username or a password")
 

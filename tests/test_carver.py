@@ -16,7 +16,6 @@ from memsift import (
     MemoryImage,
     carve_strings,
     dump_strings,
-    parse_strings_file,
 )
 from memsift import (
     carver,
@@ -28,7 +27,7 @@ from memsift import (
     table1_preset,
 )
 from memsift.fullcarve import _lines, _spans
-from memsift.errors import InvalidOptionError, LineError
+from memsift.errors import InvalidOptionError
 
 from oracles import (
     carve_bruteforce,
@@ -844,28 +843,5 @@ def test_strings_file_round_trip(tmp_path):
     data = b"\x00one:two\x00three\x00" + "wide".encode("utf-16-le")
     path = tmp_path / "out.strings"
     assert dump_strings(data, path) == 3
-    back = list(parse_strings_file(path))
-    assert back == [(s.offset, s.text) for s in carve_strings(data)]
-
-
-def test_strings_file_text_may_contain_colons(tmp_path):
-    buf = io.StringIO("12:a:b:c\n")
-    assert list(parse_strings_file(buf)) == [(12, "a:b:c")]
-
-
-def test_strings_file_rejects_garbage():
-    with pytest.raises(LineError) as err:
-        list(parse_strings_file(io.StringIO("oops no colon\n")))
-    assert err.value.lineno == 1
-
-
-@pytest.mark.parametrize("offset", ["١٢", "1_2", "+12", " 12", "-12"])
-def test_strings_file_offset_is_ascii_digits(offset):
-    with pytest.raises(LineError, match="offset .* is not a decimal integer"):
-        list(parse_strings_file(io.StringIO(f"{offset}:x\n")))
-
-
-def test_extracted_string_is_frozen():
-    s = ExtractedString(0, "abcd", Encoding.ASCII, 4)
-    with pytest.raises(AttributeError):
-        s.offset = 5
+    lines = "".join(f"{s.offset}:{s.text}\n" for s in carve_strings(data))
+    assert path.read_bytes() == lines.encode()

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from memsift import ScanOptions, load_report
+from memsift import ScanOptions, load_report, save_plan
 from memsift.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -121,20 +121,27 @@ class TestStrings:
 def test_only_strings_and_fabricate_load_numpy(small_corpus, tmp_path):
     """Scanning a fabricated corpus, rendering its matrix, looking offsets
     up and printing the version leave numpy unloaded; the full carve
-    behind `memsift strings` loads it."""
-    _plan, result = small_corpus
+    behind `memsift strings` and the fabricator load it.  No command loads
+    dataclasses, and a deterministic scan leaves datetime unloaded too."""
+    plan, result = small_corpus
     report = tmp_path / "report.json"
-    for argv in (
-        ("scan", str(result.manifest_path), "--process-map",
-         str(result.process_map_path), "--out", str(report)),
-        ("matrix", str(report)),
-        ("attribute", str(result.process_map_path), "0x30000"),
-        ("--version",),
+    save_plan(plan, tmp_path / "plan.json")
+    scan = ("scan", str(result.manifest_path), "--process-map", str(result.process_map_path))
+    for argv, numpy in (
+        ((*scan, "--out", str(report)), False),
+        ((*scan, "--deterministic", "--out", str(tmp_path / "det.json")), False),
+        (("matrix", str(report)), False),
+        (("attribute", str(result.process_map_path), "0x30000"), False),
+        (("--version",), False),
+        (("strings", str(result.image_paths[0]), "--out", str(tmp_path / "s")), True),
+        (("fabricate", "--plan", str(tmp_path / "plan.json"), "--out", str(tmp_path / "f")), True),
     ):
-        assert "numpy" not in modules_loaded_by(*argv), argv
+        loaded = modules_loaded_by(*argv)
+        assert ("numpy" in loaded) is numpy, argv
+        assert "dataclasses" not in loaded, argv
+        if "--deterministic" in argv:
+            assert "datetime" not in loaded, argv
     assert load_report(report.read_text())["images"]
-    image = result.image_paths[0]
-    assert "numpy" in modules_loaded_by("strings", str(image), "--out", str(tmp_path / "s"))
 
 
 class TestClosedPipe:

@@ -2,7 +2,6 @@
 
 import time
 import tracemalloc
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -412,11 +411,6 @@ class TestFindingInvariants:
         f = CredentialFinding(**self._kw(password_raw=raw, password_decoded=decoded))
         assert f.encrypted is encrypted
 
-    def test_frozen(self):
-        f = CredentialFinding(**self._kw())
-        with pytest.raises(AttributeError):
-            f.app_id = "x"
-
 
 class TestToFinding:
     """The one step from a match to a finding, which the scan and the
@@ -462,7 +456,7 @@ class TestToFinding:
         ])
         f = scanner._to_finding(self._match("irctc"), HIGH, "t", pmap)
         assert (f.offset, f.attributions) == (100, (Attribution(1, "firefox.exe", 0x400000),))
-        user_only = replace(self._match("irctc"), password=None)
+        user_only = self._match("irctc")._replace(password=None)
         f = scanner._to_finding(user_only, LOW, "t", pmap)
         assert (f.offset, f.attributions) == (130, (Attribution(2, "chrome.exe", 0x100001D),))
         assert (f.password_decoded, f.encrypted) == (None, False)
