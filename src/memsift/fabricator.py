@@ -6,7 +6,9 @@ artifact templates copied from real login-page residue (request bodies,
 Set-Cookie lines, adjacent key/value string pairs).  Every byte is a
 deterministic function of (plan, seed), and each fabrication emits the
 ground truth findings a correct scanner must report, which makes whole
-corpora usable as end-to-end oracles.
+corpora usable as end-to-end oracles.  A template lists its text blocks
+once and names the keys of each match it must produce; the offsets,
+values, mode and context text of those matches are read off the blocks.
 
 No catalog keyword, context URL or cookie marker can appear in filler by
 chance, so none is searched for: each holds one of ``a``, ``A`` and ``.``
@@ -53,7 +55,9 @@ class ArtifactTemplate(NamedTuple):
     NUL guard; without the guards a template could fuse with neighbouring
     filler into one longer carved string.  ``expected`` holds the
     (confidence, match) pairs a correct scan must make of the rendered
-    bytes, at offsets relative to the placement point.
+    bytes, at offsets relative to the placement point.  A built-in
+    template names only the keys of each match; its offsets, values, mode
+    and context text are read off the blocks.
     """
 
     template_id: str
@@ -85,97 +89,17 @@ class ArtifactTemplate(NamedTuple):
         return bytes(buf)
 
 
-# --- template texts, from publicly documented login artifacts ------------
+# --- templates, from publicly documented login artifacts ------------------
 
-_SONICWALL_BODY = (
-    "param1=&param2=93BF844DF6D46F0F1453F46441968A46&sessId=523518834"
-    "&id=a4&select=English&uName=306110003&pass=Nitt500&digest="
-)
+_Blocks = tuple[tuple[int, str], ...]
+# confidence, app id, username key, password key (None for a missing side)
+_Claim = tuple[str, str, str | None, str | None]
 
-_FACEBOOK_FF_BODY = (
-    "lsd=AVp_kX2x&email=ipsita.chinky@gmail.com&pass=who678%2C%3B"
-    "&default_persistent=0&timezone=-330&lgnrnd=031754_EPdU"
-    "&lgnjs=1314120894&locale=en_US"
-)
-
-_GMAIL_COOKIE_LINE = (
-    "Set-Cookie: GAUSR=mail:ipsita.chinky@gmail.com; Path=/accounts;secure"
-)
-
-_GMAIL_LOCATION_LINE = (
-    "Location: https://accounts.google.co.in/accounts/SetSID?"
-    "ssdc=1&sidt=AlWU2cs%2F1jKI0%2BfeR3yEy22NCywE05YSVI"
-    "&Passwd=abc*%21123&rmShown=1&signIn=Sign+in&asts="
-)
-
-_IRCTC_REQUEST_LINE = (
-    "-bin/bv60.dll/irctc/booking/planner.do?screen=fromlogin"
-    "&BV_SessionID=@@@1511077481.1340172850@@@"
-    "&BV_EngineID=ccdldfhdehfgdlcefecehidfgmdfff.0 HTTP/1.1"
-)
-
-_IRCTC_UA_LINE = (
-    "User-Agent: Mozilla/5.0 (Windows NT 5.1) AppleWebKit/536.5 "
-    "(KHTML, like Gecko) Chrome/19.0.1084.56 Safari/536.5"
-)
-
-_IRCTC_COOKIE_LINE = (
-    "Cookie: __utma=168397561.1282852060.1340176438.1340176438.1340176438.1;"
-    " __utmb=168397561.1.10.1340176438; __utmc=168397561;"
-    " __utmz=168397561.1340176438.1.1.utmcsr=(direct)|utmccn=(direct)|utmcmd=(none)"
-)
-
-_IRCTC_BODY = "n=home&userName=ipsita689&password=durga21&button=Login"
-
-_SBI_BODY = "userName=ipsitasbi&password=37f08c5d00de89cb3c26e50200ee7242&subBtnName=Login"
-
-_SBI_FF_STRING = "userName=ipsitasbi"
-
-
-_SIGNATURES = {sig.app_id: sig for sig in builtin_catalog()}
-
-
-def _expected(
-    confidence: str, app_id: str, mode: str, context: str,
-    user: KeyValuePair | None = None, pw: KeyValuePair | None = None,
-) -> tuple[str, SignatureMatch]:
-    """One expected (confidence, match) pair."""
-    return confidence, SignatureMatch(_SIGNATURES[app_id], mode, user, pw, context)
-
-
-def _inline_expected(
-    app_id: str, body: str, body_rel: int, user_key: str, pw_key: str
-) -> tuple[str, SignatureMatch]:
-    """Derive the HIGH match an inline form body produces, by locating the
-    keys inside the body text the same way the parser will."""
-
-    def field(key: str) -> KeyValuePair:
-        # The value runs up to the next '&'.
-        at = body.index(f"{key}=")
-        start = at + len(key) + 1
-        end = body.find("&", start)
-        value = body[start : end if end != -1 else len(body)]
-        return KeyValuePair(key, value, body_rel + at, body_rel + start)
-
-    return _expected(HIGH, app_id, MatchMode.INLINE, body, field(user_key), field(pw_key))
-
-
-def _adjacent_expected(
-    app_id: str, user: tuple[tuple[int, str], ...], pw: tuple[tuple[int, str], ...]
-) -> tuple[str, SignatureMatch]:
-    """Derive the HIGH match of a username key block and a password key
-    block, each followed by its value block."""
-    u, p = (
-        KeyValuePair(key, value, key_at, value_at)
-        for (key_at, key), (value_at, value) in (user, pw)
-    )
-    return _expected(
-        HIGH, app_id, MatchMode.ADJACENT, f"{u.key} {u.value} {p.key} {p.value}", u, p
-    )
-
-
-def _sonicwall_template() -> ArtifactTemplate:
-    blocks = (
+# Each template: its id, its text blocks at character offsets from the
+# placement point, and one claim per expected match.  ``_locate`` reads
+# each claimed pair off the blocks.
+_TEMPLATE_TABLE: tuple[tuple[str, _Blocks, tuple[_Claim, ...]], ...] = (
+    ("sonicwall-inline", (
         (1, "<HTML>"),
         (8, "<HEAD><TITLE>Page Redirecting</TITLE>"),
         (46, '<META HTTP-EQUIV="Pragma" CONTENT="no-cache">'),
@@ -190,38 +114,19 @@ def _sonicwall_template() -> ArtifactTemplate:
         (375, "Cookie: temp=temp; SessId=523518834; PageSeed=7e88bfc81a9."),
         (455, "Content-Type: application/x-www-form-urlencoded"),
         (504, "Content-Length: 122"),
-        (527, _SONICWALL_BODY),
+        (527, "param1=&param2=93BF844DF6D46F0F1453F46441968A46&sessId=523518834"
+              "&id=a4&select=English&uName=306110003&pass=Nitt500&digest="),
         (4106, "t#hP"),
-    )
-    return ArtifactTemplate(
-        template_id="sonicwall-inline",
-        text_blocks=blocks,
-        expected=(
-            _inline_expected("sonicwall", _SONICWALL_BODY, 527, "uName", "pass"),
-        ),
-    )
-
-
-def _facebook_ff_template() -> ArtifactTemplate:
-    blocks = (
+    ), ((HIGH, "sonicwall", "uName", "pass"),)),
+    ("facebook-ff-inline", (
         (1, "https://www.facebook.com/login.php"),
         (48, "Content-Type: application/x-www-form-urlencoded"),
-        (100, _FACEBOOK_FF_BODY),
+        (100, "lsd=AVp_kX2x&email=ipsita.chinky@gmail.com&pass=who678%2C%3B"
+              "&default_persistent=0&timezone=-330&lgnrnd=031754_EPdU"
+              "&lgnjs=1314120894&locale=en_US"),
         (300, "POST /login.php HTTP/1.1"),
-    )
-    return ArtifactTemplate(
-        template_id="facebook-ff-inline",
-        text_blocks=blocks,
-        expected=(
-            _inline_expected("facebook", _FACEBOOK_FF_BODY, 100, "email", "pass"),
-        ),
-    )
-
-
-def _facebook_gc_template() -> ArtifactTemplate:
-    user = ((481, "email"), (497, "ipsita.chinky@gmail.com"))
-    pw = ((549, "pass"), (561, "berham!19"))
-    blocks = (
+    ), ((HIGH, "facebook", "email", "pass"),)),
+    ("facebook-gc-adjacent", (
         (1, "8@@"),
         (5, "@@@@@@"),
         (249, "//www.facebook.com/2"),
@@ -230,8 +135,10 @@ def _facebook_gc_template() -> ArtifactTemplate:
         (381, "http://www.facebook.com/"),
         (409, 'http://www.facebook.com/"'),
         (437, "https://www.facebook.com/login.php"),
-        *user,
-        *pw,
+        (481, "email"),
+        (497, "ipsita.chinky@gmail.com"),
+        (549, "pass"),
+        (561, "berham!19"),
         (605, "text/html"),
         (621, "69.171.229.74"),
         (717, "https://www.facebook.com/checkpoint/d"),
@@ -243,16 +150,8 @@ def _facebook_gc_template() -> ArtifactTemplate:
         (4865, "X2@"),
         (5335, "A>a"),
         (5619, "B>}!"),
-    )
-    return ArtifactTemplate(
-        template_id="facebook-gc-adjacent",
-        text_blocks=blocks,
-        expected=(_adjacent_expected("facebook", user, pw),),
-    )
-
-
-def _gmail_ff_template() -> ArtifactTemplate:
-    blocks = (
+    ), ((HIGH, "facebook", "email", "pass"),)),
+    ("gmail-ff-cookie-inline", (
         (1, "qRW8I"),
         (98, "=@)"),
         (103, " SHKtU0htggZw%26gausr%3Dipsita.chinky%2540gmail.com"),
@@ -265,124 +164,108 @@ def _gmail_ff_template() -> ArtifactTemplate:
         (358, "Content-Length: 674"),
         (379, "Server: GSE"),
         (398, "Set-Cookie: LSID=mail|s.IN:DQAAAL0AAACNKnQxFIOEmQaAp"),
-        (725, _GMAIL_COOKIE_LINE),
-        (795, _GMAIL_LOCATION_LINE),
+        (725, "Set-Cookie: GAUSR=mail:ipsita.chinky@gmail.com; Path=/accounts;secure"),
+        (795, "Location: https://accounts.google.co.in/accounts/SetSID?"
+              "ssdc=1&sidt=AlWU2cs%2F1jKI0%2BfeR3yEy22NCywE05YSVI"
+              "&Passwd=abc*%21123&rmShown=1&signIn=Sign+in&asts="),
         (8661, " `BI"),
         (8741, " `BI"),
         (9062, "fff"),
-    )
-    marker_rel = 725 + _GMAIL_COOKIE_LINE.index(GAUSR_MARKER)
-    anchor_rel = 795 + _GMAIL_LOCATION_LINE.index("Passwd=")
-    return ArtifactTemplate(
-        template_id="gmail-ff-cookie-inline",
-        text_blocks=blocks,
-        expected=(
-            _expected(
-                HIGH, "gmail-ff", MatchMode.INLINE, _GMAIL_LOCATION_LINE,
-                KeyValuePair(
-                    GAUSR_MARKER, "ipsita.chinky@gmail.com",
-                    marker_rel, marker_rel + len(GAUSR_MARKER),
-                ),
-                KeyValuePair("Passwd", "abc*%21123", anchor_rel, anchor_rel + len("Passwd=")),
-            ),
-        ),
-    )
-
-
-def _gmail_gc_template() -> ArtifactTemplate:
-    user = ((120, "Email"), (136, "ipsita.chinky@gmail.com"))
-    pw = ((176, "Passwd"), (192, "awesome^&28"))
-    blocks = (
+    ), ((HIGH, "gmail-ff", GAUSR_MARKER, "Passwd"),)),
+    ("gmail-gc-adjacent", (
         (1, "https://accounts.google.com/ServiceLoginAuth"),
         (64, "continue=https://mail.google.com/mail/"),
-        *user,
-        *pw,
+        (120, "Email"),
+        (136, "ipsita.chinky@gmail.com"),
+        (176, "Passwd"),
+        (192, "awesome^&28"),
         (240, "PersistentCookie"),
-    )
-    return ArtifactTemplate(
-        template_id="gmail-gc-adjacent",
-        text_blocks=blocks,
-        expected=(_adjacent_expected("gmail-gc", user, pw),),
-    )
-
-
-def _irctc_template() -> ArtifactTemplate:
-    blocks = (
+    ), ((HIGH, "gmail-gc", "Email", "Passwd"),)),
+    ("irctc-inline", (
         (1, "8MD"),
-        (208, _IRCTC_REQUEST_LINE),
+        (208, "-bin/bv60.dll/irctc/booking/planner.do?screen=fromlogin"
+              "&BV_SessionID=@@@1511077481.1340172850@@@"
+              "&BV_EngineID=ccdldfhdehfgdlcefecehidfgmdfff.0 HTTP/1.1"),
         (363, "Host: www.irctc.co.in"),
         (386, "Connection: keep-alive"),
         (410, "Cache-Control: max-age=0"),
-        (436, _IRCTC_UA_LINE),
+        (436, "User-Agent: Mozilla/5.0 (Windows NT 5.1) AppleWebKit/536.5 "
+              "(KHTML, like Gecko) Chrome/19.0.1084.56 Safari/536.5"),
         (549, "Accept: text/html,application/xhtml+xml,application/xml;q=0.9,*/*;q=0.8"),
         (622, "Referer: https://www.irctc.co.in/"),
         (657, "Accept-Encoding: gzip,deflate,sdch"),
         (693, "Accept-Language: en-US,en;q=0.8"),
         (726, "Accept-Charset: ISO-8859-1,utf-8;q=0.7,*;q=0.3"),
-        (774, _IRCTC_COOKIE_LINE),
-        (980, _IRCTC_BODY),
+        (774, "Cookie: __utma=168397561.1282852060.1340176438.1340176438.1340176438.1;"
+              " __utmb=168397561.1.10.1340176438; __utmc=168397561;"
+              " __utmz=168397561.1340176438.1.1.utmcsr=(direct)|utmccn=(direct)|utmcmd=(none)"),
+        (980, "n=home&userName=ipsita689&password=durga21&button=Login"),
         (1233, "t&SV"),
-    )
-    return ArtifactTemplate(
-        template_id="irctc-inline",
-        text_blocks=blocks,
-        expected=(
-            _inline_expected("irctc", _IRCTC_BODY, 980, "userName", "password"),
-        ),
-    )
-
-
-def _sbi_gc_template() -> ArtifactTemplate:
-    blocks = (
+    ), ((HIGH, "irctc", "userName", "password"),)),
+    ("sbi-gc-inline", (
         (1, "https://www.onlinesbi.com/retail/login.htm"),
         (60, "Referer: https://www.onlinesbi.com/"),
-        (110, _SBI_BODY),
+        (110, "userName=ipsitasbi&password=37f08c5d00de89cb3c26e50200ee7242&subBtnName=Login"),
         (220, "State Bank of India"),
-    )
-    return ArtifactTemplate(
-        template_id="sbi-gc-inline",
-        text_blocks=blocks,
-        expected=(
-            _inline_expected("sbi", _SBI_BODY, 110, "userName", "password"),
-        ),
-    )
-
-
-def _sbi_ff_template() -> ArtifactTemplate:
+    ), ((HIGH, "sbi", "userName", "password"),)),
     # The banking session under Firefox leaves only a bare username form
     # fragment with nothing around it.  The keyword is shared between two
     # applications and no URL is nearby to split the tie, so a correct
     # scan reports the username under both, LOW, with no password.
-    blocks = ((1, _SBI_FF_STRING),)
-    key, user = _SBI_FF_STRING.split("=", 1)
-    pair = KeyValuePair(key, user, 1, 1 + len(key) + 1)
-    return ArtifactTemplate(
-        template_id="sbi-ff-isolated",
-        text_blocks=blocks,
-        expected=tuple(
-            _expected(LOW, app_id, MatchMode.INLINE, _SBI_FF_STRING, pair)
-            for app_id in ("irctc", "sbi")
-        ),
-    )
+    ("sbi-ff-isolated", (
+        (1, "userName=ipsitasbi"),
+    ), ((LOW, "irctc", "userName", None), (LOW, "sbi", "userName", None))),
+)
+
+_SIGNATURES = {sig.app_id: sig for sig in builtin_catalog()}
+
+
+def _locate(template_id: str, blocks: _Blocks, key: str) -> tuple[KeyValuePair, str, str]:
+    """The one pair ``key`` names in the blocks, with the mode and context
+    text of the rule that placed it.  A block that is the key alone takes
+    the next block as its value; ``key=`` in a block takes the value up to
+    ``&`` or the block's end; the cookie marker takes the name up to ``;``."""
+    head, stop = (key, ";") if key == GAUSR_MARKER else (f"{key}=", "&")
+    places = []
+    for (rel, text), after in zip(blocks, (*blocks[1:], None)):
+        if text == key and after is not None:
+            pair = KeyValuePair(key, after[1], rel, after[0])
+            places.append((pair, MatchMode.ADJACENT, f"{key} {after[1]}"))
+        at = text.find(head)
+        while at != -1:
+            start = at + len(head)
+            end = text.find(stop, start)
+            value = text[start : None if end == -1 else end]
+            pair = KeyValuePair(key, value, rel + at, rel + start)
+            places.append((pair, MatchMode.INLINE, text))
+            at = text.find(head, at + 1)
+    if len(places) != 1:
+        raise ValueError(f"{template_id}: key {key!r} sits in {len(places)} places, not one")
+    return places[0]
+
+
+def _template(template_id: str, blocks: _Blocks, claims: tuple[_Claim, ...]) -> ArtifactTemplate:
+    """A template whose expected matches are read off its blocks: the
+    anchor pair (the password's, else the username's) gives the mode and
+    the context text, which for adjacent pairs joins both sides."""
+    expected = []
+    for confidence, app_id, *keys in claims:
+        located = [None if k is None else _locate(template_id, blocks, k) for k in keys]
+        user, pw = (loc and loc[0] for loc in located)
+        _, mode, context = located[1] or located[0]
+        if mode == MatchMode.ADJACENT:
+            context = " ".join(loc[2] for loc in located if loc)
+        match = SignatureMatch(_SIGNATURES[app_id], mode, user, pw, context)
+        expected.append((confidence, match))
+    return ArtifactTemplate(template_id, blocks, tuple(expected))
+
+
+_TEMPLATES: dict[str, ArtifactTemplate] = {row[0]: _template(*row) for row in _TEMPLATE_TABLE}
 
 
 def builtin_templates() -> list[ArtifactTemplate]:
     """All shipped artifact templates, one per application/browser case."""
-    return [
-        _sonicwall_template(),
-        _facebook_ff_template(),
-        _facebook_gc_template(),
-        _gmail_ff_template(),
-        _gmail_gc_template(),
-        _irctc_template(),
-        _sbi_gc_template(),
-        _sbi_ff_template(),
-    ]
-
-
-_TEMPLATES: dict[str, ArtifactTemplate] = {
-    t.template_id: t for t in builtin_templates()
-}
+    return list(_TEMPLATES.values())
 
 
 def template_by_id(template_id: str) -> ArtifactTemplate:

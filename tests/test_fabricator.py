@@ -1,6 +1,7 @@
 """Synthetic corpus generation: determinism, token freedom, ground truth."""
 
 import json
+from hashlib import sha256
 
 import pytest
 
@@ -24,10 +25,47 @@ from memsift.errors import (
     OverlapError,
     PlacementOutOfBoundsError,
 )
-from memsift.fabricator import BLOCK_SIZE, MIN_PLACEMENT_GAP, _EXCLUDED, _filler_block
+from memsift.fabricator import (
+    BLOCK_SIZE, MIN_PLACEMENT_GAP, _EXCLUDED, _filler_block, _template,
+)
+from memsift.scanner import HIGH
+from memsift.signatures import MatchMode
 
 from oracles import FORBIDDEN_TOKENS, has_token
 from plans import SMALL_PMAP, small_plan
+
+
+# SHA-256 of the fabricator's outputs that draw no random numbers.
+_PINNED_DIGESTS = {
+    "sonicwall-inline":
+        "89a7216941afdb925cac373ac0998c06ebf7b5db5f25408a5dca481991ae31d0",
+    "facebook-ff-inline":
+        "83cc36d5ed938f17962cdb49076ae35c6c2c183b689415698380ad5c7af5016c",
+    "facebook-gc-adjacent":
+        "e33943a1ae8c779af4eb42a0eab4a8e00474b5edacf1112f7cdf30239033744e",
+    "gmail-ff-cookie-inline":
+        "794b40ffd15ab4f89166e41dc87cd49dc7891d35e3e9f986c60b89196f9ecda8",
+    "gmail-gc-adjacent":
+        "ab530884182d4cee686702f93a9de3b612b20a08de08a79371511679e0b0b163",
+    "irctc-inline":
+        "f5d219468a8193bfc237e37dab3774153e2f2633d38957efa7a446c047241124",
+    "sbi-gc-inline":
+        "3b6d2b5bd718353f98d329052baf6d002ff8f740c166fbea1fa6d01f47af93a5",
+    "sbi-ff-isolated":
+        "0488509291a5d2e546c89e2817cfb12463617a9eb5e1df1641b75ec8b486ab48",
+    "table1/ground_truth.json":
+        "7101d152ae6b190fc2a6742b0887aadb50db7889e19640eb5a8e60d7ce957d05",
+    "table1/manifest.tsv":
+        "94a712fbd61bd2b7500791a788508927e6f2200720843a2e09e949829e10bfc2",
+    "table1/process_map.tsv":
+        "9a40c654d1dab13b306d6421c7efc518e730fa9856e03da3473a31c7d9c239fa",
+    "small/ground_truth.json":
+        "74c2ea3573fb9907b8900686feed86969056136b49c574b87470cbb0112ca481",
+    "small/manifest.tsv":
+        "0b2c45db731249f49f14ba04bc486ed2f6816e584e3d56dac53457ca78be9239",
+    "small/process_map.tsv":
+        "250e8984c22334cc4a3aead7c1eb6a5f48953bfa56930326e34f9398592dfb93",
+}
 
 
 def _plan_of(*images: PlannedImage) -> FabricationPlan:
@@ -54,17 +92,57 @@ class TestTemplates:
             assert len(data) == t.byte_length
 
     def test_expected_pairs_sit_at_their_offsets(self):
-        """The hand-written ground truth, checked against the rendered bytes
-        with no scan: each expected key and value is where it says."""
+        """The ground truth read off the blocks, checked against the rendered
+        bytes with no scan: each expected key and value is where it says,
+        the byte after each value ends it, and each key is one its
+        signature owns on that side."""
         for t in builtin_templates():
             data = t.render()
-            pairs = [
-                p for _, m in t.expected for p in (m.username, m.password) if p is not None
-            ]
-            assert pairs, t.template_id
-            for p in pairs:
-                for text, at in ((p.key, p.key_offset), (p.value, p.value_offset)):
-                    assert data.startswith(text.encode("ascii"), at), (t.template_id, p)
+            assert t.expected, t.template_id
+            for _, m in t.expected:
+                sig = m.signature
+                # A value block is followed by its NUL guard; a value inside
+                # a block ends at the next field, cookie attribute or guard.
+                ends = b"\0" if m.mode == MatchMode.ADJACENT else b"&;\0"
+                for p, keys in (
+                    (m.username, (*sig.username_keys, sig.username_marker)),
+                    (m.password, sig.password_keys),
+                ):
+                    if p is None:
+                        continue
+                    assert p.key in keys, (t.template_id, p)
+                    for text, at in ((p.key, p.key_offset), (p.value, p.value_offset)):
+                        assert data.startswith(text.encode("ascii"), at), (t.template_id, p)
+                    end = p.value_offset + len(p.value)
+                    assert data[end : end + 1] in ends, (t.template_id, p)
+
+    def test_locator_rejects_a_key_in_no_block(self):
+        blocks = ((1, "uName=u&pwd=p"),)
+        with pytest.raises(ValueError, match="'pass' sits in 0 places"):
+            _template("t", blocks, ((HIGH, "sonicwall", "uName", "pass"),))
+
+    @pytest.mark.parametrize("blocks", [
+        ((1, "uName=u&pass=p"), (20, "pass=q")),  # two form bodies
+        ((1, "uName=u&pass=p"), (20, "pass"), (30, "q")),  # a body and a key block
+    ])
+    def test_locator_rejects_a_key_in_two_places(self, blocks):
+        with pytest.raises(ValueError, match="'pass' sits in 2 places"):
+            _template("t", blocks, ((HIGH, "sonicwall", "uName", "pass"),))
+
+    def test_outputs_match_pinned_digests(self, tmp_path):
+        """What the fabricator makes without its random generator (each
+        template's bytes, and each corpus's ground truth, manifest and
+        process map) is pinned by SHA-256; the filler images are covered
+        by ``test_byte_deterministic``."""
+        got = {t.template_id: sha256(t.render()).hexdigest() for t in builtin_templates()}
+        for name, plan in (
+            ("table1", table1_preset(image_size=1 << 20, seed=7)),
+            ("small", small_plan()),
+        ):
+            fabricate(plan, tmp_path / name)
+            for f in ("ground_truth.json", "manifest.tsv", "process_map.tsv"):
+                got[f"{name}/{f}"] = sha256((tmp_path / name / f).read_bytes()).hexdigest()
+        assert got == _PINNED_DIGESTS
 
     def test_every_template_scans_to_its_expectation(self, tmp_path):
         # the whole point of a template: planted bytes produce exactly
