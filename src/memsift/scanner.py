@@ -25,15 +25,16 @@ and strictly more of it.  Candidates that tie stay side by side; ambiguity
 is evidence.
 
 Matching costs O(n log n) in the n carved strings, however crowded the
-image is.  Each form body is parsed once, adjacent usernames are paired with
-passwords by one sweep over the offset-sorted bindings, and context URLs
-and GAUSR cookies are found by bisection in their ascending offset lists,
-never by rescanning the strings per candidate.
+image is.  Each form body is parsed once, adjacent usernames are paired by
+one sweep over the offset-sorted bindings, and one bisection rule, the
+nearest offset within the window (the lower on a tie), decides both context
+confirmation and cookie naming.  A catalog's app ids are unique.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import Counter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .carver import (
@@ -157,44 +158,21 @@ class CredentialFinding(NamedTuple):
         return self.password_raw is not None and self.password_decoded is None
 
 
+def _nearest(offsets: Sequence[int], at: int, window: int) -> int | None:
+    """By one bisection, the index of the offset in ascending ``offsets``
+    nearest ``at``, the lower on a tie, if within ``window`` of it; else None."""
+    i = bisect_left(offsets, at)
+    if i == len(offsets) or (i and at - offsets[i - 1] <= offsets[i] - at):
+        i -= 1
+    return i if i >= 0 and abs(offsets[i] - at) <= window else None
+
+
 def assign_confidence(
     anchor: int, offsets: Sequence[int], window: int = DEFAULT_WINDOW
 ) -> str:
-    """HIGH iff one of ``offsets``, the ascending offsets of the carved
-    strings that hold one of the signature's context URLs, lies within
-    [anchor-window, anchor+window].  One bisection, so O(log n)."""
-    i = bisect_left(offsets, anchor - window)
-    return HIGH if i < len(offsets) and offsets[i] <= anchor + window else LOW
-
-
-def _attach_cookie_usernames(
-    matches: list[SignatureMatch],
-    cookies: Sequence[SignatureMatch],
-    window: int,
-) -> None:
-    """Give the GAUSR cookies' account names to their signature's password
-    matches that lack a username; a cookie nothing claimed is appended as
-    the username-only match it came as.  ``cookies`` holds one signature's
-    cookies, in string order."""
-    if not cookies:
-        return
-    app_id = cookies[0].signature.app_id
-    # Cookie offsets ascend with their strings' offsets and are distinct,
-    # one per carved string, so the nearest cookie sits on either side of
-    # the bisection point.
-    offsets = [cookie.anchor_offset for cookie in cookies]
-    claimed: set[int] = set()
-    for i, m in enumerate(matches):
-        if m.signature.app_id != app_id or m.password is None or m.username is not None:
-            continue
-        at = m.anchor_offset
-        j = bisect_left(offsets, at)
-        if j == len(offsets) or (j and at - offsets[j - 1] <= offsets[j] - at):
-            j -= 1  # the lower cookie wins a tie
-        if abs(offsets[j] - at) <= window:
-            claimed.add(j)
-            matches[i] = m._replace(username=cookies[j].username)
-    matches.extend(c for j, c in enumerate(cookies) if j not in claimed)
+    """HIGH iff one of ``offsets``, the ascending offsets of the strings
+    that hold a context URL of the signature, lies within ``window``."""
+    return LOW if _nearest(offsets, anchor, window) is None else HIGH
 
 
 def _match_region(
@@ -208,13 +186,8 @@ def _match_region(
     owners = key_owners(catalog)
     binder = AdjacentBinder(catalog, opts.delta)
     # Per URL set, the ascending offsets of the strings that hold one of
-    # its URLs.  Each URL is tested once per string and feeds every set
-    # that lists it; a string listed twice moves no bisection.
+    # its URLs; a set's URLs are tested in turn until one is found.
     url_offsets: dict[tuple[str, ...], list[int]] = {sig.context_urls: [] for sig in catalog}
-    url_sets: dict[str, list[list[int]]] = {}
-    for urls, offsets in url_offsets.items():
-        for url in urls:
-            url_sets.setdefault(url, []).append(offsets)
     # Per signature with a marker, its cookies as username-only matches.
     cookies: dict[CredentialSignature, list[SignatureMatch]] = {
         sig: [] for sig in catalog if sig.username_marker
@@ -228,17 +201,30 @@ def _match_region(
         if "=" in text:
             matches.extend(match_inline(s, owners))
         bindings.extend(binder.push(s))
-        for url, sets in url_sets.items():
-            if url in text:
-                for offsets in sets:
+        for urls, offsets in url_offsets.items():
+            for url in urls:
+                if url in text:
                     offsets.append(s.offset)
+                    break
         for sig, found in cookies.items():
             if (cookie := cookie_username(s, sig.username_marker)) is not None:
                 found.append(SignatureMatch(sig, MatchMode.INLINE, cookie, context_text=text))
     for sig in catalog:
         matches.extend(combine_bindings(bindings, sig, opts.window))
-        if sig.username_marker:
-            _attach_cookie_usernames(matches, cookies[sig], opts.window)
+        # A password found without a username takes the nearest cookie's
+        # name; a cookie nothing claimed stays a username-only match.
+        found = cookies.get(sig)
+        if not found:
+            continue
+        offsets = [cookie.anchor_offset for cookie in found]
+        claimed: set[int] = set()
+        for i, m in enumerate(matches):
+            if m.signature.app_id == sig.app_id and m.password is not None and m.username is None:
+                j = _nearest(offsets, m.anchor_offset, opts.window)
+                if j is not None:
+                    claimed.add(j)
+                    matches[i] = m._replace(username=found[j].username)
+        matches.extend(c for j, c in enumerate(found) if j not in claimed)
 
     # Shared-keyword arbitration.  Group candidates claiming the very same
     # value bytes; within a group drop anything strictly dominated on
@@ -282,6 +268,8 @@ def scan_image(
     it was present.
     """
     catalog = list(catalog) if catalog is not None else builtin_catalog()
+    if repeated := [a for a, n in Counter(sig.app_id for sig in catalog).items() if n > 1]:
+        raise InvalidOptionError(f"catalog repeats app_id {repeated[0]!r}")
     opts = options or ScanOptions()
     pmap = process_map
     if pmap is not None and not isinstance(pmap, ProcessMap):

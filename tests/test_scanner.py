@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memsift import (
@@ -18,8 +18,10 @@ from memsift import (
     LOW,
     Attribution,
     CredentialFinding,
+    CredentialSignature,
     Encoding,
     ExtractedString,
+    GAUSR_MARKER,
     ImageManifest,
     KeyValuePair,
     ManifestEntry,
@@ -122,6 +124,32 @@ class TestAssignConfidence:
         assert assign_confidence(anchor, _url_offsets(ctx, sig), window) == (
             assign_confidence_linear(anchor, ctx, sig, window)
         )
+
+
+def _nearest_linear(offsets, at, window):
+    """Reference for ``scanner._nearest``, by value: the offset nearest
+    ``at`` within ``window``, the lower on a tie, from a look at each."""
+    near = [o for o in offsets if abs(o - at) <= window]
+    return min(near, key=lambda o: (abs(o - at), o), default=None)
+
+
+class TestNearest:
+    # Offsets from a narrow range repeat and tie often.
+    @settings(max_examples=400)
+    @given(
+        offsets=st.lists(st.integers(0, 40), max_size=10).map(sorted),
+        at=st.integers(-10, 50), window=st.integers(0, 20),
+    )
+    @example(offsets=[], at=5, window=20)
+    @example(offsets=[10, 10, 20, 20], at=15, window=5)  # a tie
+    @example(offsets=[10, 20], at=15, window=4)  # both just outside
+    @example(offsets=[10], at=15, window=5)  # the lower edge
+    @example(offsets=[20], at=15, window=5)  # the upper edge
+    def test_equals_linear_reference(self, offsets, at, window):
+        want = _nearest_linear(offsets, at, window)
+        i = scanner._nearest(offsets, at, window)
+        assert (None if i is None else offsets[i]) == want
+        assert assign_confidence(at, offsets, window) == (LOW if want is None else HIGH)
 
 
 class TestScanInline:
@@ -387,6 +415,30 @@ class TestScanOptions:
         ScanOptions(window=1 << 32, delta=1 << 32, chunk_size=1 << 30)
 
 
+class TestCatalogAppIds:
+    PLANTED = ((0, "pass=p1"), (7 + 32, "GAUSR=mail:bob@b.example;"))
+
+    def _catalog(self, second_id):
+        return [
+            CredentialSignature("x", ("uName",), ("pass",), ("a.example",)),
+            CredentialSignature(
+                second_id, (), ("Passwd",), ("b.example",), username_marker=GAUSR_MARKER
+            ),
+        ]
+
+    def test_a_repeated_app_id_is_refused(self):
+        # Scanned, the two signatures would pair one's password with the
+        # other's cookie name, as one finding.
+        with pytest.raises(InvalidOptionError, match="'x'"):
+            scan_image(_image(*self.PLANTED, size=128), self._catalog("x"))
+
+    def test_distinct_app_ids_keep_their_candidates_apart(self):
+        findings = scan_image(_image(*self.PLANTED, size=128), self._catalog("y"))
+        assert [(f.app_id, f.username, f.password_raw) for f in findings] == [
+            ("x", None, "p1"), ("y", "bob@b.example", None),
+        ]
+
+
 class TestFindingInvariants:
     def _kw(self, **over):
         base = dict(
@@ -625,11 +677,29 @@ def _slotted_image(slots):
     return _image(*planted, size=at + _SLOT)
 
 
-def _reference_scan(image, options):
+def _reference_scan(image, options, catalog=None):
     # The linear oracle reads its strings more than once.
     linear = lambda strings, catalog, opts: match_region_linear(list(strings), catalog, opts)
     with mock.patch.object(scanner, "_match_region", linear):
-        return scan_image(image, options=options)
+        return scan_image(image, catalog, options)
+
+
+# A catalog other than the built-in one: portal and social share a context
+# URL but not their URL lists, and rail names accounts from cookies by a
+# marker of its own, which the planted cookies hold as gmail-ff's does.
+_OTHER_CATALOG = [
+    CredentialSignature("portal", ("uName",), ("pass",), ("userLogin.html", "auth1.html")),
+    CredentialSignature(
+        "social", ("email",), ("pass",), ("auth1.html", "https://www.facebook.com/login.php")
+    ),
+    _sig("gmail-ff"),
+    CredentialSignature(
+        "rail", ("userName",), ("password",), ("www.irctc.co.in",), username_marker="GAUSR="
+    ),
+    CredentialSignature(
+        "bank", ("userName", "Email"), ("password",), ("https://www.onlinesbi.com/",), opaque=True
+    ),
+]
 
 
 class TestRegionMatchingOracle:
@@ -639,7 +709,8 @@ class TestRegionMatchingOracle:
     def test_findings_equal_linear_reference(self, slots, window):
         image = _slotted_image(slots)
         opts = ScanOptions(window=window)
-        assert scan_image(image, options=opts) == _reference_scan(image, opts)
+        for catalog in (None, _OTHER_CATALOG):
+            assert scan_image(image, catalog, opts) == _reference_scan(image, opts, catalog)
 
     def test_context_urls_exactly_at_window_edges(self):
         body = "userName=ipsita689&password=durga21"
