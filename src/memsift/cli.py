@@ -17,6 +17,7 @@ import re
 import sys
 from importlib import import_module
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import __version__
 from .carver import BOTH_ENCODINGS, DEFAULT_CAP, DEFAULT_MIN_LEN
@@ -95,17 +96,23 @@ def _load_catalog(path: str | None):
     return merge_catalogs(builtin_catalog(), load_catalog_file(path))
 
 
+def _stdout_sink():
+    """Stdout as a byte sink whatever its encoding, flushed first so that
+    what is written keeps its order.  A stdout with no byte buffer under
+    it, such as an ``io.StringIO``, takes each bytes-like write as text."""
+    sys.stdout.flush()
+    if (buffer := getattr(sys.stdout, "buffer", None)) is None:
+        return SimpleNamespace(write=lambda data: sys.stdout.write(str(data, "utf-8")))
+    return buffer
+
+
 def _write_output(text: str, out: str | None) -> None:
-    """Write ``text`` as UTF-8 to the file ``out``, or to stdout whatever
-    its encoding, so that both get the same bytes.  A stdout with no byte
-    buffer under it, such as an ``io.StringIO``, takes the text itself."""
+    """Write ``text`` as UTF-8 to the file ``out``, or to stdout, so that
+    both get the same bytes."""
     if out not in (None, "-"):
         Path(out).write_bytes(text.encode("utf-8"))
-    elif (buffer := getattr(sys.stdout, "buffer", None)) is None:
-        sys.stdout.write(text)
     else:
-        sys.stdout.flush()
-        buffer.write(text.encode("utf-8"))
+        _stdout_sink().write(text.encode("utf-8"))
 
 
 def _add_scan_flags(p: argparse.ArgumentParser) -> None:
@@ -132,11 +139,7 @@ def cmd_strings(args: argparse.Namespace) -> int:
     # The full carve is numpy's; no other command loads it.
     from .cli import dump_strings
 
-    if args.out in (None, "-"):
-        sys.stdout.flush()
-        sink = sys.stdout.buffer
-    else:
-        sink = args.out
+    sink = _stdout_sink() if args.out in (None, "-") else args.out
     # dump_strings rejects out-of-range options before the output opens.
     dump_strings(
         MemoryImage.from_file(args.image),

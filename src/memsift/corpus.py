@@ -210,48 +210,37 @@ class MemoryImage:
             return handle.read(length)
 
 
-def _parse_lines(
-    source: str | Path | Iterable[str], parse: Callable[[str], T | None]
+def _tsv_rows(
+    source: str | Path | Iterable[str], nfields: int, parse: Callable[[list[str]], T],
+    comment: Callable[[str], None] = lambda line: None,
 ) -> Iterator[T]:
-    """``parse`` of each line, end removed, of a UTF-8 file or text lines;
-    ``None`` results are dropped, and so is a byte-order mark at the start
-    of the first line, as some Windows editors write one.  A ``ValueError``
-    from ``parse`` or from decoding becomes a ``LineError``, and a
-    ``MemsiftError`` keeps its type with ``FILE:LINE:`` put before its
-    message."""
+    """``parse`` of the fields of each data line, end removed, of a UTF-8
+    file or text lines: the one reader of the manifest, process-map and
+    catalog formats.  A byte-order mark at the start of the first line is
+    dropped, as some Windows editors write one.  Blank lines are skipped
+    and ``#`` lines go to ``comment``.  A line without exactly ``nfields``
+    tab-separated fields, or a ``ValueError`` from ``parse``, ``comment``
+    or decoding, is a ``LineError``; a ``MemsiftError`` keeps its type
+    with ``FILE:LINE:`` put before its message."""
     named = isinstance(source, (str, Path))
     name = str(source) if named else getattr(source, "name", "<stream>")
     with open(source, "rb") if named else nullcontext(source) as lines:
         for lineno, raw in enumerate(lines, 1):
             try:
                 line = (raw.decode("utf-8") if named else raw).rstrip("\r\n")
-                parsed = parse(line.removeprefix("\ufeff") if lineno == 1 else line)
+                line = line.removeprefix("\ufeff") if lineno == 1 else line
+                if not line.strip() or line.lstrip().startswith("#"):
+                    comment(line)
+                    continue
+                parts = line.split("\t")
+                if len(parts) != nfields:
+                    raise ValueError(f"expected {nfields} fields, got {len(parts)}")
+                row = parse(parts)
             except MemsiftError as exc:
                 raise type(exc)(f"{name}:{lineno}: {exc}") from None
             except ValueError as exc:
                 raise LineError(name, lineno, str(exc)) from None
-            if parsed is not None:
-                yield parsed
-
-
-def _tsv_rows(
-    source: str | Path | Iterable[str], nfields: int, parse: Callable[[list[str]], T],
-    comment: Callable[[str], None] = lambda line: None,
-) -> Iterator[T]:
-    """``parse`` of the fields of each data line, through ``_parse_lines``.
-    Blank lines are skipped and ``#`` lines go to ``comment``; a line
-    without exactly ``nfields`` tab-separated fields is a ``LineError``.
-    The one reader of the manifest, process-map and catalog formats."""
-
-    def row(line: str) -> T | None:
-        if not line.strip() or line.lstrip().startswith("#"):
-            return comment(line)
-        parts = line.split("\t")
-        if len(parts) != nfields:
-            raise ValueError(f"expected {nfields} fields, got {len(parts)}")
-        return parse(parts)
-
-    return _parse_lines(source, row)
+            yield row
 
 
 def load_manifest(path: str | Path) -> ImageManifest:

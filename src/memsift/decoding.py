@@ -20,14 +20,10 @@ import re
 
 _MD5_LIKE = re.compile(r"[0-9a-f]{32}\Z")
 _ESCAPES = re.compile(r"(?:%[0-9A-Fa-f]{2})+")
-_ESCAPES_OR_PLUS = re.compile(r"(?:%[0-9A-Fa-f]{2})+|\+")
 
 
 def _unescape(m: re.Match) -> str:
-    text = m.group()
-    if text == "+":
-        return " "
-    raw = bytes.fromhex(text.replace("%", ""))
+    raw = bytes.fromhex(m.group().replace("%", ""))
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError:
@@ -40,9 +36,10 @@ def percent_decode(raw: str, plus_as_space: bool = False) -> str:
     Each maximal run of escapes is decoded as UTF-8 when it is valid UTF-8,
     else one character per escape.  A ``%`` not followed by two hex digits
     is kept literally, so the function is total over arbitrary input.  With
-    ``plus_as_space``, ``+`` becomes a space (form-body convention).
+    ``plus_as_space``, each ``+`` first becomes a space (form-body
+    convention), which changes no escape: escapes hold only ``%`` and hex.
     """
-    return (_ESCAPES_OR_PLUS if plus_as_space else _ESCAPES).sub(_unescape, raw)
+    return _ESCAPES.sub(_unescape, raw.replace("+", " ") if plus_as_space else raw)
 
 
 def classify_value(

@@ -29,8 +29,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .corpus import ImageManifest, ManifestEntry, _check_session, write_manifest
-from .errors import InvalidOptionError, OverlapError, PlacementOutOfBoundsError, checked
+from .corpus import ImageManifest, ManifestEntry, write_manifest
+from .errors import InvalidOptionError, MemsiftError, OverlapError, PlacementOutOfBoundsError, checked
 from .procmap import ProcessMap, ProcessMapEntry, write_process_map
 from .report import finding_to_doc
 from .scanner import HIGH, LOW, CredentialFinding, _findings
@@ -295,17 +295,15 @@ class FabricationPlan(NamedTuple):
     session_meta: tuple[str, str] | None = None
 
     def _check(self) -> None:
+        """The ranges first; then the corpus stays inside its output
+        directory and reads back as a manifest, every placement fits, and
+        placements stay independent."""
         if self.image_size < 1:
             raise InvalidOptionError("image_size must be positive")
         if self.seed < 0:
             raise InvalidOptionError("seed must be non-negative")
         if not (0.0 <= self.printable_density < 1.0):
             raise InvalidOptionError("printable_density must be in [0, 1)")
-
-    def validate(self) -> None:
-        """Check the corpus stays inside its output directory and reads
-        back as a manifest, every placement fits, and placements stay
-        independent."""
         for img in self.images:
             label = img.label
             # The label names a file in the output directory.
@@ -358,60 +356,56 @@ def save_plan(plan: FabricationPlan, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
-def _json_int(value: object) -> int:
-    """A JSON integer as ``save_plan`` writes one; ``int`` would also take
-    a float, a bool or a string."""
-    if type(value) is not int:
-        raise ValueError(f"{value!r} is not an integer")
-    return value
+# The JSON types a plan field of each kind takes, and its name in an error.
+_JSON_KINDS = {
+    int: ((int,), "an integer"),
+    float: ((int, float), "a number"),
+    str: ((str,), "a string"),
+}
 
 
-def _json_number(value: object) -> float:
-    """A JSON number; ``float`` would also take a bool or a string."""
-    if type(value) not in (int, float):
-        raise ValueError(f"{value!r} is not a number")
-    return float(value)
-
-
-def _json_str(value: object) -> str:
-    """A JSON string; ``str`` would turn any value into one."""
-    if type(value) is not str:
-        raise ValueError(f"{value!r} is not a string")
-    return value
+def _json(kind: type, value: object):
+    """``value`` as ``save_plan`` writes a field of ``kind``; ``kind``
+    itself would also take a bool, a float for an integer or a string for
+    a number, and ``str`` any value."""
+    types, name = _JSON_KINDS[kind]
+    if type(value) not in types:
+        raise ValueError(f"{value!r} is not {name}")
+    return kind(value)
 
 
 def load_plan(path: str | Path) -> FabricationPlan:
-    """Read a plan saved by ``save_plan``.  A missing key or a wrongly
-    shaped value, such as a number that is not a JSON integer or a label
-    that is not a JSON string, raises ``ValueError`` naming the file."""
+    """Read a plan saved by ``save_plan``; the plan is checked as it is
+    built, and every defect names the file.  A missing key, a wrongly
+    shaped value (a number that is not a JSON integer, a label that is not
+    a JSON string) or a value out of range raises ``ValueError``; a defect
+    with a type of its own, such as ``OverlapError``, keeps its type."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         pmap = doc.get("process_map")
         session = doc.get("session_meta")
-        if isinstance(session, list):
-            session = tuple(session)
         return FabricationPlan(
-            image_size=_json_int(doc["image_size"]),
-            seed=_json_int(doc["seed"]),
-            printable_density=_json_number(doc.get("printable_density", 0.3)),
+            image_size=_json(int, doc["image_size"]),
+            seed=_json(int, doc["seed"]),
+            printable_density=_json(float, doc.get("printable_density", 0.3)),
             process_map=(
                 tuple(
                     ProcessMapEntry(
-                        _json_int(p), _json_str(n), *map(_json_int, (s, e, v))
+                        _json(int, p), _json(str, n), *(_json(int, v) for v in (s, e, v))
                     )
                     for p, n, s, e, v in pmap
                 )
                 if pmap is not None
                 else None
             ),
-            session_meta=None if session is None else _check_session(session),
+            session_meta=tuple(session) if isinstance(session, list) else session,
             images=tuple(
                 PlannedImage(
-                    label=_json_str(img["label"]),
-                    step_index=_json_int(img["step_index"]),
-                    step_description=_json_str(img.get("step_description", "")),
+                    label=_json(str, img["label"]),
+                    step_index=_json(int, img["step_index"]),
+                    step_description=_json(str, img.get("step_description", "")),
                     placements=tuple(
-                        (_json_str(t), _json_int(o)) for t, o in img["placements"]
+                        (_json(str, t), _json(int, o)) for t, o in img["placements"]
                     ),
                 )
                 for img in doc["images"]
@@ -421,6 +415,8 @@ def load_plan(path: str | Path) -> FabricationPlan:
         raise ValueError(f"{path}: plan lacks key {exc}") from None
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: malformed plan: {exc}") from None
+    except MemsiftError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 # --- filler ---------------------------------------------------------------
@@ -506,8 +502,8 @@ def _write_image(
 
 def fabricate(plan: FabricationPlan, out_dir: str | Path) -> FabricationResult:
     """Write the planned corpus: images, manifest, optional process map and
-    the ground truth findings file."""
-    plan.validate()
+    the ground truth findings file.  The plan was checked when it was
+    built, so nothing is refused here."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     pmap = ProcessMap(plan.process_map) if plan.process_map is not None else None

@@ -13,10 +13,14 @@ differs from the scan only in carving every string, not just those
 matching reads.
 ``values_at_offsets`` checks findings against the image bytes alone.
 ``has_token`` is the fabricator's reference: it checks by search what the
-filler's byte table guarantees by construction.
+filler's byte table guarantees by construction.  ``percent_decode_two_regex``
+is the percent decoder's reference: it reads ``+`` in the same pass as the
+escapes.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -172,6 +176,28 @@ def percent_encode(text: str, plus_for_space: bool = False) -> str:
         else:
             out.extend(f"%{b:02X}" for b in ch.encode("utf-8"))
     return "".join(out)
+
+
+_ESCAPE_RUN = re.compile(r"(?:%[0-9A-Fa-f]{2})+")
+_ESCAPE_RUN_OR_PLUS = re.compile(r"(?:%[0-9A-Fa-f]{2})+|\+")
+
+
+def _unescape_or_space(m: re.Match) -> str:
+    if m.group() == "+":
+        return " "
+    raw = bytes.fromhex(m.group().replace("%", ""))
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return raw.decode("latin-1")
+
+
+def percent_decode_two_regex(raw: str, plus_as_space: bool = False) -> str:
+    """``percent_decode``'s reference: one left-to-right pass that turns
+    each ``+`` into a space, with ``plus_as_space``, in the same pass that
+    decodes each maximal escape run (as UTF-8, else one character per
+    escape)."""
+    return (_ESCAPE_RUN_OR_PLUS if plus_as_space else _ESCAPE_RUN).sub(_unescape_or_space, raw)
 
 
 def random_buffer(seed_parts, size: int, density: float) -> bytes:

@@ -52,6 +52,19 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def _image(label, step=2, description="", placements=()):
+    """One image of a plan file, as ``save_plan`` writes it."""
+    return {"label": label, "step_index": step, "step_description": description,
+            "placements": list(placements)}
+
+
+def _plan_doc(images):
+    """A plan file's fields, as ``save_plan`` writes them, written by hand
+    so that a plan no ``FabricationPlan`` would accept can be saved."""
+    return {"image_size": 65536, "seed": 1, "printable_density": 0.3,
+            "session_meta": None, "process_map": None, "images": images}
+
+
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("cli") / "corpus"
@@ -105,6 +118,28 @@ class TestStrings:
         assert run(capsys, *argv, "--out", "-") == (0, want.decode(), "")
         child = memsift_child("-m", "memsift", *argv, "--out", "-")
         assert (child.returncode, child.stdout) == (0, want)
+
+    def test_text_only_stdout_takes_the_lines_as_text(self, tmp_path):
+        """A stdout with no byte buffer under it, such as an io.StringIO,
+        gets the text of the --out file's bytes, written buffer by buffer
+        as they are carved."""
+        p = tmp_path / "img.raw"
+        p.write_bytes(b"\x00" * 9 + b"first\x00" + "wide=1".encode("utf-16-le") + b"x" * 300)
+        dest = tmp_path / "strings.txt"
+        argv = ["strings", str(p), "--chunk-size", "64", "--cap", "100"]
+        assert main([*argv, "--out", str(dest)]) == 0
+        writes = []
+
+        class Recording(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        captured = Recording()
+        with redirect_stdout(captured):
+            assert main(argv) == 0
+        assert captured.getvalue() == dest.read_bytes().decode()
+        assert len(writes) > 1
 
     def test_loads_only_the_carver(self, tmp_path):
         """`python -m memsift strings` imports none of the scan, report or
@@ -575,16 +610,10 @@ class TestFabricate:
         assert captured.getvalue().endswith("ground_truth.json\n")
 
     def test_overlapping_plan_fails_naming_both(self, capsys, tmp_path):
-        from memsift import FabricationPlan, PlannedImage, save_plan
-
-        plan = FabricationPlan(
-            image_size=64 * 1024, seed=1,
-            images=(PlannedImage("X", 2, "bad", (
-                ("sonicwall-inline", 0x1000), ("irctc-inline", 0x1800),
-            )),),
-        )
         path = tmp_path / "plan.json"
-        save_plan(plan, path)
+        path.write_text(json.dumps(_plan_doc(
+            [_image("X", 2, "bad", [["sonicwall-inline", 0x1000], ["irctc-inline", 0x1800]])]
+        )))
         code, _, err = run(capsys, "fabricate", "--plan", str(path),
                            "--out", str(tmp_path / "out"))
         assert code == 1
@@ -665,19 +694,45 @@ class TestFabricate:
         (("",), "label ''"),
     ])
     def test_plan_that_breaks_the_corpus_writes_nothing(self, capsys, tmp_path, labels, message):
-        from memsift import FabricationPlan, PlannedImage, save_plan
-
-        plan = FabricationPlan(
-            image_size=64 * 1024, seed=1,
-            images=tuple(PlannedImage(lb, 2 * (i + 1), "", ()) for i, lb in enumerate(labels)),
-        )
         path = tmp_path / "plan.json"
-        save_plan(plan, path)
+        path.write_text(json.dumps(_plan_doc(
+            [_image(lb, 2 * (i + 1)) for i, lb in enumerate(labels)]
+        )))
         out = tmp_path / "sub" / "out"
         code, _, err = run(capsys, "fabricate", "--plan", str(path), "--out", str(out))
         assert code == 1
         assert message in err
         assert not (tmp_path / "sub").exists()
+
+    @pytest.mark.parametrize("change, message", [
+        ({"images": [_image("../evil")]}, "malformed plan: label '../evil' cannot name"),
+        ({"images": [_image("a\tb")]}, "malformed plan: label 'a\\tb' holds a tab"),
+        ({"images": [_image("A", 2), _image("A", 4)]}, "duplicate label 'A'"),
+        ({"images": [_image("A", 2), _image("B", 2)]}, "step 2 does not increase past 2"),
+        ({"images": [_image("A", 2, "a\tb")]},
+         "malformed plan: step description 'a\\tb' holds a tab"),
+        ({"images": [_image("A", 2, "", [["irctc-inline", 65000]])]},
+         "A: irctc-inline at 65000 exceeds image size 65536"),
+        ({"images": [_image("A", 2, "", [["irctc-inline", 4096], ["sbi-gc-inline", 6000]])]},
+         "A: irctc-inline and sbi-gc-inline collide"),
+        ({"images": [_image("A", 2, "", [["no-such-template", 4096]])]},
+         "malformed plan: unknown template_id 'no-such-template'"),
+        ({"session_meta": "FG"}, "malformed plan: session_meta 'FG' is not a (browser, application) pair"),
+        ({"process_map": [[-1, "a", 0, 0x100, 0]]}, "negative pid -1"),
+    ], ids=["label-path", "label-tab", "repeated-label", "step-not-increasing",
+            "description-tab", "out-of-bounds", "too-close", "unknown-template",
+            "session-string", "negative-pid"])
+    def test_every_plan_defect_names_the_file(self, capsys, tmp_path, change, message):
+        """Each defect is the plan file's fault: exit 1, not a usage
+        error, with the file's name on stderr and nothing written."""
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({**_plan_doc([_image("A", 2)]), **change}))
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, "fabricate", "--plan", str(path), "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: {path}: ")
+        assert message in err
+        assert not out.exists()
 
 
 def test_version_flag(capsys):

@@ -8,10 +8,17 @@ from hypothesis import strategies as st
 
 from memsift import classify_value, percent_decode
 
-from oracles import percent_encode
+from oracles import percent_decode_two_regex, percent_encode
 
 # every character UTF-8 can encode
 _text = st.text(alphabet=st.characters(exclude_categories=("Cs",)), max_size=64)
+# text that mixes plus signs, escaped ones, malformed escapes, escape runs
+# that are not UTF-8 and plain characters
+_form_text = st.lists(st.one_of(
+    st.sampled_from(["+", "%2B", "%2b", "%", "%4", "%zz", "%%", "%C3%A9", "%E9", "%C3", "%FF%FE"]),
+    st.binary(min_size=1, max_size=4).map(lambda b: "".join(f"%{x:02X}" for x in b)),
+    st.text(alphabet="a +%2Bz", max_size=4),
+), max_size=16).map("".join)
 
 
 class TestPercentDecode:
@@ -71,6 +78,10 @@ class TestPercentDecode:
     @given(st.text(max_size=64).filter(lambda s: "%" not in s and "+" not in s))
     def test_identity_without_escapes(self, text):
         assert percent_decode(text) == text
+
+    @given(_form_text, st.booleans())
+    def test_matches_the_two_regex_reference(self, text, plus):
+        assert percent_decode(text, plus) == percent_decode_two_regex(text, plus)
 
     @given(_text)
     def test_decode_is_idempotent_on_escape_free_output(self, text):

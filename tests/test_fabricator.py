@@ -1,6 +1,7 @@
 """Synthetic corpus generation: determinism, token freedom, ground truth."""
 
 import json
+import pickle
 from hashlib import sha256
 
 import pytest
@@ -21,6 +22,7 @@ from memsift import (
 )
 from memsift.errors import (
     DuplicateLabelError,
+    InvalidOptionError,
     NonMonotonicStepError,
     OverlapError,
     PlacementOutOfBoundsError,
@@ -161,39 +163,38 @@ class TestTemplates:
 
 
 class TestPlanValidation:
+    """A plan is checked as it is built: no invalid plan exists."""
+
     def test_placement_must_fit(self):
-        plan = FabricationPlan(
-            image_size=4096, seed=1,
-            images=(PlannedImage("A", 2, "", (("irctc-inline", 3000),)),),
-        )
         with pytest.raises(PlacementOutOfBoundsError):
-            plan.validate()
+            FabricationPlan(
+                image_size=4096, seed=1,
+                images=(PlannedImage("A", 2, "", (("irctc-inline", 3000),)),),
+            )
 
     def test_placements_too_close_rejected(self):
         t = template_by_id("sonicwall-inline")
         second = 100 + t.byte_length + MIN_PLACEMENT_GAP - 1
-        plan = FabricationPlan(
-            image_size=1 << 20, seed=1,
-            images=(PlannedImage("A", 2, "", (
-                ("sonicwall-inline", 100),
-                ("sonicwall-inline", second),
-            )),),
-        )
         with pytest.raises(OverlapError) as err:
-            plan.validate()
+            FabricationPlan(
+                image_size=1 << 20, seed=1,
+                images=(PlannedImage("A", 2, "", (
+                    ("sonicwall-inline", 100),
+                    ("sonicwall-inline", second),
+                )),),
+            )
         assert "sonicwall-inline" in str(err.value)
 
     def test_gap_exactly_at_minimum_accepted(self):
         t = template_by_id("sonicwall-inline")
         second = 100 + t.byte_length + MIN_PLACEMENT_GAP
-        plan = FabricationPlan(
+        FabricationPlan(
             image_size=1 << 20, seed=1,
             images=(PlannedImage("A", 2, "", (
                 ("sonicwall-inline", 100),
                 ("sonicwall-inline", second),
             )),),
         )
-        plan.validate()
 
     def test_bad_density_rejected(self):
         with pytest.raises(ValueError):
@@ -206,42 +207,70 @@ class TestPlanValidation:
     def test_label_must_be_a_plain_file_name(self, label):
         # each would write outside the output directory, or leave a
         # manifest that does not load back with the same rows
-        plan = _plan_of(PlannedImage(label, 2, "", ()))
         with pytest.raises(ValueError, match="label"):
-            plan.validate()
+            _plan_of(PlannedImage(label, 2, "", ()))
 
     @pytest.mark.parametrize("description", ["a\tb", "a\nb", "a\r\nb", "end\n"])
     def test_step_description_must_fit_one_field(self, description):
-        plan = _plan_of(PlannedImage("A", 2, description, ()))
         with pytest.raises(ValueError, match="step description"):
-            plan.validate()
+            _plan_of(PlannedImage("A", 2, description, ()))
 
     @pytest.mark.parametrize("session", [("Mozilla\nFirefox", "Gmail"), ("Chrome", "a\tb")])
     def test_session_meta_must_fit_the_directive_line(self, session):
-        plan = FabricationPlan(image_size=4096, seed=1, images=(), session_meta=session)
         with pytest.raises(ValueError, match="session_meta"):
-            plan.validate()
+            FabricationPlan(image_size=4096, seed=1, images=(), session_meta=session)
 
     def test_repeated_label_rejected(self):
-        plan = _plan_of(
-            PlannedImage("A", 2, "", ()), PlannedImage("A", 4, "", ())
-        )
         with pytest.raises(DuplicateLabelError):
-            plan.validate()
+            _plan_of(PlannedImage("A", 2, "", ()), PlannedImage("A", 4, "", ()))
 
     @pytest.mark.parametrize("second_step", [2, 1])
     def test_step_index_must_increase(self, second_step):
-        plan = _plan_of(
-            PlannedImage("A", 2, "", ()), PlannedImage("B", second_step, "", ())
-        )
         with pytest.raises(NonMonotonicStepError):
-            plan.validate()
+            _plan_of(PlannedImage("A", 2, "", ()), PlannedImage("B", second_step, "", ()))
+
+    def test_every_way_of_building_runs_the_whole_check(self):
+        plan = _plan_of(PlannedImage("A", 2, "", ()))
+        twice = (PlannedImage("A", 2, "", ()), PlannedImage("A", 4, "", ()))
+        # a pickle of a plan that no check let through
+        unchecked = tuple.__new__(FabricationPlan, (64 * 1024, 1, twice, 0.3, None, None))
+        pickled = pickle.dumps(unchecked)
+        for build in (
+            lambda: plan._replace(images=twice),
+            lambda: FabricationPlan._make((64 * 1024, 1, twice)),
+            lambda: pickle.loads(pickled),
+        ):
+            with pytest.raises(DuplicateLabelError):
+                build()
+
+    def test_range_checks_come_first(self):
+        twice = (PlannedImage("A", 2, "", ()), PlannedImage("A", 4, "", ()))
+        with pytest.raises(InvalidOptionError, match="seed must be non-negative"):
+            FabricationPlan(image_size=4096, seed=-1, images=twice)
+
+    @pytest.mark.parametrize("images, error, message", [
+        ((("A", 2, []), ("A", 4, [])), DuplicateLabelError, "duplicate label 'A'"),
+        ((("A", 2, []), ("B", 1, [])), NonMonotonicStepError, "step 1 does not increase past 2"),
+        ((("A", 2, [["irctc-inline", 65000]]),),
+         PlacementOutOfBoundsError, "A: irctc-inline at 65000 exceeds"),
+        ((("A", 2, [["irctc-inline", 4096], ["irctc-inline", 6000]]),),
+         OverlapError, "A: irctc-inline and irctc-inline collide"),
+    ])
+    def test_load_plan_keeps_the_type_and_names_the_file(self, tmp_path, images, error, message):
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps({"image_size": 64 * 1024, "seed": 1, "images": [
+            {"label": label, "step_index": step, "placements": placements}
+            for label, step, placements in images
+        ]}))
+        with pytest.raises(error) as err:
+            load_plan(path)
+        assert str(err.value).startswith(f"{path}: {message}")
 
     def test_plain_labels_and_free_text_accepted(self):
         _plan_of(
             PlannedImage("Img 1", -3, "", ()),
             PlannedImage("a.b-c_#", 0, "step two: # not a comment", ()),
-        ).validate()
+        )
 
 
 def test_plan_save_load_round_trip(tmp_path):
@@ -364,7 +393,6 @@ class TestPreset:
         plan = table1_preset(image_size=1 << 20)
         assert [img.label for img in plan.images] == [f"Img{n}" for n in range(1, 14)]
         assert [img.step_index for img in plan.images] == list(range(2, 27, 2))
-        plan.validate()
 
     def test_browser_processes_present(self):
         plan = table1_preset(image_size=1 << 20)
