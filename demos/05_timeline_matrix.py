@@ -16,7 +16,6 @@ import tempfile
 from pathlib import Path
 
 from memsift import (
-    ProcessMap,
     build_presence_matrix,
     fabricate,
     load_manifest,
@@ -42,14 +41,15 @@ with tempfile.TemporaryDirectory(prefix="memsift-demo-") as tmp:
     print("  ...")
 
     # scan the whole corpus with process attribution
-    pmap = ProcessMap(load_process_map(result.process_map_path))
+    pmap = load_process_map(result.process_map_path)
     findings = scan_manifest(manifest, process_map=pmap)
     total = sum(len(v) for v in findings.values())
     print(f"\n{total} findings across the timeline")
 
 # the matrix answers "was app X's credential still in memory at step N,
-# under browser Y"; MF is Firefox, GC is Chrome
-matrix = build_presence_matrix(manifest, findings)
+# under browser Y"; MF is Firefox, GC is Chrome.  Its rows are the labels
+# of the scan's {label: findings} mapping, in manifest order.
+matrix = build_presence_matrix(findings, manifest.session_meta)
 print()
 print(render_matrix_table(matrix))
 

@@ -20,18 +20,18 @@ _EXPORTS = {
         "carver": """BOTH_ENCODINGS DEFAULT_CAP DEFAULT_MIN_LEN Encoding
             ExtractedString carve_strings dump_strings""",
         "corpus": """DEFAULT_CHUNK_SIZE ImageManifest ManifestEntry MemoryImage
-            load_manifest open_image write_manifest""",
+            load_manifest write_manifest""",
         "decoding": "classify_value percent_decode",
         "errors": """DuplicateLabelError InvalidOptionError LineError MemsiftError
             MissingFileError NonMonotonicStepError OverlapError
-            PlacementOutOfBoundsError UnknownLabelError ZeroSizeError""",
+            PlacementOutOfBoundsError ZeroSizeError""",
         "fabricator": """ArtifactTemplate FabricationPlan
             FabricationResult PlannedImage builtin_templates fabricate load_plan
             save_plan table1_preset template_by_id""",
         "procmap": """Attribution ProcessMap ProcessMapEntry load_process_map
             write_process_map""",
-        "report": """build_report finding_to_doc load_report render_json
-            render_matrix_table render_text""",
+        "report": """build_report finding_to_doc render_json render_matrix_table
+            render_text""",
         "scanner": """GC HIGH LOW MF STANDARD_COLUMNS CredentialFinding
             ScanOptions assign_confidence browser_tag build_presence_matrix
             scan_image scan_manifest""",

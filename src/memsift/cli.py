@@ -154,7 +154,6 @@ def cmd_strings(args: argparse.Namespace) -> int:
 
 def cmd_scan(args: argparse.Namespace) -> int:
     from .cli import (
-        ProcessMap,
         ScanOptions,
         build_presence_matrix,
         build_report,
@@ -172,11 +171,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
         **{name: value for name, value in given.items() if value is not None},
     )
     catalog = _load_catalog(args.catalog)
-    pmap = (
-        ProcessMap(load_process_map(args.process_map))
-        if args.process_map
-        else None
-    )
+    pmap = load_process_map(args.process_map) if args.process_map else None
     target = Path(args.target)
     # The name alone tells a manifest from an image, whatever the content.
     is_manifest = target.suffix.lower() in (".tsv", ".manifest")
@@ -186,14 +181,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
     else:
         image = MemoryImage.from_file(target)
         findings = {image.label: scan_image(image, catalog, options, pmap)}
-    matrix = build_presence_matrix(list(findings) if manifest is None else manifest, findings)
+    session_meta = manifest.session_meta if manifest is not None else None
+    matrix = build_presence_matrix(findings, session_meta)
     doc = build_report(
-        matrix["rows"],
-        findings,
-        options=options,
-        matrix=matrix,
-        deterministic=args.deterministic,
-        manifest=manifest,
+        findings, matrix, options, manifest=manifest, deterministic=args.deterministic
     )
     text = render_json(doc) if args.fmt == "json" else render_text(doc)
     _write_output(text, args.out)
@@ -201,13 +192,16 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_matrix(args: argparse.Namespace) -> int:
-    from .cli import load_report, render_matrix_table
+    # Imported here so that `memsift strings` loads no json.
+    import json
+
+    from .cli import render_matrix_table
     from .report import report_matrix
 
     blocks: list[str] = []
     for path in args.report:
         try:
-            matrix = report_matrix(load_report(Path(path).read_text(encoding="utf-8")))
+            matrix = report_matrix(json.loads(Path(path).read_text(encoding="utf-8")))
         except ValueError as exc:  # malformed JSON is a ValueError too
             raise ValueError(f"{path}: {exc}") from None
         blocks.append(render_matrix_table(matrix))
@@ -216,10 +210,10 @@ def cmd_matrix(args: argparse.Namespace) -> int:
 
 
 def cmd_attribute(args: argparse.Namespace) -> int:
-    from .cli import ProcessMap, load_process_map
+    from .cli import load_process_map
     from .report import _shown
 
-    pmap = ProcessMap(load_process_map(args.map))
+    pmap = load_process_map(args.map)
     lines = []
     for offset in args.offset:
         owners = pmap.lookup(offset)

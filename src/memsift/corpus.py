@@ -130,9 +130,6 @@ class ImageManifest:
             other.entries, other.session_meta
         )
 
-    def labels(self) -> list[str]:
-        return [e.label for e in self.entries]
-
     def entry(self, label: str) -> ManifestEntry:
         for e in self.entries:
             if e.label == label:
@@ -272,11 +269,6 @@ def load_manifest(path: str | Path) -> ImageManifest:
 
     entries = tuple(_tsv_rows(src, 4, entry, directive))
     return ImageManifest(entries, session[-1] if session else None)
-
-
-def open_image(entry: ManifestEntry) -> MemoryImage:
-    """Open one manifest entry as a streamable image."""
-    return MemoryImage.from_file(entry.path, label=entry.label)
 
 
 def write_manifest(

@@ -62,10 +62,6 @@ class LineError(MemsiftError):
         super().__init__(f"{path}:{lineno}: {reason}")
 
 
-class UnknownLabelError(MemsiftError):
-    """Findings reference an image label absent from the manifest."""
-
-
 class OverlapError(MemsiftError):
     """Two fabrication placements collide (or sit too close to stay independent)."""
 

@@ -374,14 +374,23 @@ def _json(kind: type, value: object):
     return kind(value)
 
 
+def _known(kind: type, doc: dict) -> dict:
+    """``doc``, a plan's JSON object or an image's, if each key names a field
+    of ``kind``: a misspelt key is refused, not taken for one left out."""
+    for key in doc:
+        if key not in kind._fields:
+            raise ValueError(f"unknown key {key!r}")
+    return doc
+
+
 def load_plan(path: str | Path) -> FabricationPlan:
     """Read a plan saved by ``save_plan``; the plan is checked as it is
-    built, and every defect names the file.  A missing key, a wrongly
-    shaped value (a number that is not a JSON integer, a label that is not
-    a JSON string) or a value out of range raises ``ValueError``; a defect
-    with a type of its own, such as ``OverlapError``, keeps its type."""
+    built, and every defect names the file.  A missing or unknown key, a
+    wrongly shaped value (a number that is not a JSON integer, a label that
+    is not a JSON string) or a value out of range raises ``ValueError``; a
+    defect with a type of its own, such as ``OverlapError``, keeps its type."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = _known(FabricationPlan, json.loads(Path(path).read_text(encoding="utf-8")))
         pmap = doc.get("process_map")
         session = doc.get("session_meta")
         return FabricationPlan(
@@ -408,7 +417,7 @@ def load_plan(path: str | Path) -> FabricationPlan:
                         (_json(str, t), _json(int, o)) for t, o in img["placements"]
                     ),
                 )
-                for img in doc["images"]
+                for img in (_known(PlannedImage, i) for i in doc["images"])
             ),
         )
     except KeyError as exc:
@@ -478,7 +487,7 @@ def _ground_truth_findings(
         for template_id, offset in img.placements
         for confidence, m in template_by_id(template_id).expected
     ]
-    return tuple(_findings(matches, builtin_catalog(), img.label, pmap))
+    return tuple(_findings(matches, builtin_catalog(), pmap))
 
 
 def _write_image(

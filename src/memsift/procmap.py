@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple, Sequence
+from typing import IO, Iterable, NamedTuple
 
 from .corpus import _fits_field, _parse_digits, _tsv_rows
 from .errors import checked
@@ -63,13 +63,12 @@ def _entry(parts: list[str]) -> ProcessMapEntry:
     )
 
 
-def load_process_map(source: str | Path | IO[str]) -> list[ProcessMapEntry]:
-    """Parse and validate a process map, returned sorted by phys_start.
-
-    The sort is stable, so entries sharing a start keep their file order;
-    that order is what ``ProcessMap.lookup`` reports multiple owners in.
-    """
-    return sorted(_tsv_rows(source, 5, _entry), key=lambda e: e.phys_start)
+def load_process_map(source: str | Path | IO[str]) -> ProcessMap:
+    """Parse and validate a process map file into a ``ProcessMap``.  Its
+    entries are sorted by phys_start; the sort is stable, so entries
+    sharing a start keep their file order, the order ``ProcessMap.lookup``
+    reports multiple owners in."""
+    return ProcessMap(_tsv_rows(source, 5, _entry))
 
 
 class ProcessMap:
@@ -81,7 +80,7 @@ class ProcessMap:
     rows and degrades to nothing on empty ones.
     """
 
-    def __init__(self, entries: Sequence[ProcessMapEntry]):
+    def __init__(self, entries: Iterable[ProcessMapEntry]):
         self.entries = sorted(entries, key=lambda e: e.phys_start)
         self._starts = [e.phys_start for e in self.entries]
         self._max_len = max(

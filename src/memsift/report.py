@@ -1,5 +1,7 @@
 """Serialize scan results as JSON documents or readable text.
 
+A report holds the scan's options, its images in the order of the scan's
+``{label: findings}`` mapping, and always the matrix built from that mapping.
 The JSON layout is stable: keys appear in a fixed order and lists keep
 scan order, so two runs over the same input produce byte-identical output
 when the timestamp is suppressed.
@@ -55,14 +57,14 @@ def _options_doc(options: ScanOptions) -> dict:
 
 
 def build_report(
-    labels: Sequence[str],
     findings_by_image: Mapping[str, Sequence[CredentialFinding]],
-    options: ScanOptions | None = None,
-    matrix: dict | None = None,
-    deterministic: bool = False,
+    matrix: dict,
+    options: ScanOptions,
+    *,
     manifest: ImageManifest | None = None,
+    deterministic: bool = False,
 ) -> dict:
-    """Assemble the full report document for a set of scanned images;
+    """The report document for a scan's ``{label: findings}``, in its order;
     ``matrix`` is stored as ``build_presence_matrix`` returns it."""
     from . import __version__
 
@@ -72,8 +74,7 @@ def build_report(
         from datetime import datetime, timezone
 
         doc["generated_at"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    if options is not None:
-        doc["options"] = _options_doc(options)
+    doc["options"] = _options_doc(options)
     if manifest is not None:
         doc["manifest"] = [
             {
@@ -87,14 +88,10 @@ def build_report(
         if manifest.session_meta is not None:
             doc["session"] = list(manifest.session_meta)
     doc["images"] = [
-        {
-            "label": label,
-            "findings": [finding_to_doc(f) for f in findings_by_image.get(label, ())],
-        }
-        for label in labels
+        {"label": label, "findings": [finding_to_doc(f) for f in findings]}
+        for label, findings in findings_by_image.items()
     ]
-    if matrix is not None:
-        doc["matrix"] = matrix
+    doc["matrix"] = matrix
     return doc
 
 
@@ -116,7 +113,7 @@ def render_text(doc: dict) -> str:
     """Line-per-finding text form of a report document."""
     lines: list[str] = []
     total = 0
-    for image in doc.get("images", ()):
+    for image in doc["images"]:
         label = image["label"]
         for fd in image["findings"]:
             total += 1
@@ -143,9 +140,8 @@ def render_text(doc: dict) -> str:
                 parts.append(f"proc={owners}")
             lines.append("  ".join(parts))
     lines.append(f"total: {total} finding{'s' if total != 1 else ''}")
-    if "matrix" in doc:
-        lines.append("")
-        lines.extend(render_matrix_table(doc["matrix"]).splitlines())
+    lines.append("")
+    lines.extend(render_matrix_table(doc["matrix"]).splitlines())
     return "\n".join(lines) + "\n"
 
 
@@ -163,10 +159,6 @@ def render_matrix_table(matrix: dict) -> str:
         if i == 0:
             out.append("  ".join("-" * w for w in widths))
     return "\n".join(out)
-
-
-def load_report(text: str) -> dict:
-    return json.loads(text)
 
 
 def report_matrix(doc: object) -> dict:

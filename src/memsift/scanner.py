@@ -29,6 +29,9 @@ image is.  Each form body is parsed once, adjacent usernames are paired by
 one sweep over the offset-sorted bindings, and one bisection rule, the
 nearest offset within the window (the lower on a tie), decides both context
 confirmation and cookie naming.  A catalog's app ids are unique.
+
+A manifest scan returns ``{label: findings}`` in manifest order; an image's
+label lives only there, and the presence matrix takes its rows from it.
 """
 
 from __future__ import annotations
@@ -45,10 +48,10 @@ from .carver import (
     _check_int,
     carve_strings,
 )
-from .corpus import DEFAULT_CHUNK_SIZE, ImageManifest, MemoryImage, open_image
+from .corpus import DEFAULT_CHUNK_SIZE, ImageManifest, MemoryImage
 from .decoding import classify_value
-from .errors import InvalidOptionError, UnknownLabelError, checked
-from .procmap import Attribution, ProcessMap, ProcessMapEntry
+from .errors import InvalidOptionError, checked
+from .procmap import Attribution, ProcessMap
 from .signatures import (
     DEFAULT_DELTA,
     DEFAULT_WINDOW,
@@ -135,7 +138,6 @@ class CredentialFinding(NamedTuple):
     password at a different offset is its own row of evidence."""
 
     app_id: str
-    image_label: str
     username: str | None
     password_raw: str | None
     password_decoded: str | None
@@ -259,7 +261,7 @@ def scan_image(
     image: MemoryImage,
     catalog: Sequence[CredentialSignature] | None = None,
     options: ScanOptions | None = None,
-    process_map: Sequence[ProcessMapEntry] | ProcessMap | None = None,
+    process_map: ProcessMap | None = None,
 ) -> list[CredentialFinding]:
     """Scan one image and return findings sorted by offset.
 
@@ -271,9 +273,6 @@ def scan_image(
     if repeated := [a for a, n in Counter(sig.app_id for sig in catalog).items() if n > 1]:
         raise InvalidOptionError(f"catalog repeats app_id {repeated[0]!r}")
     opts = options or ScanOptions()
-    pmap = process_map
-    if pmap is not None and not isinstance(pmap, ProcessMap):
-        pmap = ProcessMap(pmap)
 
     literals = {
         literal for sig in catalog for literal in (*sig.context_urls, sig.username_marker)
@@ -283,13 +282,12 @@ def scan_image(
         image, opts.min_len, chunk_size=opts.chunk_size,
         near=(literals, key_owners(catalog).keys(), opts.delta),
     )
-    return _findings(_match_region(strings, catalog, opts), catalog, image.label, pmap)
+    return _findings(_match_region(strings, catalog, opts), catalog, process_map)
 
 
 def _findings(
     matches: Iterable[tuple[str, SignatureMatch]],
     catalog: Sequence[CredentialSignature],
-    label: str,
     pmap: ProcessMap | None,
 ) -> list[CredentialFinding]:
     """The one step from (confidence, match) pairs to findings, sorted by
@@ -299,13 +297,12 @@ def _findings(
     ranked = sorted(
         matches, key=lambda t: (t[1].anchor_offset, order[t[1].signature.app_id])
     )
-    return [_to_finding(m, conf, label, pmap) for conf, m in ranked]
+    return [_to_finding(m, conf, pmap) for conf, m in ranked]
 
 
 def _to_finding(
     m: SignatureMatch,
     confidence: str,
-    label: str,
     pmap: ProcessMap | None,
 ) -> CredentialFinding:
     sig, user, pw = m.signature, m.username, m.password
@@ -318,7 +315,6 @@ def _to_finding(
     attributions = tuple(pmap.lookup(anchor)) if pmap is not None else ()
     return CredentialFinding(
         app_id=sig.app_id,
-        image_label=label,
         username=user.value if user else None,
         password_raw=pw.value if pw else None,
         password_decoded=password_decoded,
@@ -336,13 +332,11 @@ def scan_manifest(
     manifest: ImageManifest,
     catalog: Sequence[CredentialSignature] | None = None,
     options: ScanOptions | None = None,
-    process_map: Sequence[ProcessMapEntry] | ProcessMap | None = None,
+    process_map: ProcessMap | None = None,
 ) -> dict[str, list[CredentialFinding]]:
     """Scan every manifest entry; keys follow manifest order."""
-    out: dict[str, list[CredentialFinding]] = {}
-    for entry in manifest:
-        out[entry.label] = scan_image(open_image(entry), catalog, options, process_map)
-    return out
+    images = (MemoryImage.from_file(e.path, label=e.label) for e in manifest)
+    return {image.label: scan_image(image, catalog, options, process_map) for image in images}
 
 
 def _finding_browsers(f: CredentialFinding, session_browser: str | None) -> frozenset[str]:
@@ -359,41 +353,32 @@ def _finding_browsers(f: CredentialFinding, session_browser: str | None) -> froz
 
 
 def build_presence_matrix(
-    rows: ImageManifest | Sequence[str],
     findings_by_image: Mapping[str, Sequence[CredentialFinding]],
+    session_meta: tuple[str, str] | None = None,
 ) -> dict:
-    """Reduce findings to the password-presence grid, the object a report
-    stores as its ``matrix``: ``rows`` (the image labels), ``columns``
-    (``[app, browser]`` pairs, ``STANDARD_COLUMNS``) and ``cells``, each
-    row's list of ``"Yes"`` or ``"No"`` per column keyed by its label.
+    """Reduce a scan's ``{label: findings}`` to the password-presence grid
+    a report stores as its ``matrix``: ``rows`` (the labels, in order),
+    ``columns`` (``[app, browser]`` pairs, ``STANDARD_COLUMNS``) and
+    ``cells``, each row's ``"Yes"`` or ``"No"`` per column keyed by label.
 
     A cell is Yes iff at least one finding for that application in that
     image still carries the password bytes; encrypted counts, the password
     was present even if unreadable.  Which browser column a finding feeds
     comes from its process attribution when one names a known browser, else
-    from the manifest's session metadata, else it counts for every column
-    of its application (the conservative reading).
+    from ``session_meta``, a manifest's (browser, application) pair, else it
+    counts for every column of its application (the conservative reading).
     """
-    session_browser = None
-    if isinstance(rows, ImageManifest):
-        labels = rows.labels()
-        if rows.session_meta is not None:
-            session_browser = browser_tag(rows.session_meta[0])
-    else:
-        labels = list(rows)
+    session_browser = browser_tag(session_meta[0]) if session_meta else None
     cells = {
         label: [
             "Yes" if any(
                 f.app_id == app_id
                 and f.password_raw is not None
                 and tag in _finding_browsers(f, session_browser)
-                for f in findings_by_image.get(label, ())
+                for f in findings
             ) else "No"
             for app_id, tag in STANDARD_COLUMNS
         ]
-        for label in labels
+        for label, findings in findings_by_image.items()
     }
-    for label in findings_by_image:
-        if label not in cells:
-            raise UnknownLabelError(f"findings reference unknown image label {label!r}")
-    return {"rows": labels, "columns": [list(c) for c in STANDARD_COLUMNS], "cells": cells}
+    return {"rows": list(cells), "columns": [list(c) for c in STANDARD_COLUMNS], "cells": cells}

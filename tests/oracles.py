@@ -258,7 +258,7 @@ def scan_full_carve(image, options=None):
     opts = options or ScanOptions()
     strings = list(carve_strings(image, opts.min_len, chunk_size=opts.chunk_size))
     matches = scanner._match_region(strings, catalog, opts)
-    return scanner._findings(matches, catalog, image.label, None)
+    return scanner._findings(matches, catalog, None)
 
 
 def values_at_offsets(data: bytes, findings) -> int:

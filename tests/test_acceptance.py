@@ -140,9 +140,9 @@ def test_criterion_3_table1_reproduction(tmp_path):
     plan = table1_preset()  # 16 MiB images
     result = fabricate(plan, tmp_path / "corpus")
     manifest = load_manifest(result.manifest_path)
-    pmap = ProcessMap(load_process_map(result.process_map_path))
+    pmap = load_process_map(result.process_map_path)
     findings = scan_manifest(manifest, process_map=pmap)
-    matrix = build_presence_matrix(manifest, findings)
+    matrix = build_presence_matrix(findings, manifest.session_meta)
     dt = time.perf_counter() - t0
 
     assert matrix["rows"] == [f"Img{n}" for n in _TABLE1]

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from memsift import ScanOptions, load_report, save_plan
+from memsift import ScanOptions, save_plan
 from memsift.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -157,7 +157,8 @@ def test_only_strings_and_fabricate_load_numpy(small_corpus, tmp_path):
     """Scanning a fabricated corpus, rendering its matrix, looking offsets
     up and printing the version leave numpy unloaded; the full carve
     behind `memsift strings` and the fabricator load it.  No command loads
-    dataclasses, and a deterministic scan leaves datetime unloaded too."""
+    dataclasses, a deterministic scan leaves datetime unloaded too, and
+    `memsift strings` loads neither json nor the report module."""
     plan, result = small_corpus
     report = tmp_path / "report.json"
     save_plan(plan, tmp_path / "plan.json")
@@ -176,7 +177,9 @@ def test_only_strings_and_fabricate_load_numpy(small_corpus, tmp_path):
         assert "dataclasses" not in loaded, argv
         if "--deterministic" in argv:
             assert "datetime" not in loaded, argv
-    assert load_report(report.read_text())["images"]
+        if argv[0] == "strings":
+            assert loaded.isdisjoint({"json", "memsift.report"}), argv
+    assert json.loads(report.read_text())["images"]
 
 
 class TestClosedPipe:
@@ -221,7 +224,7 @@ class TestScan:
             "--deterministic", "--out", str(dest),
         )
         assert code == 0
-        doc = load_report(dest.read_text())
+        doc = json.loads(dest.read_text())
         assert [img["label"] for img in doc["images"]] == [f"Img{n}" for n in range(1, 14)]
         assert doc["matrix"]["cells"]["Img4"] == [
             "Yes", "Yes", "Yes", "Yes", "Yes", "Yes", "Yes", "Yes", "No", "Yes",
@@ -719,9 +722,13 @@ class TestFabricate:
          "malformed plan: unknown template_id 'no-such-template'"),
         ({"session_meta": "FG"}, "malformed plan: session_meta 'FG' is not a (browser, application) pair"),
         ({"process_map": [[-1, "a", 0, 0x100, 0]]}, "negative pid -1"),
+        # a misspelt key is refused, not read as a field left out
+        ({"printable_densty": 0.9}, "malformed plan: unknown key 'printable_densty'"),
+        ({"images": [{**_image("A", 2), "placement": [["irctc-inline", 4096]]}]},
+         "malformed plan: unknown key 'placement'"),
     ], ids=["label-path", "label-tab", "repeated-label", "step-not-increasing",
             "description-tab", "out-of-bounds", "too-close", "unknown-template",
-            "session-string", "negative-pid"])
+            "session-string", "negative-pid", "misspelt-density", "misspelt-placements"])
     def test_every_plan_defect_names_the_file(self, capsys, tmp_path, change, message):
         """Each defect is the plan file's fault: exit 1, not a usage
         error, with the file's name on stderr and nothing written."""

@@ -9,7 +9,6 @@ from memsift import (
     ManifestEntry,
     MemoryImage,
     load_manifest,
-    open_image,
     write_manifest,
 )
 from memsift.errors import (
@@ -41,7 +40,7 @@ class TestLoadManifest:
             _img(tmp_path, f"img{n}.raw")
             lines.append(f"Img{n}\t{2 * n}\tstep {2 * n}\timg{n}.raw")
         man = load_manifest(_manifest(tmp_path, "\n".join(lines) + "\n"))
-        assert man.labels() == [f"Img{n}" for n in range(1, 14)]
+        assert [e.label for e in man] == [f"Img{n}" for n in range(1, 14)]
         assert [e.step_index for e in man] == list(range(2, 27, 2))
 
     def test_empty_manifest_is_valid(self, tmp_path):
@@ -140,7 +139,7 @@ def test_write_then_load_round_trip(tmp_path):
     dest = tmp_path / "manifest.tsv"
     write_manifest(entries, dest, session_meta=("Mozilla Firefox", "SBI"))
     man = load_manifest(dest)
-    assert man.labels() == ["One", "Two"]
+    assert [e.label for e in man] == ["One", "Two"]
     assert man.session_meta == ("Mozilla Firefox", "SBI")
     assert man.entry("Two").step_description == "second"
     # written paths are relative so the directory can be moved wholesale
@@ -252,10 +251,9 @@ class TestMemoryImage:
         assert img.label == "mem"
         assert list(img.chunks(chunk_size=2)) == [b"he", b"ll", b"o"]
 
-    def test_open_image_uses_entry_label(self, tmp_path):
+    def test_from_file_takes_the_given_label(self, tmp_path):
         p = _img(tmp_path, "a.raw")
-        entry = ManifestEntry("Img7", 14, "x", p)
-        img = open_image(entry)
+        img = MemoryImage.from_file(p, label="Img7")
         assert img.label == "Img7"
         assert img.size == p.stat().st_size
 

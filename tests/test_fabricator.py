@@ -280,6 +280,26 @@ def test_plan_save_load_round_trip(tmp_path):
     assert load_plan(p) == plan
 
 
+@pytest.mark.parametrize("misspell", ["top-level", "image"])
+def test_load_plan_refuses_an_unknown_key(tmp_path, misspell):
+    """A misspelt key names no field: read as a field left out, it would
+    fabricate at the default density or plant nothing in Img4."""
+    path = tmp_path / "plan.json"
+    save_plan(table1_preset(image_size=1 << 20, seed=3), path)
+    doc = json.loads(path.read_text())
+    if misspell == "top-level":
+        key = "printable_densty"
+        doc[key] = 0.9
+    else:
+        key = "placement"
+        image = next(img for img in doc["images"] if img["label"] == "Img4")
+        image[key], image["placements"] = image["placements"], []
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as err:
+        load_plan(path)
+    assert str(err.value) == f"{path}: malformed plan: unknown key {key!r}"
+
+
 class TestFiller:
     def test_deterministic(self):
         a = _filler_block(1, 2, 3, 8192, 0.3)
@@ -322,7 +342,7 @@ class TestFabricate(object):
     def test_manifest_loads_with_session(self, small_corpus):
         plan, result = small_corpus
         man = load_manifest(result.manifest_path)
-        assert man.labels() == ["A", "B", "C"]
+        assert [e.label for e in man] == ["A", "B", "C"]
         assert man.session_meta == plan.session_meta
 
     def test_ground_truth_file_mirrors_memory(self, small_corpus):

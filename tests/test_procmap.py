@@ -87,8 +87,9 @@ def test_random_maps_agree_with_linear_scan(raw, offset):
 
 def test_load_fixture_line():
     body = "1532\tfirefox.exe\t0x0F5C0000\t0x0F600000\t0x00400000\n"
-    entries = load_process_map(io.StringIO(body))
-    assert entries == [ProcessMapEntry(1532, "firefox.exe", 0x0F5C0000, 0x0F600000, 0x00400000)]
+    pmap = load_process_map(io.StringIO(body))
+    assert isinstance(pmap, ProcessMap)
+    assert pmap.entries == [ProcessMapEntry(1532, "firefox.exe", 0x0F5C0000, 0x0F600000, 0x00400000)]
 
 
 def test_load_sorts_by_phys_start():
@@ -96,7 +97,7 @@ def test_load_sorts_by_phys_start():
         "2\tb.exe\t0x2000\t0x3000\t0x0\n"
         "1\ta.exe\t0x1000\t0x2000\t0x0\n"
     )
-    entries = load_process_map(io.StringIO(body))
+    entries = load_process_map(io.StringIO(body)).entries
     assert [e.pid for e in entries] == [1, 2]
 
 
@@ -130,7 +131,7 @@ def test_inverted_range_rejected():
 def test_write_then_load_round_trip(tmp_path):
     path = tmp_path / "map.tsv"
     write_process_map(ENTRIES, path)
-    assert load_process_map(path) == sorted(
+    assert load_process_map(path).entries == sorted(
         ENTRIES, key=lambda e: (e.phys_start, e.phys_end, e.pid)
     )
 
@@ -143,9 +144,9 @@ def test_byte_order_mark_loads_as_without_it(tmp_path, body):
     plain, marked = tmp_path / "plain.tsv", tmp_path / "marked.tsv"
     plain.write_bytes(body.encode("utf-8"))
     marked.write_bytes(b"\xef\xbb\xbf" + body.encode("utf-8"))
-    assert load_process_map(marked) == load_process_map(plain)
+    assert load_process_map(marked).entries == load_process_map(plain).entries
 
 
 def test_comments_and_blank_lines_ignored():
     body = "# pid name start end virt\n\n1\tx.exe\t0x0\t0x10\t0x100\n"
-    assert len(load_process_map(io.StringIO(body))) == 1
+    assert len(load_process_map(io.StringIO(body)).entries) == 1

@@ -37,7 +37,7 @@ RECORDS = [
     Attribution(1, "firefox.exe", 0x400000),
     ProcessMapEntry(1, "firefox.exe", 0x1000, 0x2000, 0x400000),
     ScanOptions(),
-    CredentialFinding("sonicwall", "t", None, "p", "p", MatchMode.INLINE, 10, "LOW", ""),
+    CredentialFinding("sonicwall", None, "p", "p", MatchMode.INLINE, 10, "LOW", ""),
     ManifestEntry("Img1", 1, "system started", Path("img1.raw")),
     ArtifactTemplate("t", ((1, "pass=p"),), ()),
     PlannedImage("Img1", 1, "system started", ()),

@@ -2,7 +2,6 @@
 
 import time
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -22,13 +21,12 @@ from memsift import (
     Encoding,
     ExtractedString,
     GAUSR_MARKER,
-    ImageManifest,
     KeyValuePair,
-    ManifestEntry,
     MatchMode,
     MemoryImage,
     ProcessMap,
     ProcessMapEntry,
+    STANDARD_COLUMNS,
     ScanOptions,
     SignatureMatch,
     assign_confidence,
@@ -38,7 +36,7 @@ from memsift import (
     scan_image,
 )
 from memsift import scanner
-from memsift.errors import InvalidOptionError, UnknownLabelError
+from memsift.errors import InvalidOptionError
 from oracles import (
     assign_confidence_linear,
     match_region_linear,
@@ -442,7 +440,7 @@ class TestCatalogAppIds:
 class TestFindingInvariants:
     def _kw(self, **over):
         base = dict(
-            app_id="irctc", image_label="t", username="u",
+            app_id="irctc", username="u",
             password_raw="p", password_decoded="p",
             match_mode=MatchMode.INLINE, offset=0, confidence=LOW,
             context_snippet="", attributions=(), username_offset=None,
@@ -484,19 +482,19 @@ class TestToFinding:
         (MatchMode.ADJACENT, "a+b", "a+b"),
     ])
     def test_plus_is_a_space_in_inline_mode_only(self, mode, raw, decoded):
-        f = scanner._to_finding(self._match("sonicwall", mode, raw), HIGH, "t", None)
+        f = scanner._to_finding(self._match("sonicwall", mode, raw), HIGH, None)
         assert (f.password_raw, f.password_decoded, f.encrypted) == (raw, decoded, False)
 
     @pytest.mark.parametrize("length", [255, 256, 257])
     def test_snippet_is_cut_at_256_characters(self, length):
         context = "x" * (length - 1) + "y"
-        f = scanner._to_finding(self._match("irctc", context=context), HIGH, "t", None)
+        f = scanner._to_finding(self._match("irctc", context=context), HIGH, None)
         assert f.context_snippet == context[:256]
         assert len(f.context_snippet) == min(length, 256)
 
     def test_suspected_encrypted_value_is_not_decoded(self):
         digest = "37f08c5d00de89cb3c26e50200ee7242"
-        f = scanner._to_finding(self._match("sbi", pw=digest), HIGH, "t", None)
+        f = scanner._to_finding(self._match("sbi", pw=digest), HIGH, None)
         assert (f.password_raw, f.password_decoded, f.encrypted) == (digest, None, True)
 
     def test_attributions_are_looked_up_at_the_anchor(self):
@@ -506,27 +504,27 @@ class TestToFinding:
             ProcessMapEntry(1, "firefox.exe", 100, 101, 0x400000),
             ProcessMapEntry(2, "chrome.exe", 101, 0x1000, 0x1000000),
         ])
-        f = scanner._to_finding(self._match("irctc"), HIGH, "t", pmap)
+        f = scanner._to_finding(self._match("irctc"), HIGH, pmap)
         assert (f.offset, f.attributions) == (100, (Attribution(1, "firefox.exe", 0x400000),))
         user_only = self._match("irctc")._replace(password=None)
-        f = scanner._to_finding(user_only, LOW, "t", pmap)
+        f = scanner._to_finding(user_only, LOW, pmap)
         assert (f.offset, f.attributions) == (130, (Attribution(2, "chrome.exe", 0x100001D),))
         assert (f.password_decoded, f.encrypted) == (None, False)
-        assert scanner._to_finding(self._match("irctc"), HIGH, "t", None).attributions == ()
+        assert scanner._to_finding(self._match("irctc"), HIGH, None).attributions == ()
 
 
-def _finding(label, app, *, pw="x", attributions=(), conf=HIGH):
+def _finding(app, *, pw="x", attributions=(), conf=HIGH):
     return CredentialFinding(
-        app_id=app, image_label=label, username="u",
+        app_id=app, username="u",
         password_raw=pw, password_decoded=pw,
         match_mode=MatchMode.INLINE, offset=0, confidence=conf,
         context_snippet="", attributions=attributions,
     )
 
 
-def _userals(label, app):
+def _userals(app):
     return CredentialFinding(
-        app_id=app, image_label=label, username="u",
+        app_id=app, username="u",
         password_raw=None, password_decoded=None,
         match_mode=MatchMode.INLINE, offset=0, confidence=LOW,
         context_snippet="", attributions=(),
@@ -553,44 +551,78 @@ class TestPresenceMatrix:
         assert browser_tag(None) is None
 
     def test_attribution_decides_column(self):
-        m = build_presence_matrix(
-            ["I1"], {"I1": [_finding("I1", "irctc", attributions=FF)]}
-        )
+        m = build_presence_matrix({"I1": [_finding("irctc", attributions=FF)]})
         assert _cell(m, "I1", "irctc", "MF") == "Yes"
         assert _cell(m, "I1", "irctc", "GC") == "No"
 
     def test_session_meta_fallback(self):
-        manifest = ImageManifest(
-            entries=(ManifestEntry("I1", 1, "", Path("I1.img")),),
-            session_meta=("Google Chrome", "irctc"),
-        )
-        m = build_presence_matrix(manifest, {"I1": [_finding("I1", "irctc")]})
+        m = build_presence_matrix({"I1": [_finding("irctc")]}, ("Google Chrome", "irctc"))
         assert _cell(m, "I1", "irctc", "GC") == "Yes"
         assert _cell(m, "I1", "irctc", "MF") == "No"
 
     def test_no_tag_information_marks_all_columns(self):
-        m = build_presence_matrix(["I1"], {"I1": [_finding("I1", "irctc")]})
+        m = build_presence_matrix({"I1": [_finding("irctc")]})
         assert _cell(m, "I1", "irctc", "MF") == "Yes"
         assert _cell(m, "I1", "irctc", "GC") == "Yes"
 
     def test_username_only_findings_never_flip_cells(self):
-        m = build_presence_matrix(["I1"], {"I1": [_userals("I1", "sbi")]})
+        m = build_presence_matrix({"I1": [_userals("sbi")]})
         assert _cell(m, "I1", "sbi", "MF") == "No"
         assert _cell(m, "I1", "sbi", "GC") == "No"
 
     def test_ten_standard_columns(self):
-        m = build_presence_matrix(["I1"], {})
+        m = build_presence_matrix({"I1": []})
         assert len(m["columns"]) == 10
         assert m["columns"][0] == ["sonicwall", "MF"]
         assert _cell(m, "I1", "sonicwall", "MF") == "No"
 
-    def test_unknown_label_rejected(self):
-        with pytest.raises(UnknownLabelError):
-            build_presence_matrix(["I1"], {"I2": [_finding("I2", "irctc")]})
-
     def test_rows_keep_manifest_order(self):
-        m = build_presence_matrix(["B", "A"], {})
+        m = build_presence_matrix({"B": [], "A": []})
         assert m["rows"] == ["B", "A"]
+
+    @given(
+        findings_by_image=st.dictionaries(
+            st.text(min_size=1, max_size=4),
+            st.lists(st.builds(
+                _finding,
+                st.sampled_from([sig.app_id for sig in builtin_catalog()]),
+                pw=st.sampled_from(["x", None]),
+                attributions=st.lists(st.builds(
+                    Attribution, st.integers(0, 9),
+                    st.sampled_from(["firefox.exe", "chrome.exe", "Chrome.EXE", "svchost.exe"]),
+                    st.just(0),
+                ), max_size=2).map(tuple),
+            ), max_size=3),
+            max_size=4,
+        ),
+        session_meta=st.none() | st.tuples(
+            st.sampled_from(["Mozilla Firefox", "Google Chrome", "Opera"]), st.just("Gmail")
+        ),
+    )
+    @settings(max_examples=200)
+    def test_every_cell_follows_the_documented_rule(self, findings_by_image, session_meta):
+        """Per cell, as the docstring states it: Yes iff a finding of the
+        column's application carries a password and feeds the column's
+        browser, which is the browsers its attributions name, else the
+        session's browser, else every browser."""
+        session = {"Mozilla Firefox": "MF", "Google Chrome": "GC"}.get(
+            session_meta[0] if session_meta else None
+        )
+
+        def feeds(f):
+            named = {{"firefox.exe": "MF", "chrome.exe": "GC"}.get(a.process_name.lower())
+                     for a in f.attributions} - {None}
+            return named or ({session} if session else {"MF", "GC"})
+
+        m = build_presence_matrix(findings_by_image, session_meta)
+        assert m["rows"] == list(findings_by_image)
+        assert m["columns"] == [list(c) for c in STANDARD_COLUMNS]
+        assert list(m["cells"]) == list(findings_by_image)
+        for label, findings in findings_by_image.items():
+            for app, browser in STANDARD_COLUMNS:
+                want = any(f.app_id == app and f.password_raw is not None
+                           and browser in feeds(f) for f in findings)
+                assert _cell(m, label, app, browser) == ("Yes" if want else "No")
 
 
 
